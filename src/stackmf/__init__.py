@@ -17,9 +17,10 @@ from .model import (
 from .integrators import BlowUpError, GridFunction, expm, integrate_backward, integrate_forward
 from .follower import FollowerGains, follower_feedback, solve_follower_gains
 from .leader import ExtendedSystem, LeaderGains, assemble_extended, leader_feedback, solve_leader_gains
-from .simulation import EnsembleResult, NoiseModel, estimate_costs, lln_diagnostic, simulate
+from .simulation import Deviations, EnsembleResult, NoiseModel, estimate_costs, lln_diagnostic, simulate
 from .equilibrium import (
     VerificationReport,
+    deviation_battery,
     dp_gain_oracle,
     follower_deviation_test,
     leader_deviation_test,
@@ -49,12 +50,14 @@ __all__ = [
     "assemble_extended",
     "leader_feedback",
     "solve_leader_gains",
+    "Deviations",
     "EnsembleResult",
     "NoiseModel",
     "estimate_costs",
     "lln_diagnostic",
     "simulate",
     "VerificationReport",
+    "deviation_battery",
     "dp_gain_oracle",
     "follower_deviation_test",
     "leader_deviation_test",

@@ -9,7 +9,8 @@ Every command ingests a scenario config, writes CSV artifacts plus a
     3   gain equation blew up (failure time reported)
     4   gains directory is not grid-compatible with the config
     5   verification found a violated invariant
-    64  usage error (bad flags, empty value lists, zero paths)
+    64  usage error (bad flags, empty value lists, zero paths, seed or path
+        count outside the noise-stream range)
 
 Manifests record the config hash, grid, seed-level inputs, package versions,
 and a content hash per output file — and deliberately nothing that is allowed
@@ -274,8 +275,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.paths < 1:
-        return _fail(EXIT_USAGE, "simulate: --paths must be a positive integer")
     s, config_bytes = _load_config(args.config)
     require_valid(s)
     gains_dir = Path(args.gains)
@@ -356,8 +355,6 @@ def _corrupt(fg: FollowerGains) -> FollowerGains:
 
 
 def _cmd_verify(args) -> int:
-    if args.paths < 1:
-        return _fail(EXIT_USAGE, "verify: --paths must be a positive integer")
     if args.directions < 1:
         return _fail(EXIT_USAGE, "verify: --directions must be a positive integer")
     s, config_bytes = _load_config(args.config)
@@ -501,8 +498,6 @@ def _sweep_Gamma(s: Scenario, values, args, out: Path):
 
 
 def _cmd_sweep(args) -> int:
-    if args.paths < 1:
-        return _fail(EXIT_USAGE, "sweep: --paths must be a positive integer")
     s, config_bytes = _load_config(args.config)
     out = _out_dir(args)
 
@@ -573,6 +568,13 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Seeds and path indices must fit the 64- and 32-bit noise-stream key
+    # fields; checked before any config is read or anything is allocated.
+    if getattr(args, "paths", None) is not None:
+        if not 1 <= args.paths < 1 << 32:
+            return _fail(EXIT_USAGE, f"{args.command}: --paths must lie in [1, 2**32)")
+        if not 0 <= args.seed < 1 << 64:
+            return _fail(EXIT_USAGE, f"{args.command}: --seed must lie in [0, 2**64)")
     if getattr(args, "values", None) is not None:
         args.values = _parse_values(parser, args.vary, args.values)
     try:

@@ -12,7 +12,9 @@ they are checking:
   A leader deviation shifts the mean leader path, so the follower reaction
   (offset and mean response) is recomputed for the shifted mean and the
   follower population shifts accordingly; a follower deviation leaves every
-  other agent untouched but moves the population average by 1/N.
+  other agent untouched but moves the population average by 1/N.  Every
+  direction and epsilon is costed along the same baseline paths in one
+  ensemble pass (`simulation.Deviations`).
 * **Stationarity residuals** -- along simulated paths the follower control
   must satisfy R u + B' (P x + K m + phi) = 0 at machine precision.
 * **Dynamic-programming oracle** -- an exact one-step discretization of the
@@ -24,7 +26,6 @@ they are checking:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +39,9 @@ from .follower import (
     state_weight,
 )
 from .integrators import GridFunction, expm, integrate_forward
-from .leader import LeaderGains, assemble_extended, solve_leader_gains
+from .leader import LeaderGains, assemble_extended, solve_leader_M, solve_leader_gains
 from .model import Mode, Scenario, TimeGrid, time_sampled
-from .simulation import (
-    NoiseModel,
-    _build_tables,
-    _quad,
-    default_chunk_size,
-    simulate,
-)
+from .simulation import Deviations, simulate
 
 __all__ = [
     "DeviationResult",
@@ -54,6 +49,7 @@ __all__ = [
     "CheckRow",
     "VerificationReport",
     "direction_library",
+    "deviation_battery",
     "follower_deviation_test",
     "leader_deviation_test",
     "stationarity_residuals",
@@ -163,89 +159,63 @@ def _vacuous(label: str, target: str, epsilons) -> DeviationResult:
     )
 
 
-def _control_shift(tab, v: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama response of a single state to a unit control deviation."""
-    K = tab.steps
-    chi = np.zeros((K + 1, A.shape[0]))
-    for k in range(K):
-        chi[k + 1] = chi[k] + tab.dt * (A @ chi[k] + B @ v[k])
-    return chi
+def _eps_grid(epsilons) -> np.ndarray:
+    """Baseline slot 0 followed by the nonzero magnitudes."""
+    eps = np.concatenate(([0.0], np.asarray([e for e in epsilons if e != 0.0], dtype=float)))
+    if len(eps) < 3:
+        raise ValueError("need at least two nonzero epsilons to fit a quadratic")
+    return eps
 
 
-def _chunks(n_paths: int, N: int, steps: int, chunk_size=None):
-    chunk = chunk_size or default_chunk_size(N, steps, n_paths)
-    return [(i, min(i + chunk, n_paths)) for i in range(0, n_paths, chunk)]
+def _battery(s: Scenario, fg: FollowerGains, lg: LeaderGains, follower_dirs, leader_dirs,
+             follower_eps, leader_eps, n_paths: int, seed: int, *, workers: int, store_paths: int):
+    """Deviation fits plus the ensemble they were costed on (None when nothing had to run)."""
+    groups = (("follower", follower_dirs, follower_eps), ("leader", leader_dirs, leader_eps))
+    plan = [(label, target, epsilons, _normalize_direction(d, s.grid, s.dims.m))
+            for target, dirs, epsilons in groups for label, d in dirs]
+    live = {t: tuple(v for _, tt, _, v in plan if tt == t and np.any(v)) for t, _, _ in groups}
+    eps = {t: _eps_grid(e) if live[t] else np.zeros(0) for t, _, e in groups}
+    er = None
+    if store_paths or live["follower"] or live["leader"]:
+        spec = Deviations(live["follower"], live["leader"], tuple(eps["follower"]), tuple(eps["leader"]))
+        er = simulate(s, fg, lg, n_paths, seed, workers=workers, store_paths=store_paths, deviations=spec)
+    results, col = [], 0
+    for label, target, epsilons, v in plan:
+        if not np.any(v):
+            results.append(_vacuous(label, target, epsilons))
+            continue
+        e = eps[target]
+        J = er.deviation_costs[:, col:col + len(e)]
+        col += len(e)
+        results.append(_fit_quadratic(J, e, label, target, float(J[:, 0].mean())))
+    return results, er
 
 
-def _run_chunks(fn, argses, workers: int):
-    if workers > 1 and len(argses) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, argses))
-    return [fn(a) for a in argses]
+def deviation_battery(
+    s: Scenario,
+    fg: FollowerGains,
+    lg: LeaderGains,
+    follower_dirs,
+    leader_dirs,
+    follower_eps,
+    leader_eps,
+    n_paths: int,
+    seed: int,
+    *,
+    workers: int = 1,
+) -> list:
+    """First-order conditions for many directions from one ensemble pass.
 
-
-# ---------------------------------------------------------------------------
-# Follower deviation
-# ---------------------------------------------------------------------------
-
-
-def _follower_dev_chunk(args) -> np.ndarray:
-    (tab, dists, seed, start, stop, substeps, eps, v, chi, team) = args
-    nm = NoiseModel(seed)
-    c = stop - start
-    K, n, m, N = tab.steps, tab.n, tab.m, tab.N
-    dt = tab.dt
-
-    xi0 = np.empty((c, n))
-    xi = np.empty((c, N, n))
-    dW = np.empty((c, N + 1, K))
-    for i, p in enumerate(range(start, stop)):
-        xi0[i] = nm.initial(p, 0, dists[0])
-        dW[i, 0] = nm.wiener(p, 0, K, dt, substeps)
-        for j in range(N):
-            xi[i, j] = nm.initial(p, j + 1, dists[1])
-            dW[i, j + 1] = nm.wiener(p, j + 1, K, dt, substeps)
-
-    X = np.zeros((c, 3 * n))
-    X[:, :n] = xi0
-    X[:, n:2 * n] = tab.xi_bar
-    x = xi
-
-    E = len(eps)
-    J = np.zeros((c, E))
-    Q, R = tab.Q, tab.R
-    for k in range(K + 1):
-        x0 = X[:, :n]
-        phi_p = tab.offset[k] + X @ tab.e3P[k].T
-        xbar = x.mean(axis=1)
-        u_all = -(x @ tab.F_x[k].T + tab.F_mean[k][None, None, :] + (phi_p @ tab.RinvBt.T)[:, None, :])
-
-        x1 = x[:, 0]
-        u1 = u_all[:, 0]
-        rest_x = x[:, 1:]
-        T1 = _quad(rest_x, Q).sum(axis=1)
-        Tx = rest_x.sum(axis=1)
-        Tu = _quad(u_all[:, 1:], R).sum(axis=1)
-        x0G1 = x0 @ tab.Gamma1.T
-
-        for e in range(E):
-            x1e = x1 + eps[e] * chi[k]
-            u1e = u1 + eps[e] * v[k]
-            Sx = Tx + x1e
-            z = (Sx / N) @ tab.Gamma.T + x0G1 + tab.eta[k]
-            if team:
-                S1 = T1 + _quad(x1e, Q)
-                cross = np.einsum("pi,ij,pj->p", z, Q, Sx)
-                integ = 0.5 * (S1 - 2.0 * cross + N * _quad(z, Q) + Tu + _quad(u1e, R)) / N
-            else:
-                y1 = x1e - z
-                integ = 0.5 * (_quad(y1, Q) + _quad(u1e, R))
-            J[:, e] += tab.weights[k] * integ
-
-        if k < K:
-            X = X + dt * (X @ tab.X_drift[k].T + tab.X_const[k]) + dW[:, 0, k][:, None] * tab.noise_vec
-            x = x + dt * (x @ tab.A_f.T + u_all @ tab.B_f.T + tab.f_f[k]) + dW[:, 1:, k][:, :, None] * tab.D_f
-    return J
+    `follower_dirs` and `leader_dirs` are (label, direction) pairs, as
+    `direction_library` returns them.  Every direction is costed with common
+    random numbers along the same baseline paths; each one's cost matrix is
+    fitted on its own.  Results come follower directions first, in order.
+    """
+    results, _ = _battery(
+        s, fg, lg, follower_dirs, leader_dirs, follower_eps, leader_eps, n_paths, seed,
+        workers=workers, store_paths=0,
+    )
+    return results
 
 
 def follower_deviation_test(
@@ -267,82 +237,9 @@ def follower_deviation_test(
     in team mode the social cost must be.  Everyone else keeps the solved
     feedback, so only the 1/N population-average shift feeds back.
     """
-    v = _normalize_direction(direction, s.grid, s.dims.m)
-    if not np.any(v):
-        return _vacuous(label, "follower", epsilons)
-    es = assemble_extended(s, fg)
-    tab = _build_tables(s, fg, lg, es)
-    eps = np.concatenate(([0.0], np.asarray([e for e in epsilons if e != 0.0], dtype=float)))
-    chi = _control_shift(tab, v, tab.A_f, tab.B_f)
-    dists = (s.init.leader, s.init.follower)
-    team = s.mode is Mode.TEAM
-    argses = [
-        (tab, dists, seed, a, b, 1, eps, v, chi, team)
-        for a, b in _chunks(n_paths, s.dims.N, s.grid.steps)
-    ]
-    J = np.concatenate(_run_chunks(_follower_dev_chunk, argses, workers))
-    return _fit_quadratic(J, eps, label, "follower", float(J[:, 0].mean()))
-
-
-# ---------------------------------------------------------------------------
-# Leader deviation
-# ---------------------------------------------------------------------------
-
-
-def _mean_follower_response(s: Scenario, fg: FollowerGains, dphi: GridFunction) -> np.ndarray:
-    """Deterministic shift of the mean follower state caused by an offset shift."""
-    G = s.follower_dyn.B @ fg.control_map
-    A = s.follower_dyn.A
-    Pi = fg.Pi
-
-    def rhs(t, E):
-        return (A - G @ Pi.eval(t)) @ E - G @ dphi.eval(t)
-
-    return integrate_forward(rhs, np.zeros(s.dims.n), s.grid).values
-
-
-def _leader_dev_chunk(args) -> np.ndarray:
-    (tab, dists, seed, start, stop, substeps, eps, v, chi0, xi_shift) = args
-    nm = NoiseModel(seed)
-    c = stop - start
-    K, n, m, N = tab.steps, tab.n, tab.m, tab.N
-    dt = tab.dt
-
-    xi0 = np.empty((c, n))
-    xi = np.empty((c, N, n))
-    dW = np.empty((c, N + 1, K))
-    for i, p in enumerate(range(start, stop)):
-        xi0[i] = nm.initial(p, 0, dists[0])
-        dW[i, 0] = nm.wiener(p, 0, K, dt, substeps)
-        for j in range(N):
-            xi[i, j] = nm.initial(p, j + 1, dists[1])
-            dW[i, j + 1] = nm.wiener(p, j + 1, K, dt, substeps)
-
-    X = np.zeros((c, 3 * n))
-    X[:, :n] = xi0
-    X[:, n:2 * n] = tab.xi_bar
-    x = xi
-
-    E = len(eps)
-    J = np.zeros((c, E))
-    for k in range(K + 1):
-        x0 = X[:, :n]
-        phi_p = tab.offset[k] + X @ tab.e3P[k].T
-        u0 = tab.u0_const[k] - X @ tab.u0_P[k].T
-        xbar = x.mean(axis=1)
-        u_all = -(x @ tab.F_x[k].T + tab.F_mean[k][None, None, :] + (phi_p @ tab.RinvBt.T)[:, None, :])
-
-        for e in range(E):
-            x0e = x0 + eps[e] * chi0[k]
-            xbare = xbar + eps[e] * xi_shift[k]
-            u0e = u0 + eps[e] * v[k]
-            y0 = x0e - xbare @ tab.Gamma0.T - tab.eta0[k]
-            J[:, e] += tab.weights[k] * 0.5 * (_quad(y0, tab.Q0) + _quad(u0e, tab.R0))
-
-        if k < K:
-            X = X + dt * (X @ tab.X_drift[k].T + tab.X_const[k]) + dW[:, 0, k][:, None] * tab.noise_vec
-            x = x + dt * (x @ tab.A_f.T + u_all @ tab.B_f.T + tab.f_f[k]) + dW[:, 1:, k][:, :, None] * tab.D_f
-    return J
+    return deviation_battery(
+        s, fg, lg, [(label, direction)], [], epsilons, (), n_paths, seed, workers=workers
+    )[0]
 
 
 def leader_deviation_test(
@@ -365,37 +262,9 @@ def leader_deviation_test(
     through the forward mean equation, and every follower trajectory shifts
     deterministically by the resulting amount.
     """
-    v = _normalize_direction(direction, s.grid, s.dims.m)
-    if not np.any(v):
-        return _vacuous(label, "leader", epsilons)
-    es = assemble_extended(s, fg)
-    tab = _build_tables(s, fg, lg, es)
-    eps = np.concatenate(([0.0], np.asarray([e for e in epsilons if e != 0.0], dtype=float)))
-
-    chi0 = _control_shift(tab, v, tab.A0, tab.B0)
-    mean0 = tab.mean_state[:, :tab.n]
-    phi_a = solve_phi(s, fg.Pi, mean0)
-    phi_b = solve_phi(s, fg.Pi, mean0 + chi0)
-    dphi = GridFunction(s.grid, phi_b.values - phi_a.values)
-    dEbar = _mean_follower_response(s, fg, dphi)
-
-    # Follower-state shift under the perturbed mean field, marched with the
-    # same one-step scheme the paths use.
-    K = tab.steps
-    xi_shift = np.zeros((K + 1, tab.n))
-    for k in range(K):
-        du = -tab.RinvBt @ (
-            fg.P.values[k] @ xi_shift[k] + fg.K.values[k] @ dEbar[k] + dphi.values[k]
-        )
-        xi_shift[k + 1] = xi_shift[k] + tab.dt * (tab.A_f @ xi_shift[k] + tab.B_f @ du)
-
-    dists = (s.init.leader, s.init.follower)
-    argses = [
-        (tab, dists, seed, a, b, 1, eps, v, chi0, xi_shift)
-        for a, b in _chunks(n_paths, s.dims.N, s.grid.steps)
-    ]
-    J = np.concatenate(_run_chunks(_leader_dev_chunk, argses, workers))
-    return _fit_quadratic(J, eps, label, "leader", float(J[:, 0].mean()))
+    return deviation_battery(
+        s, fg, lg, [], [(label, direction)], (), epsilons, n_paths, seed, workers=workers
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +448,12 @@ def run_verification(
     leader_epsilons=(-0.2, -0.1, 0.1, 0.2),
     workers: int = 1,
 ) -> VerificationReport:
-    """Full verification battery: solver invariants, oracles, deviation tests."""
-    from .leader import solve_leader_M  # local import to avoid cycles at module load
+    """Full verification battery: solver invariants, oracles, deviation tests.
 
+    The reported ensemble and every deviation direction share one pass over
+    the same paths; only the exchangeability check runs a second, permuted
+    ensemble.
+    """
     if fg is None:
         fg = solve_follower_gains(s)
     if lg is None:
@@ -605,7 +477,13 @@ def run_verification(
         "independently solved combined equation",
     )
 
-    er = simulate(s, fg, lg, n_paths, seed, workers=workers, store_paths=min(4, n_paths))
+    devs, er = _battery(
+        s, fg, lg,
+        direction_library(s.grid, s.dims.m, directions, seed + 17),
+        direction_library(s.grid, s.dims.m, directions, seed + 29),
+        follower_epsilons, leader_epsilons, n_paths, seed,
+        workers=workers, store_paths=min(4, n_paths),
+    )
 
     mean0 = er.mean_state.values[:, : s.dims.n]
     phi_follower = solve_phi(s, fg.Pi, mean0).values
@@ -639,20 +517,6 @@ def run_verification(
     scale_h = 1.0 + float(np.max(np.abs(dp.offset)))
     add("dp_oracle_curvature", dp.delta_P, 200.0 * s.grid.dt * scale_P, "O(dt) discrete-time recursion")
     add("dp_oracle_offset", dp.delta_offset, 200.0 * s.grid.dt * scale_h)
-
-    devs = []
-    for label, v in direction_library(s.grid, s.dims.m, directions, seed + 17):
-        devs.append(
-            follower_deviation_test(
-                s, fg, lg, v, follower_epsilons, n_paths, seed, workers=workers, label=label
-            )
-        )
-    for label, v in direction_library(s.grid, s.dims.m, directions, seed + 29):
-        devs.append(
-            leader_deviation_test(
-                s, fg, lg, v, leader_epsilons, n_paths, seed, workers=workers, label=label
-            )
-        )
 
     return VerificationReport(
         mode=s.mode,

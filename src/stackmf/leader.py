@@ -132,7 +132,7 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     A_blocks = np.zeros((K + 1, 3 * n, 3 * n))
     B1_blocks = np.zeros((K + 1, 3 * n, 3 * n))
     B2_blocks = np.zeros((K + 1, 3 * n, 3 * n))
-    closed = A - Pi @ G                      # (K+1, n, n) follower closed-loop drift
+    closed = A - G @ Pi                      # (K+1, n, n) follower closed-loop drift
     A_blocks[:, :n, :n] = A0
     A_blocks[:, n:2 * n, n:2 * n] = closed
     A_blocks[:, 2 * n:, 2 * n:] = closed

@@ -5,10 +5,14 @@ follower offset reconstructed from it) is integrated once per run with RK4
 and shared across paths.  Each path then marches the extended leader state
 and all N followers with Euler-Maruyama on the same grid, evaluates both
 feedback laws node by node, and accumulates the quadratic costs with the
-trapezoid rule.
+trapezoid rule.  The same march optionally costs open-loop control
+deviations of one follower and of the leader (`Deviations`): the dynamics
+are linear, so a deviated path is the baseline path plus a deterministic
+shift, and every (direction, epsilon) pair is costed along the baseline
+paths in the same pass.
 
 Noise streams are counter-derived: the generator for (path p, agent j) is a
-Philox keyed purely by (seed, p, j, purpose), so results are bit-identical
+Philox stream keyed purely by (seed, p, j, purpose), so results are bit-identical
 for any worker count or chunking, and follower j's stream never depends on
 how many paths run before it.  Agent 0 is the leader; the population average
 is never sampled directly -- it is the exact arithmetic mean of the follower
@@ -19,17 +23,18 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .follower import FollowerGains, solve_follower_gains
+from .follower import FollowerGains, solve_follower_gains, solve_phi
 from .integrators import GridFunction, integrate_forward
 from .leader import ExtendedSystem, LeaderGains, assemble_extended, solve_leader_gains
 from .model import Distribution, Mode, Scenario, require_valid, time_sampled
 
 __all__ = [
     "NoiseModel",
+    "Deviations",
     "SimPath",
     "CostEstimate",
     "EnsembleResult",
@@ -43,6 +48,9 @@ __all__ = [
 PURPOSE_INIT = 0
 PURPOSE_NOISE = 1
 
+_MASK64 = (1 << 64) - 1
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
 
 class GridMismatchError(ValueError):
     """Gain tables and scenario grid disagree."""
@@ -52,12 +60,18 @@ class GridMismatchError(ValueError):
 class NoiseModel:
     """Counter-derived noise streams per (path, agent).
 
-    Streams are independent Philox generators keyed by a 128-bit packing of
+    Streams are independent Philox streams keyed by a 128-bit packing of
     (seed, path, agent, purpose); nothing about one stream depends on any
-    other stream having been consumed.
+    other stream having been consumed.  Draws re-key one reusable Philox
+    (counter reset to zero) rather than constructing a generator per
+    stream; the numbers are those of `generator(path, agent, purpose)`.
     """
 
     seed: int
+    _gen: np.random.Generator = field(
+        default_factory=lambda: np.random.Generator(np.random.Philox()),
+        init=False, repr=False, compare=False,
+    )
 
     def key(self, path: int, agent: int, purpose: int) -> int:
         if path < 0 or path >= 1 << 32:
@@ -65,7 +79,7 @@ class NoiseModel:
         if agent < 0 or agent >= 1 << 30:
             raise ValueError("agent index out of the 30-bit stream range")
         return (
-            ((self.seed & 0xFFFFFFFFFFFFFFFF) << 64)
+            ((self.seed & _MASK64) << 64)
             | (path << 32)
             | (agent << 2)
             | (purpose & 0x3)
@@ -74,9 +88,18 @@ class NoiseModel:
     def generator(self, path: int, agent: int, purpose: int) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.key(path, agent, purpose)))
 
+    def _stream(self, path: int, agent: int, purpose: int) -> np.random.Generator:
+        """The shared generator, re-keyed to the start of one stream."""
+        key = self.key(path, agent, purpose)
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            "state": {"counter": _ZERO4, "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64)},
+        }
+        return self._gen
+
     def initial(self, path: int, agent: int, dist: Distribution) -> np.ndarray:
         """The initial-state draw for one agent on one path."""
-        return dist.sample(self.generator(path, agent, PURPOSE_INIT), 1)[0]
+        return dist.sample(self._stream(path, agent, PURPOSE_INIT), 1)[0]
 
     def wiener(self, path: int, agent: int, steps: int, dt: float, substeps: int = 1) -> np.ndarray:
         """Brownian increments over each grid step.
@@ -85,12 +108,32 @@ class NoiseModel:
         aggregated, so runs at different step counts that share the same fine
         resolution consume the same underlying Brownian path.
         """
-        gen = self.generator(path, agent, PURPOSE_NOISE)
-        raw = gen.standard_normal(steps * substeps)
+        raw = self._stream(path, agent, PURPOSE_NOISE).standard_normal(steps * substeps)
         fine = raw * math.sqrt(dt / substeps)
         if substeps == 1:
             return fine
         return fine.reshape(steps, substeps).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class Deviations:
+    """Open-loop control deviations costed along the ensemble's own paths.
+
+    Follower slot 1 deviates by eps * v(t) for every follower direction v
+    and every eps in `follower_eps`; everyone else keeps the solved feedback,
+    so only the 1/N population-average shift feeds back.  A leader deviation
+    shifts the leader path, and the follower population shifts by its
+    deterministic reaction to the shifted mean leader path.  Directions are
+    (steps+1, m) tables.  `EnsembleResult.deviation_costs` holds one column
+    per (direction, eps), epsilon fastest: follower directions first (the
+    social cost in team mode, the deviator's own cost in game mode), then
+    leader directions (the leader's cost).
+    """
+
+    follower: tuple = ()
+    leader: tuple = ()
+    follower_eps: tuple = ()
+    leader_eps: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -132,6 +175,7 @@ class EnsembleResult:
     phi_spread: float                 # max cross-path deviation of the offset
     node_summary: dict
     paths: tuple
+    deviation_costs: np.ndarray | None = None   # (n_paths, columns of `Deviations`)
 
 
 @dataclass(frozen=True)
@@ -143,6 +187,7 @@ class _Tables:
     N: int
     steps: int
     dt: float
+    team: bool
     weights: np.ndarray       # trapezoid weights, (K+1,)
     xi_bar: np.ndarray        # follower initial mean
     mean_state: np.ndarray    # (K+1, 3n)
@@ -223,6 +268,7 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         N=N,
         steps=K,
         dt=dt,
+        team=s.mode is Mode.TEAM,
         weights=weights,
         xi_bar=s.follower_mean0,
         mean_state=mX,
@@ -267,49 +313,109 @@ def default_chunk_size(N: int, steps: int, n_paths: int) -> int:
     return max(1, min(n_paths, min(budget, 1024)))
 
 
-def draw_initials(nm: NoiseModel, dist: Distribution, paths: range, agents: np.ndarray) -> np.ndarray:
-    """(len(paths), len(agents), n) initial draws from per-(path, agent) streams."""
-    out = np.empty((len(paths), len(agents), dist.a.shape[0]))
-    for i, p in enumerate(paths):
-        for j, a in enumerate(agents):
-            out[i, j] = nm.initial(p, int(a))
-    return out
-
-
-def draw_increments(
-    nm: NoiseModel, paths: range, agents: np.ndarray, steps: int, dt: float, substeps: int
-) -> np.ndarray:
-    """(len(paths), len(agents), steps) Brownian increments."""
-    out = np.empty((len(paths), len(agents), steps))
-    for i, p in enumerate(paths):
-        for j, a in enumerate(agents):
-            out[i, j] = nm.wiener(p, int(a), steps, dt, substeps)
-    return out
-
-
 def _quad(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Quadratic form along the last axis: y' M y."""
     return np.einsum("...i,ij,...j->...", y, M, y)
 
 
-def _simulate_chunk(args) -> dict:
-    (tab, seed, start, stop, substeps, perm, u0_override, store_upto) = args
+def _control_shift(tab: _Tables, v: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euler-Maruyama response of a single state to a unit control deviation."""
+    chi = np.zeros((tab.steps + 1, A.shape[0]))
+    for k in range(tab.steps):
+        chi[k + 1] = chi[k] + tab.dt * (A @ chi[k] + B @ v[k])
+    return chi
+
+
+def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, phi_base, chi0: np.ndarray) -> np.ndarray:
+    """Follower-state shift caused by shifting the mean leader path by chi0.
+
+    The offset shift is re-solved through the follower backward equation and
+    the mean response through the forward mean equation; the shift is then
+    marched with the same one-step scheme the paths use.
+    """
+    phi_b = solve_phi(s, fg.Pi, tab.mean_state[:, :tab.n] + chi0)
+    dphi = GridFunction(s.grid, phi_b.values - phi_base.values)
+    G = s.follower_dyn.B @ fg.control_map
+    A, Pi = s.follower_dyn.A, fg.Pi
+    dEbar = integrate_forward(
+        lambda t, E: (A - G @ Pi.eval(t)) @ E - G @ dphi.eval(t), np.zeros(tab.n), s.grid
+    ).values
+    shift = np.zeros((tab.steps + 1, tab.n))
+    for k in range(tab.steps):
+        du = -tab.RinvBt @ (
+            fg.P.values[k] @ shift[k] + fg.K.values[k] @ dEbar[k] + dphi.values[k]
+        )
+        shift[k + 1] = shift[k] + tab.dt * (tab.A_f @ shift[k] + tab.B_f @ du)
+    return shift
+
+
+def _deviation_shifts(s: Scenario, fg: FollowerGains, tab: _Tables, dev: Deviations) -> tuple:
+    """Per-node shifts, (K+1, columns, dim) each, scaled by every epsilon:
+    follower-1 state and control, then leader state, population average and
+    leader control."""
+    K, n, m = tab.steps, tab.n, tab.m
+    for v in dev.follower + dev.leader:
+        if np.shape(v) != (K + 1, m):
+            raise ValueError(f"deviation directions must have shape ({K + 1}, {m})")
+
+    def stack(eps, tables, width):
+        eps = np.asarray(eps, dtype=float)
+        cols = [eps[None, :, None] * np.asarray(t, dtype=float)[:, None, :] for t in tables]
+        return np.concatenate(cols, axis=1) if cols else np.zeros((K + 1, 0, width))
+
+    chi = [_control_shift(tab, v, tab.A_f, tab.B_f) for v in dev.follower]
+    chi0 = [_control_shift(tab, v, tab.A0, tab.B0) for v in dev.leader]
+    phi_base = solve_phi(s, fg.Pi, tab.mean_state[:, :n]) if chi0 else None
+    xi_shift = [_population_shift(s, fg, tab, phi_base, c) for c in chi0]
+    return (
+        stack(dev.follower_eps, chi, n), stack(dev.follower_eps, dev.follower, m),
+        stack(dev.leader_eps, chi0, n), stack(dev.leader_eps, xi_shift, n), stack(dev.leader_eps, dev.leader, m),
+    )
+
+
+def _follower_deviation_cost(tab, k, x0, x, u, dx, du) -> np.ndarray:
+    """Trapezoid increment of the deviating follower's cost, (c, Cf)."""
+    N, Q, R = tab.N, tab.Q, tab.R
+    rest_x = x[:, 1:]
+    x1e = x[:, 0, None] + dx
+    u1e = u[:, 0, None] + du
+    Sx = rest_x.sum(axis=1)[:, None] + x1e
+    z = (Sx / N) @ tab.Gamma.T + (x0 @ tab.Gamma1.T)[:, None] + tab.eta[k]
+    if tab.team:
+        S1 = _quad(rest_x, Q).sum(axis=1)[:, None] + _quad(x1e, Q)
+        Tu = _quad(u[:, 1:], R).sum(axis=1)[:, None]
+        cross = np.einsum("...i,ij,...j->...", z, Q, Sx)
+        integ = 0.5 * (S1 - 2.0 * cross + N * _quad(z, Q) + Tu + _quad(u1e, R)) / N
+    else:
+        integ = 0.5 * (_quad(x1e - z, Q) + _quad(u1e, R))
+    return tab.weights[k] * integ
+
+
+def _leader_deviation_cost(tab, k, x0, xbar, u0, dx0, dxbar, du0) -> np.ndarray:
+    """Trapezoid increment of the leader's cost, (c, Cl)."""
+    y0 = (x0[:, None] + dx0) - (xbar[:, None] + dxbar) @ tab.Gamma0.T - tab.eta0[k]
+    return tab.weights[k] * 0.5 * (_quad(y0, tab.Q0) + _quad(u0[:, None] + du0, tab.R0))
+
+
+def _chunk(args) -> dict:
+    """March one chunk of paths: the package's one Euler-Maruyama kernel."""
+    (tab, dists, seed, start, stop, substeps, perm, u0_override, store_upto, shifts) = args
     nm = NoiseModel(seed)
     c = stop - start
     K, n, m, N = tab.steps, tab.n, tab.m, tab.N
     dt = tab.dt
-    paths = range(start, stop)
-    agents = np.concatenate(([0], perm))
 
-    # Initial draws: leader from agent stream 0, follower slot j from stream perm[j].
+    # Leader from agent stream 0, follower slot j from stream perm[j]; each
+    # (path, agent) stream is drawn once.
     xi0 = np.empty((c, n))
     xi = np.empty((c, N, n))
-    for i, p in enumerate(paths):
-        xi0[i] = nm.initial(p, 0, tab_dist_leader)
-        for j in range(N):
-            xi[i, j] = nm.initial(p, int(perm[j]), tab_dist_follower)
-
-    dW = draw_increments(nm, paths, agents, K, dt, substeps)
+    dW = np.empty((c, N + 1, K))
+    for i, p in enumerate(range(start, stop)):
+        xi0[i] = nm.initial(p, 0, dists[0])
+        dW[i, 0] = nm.wiener(p, 0, K, dt, substeps)
+        for j, a in enumerate(perm.tolist()):
+            xi[i, j] = nm.initial(p, a, dists[1])
+            dW[i, j + 1] = nm.wiener(p, a, K, dt, substeps)
     dW0 = dW[:, 0, :]
     dWf = dW[:, 1:, :]
 
@@ -323,6 +429,10 @@ def _simulate_chunk(args) -> dict:
 
     J0 = np.zeros(c)
     Ji = np.zeros((c, N))
+    if shifts is not None:
+        fx, fu, lx, lxbar, lu = shifts
+        Jf = np.zeros((c, fx.shape[1]))
+        Jl = np.zeros((c, lx.shape[1]))
     x0_sum = np.zeros((K + 1, n))
     x0_sq = np.zeros((K + 1, n))
     xbar_sum = np.zeros((K + 1, n))
@@ -362,6 +472,11 @@ def _simulate_chunk(args) -> dict:
         J0 += tab.weights[k] * 0.5 * (_quad(y0, tab.Q0) + _quad(u0, tab.R0))
         y = x - (xbar @ tab.Gamma.T)[:, None, :] - (x0 @ tab.Gamma1.T)[:, None, :] - tab.eta[k]
         Ji += tab.weights[k] * 0.5 * (_quad(y, tab.Q) + _quad(u, tab.R))
+        if shifts is not None:
+            if Jf.shape[1]:
+                Jf += _follower_deviation_cost(tab, k, x0, x, u, fx[k], fu[k])
+            if Jl.shape[1]:
+                Jl += _leader_deviation_cost(tab, k, x0, xbar, u0, lx[k], lxbar[k], lu[k])
 
         x0_sum[k] += x0.sum(axis=0)
         x0_sq[k] += (x0 * x0).sum(axis=0)
@@ -398,6 +513,7 @@ def _simulate_chunk(args) -> dict:
         "start": start,
         "J0": J0,
         "Ji": Ji,
+        "Jdev": None if shifts is None else np.concatenate([Jf, Jl], axis=1),
         "x0_sum": x0_sum,
         "x0_sq": x0_sq,
         "xbar_sum": xbar_sum,
@@ -408,18 +524,6 @@ def _simulate_chunk(args) -> dict:
         "phi_spread": phi_spread,
         "store": store,
     }
-
-
-# Module-level slots so chunk workers can reach the distributions without
-# re-pickling them per call (set right before the chunk loop runs).
-tab_dist_leader: Distribution | None = None
-tab_dist_follower: Distribution | None = None
-
-
-def _chunk_worker(payload):
-    global tab_dist_leader, tab_dist_follower
-    tab_dist_leader, tab_dist_follower, args = payload
-    return _simulate_chunk(args)
 
 
 def simulate(
@@ -435,6 +539,7 @@ def simulate(
     agent_permutation=None,
     u0_override=None,
     chunk_size: int | None = None,
+    deviations: Deviations | None = None,
 ) -> EnsembleResult:
     """Simulate the closed-loop ensemble and estimate all costs.
 
@@ -443,9 +548,13 @@ def simulate(
     streams (exchangeability checks).  `u0_override` forces an open-loop
     leader control -- a (m,) constant or (steps+1, m) table; the follower
     layer still runs the solved feedback against the deterministic offset.
+    `deviations` additionally costs open-loop deviations along the same
+    paths (closed loop only); see `Deviations`.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if not 1 <= n_paths < 1 << 32:
+        raise ValueError("n_paths must lie in [1, 2**32)")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must lie in [0, 2**64)")
     require_valid(s)
     _check_grids(s, fg, lg)
     es = assemble_extended(s, fg)
@@ -457,29 +566,28 @@ def simulate(
         raise ValueError("agent_permutation must permute 1..N")
 
     if u0_override is not None:
+        if deviations is not None:
+            raise ValueError("deviations are costed on the closed loop; drop u0_override")
         u0_override = np.asarray(u0_override, dtype=float)
         if u0_override.ndim == 1:
             u0_override = np.tile(u0_override, (K + 1, 1))
         if u0_override.shape != (K + 1, m):
             raise ValueError(f"u0_override must have shape ({K + 1}, {m})")
 
+    shifts = None if deviations is None else _deviation_shifts(s, fg, tab, deviations)
     store_paths = max(0, min(store_paths, n_paths))
     chunk = chunk_size or default_chunk_size(N, K, n_paths)
-    spans = [(i, min(i + chunk, n_paths)) for i in range(0, n_paths, chunk)]
+    dists = (s.init.leader, s.init.follower)
     argses = [
-        (tab, seed, start, stop, substeps, perm, u0_override, store_paths)
-        for start, stop in spans
+        (tab, dists, seed, start, min(start + chunk, n_paths), substeps, perm, u0_override,
+         store_paths, shifts)
+        for start in range(0, n_paths, chunk)
     ]
-
-    global tab_dist_leader, tab_dist_follower
-    tab_dist_leader = s.init.leader
-    tab_dist_follower = s.init.follower
     if workers > 1 and len(argses) > 1:
-        payloads = [(s.init.leader, s.init.follower, a) for a in argses]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_chunk_worker, payloads))
+            partials = list(pool.map(_chunk, argses))
     else:
-        partials = [_simulate_chunk(a) for a in argses]
+        partials = [_chunk(a) for a in argses]
 
     J0 = np.concatenate([p["J0"] for p in partials])
     Ji = np.concatenate([p["Ji"] for p in partials])
@@ -511,7 +619,6 @@ def simulate(
     phi_spread = max(p["phi_spread"] for p in partials)
 
     paths = []
-    offset_vals = tab.offset
     for p in partials:
         st = p["store"]
         if st is None:
@@ -552,10 +659,11 @@ def simulate(
         lln_gap=GridFunction(grid, gap),
         mean_state=GridFunction(grid, tab.mean_state),
         mean_follower=GridFunction(grid, tab.mean_follower),
-        offset=GridFunction(grid, offset_vals),
+        offset=GridFunction(grid, tab.offset),
         phi_spread=phi_spread,
         node_summary=node_summary,
         paths=tuple(paths),
+        deviation_costs=None if shifts is None else np.concatenate([p["Jdev"] for p in partials]),
     )
 
 

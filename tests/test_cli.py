@@ -192,6 +192,22 @@ def test_simulate_zero_paths_is_usage_error(config, gains_dir, tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--seed", str(1 << 64)), ("--paths", str(1 << 32)),
+])
+def test_stream_range_is_checked_before_any_work(command, flag, value, tmp_path):
+    # The config does not exist: an exit of 64 rather than 1 shows the bounds
+    # are checked before the config is read, so nothing is simulated.
+    args = [command, "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")]
+    if command == "simulate":
+        args += ["--gains", str(tmp_path / "gains")]
+    if command == "sweep":
+        args += ["--vary", "N", "--values", "4"]
+    assert run_cli(*args, flag, value) == 64
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
 from stackmf.equilibrium import (
     PASS_FLOOR,
+    deviation_battery,
     direction_library,
     dp_gain_oracle,
     follower_deviation_test,
@@ -271,3 +272,54 @@ def test_verification_solves_gains_when_not_supplied(fast_scenario):
     rep = run_verification(fast_scenario, n_paths=32, seed=1, directions=1)
     assert rep.passed
     assert rep.n_paths == 32 and rep.mode is Mode.TEAM
+
+
+# Deviation fields of run_verification(fast, n_paths=128, seed=0, directions=3)
+# as computed when every direction ran its own ensemble; the shared pass must
+# reproduce them.  Rows: (target/label, c1, c1_se, c2, c2_se, delta_mean).
+PINNED_DEVIATIONS = (
+    ("follower/const", 0.009881616396571112, 0.006922706746070145, 0.1723160190781386, 1.5919511954784044e-15,
+     (0.004916317483811312, 0.0007349985511242974, -6.329077213322338e-05, 0.0009248708675238999,
+      0.002711321830438465, 0.008868964042439783)),
+    ("follower/halfsine", 0.005671698003226117, 0.004429550811200159, 0.08329609771337652, 1.537276837358594e-15,
+     (0.002197504307889837, 0.00026579117681116036, -7.53446558778301e-05, 0.0004918251444447643,
+      0.0014001307774564246, 0.0044661835091802694)),
+    ("follower/cosine", 0.005099788162285408, 0.003181418795189247, 0.06111586893940486, 1.7071063932243275e-15,
+     (0.0014246771251191, 0.00010117987316552021, -0.00010219973576571601, 0.000407779080462778,
+      0.001121137505622578, 0.003464592390033288)),
+    ("leader/const", -0.011121662417334022, 0.018770402459762556, 1.206805353478115, 7.876574196808195e-16,
+     (0.0504965466225914, 0.01318021977651456, 0.010955887293047775, 0.04604788165565779)),
+    ("leader/halfsine", -0.005559128539580934, 0.011917720856551297, 0.5944732872885521, 8.427041423099124e-16,
+     (0.024890757199458255, 0.0065006457268436445, 0.005388820018927464, 0.022667105783625893)),
+    ("leader/cosine", -0.00785755292696226, 0.011215454258196799, 0.5362630655009302, 9.106325268754226e-16,
+     (0.02302203320542965, 0.006148385947705555, 0.004576875362313098, 0.01987901203464476)),
+)
+
+
+def test_verification_deviations_match_pinned_values(fast_report):
+    got = [(f"{d.target}/{d.label}", d.c1, d.c1_se, d.c2, d.c2_se, d.delta_mean) for d in fast_report.deviations]
+    assert [g[0] for g in got] == [p[0] for p in PINNED_DEVIATIONS]
+    for g, p in zip(got, PINNED_DEVIATIONS):
+        np.testing.assert_allclose(g[1:5], p[1:5], rtol=1e-10, atol=0.0, err_msg=p[0])
+        np.testing.assert_allclose(g[5], p[5], rtol=1e-10, atol=0.0, err_msg=p[0])
+
+
+def test_verification_csv_is_worker_invariant(fast_gains, tmp_path):
+    # 1030 paths make two chunks, so two workers really split the pass.
+    s, fg, lg = fast_gains
+    for workers in (1, 2):
+        run_verification(s, fg, lg, n_paths=1030, seed=4, directions=1, workers=workers).to_csv(
+            tmp_path / f"w{workers}.csv"
+        )
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+def test_battery_equals_one_direction_at_a_time(fast_gains):
+    s, fg, lg = fast_gains
+    f_dirs = direction_library(s.grid, s.dims.m, 2, seed=5)
+    l_dirs = direction_library(s.grid, s.dims.m, 2, seed=6) + [("zero", np.zeros(1))]
+    batch = deviation_battery(s, fg, lg, f_dirs, l_dirs, FOLLOWER_EPS, LEADER_EPS, 24, seed=9)
+    single = [follower_deviation_test(s, fg, lg, v, FOLLOWER_EPS, 24, seed=9, label=lab) for lab, v in f_dirs]
+    single += [leader_deviation_test(s, fg, lg, v, LEADER_EPS, 24, seed=9, label=lab) for lab, v in l_dirs]
+    assert batch == single
+    assert batch[-1].vacuous

@@ -23,7 +23,7 @@ from stackmf.leader import (
     solve_leader_gains,
 )
 from stackmf.model import Mode, TimeGrid, load_scenario
-from stackmf.simulation import solve_mean_state
+from stackmf.simulation import simulate, solve_mean_state
 from conftest import replace_mode, solve_both
 
 
@@ -101,6 +101,74 @@ def test_zero_scenario_assembles_zero_blocks(baseline_text):
         assert max_abs(getattr(es, name)) == 0.0, name
     for name in ("B", "A1", "A2", "noise"):
         assert np.max(np.abs(getattr(es, name))) == 0.0, name
+
+
+# Vector game whose follower control gain G = B R^-1 B' does not commute with
+# the aggregate gain Pi, so the order of the closed-loop product matters.
+GAME_N2_CFG = """\
+mode = "game"
+
+[dims]
+n = 2
+m = 2
+N = 10
+
+[leader]
+A = [[0.1, 0.3], [-0.3, 0.1]]
+B = [[0.5, 0.0], [0.2, 0.5]]
+f = [0.5, -0.2]
+D = [0.3, 0.3]
+
+[follower]
+A = [[-0.1, 0.4], [-0.2, 0.0]]
+B = [[1.0, 0.0], [0.5, 0.3]]
+f = [0.2, 0.4]
+D = [0.4, 0.4]
+
+[cost.leader]
+Q = [[1.0, 0.2], [0.2, 0.5]]
+R = [[1.0, 0.0], [0.0, 1.0]]
+Gamma = [[0.8, 0.0], [0.0, 0.5]]
+eta = [0.5, 0.0]
+
+[cost.follower]
+Q = [[2.0, 0.5], [0.5, 0.3]]
+R = [[0.3, 0.0], [0.0, 0.6]]
+Gamma = [[0.6, 0.0], [0.0, 0.6]]
+Gamma1 = [[0.8, 0.2], [0.0, 0.5]]
+eta = [0.1, 0.0]
+
+[init]
+leader = "gaussian([2.0, -1.0], [0.25, 0.25])"
+follower = "uniform([3, -2], [5, 0])"
+
+[grid]
+T = 3.0
+steps = 300
+"""
+
+
+def test_follower_closed_loop_drift_is_A_minus_G_Pi():
+    # The mean follower state moves under the feedback u = -R^-1 B' (Pi m + phi),
+    # so its drift is A - G Pi; with G and Pi not commuting, A - Pi G would
+    # send the extended mean (and the population average it predicts) astray.
+    s, fg, lg = solve_both(load_scenario(GAME_N2_CFG))
+    es = assemble_extended(s, fg)
+    n = s.dims.n
+    A, B, R = s.follower_dyn.A, s.follower_dyn.B, s.follower_cost.R
+    G = B @ np.linalg.solve(R, B.T)
+    Pi = fg.Pi.values
+    assert np.max(np.abs(G @ Pi - Pi @ G)) > 1e-2
+    expected = A - G @ Pi
+    np.testing.assert_allclose(es.A.values[:, n:2 * n, n:2 * n], expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(es.A.values[:, 2 * n:, 2 * n:], expected, rtol=0.0, atol=1e-12)
+
+    paths = 256
+    er = simulate(s, fg, lg, paths, seed=3, store_paths=0)
+    mean = solve_mean_state(s, es, lg).values[:, n:2 * n]
+    se = er.node_summary["xbar_std"] / np.sqrt(paths)
+    tol = 5.0 * se + 0.5 * s.grid.dt * (1.0 + np.max(np.abs(mean)))
+    assert np.all(np.abs(er.node_summary["xbar_mean"] - mean) <= tol)
 
 
 def test_mode_difference_is_localized(team_gains):

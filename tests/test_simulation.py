@@ -8,8 +8,11 @@ import pytest
 import scipy.stats
 
 from stackmf.leader import assemble_extended
-from stackmf.model import TimeGrid, load_scenario
+from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import (
+    PURPOSE_INIT,
+    PURPOSE_NOISE,
+    Deviations,
     GridMismatchError,
     NoiseModel,
     default_chunk_size,
@@ -240,6 +243,66 @@ def test_streams_differ_by_purpose_and_agent():
         nm.key(path=-1, agent=0, purpose=0)
     with pytest.raises(ValueError):
         nm.key(path=0, agent=1 << 30, purpose=0)
+
+
+@pytest.mark.parametrize("seed, path, agent", [(0, 0, 0), (5, 3, 2), ((1 << 64) - 1, (1 << 32) - 1, (1 << 30) - 1)])
+def test_rekeyed_streams_match_fresh_generators(seed, path, agent):
+    # Draws re-key one shared Philox; they must equal a generator built for the stream.
+    nm = NoiseModel(seed)
+    dist = load_scenario(FAST_CFG_TEXT).init.follower
+    fresh = nm.generator(path, agent, PURPOSE_INIT)
+    assert np.array_equal(nm.initial(path, agent, dist), dist.sample(fresh, 1)[0])
+    fresh = nm.generator(path, agent, PURPOSE_NOISE)
+    assert np.array_equal(nm.wiener(path, agent, steps=64, dt=0.01), fresh.standard_normal(64) * np.sqrt(0.01))
+    # A stream drawn again after others is drawn afresh, not continued.
+    other = nm.wiener(path ^ 1, agent, steps=7, dt=0.01)
+    assert np.array_equal(nm.wiener(path ^ 1, agent, steps=7, dt=0.01), other)
+    assert np.array_equal(nm.wiener(path, agent, steps=64, dt=0.01)[:7],
+                          nm.generator(path, agent, PURPOSE_NOISE).standard_normal(7) * np.sqrt(0.01))
+
+
+@pytest.mark.parametrize("n_paths, seed", [(0, 0), (1 << 32, 0), (1, -1), (1, 1 << 64)])
+def test_stream_range_is_validated(fast_gains, n_paths, seed):
+    s, fg, lg = fast_gains
+    with pytest.raises(ValueError):
+        simulate(s, fg, lg, n_paths, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Deviation costing in the ensemble pass
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", ["fast_gains", "fast_game_gains"])
+def test_deviation_baseline_columns_are_the_ensemble_costs(fixture, request):
+    # The eps = 0 column of every direction is the baseline cost of the same
+    # paths: the social cost (team) or follower 1's own cost (game), and J0.
+    s, fg, lg = request.getfixturevalue(fixture)
+    K, m = s.grid.steps, s.dims.m
+    t = s.grid.nodes[:, None]
+    dirs = (np.ones((K + 1, m)), np.sin(np.pi * t / s.grid.horizon) * np.ones((1, m)))
+    eps = (0.0, -0.1, 0.1)
+    dev = Deviations(follower=dirs, leader=dirs, follower_eps=eps, leader_eps=eps)
+    er = simulate(s, fg, lg, 40, seed=2, store_paths=0, deviations=dev)
+    plain = simulate(s, fg, lg, 40, seed=2, store_paths=0)
+    ensembles_equal(er, plain)
+    J = er.deviation_costs
+    assert J.shape == (40, 4 * len(eps))
+    follower_base = er.social_cost_paths if s.mode is Mode.TEAM else er.follower_cost_paths[:, 0]
+    for col in (0, 3):
+        np.testing.assert_allclose(J[:, col], follower_base, rtol=1e-12, atol=0.0)
+    for col in (6, 9):
+        np.testing.assert_allclose(J[:, col], er.leader_cost_paths, rtol=1e-12, atol=0.0)
+    assert not np.array_equal(J[:, 1], J[:, 0])
+
+
+def test_deviations_require_the_closed_loop(fast_gains):
+    s, fg, lg = fast_gains
+    dev = Deviations(leader=(np.ones((s.grid.steps + 1, s.dims.m)),), leader_eps=(0.0, 0.1, 0.2))
+    with pytest.raises(ValueError):
+        simulate(s, fg, lg, 2, seed=0, deviations=dev, u0_override=np.zeros(s.dims.m))
+    with pytest.raises(ValueError):
+        simulate(s, fg, lg, 2, seed=0, deviations=Deviations(leader=(np.ones(3),), leader_eps=(0.0, 0.1)))
 
 
 def test_refined_grid_with_shared_noise_converges(fast_gains):
