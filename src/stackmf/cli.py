@@ -44,6 +44,7 @@ from .model import (
     validate,
 )
 from .simulation import (
+    NOISE_SCHEME,
     GridMismatchError,
     estimate_costs,
     lln_diagnostic,
@@ -105,7 +106,7 @@ def _write_manifest(
         "grid": {"horizon": s.grid.horizon, "steps": s.grid.steps},
         "dims": {"n": s.dims.n, "m": s.dims.m, "N": s.dims.N},
         "inputs": inputs,
-        "versions": {"numpy": np.__version__, "stackmf": __version__},
+        "versions": {"noise": NOISE_SCHEME, "numpy": np.__version__, "stackmf": __version__},
         "outputs": {p.name: _sha256_file(p) for p in outputs},
     }
     path = out / "manifest.json"

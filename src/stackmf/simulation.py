@@ -11,12 +11,13 @@ are linear, so a deviated path is the baseline path plus a deterministic
 shift, and every (direction, epsilon) pair is costed along the baseline
 paths in the same pass.
 
-Noise streams are counter-derived: the generator for (path p, agent j) is a
-Philox stream keyed purely by (seed, p, j, purpose), so results are bit-identical
-for any worker count or chunking, and follower j's stream never depends on
-how many paths run before it.  Agent 0 is the leader; the population average
-is never sampled directly -- it is the exact arithmetic mean of the follower
-states.
+Noise streams are counter-derived: path p draws from one Philox stream per
+purpose (initial states, increments), keyed purely by (seed, p, purpose), with
+one row per agent.  Results are therefore bit-identical for any worker count
+or chunking, path p never depends on how many paths run before it, and agent
+j's row never depends on how many followers there are.  Agent 0 is the
+leader; the population average is never sampled directly -- it is the exact
+arithmetic mean of the follower states.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .follower import FollowerGains, solve_follower_gains, solve_phi
-from .integrators import GridFunction, integrate_forward
+from .follower import FollowerGains, offset_source, solve_follower_gains
+from .integrators import GridFunction, integrate_backward, integrate_forward
 from .leader import ExtendedSystem, LeaderGains, assemble_extended, solve_leader_gains
-from .model import Distribution, Mode, Scenario, require_valid, time_sampled
+from .model import InitialLaw, Mode, Scenario, require_valid, time_sampled
 
 __all__ = [
     "NoiseModel",
@@ -47,6 +48,8 @@ __all__ = [
 
 PURPOSE_INIT = 0
 PURPOSE_NOISE = 1
+# Recorded in manifests: outputs drawn under another scheme are not comparable.
+NOISE_SCHEME = "philox:seed,path,purpose:agent-rows"
 
 _MASK64 = (1 << 64) - 1
 _ZERO4 = np.zeros(4, dtype=np.uint64)
@@ -58,13 +61,15 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Counter-derived noise streams per (path, agent).
+    """Counter-derived noise streams, one per (path, purpose).
 
     Streams are independent Philox streams keyed by a 128-bit packing of
-    (seed, path, agent, purpose); nothing about one stream depends on any
-    other stream having been consumed.  Draws re-key one reusable Philox
-    (counter reset to zero) rather than constructing a generator per
-    stream; the numbers are those of `generator(path, agent, purpose)`.
+    (seed, path, purpose); nothing about one stream depends on any other
+    stream having been consumed.  A stream holds one row per agent (row 0 the
+    leader, row j follower j), drawn in row order, so agent j's row depends
+    only on the rows before it and never on the follower count.  Draws re-key
+    one reusable Philox (counter reset to zero) rather than constructing a
+    generator per stream; the numbers are those of `generator(path, purpose)`.
     """
 
     seed: int
@@ -73,46 +78,44 @@ class NoiseModel:
         init=False, repr=False, compare=False,
     )
 
-    def key(self, path: int, agent: int, purpose: int) -> int:
+    def key(self, path: int, purpose: int) -> int:
         if path < 0 or path >= 1 << 32:
             raise ValueError("path index out of the 32-bit stream range")
-        if agent < 0 or agent >= 1 << 30:
-            raise ValueError("agent index out of the 30-bit stream range")
-        return (
-            ((self.seed & _MASK64) << 64)
-            | (path << 32)
-            | (agent << 2)
-            | (purpose & 0x3)
-        )
+        return ((self.seed & _MASK64) << 64) | (path << 32) | (purpose & 0x3)
 
-    def generator(self, path: int, agent: int, purpose: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.key(path, agent, purpose)))
+    def generator(self, path: int, purpose: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.key(path, purpose)))
 
-    def _stream(self, path: int, agent: int, purpose: int) -> np.random.Generator:
+    def _stream(self, path: int, purpose: int) -> np.random.Generator:
         """The shared generator, re-keyed to the start of one stream."""
-        key = self.key(path, agent, purpose)
+        key = self.key(path, purpose)
         self._gen.bit_generator.state = {
             "bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             "state": {"counter": _ZERO4, "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64)},
         }
         return self._gen
 
-    def initial(self, path: int, agent: int, dist: Distribution) -> np.ndarray:
-        """The initial-state draw for one agent on one path."""
-        return dist.sample(self._stream(path, agent, PURPOSE_INIT), 1)[0]
+    def initial(self, path: int, law: InitialLaw, N: int) -> np.ndarray:
+        """Initial states of one path, (N+1, n): the leader, then followers 1..N."""
+        g = self._stream(path, PURPOSE_INIT)
+        return np.concatenate([law.leader.sample(g, 1), law.follower.sample(g, N)])
 
-    def wiener(self, path: int, agent: int, steps: int, dt: float, substeps: int = 1) -> np.ndarray:
-        """Brownian increments over each grid step.
+    def wiener(self, path: int, agents: int, steps: int, dt: float, substeps: int = 1,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Brownian increments of one path over each grid step, (agents, steps).
 
         With substeps > 1 the stream is drawn at resolution dt/substeps and
         aggregated, so runs at different step counts that share the same fine
-        resolution consume the same underlying Brownian path.
+        resolution consume the same underlying Brownian path.  `out`, when
+        given, receives the increments.
         """
-        raw = self._stream(path, agent, PURPOSE_NOISE).standard_normal(steps * substeps)
-        fine = raw * math.sqrt(dt / substeps)
+        g = self._stream(path, PURPOSE_NOISE)
         if substeps == 1:
-            return fine
-        return fine.reshape(steps, substeps).sum(axis=1)
+            raw = g.standard_normal((agents, steps), out=out)
+            raw *= math.sqrt(dt)
+            return raw
+        fine = g.standard_normal((agents, steps * substeps)) * math.sqrt(dt / substeps)
+        return np.sum(fine.reshape(agents, steps, substeps), axis=2, out=out)
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ class _Tables:
     e3P: np.ndarray           # (K+1, n, 3n)
     u0_P: np.ndarray          # (K+1, m, 3n)
     u0_const: np.ndarray      # (K+1, m)
-    F_x: np.ndarray           # (K+1, m, n)
+    F_xT: np.ndarray          # (K+1, n, m)  follower feedback, transposed
     F_mean: np.ndarray        # (K+1, m)
     RinvBt: np.ndarray        # (m, n)
     noise_vec: np.ndarray     # (3n,)
@@ -206,8 +209,8 @@ class _Tables:
     B0: np.ndarray
     f0: np.ndarray            # (K+1, n)
     D0: np.ndarray
-    A_f: np.ndarray
-    B_f: np.ndarray
+    A_fT: np.ndarray          # follower A', B', C-contiguous for the flat products
+    B_fT: np.ndarray
     f_f: np.ndarray           # (K+1, n)
     D_f: np.ndarray
     Q0: np.ndarray
@@ -279,7 +282,7 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         e3P=e3P,
         u0_P=u0_P,
         u0_const=u0_const,
-        F_x=F_x,
+        F_xT=np.ascontiguousarray(F_x.transpose(0, 2, 1)),
         F_mean=F_mean,
         RinvBt=fg.control_map,
         noise_vec=es.noise,
@@ -287,8 +290,8 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         B0=s.leader_dyn.B,
         f0=time_sampled(s.leader_dyn.f, s.grid),
         D0=s.leader_dyn.D,
-        A_f=s.follower_dyn.A,
-        B_f=s.follower_dyn.B,
+        A_fT=np.ascontiguousarray(s.follower_dyn.A.T),
+        B_fT=np.ascontiguousarray(s.follower_dyn.B.T),
         f_f=time_sampled(s.follower_dyn.f, s.grid),
         D_f=s.follower_dyn.D,
         Q0=s.leader_cost.Q,
@@ -318,34 +321,37 @@ def _quad(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", y, M, y)
 
 
-def _control_shift(tab: _Tables, v: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama response of a single state to a unit control deviation."""
-    chi = np.zeros((tab.steps + 1, A.shape[0]))
+def _control_shift(tab: _Tables, v: np.ndarray, At: np.ndarray, Bt: np.ndarray) -> np.ndarray:
+    """Euler-Maruyama response of a single state (dynamics A, B given as
+    A', B') to unit control deviations v, (K+1, D, m); returns (K+1, D, n)."""
+    chi = np.zeros((tab.steps + 1, v.shape[1], At.shape[0]))
     for k in range(tab.steps):
-        chi[k + 1] = chi[k] + tab.dt * (A @ chi[k] + B @ v[k])
+        chi[k + 1] = chi[k] + tab.dt * (chi[k] @ At + v[k] @ Bt)
     return chi
 
 
-def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, phi_base, chi0: np.ndarray) -> np.ndarray:
-    """Follower-state shift caused by shifting the mean leader path by chi0.
+def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.ndarray) -> np.ndarray:
+    """Follower-state shifts caused by shifting the mean leader path by each
+    column of chi0, (K+1, D, n).
 
-    The offset shift is re-solved through the follower backward equation and
-    the mean response through the forward mean equation; the shift is then
-    marched with the same one-step scheme the paths use.
+    Offset and mean response are linear in the leader shift, so every column
+    rides along one backward solve of the offset shift and one forward solve
+    of the mean response; the shift is then marched with the same one-step
+    scheme the paths use.
     """
-    phi_b = solve_phi(s, fg.Pi, tab.mean_state[:, :tab.n] + chi0)
-    dphi = GridFunction(s.grid, phi_b.values - phi_base.values)
-    G = s.follower_dyn.B @ fg.control_map
-    A, Pi = s.follower_dyn.A, fg.Pi
+    lead = chi0.transpose(1, 0, 2)
+    dg = GridFunction(s.grid, (offset_source(s, lead) - offset_source(s, np.zeros_like(lead))).transpose(1, 0, 2))
+    G = s.follower_dyn.B @ tab.RinvBt
+    A, Pi, P, Kf = s.follower_dyn.A, fg.Pi, fg.P.values, fg.K.values
+    zero = np.zeros(chi0.shape[1:])
+    dphi = integrate_backward(lambda t, p: dg.eval(t) - p @ (A.T - Pi.eval(t) @ G).T, zero, s.grid)
     dEbar = integrate_forward(
-        lambda t, E: (A - G @ Pi.eval(t)) @ E - G @ dphi.eval(t), np.zeros(tab.n), s.grid
+        lambda t, E: E @ (A - G @ Pi.eval(t)).T - dphi.eval(t) @ G.T, zero, s.grid
     ).values
-    shift = np.zeros((tab.steps + 1, tab.n))
+    shift = np.zeros_like(chi0)
     for k in range(tab.steps):
-        du = -tab.RinvBt @ (
-            fg.P.values[k] @ shift[k] + fg.K.values[k] @ dEbar[k] + dphi.values[k]
-        )
-        shift[k + 1] = shift[k] + tab.dt * (tab.A_f @ shift[k] + tab.B_f @ du)
+        du = -(shift[k] @ P[k].T + dEbar[k] @ Kf[k].T + dphi.values[k]) @ tab.RinvBt.T
+        shift[k + 1] = shift[k] + tab.dt * (shift[k] @ tab.A_fT + du @ tab.B_fT)
     return shift
 
 
@@ -353,23 +359,22 @@ def _deviation_shifts(s: Scenario, fg: FollowerGains, tab: _Tables, dev: Deviati
     """Per-node shifts, (K+1, columns, dim) each, scaled by every epsilon:
     follower-1 state and control, then leader state, population average and
     leader control."""
-    K, n, m = tab.steps, tab.n, tab.m
+    K, m = tab.steps, tab.m
     for v in dev.follower + dev.leader:
         if np.shape(v) != (K + 1, m):
             raise ValueError(f"deviation directions must have shape ({K + 1}, {m})")
+    v_f = np.stack(dev.follower, axis=1) if dev.follower else np.zeros((K + 1, 0, m))
+    v_l = np.stack(dev.leader, axis=1) if dev.leader else np.zeros((K + 1, 0, m))
 
-    def stack(eps, tables, width):
+    def scaled(eps, tables):
         eps = np.asarray(eps, dtype=float)
-        cols = [eps[None, :, None] * np.asarray(t, dtype=float)[:, None, :] for t in tables]
-        return np.concatenate(cols, axis=1) if cols else np.zeros((K + 1, 0, width))
+        return (eps[None, None, :, None] * tables[:, :, None, :]).reshape(K + 1, -1, tables.shape[2])
 
-    chi = [_control_shift(tab, v, tab.A_f, tab.B_f) for v in dev.follower]
-    chi0 = [_control_shift(tab, v, tab.A0, tab.B0) for v in dev.leader]
-    phi_base = solve_phi(s, fg.Pi, tab.mean_state[:, :n]) if chi0 else None
-    xi_shift = [_population_shift(s, fg, tab, phi_base, c) for c in chi0]
+    chi0 = _control_shift(tab, v_l, tab.A0.T, tab.B0.T)
+    xi_shift = _population_shift(s, fg, tab, chi0) if dev.leader else chi0
     return (
-        stack(dev.follower_eps, chi, n), stack(dev.follower_eps, dev.follower, m),
-        stack(dev.leader_eps, chi0, n), stack(dev.leader_eps, xi_shift, n), stack(dev.leader_eps, dev.leader, m),
+        scaled(dev.follower_eps, _control_shift(tab, v_f, tab.A_fT, tab.B_fT)), scaled(dev.follower_eps, v_f),
+        scaled(dev.leader_eps, chi0), scaled(dev.leader_eps, xi_shift), scaled(dev.leader_eps, v_l),
     )
 
 
@@ -399,25 +404,21 @@ def _leader_deviation_cost(tab, k, x0, xbar, u0, dx0, dxbar, du0) -> np.ndarray:
 
 def _chunk(args) -> dict:
     """March one chunk of paths: the package's one Euler-Maruyama kernel."""
-    (tab, dists, seed, start, stop, substeps, perm, u0_override, store_upto, shifts) = args
+    (tab, law, seed, start, stop, substeps, rows, u0_override, store_upto, shifts) = args
     nm = NoiseModel(seed)
     c = stop - start
     K, n, m, N = tab.steps, tab.n, tab.m, tab.N
     dt = tab.dt
 
-    # Leader from agent stream 0, follower slot j from stream perm[j]; each
-    # (path, agent) stream is drawn once.
-    xi0 = np.empty((c, n))
-    xi = np.empty((c, N, n))
+    # One stream per (path, purpose); agent slot j reads row rows[j].
+    init = np.empty((c, N + 1, n))
     dW = np.empty((c, N + 1, K))
     for i, p in enumerate(range(start, stop)):
-        xi0[i] = nm.initial(p, 0, dists[0])
-        dW[i, 0] = nm.wiener(p, 0, K, dt, substeps)
-        for j, a in enumerate(perm.tolist()):
-            xi[i, j] = nm.initial(p, a, dists[1])
-            dW[i, j + 1] = nm.wiener(p, a, K, dt, substeps)
-    dW0 = dW[:, 0, :]
-    dWf = dW[:, 1:, :]
+        init[i] = nm.initial(p, law, N)
+        nm.wiener(p, N + 1, K, dt, substeps, out=dW[i])
+        if rows is not None:
+            init[i], dW[i] = init[i, rows], dW[i, rows]
+    xi0 = init[:, 0]
 
     open_loop = u0_override is not None
 
@@ -425,7 +426,7 @@ def _chunk(args) -> dict:
     X[:, :n] = xi0
     X[:, n:2 * n] = tab.xi_bar
     x0_open = xi0.copy() if open_loop else None
-    x = xi.copy()
+    x = init[:, 1:].reshape(c * N, n)      # follower slot j of path i is row i*N + j
 
     J0 = np.zeros(c)
     Ji = np.zeros((c, N))
@@ -433,12 +434,11 @@ def _chunk(args) -> dict:
         fx, fu, lx, lxbar, lu = shifts
         Jf = np.zeros((c, fx.shape[1]))
         Jl = np.zeros((c, lx.shape[1]))
-    x0_sum = np.zeros((K + 1, n))
-    x0_sq = np.zeros((K + 1, n))
-    xbar_sum = np.zeros((K + 1, n))
-    xbar_sq = np.zeros((K + 1, n))
-    u0_sum = np.zeros((K + 1, m))
-    u0_sq = np.zeros((K + 1, m))
+    # Per node, x0 | xbar | u0 stacked as rows (each summed pairwise along its
+    # paths): chunk sums and centred second moments, merged by `simulate`.
+    stats = np.empty((2 * n + m, c))
+    node_sum = np.zeros((K + 1, 2 * n + m))
+    node_m2 = np.zeros((K + 1, 2 * n + m))
     gap_sum = np.zeros(K + 1)
     phi_spread = 0.0
 
@@ -465,34 +465,35 @@ def _chunk(args) -> dict:
             phi_p = tab.offset[k] + X @ tab.e3P[k].T
             u0 = tab.u0_const[k] - X @ tab.u0_P[k].T
 
-        xbar = x.mean(axis=1)
-        u = -(x @ tab.F_x[k].T + tab.F_mean[k][None, None, :] + (phi_p @ tab.RinvBt.T)[:, None, :])
+        x3 = x.reshape(c, N, n)
+        xbar = x3.mean(axis=1)
+        u = -(np.dot(x, tab.F_xT[k]).reshape(c, N, m) + tab.F_mean[k] + (phi_p @ tab.RinvBt.T)[:, None, :])
 
         y0 = x0 - xbar @ tab.Gamma0.T - tab.eta0[k]
         J0 += tab.weights[k] * 0.5 * (_quad(y0, tab.Q0) + _quad(u0, tab.R0))
-        y = x - (xbar @ tab.Gamma.T)[:, None, :] - (x0 @ tab.Gamma1.T)[:, None, :] - tab.eta[k]
+        y = x3 - (xbar @ tab.Gamma.T)[:, None, :] - (x0 @ tab.Gamma1.T)[:, None, :] - tab.eta[k]
         Ji += tab.weights[k] * 0.5 * (_quad(y, tab.Q) + _quad(u, tab.R))
         if shifts is not None:
             if Jf.shape[1]:
-                Jf += _follower_deviation_cost(tab, k, x0, x, u, fx[k], fu[k])
+                Jf += _follower_deviation_cost(tab, k, x0, x3, u, fx[k], fu[k])
             if Jl.shape[1]:
                 Jl += _leader_deviation_cost(tab, k, x0, xbar, u0, lx[k], lxbar[k], lu[k])
 
-        x0_sum[k] += x0.sum(axis=0)
-        x0_sq[k] += (x0 * x0).sum(axis=0)
-        xbar_sum[k] += xbar.sum(axis=0)
-        xbar_sq[k] += (xbar * xbar).sum(axis=0)
-        u0_sum[k] += u0.sum(axis=0)
-        u0_sq[k] += (u0 * u0).sum(axis=0)
-        gap_sum[k] += float(np.linalg.norm(xbar - tab.mean_follower[k], axis=1).sum())
-        spread = float(np.max(np.abs(phi_p - tab.offset[k]))) if c else 0.0
+        stats[:n] = x0.T
+        stats[n:2 * n] = xbar.T
+        stats[2 * n:] = u0.T
+        node_sum[k] = stats.sum(axis=1)
+        centred = stats - (node_sum[k] / c)[:, None]
+        node_m2[k] = np.einsum("ij,ij->i", centred, centred)
+        gap_sum[k] = float(np.linalg.norm(xbar - tab.mean_follower[k], axis=1).sum())
+        spread = float(np.max(np.abs(phi_p - tab.offset[k])))
         if spread > phi_spread:
             phi_spread = spread
 
         if store is not None:
             sl = slice(0, n_store)
             store["x0"][:, k] = x0[sl]
-            store["followers"][:, :, k] = x[sl]
+            store["followers"][:, :, k] = x3[sl]
             store["xbar"][:, k] = xbar[sl]
             store["u0"][:, k] = u0[sl]
             store["controls"][:, :, k] = u[sl]
@@ -503,23 +504,19 @@ def _chunk(args) -> dict:
         if k < K:
             if open_loop:
                 drift0 = x0_open @ tab.A0.T + u0 @ tab.B0.T + tab.f0[k]
-                x0_open = x0_open + dt * drift0 + dW0[:, k][:, None] * tab.D0
+                x0_open = x0_open + dt * drift0 + dW[:, 0, k][:, None] * tab.D0
             else:
-                X = X + dt * (X @ tab.X_drift[k].T + tab.X_const[k]) + dW0[:, k][:, None] * tab.noise_vec
-            drift = x @ tab.A_f.T + u @ tab.B_f.T + tab.f_f[k]
-            x = x + dt * drift + dWf[:, :, k][:, :, None] * tab.D_f
+                X = X + dt * (X @ tab.X_drift[k].T + tab.X_const[k]) + dW[:, 0, k][:, None] * tab.noise_vec
+            drift = np.dot(x, tab.A_fT) + np.dot(u.reshape(c * N, m), tab.B_fT) + tab.f_f[k]
+            x = x + dt * drift + dW[:, 1:, k].reshape(c * N, 1) * tab.D_f
 
     return {
         "start": start,
         "J0": J0,
         "Ji": Ji,
         "Jdev": None if shifts is None else np.concatenate([Jf, Jl], axis=1),
-        "x0_sum": x0_sum,
-        "x0_sq": x0_sq,
-        "xbar_sum": xbar_sum,
-        "xbar_sq": xbar_sq,
-        "u0_sum": u0_sum,
-        "u0_sq": u0_sq,
+        "node_sum": node_sum,
+        "node_m2": node_m2,
         "gap_sum": gap_sum,
         "phi_spread": phi_spread,
         "store": store,
@@ -544,8 +541,9 @@ def simulate(
     """Simulate the closed-loop ensemble and estimate all costs.
 
     Identical (scenario, seed, n_paths) produce bit-identical results for any
-    `workers`.  `agent_permutation` relabels follower slots onto noise
-    streams (exchangeability checks).  `u0_override` forces an open-loop
+    `workers`.  `agent_permutation` relabels follower slots onto the agent
+    rows of the noise streams (exchangeability checks): slot j reads row
+    agent_permutation[j - 1].  `u0_override` forces an open-loop
     leader control -- a (m,) constant or (steps+1, m) table; the follower
     layer still runs the solved feedback against the deterministic offset.
     `deviations` additionally costs open-loop deviations along the same
@@ -561,9 +559,11 @@ def simulate(
     tab = _build_tables(s, fg, lg, es)
     K, n, m, N = tab.steps, tab.n, tab.m, tab.N
 
-    perm = np.arange(1, N + 1) if agent_permutation is None else np.asarray(agent_permutation, dtype=int)
-    if sorted(perm.tolist()) != list(range(1, N + 1)):
-        raise ValueError("agent_permutation must permute 1..N")
+    rows = None
+    if agent_permutation is not None:
+        rows = np.concatenate(([0], np.asarray(agent_permutation, dtype=int)))
+        if sorted(rows.tolist()) != list(range(N + 1)):
+            raise ValueError("agent_permutation must permute 1..N")
 
     if u0_override is not None:
         if deviations is not None:
@@ -577,9 +577,8 @@ def simulate(
     shifts = None if deviations is None else _deviation_shifts(s, fg, tab, deviations)
     store_paths = max(0, min(store_paths, n_paths))
     chunk = chunk_size or default_chunk_size(N, K, n_paths)
-    dists = (s.init.leader, s.init.follower)
     argses = [
-        (tab, dists, seed, start, min(start + chunk, n_paths), substeps, perm, u0_override,
+        (tab, s.init, seed, start, min(start + chunk, n_paths), substeps, rows, u0_override,
          store_paths, shifts)
         for start in range(0, n_paths, chunk)
     ]
@@ -598,22 +597,20 @@ def simulate(
             acc += p[key]
         return acc
 
-    x0_mean = total("x0_sum") / n_paths
-    xbar_mean = total("xbar_sum") / n_paths
-    u0_mean = total("u0_sum") / n_paths
-
-    def std(sq_key, mean):
-        second = total(sq_key) / n_paths
-        return np.sqrt(np.maximum(second - mean * mean, 0.0))
-
-    node_summary = {
-        "x0_mean": x0_mean,
-        "x0_std": std("x0_sq", x0_mean),
-        "xbar_mean": xbar_mean,
-        "xbar_std": std("xbar_sq", xbar_mean),
-        "u0_mean": u0_mean,
-        "u0_std": std("u0_sq", u0_mean),
-    }
+    # Node variances: centred chunk moments merged pairwise in chunk order
+    # (Chan, Golub & LeVeque 1979), so any worker count gives the same bits.
+    seen = partials[0]["J0"].shape[0]
+    mean, m2 = partials[0]["node_sum"] / seen, partials[0]["node_m2"].copy()
+    for p in partials[1:]:
+        c = p["J0"].shape[0]
+        delta = p["node_sum"] / c - mean
+        m2 += p["node_m2"] + delta * delta * (seen * c / (seen + c))
+        mean += delta * (c / (seen + c))
+        seen += c
+    means = np.split(total("node_sum") / n_paths, [n, 2 * n], axis=1)
+    stds = np.split(np.sqrt(m2 / n_paths), [n, 2 * n], axis=1)
+    node_summary = {f"{name}_{kind}": v[i] for name, i in (("x0", 0), ("xbar", 1), ("u0", 2))
+                    for kind, v in (("mean", means), ("std", stds))}
 
     gap = total("gap_sum") / n_paths
     phi_spread = max(p["phi_spread"] for p in partials)

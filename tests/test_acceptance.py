@@ -23,7 +23,7 @@ from stackmf.simulation import lln_diagnostic, simulate
 from conftest import FAST_CFG_TEXT, random_scenario, replace_mode, solve_both
 
 SOLVE_TIME_BUDGET = 5.0          # seconds, benchmark solve
-DEVIATION_TIME_BUDGET = 150.0    # seconds, full certification battery
+DEVIATION_TIME_BUDGET = 95.0     # seconds, full certification battery
 FOLLOWER_EPS = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
 LEADER_EPS = (-0.2, -0.1, 0.1, 0.2)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from stackmf.cli import main
+from stackmf.simulation import NOISE_SCHEME
 from conftest import FAST_CFG_TEXT
 
 GAIN_TABLES = ("P", "K", "Pi", "phi", "leaderP", "leaderK", "leaderM", "leaderV")
@@ -151,6 +152,7 @@ def test_simulate_artifacts_and_schema(workdir, config, gains_dir):
     assert manifest["command"] == "simulate"
     assert set(manifest["outputs"]) == {"summary.csv", "costs.csv", "trajectories.csv"}
     assert set(manifest["inputs"]["gains_sha256"]) == {f"{t}.csv" for t in GAIN_TABLES}
+    assert manifest["versions"]["noise"] == NOISE_SCHEME
 
 
 def test_simulate_worker_count_is_invisible_in_outputs(workdir, config, gains_dir, tmp_path):

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from stackmf.equilibrium import direction_library
+from stackmf.follower import solve_phi
+from stackmf.integrators import GridFunction, integrate_forward
 from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import (
@@ -15,12 +18,15 @@ from stackmf.simulation import (
     Deviations,
     GridMismatchError,
     NoiseModel,
+    _build_tables,
+    _control_shift,
+    _population_shift,
     default_chunk_size,
     estimate_costs,
     simulate,
     solve_mean_state,
 )
-from conftest import FAST_CFG_TEXT, solve_both
+from conftest import FAST_CFG_TEXT, random_scenario, solve_both
 
 
 # ---------------------------------------------------------------------------
@@ -227,38 +233,86 @@ def test_override_shape_is_validated(fast_gains):
 
 def test_wiener_substeps_refine_the_same_path():
     nm = NoiseModel(seed=5)
-    fine = nm.wiener(path=3, agent=2, steps=10, dt=0.1, substeps=1)
-    coarse = nm.wiener(path=3, agent=2, steps=5, dt=0.2, substeps=2)
-    assert np.allclose(coarse, fine[0::2] + fine[1::2], rtol=0.0, atol=1e-16)
+    fine = nm.wiener(path=3, agents=4, steps=10, dt=0.1, substeps=1)
+    coarse = nm.wiener(path=3, agents=4, steps=5, dt=0.2, substeps=2)
+    assert np.allclose(coarse, fine[:, 0::2] + fine[:, 1::2], rtol=0.0, atol=1e-16)
 
 
 def test_streams_differ_by_purpose_and_agent():
     nm = NoiseModel(seed=5)
-    w1 = nm.wiener(path=0, agent=1, steps=8, dt=0.1)
-    w2 = nm.wiener(path=0, agent=2, steps=8, dt=0.1)
-    w3 = nm.wiener(path=1, agent=1, steps=8, dt=0.1)
-    assert not np.array_equal(w1, w2)
-    assert not np.array_equal(w1, w3)
+    w = nm.wiener(path=0, agents=3, steps=8, dt=0.1)
+    assert not np.array_equal(w[1], w[2])
+    assert not np.array_equal(w, nm.wiener(path=1, agents=3, steps=8, dt=0.1))
+    init = nm.generator(0, PURPOSE_INIT).standard_normal(8)
+    assert not np.array_equal(init, nm.generator(0, PURPOSE_NOISE).standard_normal(8))
     with pytest.raises(ValueError):
-        nm.key(path=-1, agent=0, purpose=0)
+        nm.key(path=-1, purpose=0)
     with pytest.raises(ValueError):
-        nm.key(path=0, agent=1 << 30, purpose=0)
+        nm.key(path=1 << 32, purpose=0)
 
 
-@pytest.mark.parametrize("seed, path, agent", [(0, 0, 0), (5, 3, 2), ((1 << 64) - 1, (1 << 32) - 1, (1 << 30) - 1)])
-def test_rekeyed_streams_match_fresh_generators(seed, path, agent):
+@pytest.mark.parametrize("seed, path", [(0, 0), (5, 3), ((1 << 64) - 1, (1 << 32) - 1)])
+def test_rekeyed_streams_match_fresh_generators(seed, path):
     # Draws re-key one shared Philox; they must equal a generator built for the stream.
     nm = NoiseModel(seed)
-    dist = load_scenario(FAST_CFG_TEXT).init.follower
-    fresh = nm.generator(path, agent, PURPOSE_INIT)
-    assert np.array_equal(nm.initial(path, agent, dist), dist.sample(fresh, 1)[0])
-    fresh = nm.generator(path, agent, PURPOSE_NOISE)
-    assert np.array_equal(nm.wiener(path, agent, steps=64, dt=0.01), fresh.standard_normal(64) * np.sqrt(0.01))
+    law = load_scenario(FAST_CFG_TEXT).init
+    fresh = nm.generator(path, PURPOSE_INIT)
+    expected = np.concatenate([law.leader.sample(fresh, 1), law.follower.sample(fresh, 4)])
+    assert np.array_equal(nm.initial(path, law, 4), expected)
+    fresh = nm.generator(path, PURPOSE_NOISE)
+    expected = fresh.standard_normal((5, 64)) * np.sqrt(0.01)
+    assert np.array_equal(nm.wiener(path, 5, steps=64, dt=0.01), expected)
+    out = np.empty((5, 64))
+    assert nm.wiener(path, 5, steps=64, dt=0.01, out=out) is out
+    assert np.array_equal(out, expected)
     # A stream drawn again after others is drawn afresh, not continued.
-    other = nm.wiener(path ^ 1, agent, steps=7, dt=0.01)
-    assert np.array_equal(nm.wiener(path ^ 1, agent, steps=7, dt=0.01), other)
-    assert np.array_equal(nm.wiener(path, agent, steps=64, dt=0.01)[:7],
-                          nm.generator(path, agent, PURPOSE_NOISE).standard_normal(7) * np.sqrt(0.01))
+    other = nm.wiener(path ^ 1, 2, steps=7, dt=0.01)
+    assert np.array_equal(nm.wiener(path ^ 1, 2, steps=7, dt=0.01), other)
+    assert np.array_equal(nm.wiener(path, 1, steps=64, dt=0.01)[0, :7], expected[0, :7])
+
+
+def test_agent_rows_do_not_depend_on_the_follower_count(fast_scenario):
+    # Row j of a path's block is agent j's stream whatever N is, so the first
+    # five followers of an N = 7 run start where those of an N = 5 run do.
+    nm = NoiseModel(seed=8)
+    law = fast_scenario.init
+    assert np.array_equal(nm.initial(3, law, 7)[:6], nm.initial(3, law, 5))
+    assert np.array_equal(nm.wiener(3, 8, steps=50, dt=0.01)[:6], nm.wiener(3, 6, steps=50, dt=0.01))
+    five = simulate(*solve_both(fast_scenario), 3, seed=8, store_paths=3)
+    seven_s = dataclasses.replace(fast_scenario, dims=dataclasses.replace(fast_scenario.dims, N=7))
+    seven = simulate(*solve_both(seven_s), 3, seed=8, store_paths=3)
+    for a, b in zip(five.paths, seven.paths):
+        assert np.array_equal(a.followers[:, 0], b.followers[:5, 0])
+        assert np.array_equal(a.x0[0], b.x0[0])
+
+
+def test_slot_relabelling_is_a_row_permutation(fast_gains):
+    # Slot j reads agent row perm[j]; the leader keeps row 0 and its whole path.
+    s, fg, lg = fast_gains
+    perm = np.array([3, 1, 5, 2, 4])
+    base = simulate(s, fg, lg, 5, seed=12, store_paths=5)
+    permuted = simulate(s, fg, lg, 5, seed=12, store_paths=5, agent_permutation=perm)
+    for a, b in zip(base.paths, permuted.paths):
+        assert np.array_equal(b.followers[:, 0], a.followers[perm - 1, 0])
+        assert np.array_equal(b.x0, a.x0)
+
+
+def test_multi_chunk_results_are_worker_invariant(fast_gains):
+    # Four chunks over two workers: costs, paths and the merged node moments
+    # match the in-process run bit for bit.
+    s, fg, lg = fast_gains
+    base = simulate(s, fg, lg, 26, seed=6, chunk_size=7)
+    ensembles_equal(base, simulate(s, fg, lg, 26, seed=6, chunk_size=7, workers=2))
+
+
+def test_node_std_is_stable_far_from_zero():
+    # |mean| ~ 1e6 * std: E[x^2] - E[x]^2 would lose about twelve digits.
+    s = load_scenario(FAST_CFG_TEXT.replace('leader = "gaussian(1.0, 0.25)"', 'leader = "gaussian(1e6, 1.0)"'))
+    s, fg, lg = solve_both(s)
+    er = simulate(s, fg, lg, 40, seed=21, store_paths=40, chunk_size=7)
+    x0 = np.stack([p.x0 for p in er.paths])
+    assert np.min(np.abs(x0.mean(axis=0))) > 1e5 * np.max(x0.std(axis=0))
+    np.testing.assert_allclose(er.node_summary["x0_std"], x0.std(axis=0), rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("n_paths, seed", [(0, 0), (1 << 32, 0), (1, -1), (1, 1 << 64)])
@@ -294,6 +348,38 @@ def test_deviation_baseline_columns_are_the_ensemble_costs(fixture, request):
     for col in (6, 9):
         np.testing.assert_allclose(J[:, col], er.leader_cost_paths, rtol=1e-12, atol=0.0)
     assert not np.array_equal(J[:, 1], J[:, 0])
+
+
+def _population_shift_reference(s, fg, tab, v):
+    """One leader direction at a time: re-solve the offset for the shifted mean
+    leader path, forward-solve the mean response, march the follower shift."""
+    K, dt, n = tab.steps, tab.dt, tab.n
+    chi0 = np.zeros((K + 1, n))
+    for k in range(K):
+        chi0[k + 1] = chi0[k] + dt * (tab.A0 @ chi0[k] + tab.B0 @ v[k])
+    mean_leader = tab.mean_state[:, :n]
+    dphi = GridFunction(s.grid, solve_phi(s, fg.Pi, mean_leader + chi0).values - solve_phi(s, fg.Pi, mean_leader).values)
+    G = s.follower_dyn.B @ fg.control_map
+    A, Pi = s.follower_dyn.A, fg.Pi
+    dEbar = integrate_forward(lambda t, E: (A - G @ Pi.eval(t)) @ E - G @ dphi.eval(t), np.zeros(n), s.grid).values
+    shift = np.zeros((K + 1, n))
+    for k in range(K):
+        du = -fg.control_map @ (fg.P.values[k] @ shift[k] + fg.K.values[k] @ dEbar[k] + dphi.values[k])
+        shift[k + 1] = shift[k] + dt * (tab.A_fT.T @ shift[k] + tab.B_fT.T @ du)
+    return shift
+
+
+@pytest.mark.parametrize("case", ["team", "game", "n2"])
+def test_stacked_leader_shifts_match_one_direction_at_a_time(case, fast_gains, fast_game_gains):
+    # All leader directions share one offset solve and one mean-response solve.
+    s, fg, lg = {"team": fast_gains, "game": fast_game_gains}.get(case) or solve_both(
+        random_scenario(7, n=2, m=2, N=4))
+    tab = _build_tables(s, fg, lg, assemble_extended(s, fg))
+    dirs = [v for _, v in direction_library(s.grid, s.dims.m, 3, seed=4)]
+    stacked = _population_shift(s, fg, tab, _control_shift(tab, np.stack(dirs, axis=1), tab.A0.T, tab.B0.T))
+    for d, v in enumerate(dirs):
+        ref = _population_shift_reference(s, fg, tab, v)
+        assert np.max(np.abs(stacked[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref)), d
 
 
 def test_deviations_require_the_closed_loop(fast_gains):
