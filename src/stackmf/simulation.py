@@ -410,14 +410,20 @@ def _chunk(args) -> dict:
     K, n, m, N = tab.steps, tab.n, tab.m, tab.N
     dt = tab.dt
 
-    # One stream per (path, purpose); agent slot j reads row rows[j].
+    # One stream per (path, purpose); agent slot j reads row rows[j].  The
+    # increments are stored time-major, (K, paths, N+1), so each step reads
+    # one contiguous slab.
     init = np.empty((c, N + 1, n))
-    dW = np.empty((c, N + 1, K))
+    dW = np.empty((K, c, N + 1))
+    drawn = np.empty((N + 1, K))
     for i, p in enumerate(range(start, stop)):
         init[i] = nm.initial(p, law, N)
-        nm.wiener(p, N + 1, K, dt, substeps, out=dW[i])
+        nm.wiener(p, N + 1, K, dt, substeps, out=drawn)
         if rows is not None:
-            init[i], dW[i] = init[i, rows], dW[i, rows]
+            init[i] = init[i, rows]
+            dW[:, i] = drawn[rows].T
+        else:
+            dW[:, i] = drawn.T
     xi0 = init[:, 0]
 
     open_loop = u0_override is not None
@@ -504,11 +510,11 @@ def _chunk(args) -> dict:
         if k < K:
             if open_loop:
                 drift0 = x0_open @ tab.A0.T + u0 @ tab.B0.T + tab.f0[k]
-                x0_open = x0_open + dt * drift0 + dW[:, 0, k][:, None] * tab.D0
+                x0_open = x0_open + dt * drift0 + dW[k, :, 0, None] * tab.D0
             else:
-                X = X + dt * (X @ tab.X_drift[k].T + tab.X_const[k]) + dW[:, 0, k][:, None] * tab.noise_vec
+                X = X + dt * (X @ tab.X_drift[k].T + tab.X_const[k]) + dW[k, :, 0, None] * tab.noise_vec
             drift = np.dot(x, tab.A_fT) + np.dot(u.reshape(c * N, m), tab.B_fT) + tab.f_f[k]
-            x = x + dt * drift + dW[:, 1:, k].reshape(c * N, 1) * tab.D_f
+            x = x + dt * drift + dW[k, :, 1:].reshape(c * N, 1) * tab.D_f
 
     return {
         "start": start,
