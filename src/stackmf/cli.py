@@ -46,10 +46,10 @@ from .model import (
 from .simulation import (
     NOISE_SCHEME,
     GridMismatchError,
+    deterministic_layer,
     estimate_costs,
     lln_diagnostic,
     simulate,
-    solve_mean_state,
 )
 
 __all__ = ["main"]
@@ -137,21 +137,14 @@ def _out_dir(args) -> Path:
 # gains round trip
 
 
-def _equilibrium_offset(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> GridFunction:
-    """Deterministic follower offset along the closed-loop mean path."""
-    es = assemble_extended(s, fg)
-    mean = solve_mean_state(s, es, lg)
-    costate_mean = np.einsum("kij,kj->ki", lg.K.values, mean.values) + lg.V.values
-    return GridFunction(s.grid, np.einsum("ij,kj->ki", es.e3, costate_mean))
-
-
 def _write_gains(out: Path, s: Scenario, fg: FollowerGains, lg: LeaderGains) -> list[Path]:
-    offset = _equilibrium_offset(s, fg, lg)
+    # phi.csv is the offset `simulate` builds its tables from: the same function.
+    offset = deterministic_layer(s, assemble_extended(s, fg), lg)[2]
     tables = {
         "P": fg.P,
         "K": fg.K,
         "Pi": fg.Pi,
-        "phi": offset,
+        "phi": GridFunction(s.grid, offset),
         "leaderP": lg.P,
         "leaderK": lg.K,
         "leaderM": lg.M,

@@ -32,16 +32,19 @@ import numpy as np
 
 from .follower import (
     FollowerGains,
+    aggregate_weight,
     mean_weight,
     offset_source,
+    phi_stages,
+    riccati_stages,
     solve_follower_gains,
     solve_phi,
     state_weight,
 )
-from .integrators import GridFunction, expm, integrate_forward
+from .integrators import StageTable, expm, integrate_forward, sampled_stages, stage_table
 from .leader import LeaderGains, assemble_extended, solve_leader_M, solve_leader_gains
 from .model import Mode, Scenario, TimeGrid, time_sampled
-from .simulation import Deviations, simulate
+from .simulation import Deviations, mean_state_stages, simulate
 
 __all__ = [
     "DeviationResult",
@@ -312,7 +315,7 @@ def _exact_discretization(A: np.ndarray, B: np.ndarray, dt: float):
     return E[:n, :n], E[:n, n:]
 
 
-def dp_gain_oracle(s: Scenario, mean_leader: np.ndarray | None = None) -> DpOracleResult:
+def dp_gain_oracle(s: Scenario, mean_leader=None) -> DpOracleResult:
     """Independent finite-horizon check of the follower gain equations.
 
     Discretizes the follower's best-response problem exactly over each step
@@ -320,7 +323,8 @@ def dp_gain_oracle(s: Scenario, mean_leader: np.ndarray | None = None) -> DpOrac
     and solves it by backward dynamic programming.  The recursion touches
     none of the continuous-time solver code; its value-function curvature
     and slope converge at O(dt) to the Riccati solution and to K m + phi
-    along the equilibrium mean path.
+    along the equilibrium mean path.  `mean_leader` is E[x0] as `solve_phi`
+    takes it; by default the uncontrolled leader mean.
     """
     grid = s.grid
     Ksteps, dt, n = grid.steps, grid.dt, s.dims.n
@@ -329,27 +333,26 @@ def dp_gain_oracle(s: Scenario, mean_leader: np.ndarray | None = None) -> DpOrac
     f = time_sampled(s.follower_dyn.f, grid)
 
     if mean_leader is None:
-        A0, f0 = s.leader_dyn.A, s.leader_dyn.f
-        f0s = time_sampled(f0, grid)
-        f0g = GridFunction(grid, f0s)
-        mean_leader = integrate_forward(
-            lambda t, e: A0 @ e + f0g.eval(t), s.leader_mean0, grid
-        ).values
-    else:
-        mean_leader = np.asarray(mean_leader, dtype=float)
+        A0 = s.leader_dyn.A
+        f0 = sampled_stages(s.leader_dyn.f, grid)
+        lead = integrate_forward(lambda t, e: A0 @ e + f0.at(t), s.leader_mean0, grid).values
+        mean_leader = stage_table(grid, lead, lead @ A0.T + f0.nodes)
+    elif not isinstance(mean_leader, StageTable):
+        mean_leader = stage_table(grid, np.asarray(mean_leader, dtype=float))
 
     S = state_weight(s)
     S1 = mean_weight(s)
-    g = offset_source(s, mean_leader)
+    g = offset_source(s, mean_leader.nodes)
 
     # ODE-route quantities the oracle is compared against.
     fg = solve_follower_gains(s, mean_leader=mean_leader)
-    Pi = fg.Pi
     phi = fg.phi.values
     G = s.follower_dyn.B @ fg.control_map
-    f_grid = GridFunction(grid, f)
+    closed = StageTable(grid, A - G @ riccati_stages(s, fg.Pi, aggregate_weight(s)).values)
+    phi_st = phi_stages(s, fg.Pi, fg.phi, mean_leader)
+    f_st = sampled_stages(s.follower_dyn.f, grid)
     mean = integrate_forward(
-        lambda t, e: (A - G @ Pi.eval(t)) @ e - G @ fg.phi.eval(t) + f_grid.eval(t),
+        lambda t, e: closed.at(t) @ e - G @ phi_st.at(t) + f_st.at(t),
         s.init.follower.mean,
         grid,
     ).values
@@ -468,7 +471,8 @@ def run_verification(
     add("follower_sum_identity", sum_gap, 1e-8 * (1.0 + float(np.max(np.abs(fg.Pi.values)))))
     add("follower_symmetry_drift", fg.sym_drift, 1e-9)
 
-    M_direct = solve_leader_M(assemble_extended(s, fg))
+    es = assemble_extended(s, fg)
+    M_direct = solve_leader_M(es)
     leader_gap = float(np.max(np.abs(lg.P.values + lg.K.values - M_direct.values)))
     add(
         "leader_sum_identity",
@@ -485,13 +489,13 @@ def run_verification(
         workers=workers, store_paths=min(4, n_paths),
     )
 
-    mean0 = er.mean_state.values[:, : s.dims.n]
+    mean0 = StageTable(s.grid, mean_state_stages(es, lg, er.mean_state).values[:, : s.dims.n])
     phi_follower = solve_phi(s, fg.Pi, mean0).values
     phi_gap = float(np.max(np.abs(phi_follower - er.offset.values)))
     add(
         "offset_consistency",
         phi_gap,
-        1e-6 * (1.0 + float(np.max(np.abs(er.offset.values)))),
+        1e-9 * (1.0 + float(np.max(np.abs(er.offset.values)))),
         "follower-route offset vs leader-route offset",
     )
 

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import BlowUpError, GridFunction, integrate_backward
+from .integrators import (
+    BlowUpError,
+    GridFunction,
+    StageTable,
+    integrate_backward,
+    sampled_stages,
+    stage_table,
+)
 from .model import Mode, Scenario, require_valid, time_sampled
 
 __all__ = [
@@ -38,11 +45,14 @@ __all__ = [
     "state_weight",
     "mean_weight",
     "aggregate_weight",
+    "offset_terms",
     "offset_source",
     "solve_P",
     "solve_K",
     "solve_Pi",
     "solve_phi",
+    "phi_stages",
+    "riccati_stages",
     "solve_follower_gains",
     "follower_feedback",
 ]
@@ -110,16 +120,34 @@ def aggregate_weight(s: Scenario) -> np.ndarray:
     return Q - team_weights(s).coupling
 
 
+def offset_terms(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The offset drive is g = W E[x0] + target: the weight W of the leader
+    mean and the per-node tracking target, (steps + 1, n)."""
+    if s.mode is Mode.GAME:
+        JQ = _influence(s).T @ s.follower_cost.Q
+        return JQ @ s.follower_cost.Gamma1, time_sampled(s.follower_cost.eta, s.grid) @ JQ.T
+    tw = team_weights(s)
+    return tw.leader, tw.target
+
+
 def offset_source(s: Scenario, mean_leader: np.ndarray) -> np.ndarray:
     """Drive g of the offset equation, per node; mean_leader is (steps + 1, n)."""
-    Q = s.follower_cost.Q
-    G1 = s.follower_cost.Gamma1
-    eta = time_sampled(s.follower_cost.eta, s.grid)
-    if s.mode is Mode.GAME:
-        J = _influence(s)
-        return (mean_leader @ G1.T + eta) @ (J.T @ Q).T
-    tw = team_weights(s)
-    return mean_leader @ tw.leader.T + tw.target
+    W, target = offset_terms(s)
+    return mean_leader @ W.T + target
+
+
+def _offset_source_stages(s: Scenario, mean_leader) -> np.ndarray:
+    """Drive g at every RK4 stage time, (2 steps + 1, n).
+
+    mean_leader is a StageTable, used as it stands, or node values (a
+    GridFunction or a (steps + 1, n) array) read with linear midpoints; the
+    tracking target is sampled data and always has linear midpoints.
+    """
+    if not isinstance(mean_leader, StageTable):
+        lead = mean_leader.values if isinstance(mean_leader, GridFunction) else np.asarray(mean_leader)
+        mean_leader = stage_table(s.grid, lead)
+    W, target = offset_terms(s)
+    return mean_leader.values @ W.T + stage_table(s.grid, target).values
 
 
 def _gain_matrix(s: Scenario) -> np.ndarray:
@@ -167,12 +195,24 @@ def _check_drift(sym: _Symmetrizer, s: Scenario) -> None:
         )
 
 
+def _riccati_rhs(A: np.ndarray, G: np.ndarray, source: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """dP/dt of the follower Riccati family; P may be a stack of nodes."""
+    return -(A.T @ P + P @ A - P @ G @ P + source)
+
+
+def riccati_stages(s: Scenario, gain: GridFunction, source: np.ndarray) -> StageTable:
+    """Stage table of a follower Riccati gain (P with `state_weight`, Pi with
+    `aggregate_weight`): Hermite midpoints from the gain's own equation."""
+    slopes = _riccati_rhs(s.follower_dyn.A, _gain_matrix(s), source, gain.values)
+    return stage_table(s.grid, gain.values, slopes)
+
+
 def _solve_riccati(s: Scenario, source: np.ndarray) -> tuple[GridFunction, float]:
     A = s.follower_dyn.A
     G = _gain_matrix(s)
 
     def rhs(t, P):
-        return -(A.T @ P + P @ A - P @ G @ P + source)
+        return _riccati_rhs(A, G, source, P)
 
     sym = _Symmetrizer()
     out = integrate_backward(rhs, np.zeros_like(A), s.grid, post_step=sym)
@@ -197,9 +237,10 @@ def solve_K(s: Scenario, P: GridFunction) -> GridFunction:
     A = s.follower_dyn.A
     G = _gain_matrix(s)
     S1 = mean_weight(s)
+    P_st = riccati_stages(s, P, state_weight(s))
 
     def rhs(t, K):
-        Pt = P.eval(t)
+        Pt = P_st.at(t)
         return -(A.T @ K + K @ A - Pt @ G @ K - K @ G @ (Pt + K) - S1)
 
     return integrate_backward(rhs, np.zeros_like(A), s.grid)
@@ -208,21 +249,32 @@ def solve_K(s: Scenario, P: GridFunction) -> GridFunction:
 def solve_phi(s: Scenario, Pi: GridFunction, mean_leader) -> GridFunction:
     """Offset vector given the aggregate gain and the leader's mean path.
 
-    mean_leader: GridFunction or (steps + 1, n) array, E[x0] on the grid.
-    Exposed for follower-stage-only workflows; in the full pipeline the same
-    quantity is reconstructed from the leader layer, and the two must agree.
+    mean_leader: E[x0], as a StageTable or as node values (GridFunction or
+    (steps + 1, n) array, read with linear midpoints).  Exposed for
+    follower-stage-only workflows; in the full pipeline the same quantity is
+    reconstructed from the leader layer, and the two must agree.
     """
-    lead = mean_leader.values if isinstance(mean_leader, GridFunction) else np.asarray(mean_leader)
-    g = GridFunction(s.grid, offset_source(s, lead))
-    f = GridFunction(s.grid, time_sampled(s.follower_dyn.f, s.grid))
-    A = s.follower_dyn.A
-    G = _gain_matrix(s)
+    drift, forcing = _phi_coefficients(s, Pi, mean_leader)
 
     def rhs(t, phi):
-        Pit = Pi.eval(t)
-        return -((A.T - Pit @ G) @ phi + Pit @ f.eval(t) - g.eval(t))
+        return -(drift.at(t) @ phi + forcing.at(t))
 
     return integrate_backward(rhs, np.zeros(s.dims.n), s.grid)
+
+
+def _phi_coefficients(s: Scenario, Pi: GridFunction, mean_leader) -> tuple[StageTable, StageTable]:
+    """phi' = -(drift phi + forcing): drift A' - Pi G and forcing Pi f - g on the stage grid."""
+    Pi_st = riccati_stages(s, Pi, aggregate_weight(s)).values
+    Pi_f = np.einsum("kij,kj->ki", Pi_st, sampled_stages(s.follower_dyn.f, s.grid).values)
+    drift = StageTable(s.grid, s.follower_dyn.A.T - Pi_st @ _gain_matrix(s))
+    return drift, StageTable(s.grid, Pi_f - _offset_source_stages(s, mean_leader))
+
+
+def phi_stages(s: Scenario, Pi: GridFunction, phi: GridFunction, mean_leader) -> StageTable:
+    """Stage table of an offset solved for (Pi, mean_leader): Hermite midpoints
+    from the offset equation."""
+    drift, forcing = _phi_coefficients(s, Pi, mean_leader)
+    return stage_table(s.grid, phi.values, -(np.einsum("kij,kj->ki", drift.nodes, phi.values) + forcing.nodes))
 
 
 @dataclass(frozen=True)
@@ -264,9 +316,8 @@ def _solve_coupled(s: Scenario, mean_leader=None):
     S1 = mean_weight(s)
     with_phi = mean_leader is not None
     if with_phi:
-        lead = mean_leader.values if isinstance(mean_leader, GridFunction) else np.asarray(mean_leader)
-        g = GridFunction(s.grid, offset_source(s, lead))
-        f = GridFunction(s.grid, time_sampled(s.follower_dyn.f, s.grid))
+        g = StageTable(s.grid, _offset_source_stages(s, mean_leader))
+        f = sampled_stages(s.follower_dyn.f, s.grid)
 
     def rhs(t, y):
         P = y[:n2].reshape(n, n)
@@ -277,7 +328,7 @@ def _solve_coupled(s: Scenario, mean_leader=None):
         if with_phi:
             phi = y[2 * n2:]
             Pi = P + K
-            dphi = -((A.T - Pi @ G) @ phi + Pi @ f.eval(t) - g.eval(t))
+            dphi = -((A.T - Pi @ G) @ phi + Pi @ f.at(t) - g.at(t))
             parts.append(dphi)
         return np.concatenate(parts)
 

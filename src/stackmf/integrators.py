@@ -6,6 +6,13 @@ produced table lines up node for node.  Adaptive steppers are deliberately
 not used: a shared fixed grid keeps cross-module identities exact to the
 scheme's order instead of to interpolation error.
 
+Right-hand sides whose coefficients vary in time read them from stage
+tables: values at every node and every step midpoint, the only times an RK4
+step evaluates anything.  A table solved from an ODE gets cubic-Hermite
+midpoints from its own slopes (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6), which keeps the consuming RK4 pass at 4th order; sampled data gets
+the linear midpoint.  Stage tables depend on node values only.
+
 Also provides a scaling-and-squaring matrix exponential (degree-13 rational
 core) backing the constant-coefficient flow oracle of the leader stage.
 """
@@ -17,11 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TimeGrid
+from .model import TimeGrid, time_sampled
 
 __all__ = [
     "BlowUpError",
     "GridFunction",
+    "StageTable",
+    "stage_table",
+    "sampled_stages",
     "integrate_backward",
     "integrate_forward",
     "expm",
@@ -77,19 +87,6 @@ class GridFunction:
     def at(self, k: int) -> np.ndarray:
         return self.values[k]
 
-    def eval(self, t: float) -> np.ndarray:
-        """Linear interpolation between nodes; clamps outside [0, T]."""
-        pos = t / self.grid.dt
-        if pos <= 0.0:
-            return self.values[0]
-        if pos >= self.grid.steps:
-            return self.values[self.grid.steps]
-        i0 = int(pos)
-        w = pos - i0
-        if w == 0.0:
-            return self.values[i0]
-        return (1.0 - w) * self.values[i0] + w * self.values[i0 + 1]
-
     def to_csv(self, path, prefix: str = "v") -> None:
         """Write one row per node: t, then the entries in row-major order."""
         shape = self.item_shape
@@ -99,13 +96,59 @@ class GridFunction:
             header = [f"{prefix}_{i}_{j}" for i in range(shape[0]) for j in range(shape[1])]
         else:
             header = [f"{prefix}_{i}" for i in range(int(np.prod(shape)) or 1)]
-        flat = self.values.reshape(self.grid.steps + 1, -1)
-        nodes = self.grid.nodes
+        rows = np.column_stack([self.grid.nodes, self.values.reshape(self.grid.steps + 1, -1)]).tolist()
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t"] + header)
-            for k in range(self.grid.steps + 1):
-                writer.writerow([repr(float(nodes[k]))] + [repr(float(x)) for x in flat[k]])
+            fh.write(",".join(["t"] + header) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+@dataclass(frozen=True)
+class StageTable:
+    """A function of time at every stage time of an RK4 step on `grid`.
+
+    values[2k] is the value at node t_k and values[2k + 1] the value at the
+    step midpoint t_k + dt/2.  Built by `stage_table`.
+    """
+
+    grid: TimeGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        rows = 2 * self.grid.steps + 1
+        if np.shape(self.values)[0] != rows:
+            raise ValueError(f"stage table needs {rows} rows, got {np.shape(self.values)[0]}")
+        object.__setattr__(self, "_rows_per_time", 2.0 / self.grid.dt)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.values[::2]
+
+    def at(self, t: float) -> np.ndarray:
+        """Value at the stage time t (a node or a step midpoint)."""
+        return self.values[int(t * self._rows_per_time + 0.5)]
+
+
+def stage_table(grid: TimeGrid, values, slopes=None) -> StageTable:
+    """Node values plus step midpoints.
+
+    With `slopes` (the derivative at each node, from the equation the values
+    solve) the midpoint is the cubic-Hermite value
+    (y_k + y_{k+1}) / 2 + (dt / 8) (y'_k - y'_{k+1}); without, the linear mean.
+    """
+    y = np.asarray(values, dtype=float)
+    out = np.empty((2 * y.shape[0] - 1,) + y.shape[1:])
+    out[::2] = y
+    mid = 0.5 * (y[:-1] + y[1:])
+    if slopes is not None:
+        mid += (grid.dt / 8.0) * (slopes[:-1] - slopes[1:])
+    out[1::2] = mid
+    return StageTable(grid, out)
+
+
+def sampled_stages(value, grid: TimeGrid) -> StageTable:
+    """Stage table of a constant (n,) or node-sampled (steps + 1, n) coefficient:
+    sampled data has no equation, so its midpoints are linear."""
+    return stage_table(grid, time_sampled(value, grid))
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import FollowerGains, team_weights
-from .integrators import GridFunction, expm, integrate_backward
-from .model import Mode, Scenario, require_valid, time_sampled
+from .follower import FollowerGains, aggregate_weight, offset_terms, riccati_stages, state_weight
+from .integrators import GridFunction, StageTable, expm, integrate_backward, sampled_stages, stage_table
+from .model import Scenario, require_valid
 
 __all__ = [
     "ExtendedSystem",
@@ -53,6 +53,8 @@ __all__ = [
     "solve_leader_K",
     "solve_leader_M",
     "solve_leader_V",
+    "leader_M_stages",
+    "leader_V_stages",
     "flow_oracle_P",
     "solve_leader_gains",
     "leader_feedback",
@@ -72,19 +74,20 @@ class ExtendedSystem:
     """Block coefficients of the leader-stage system; each block is n x n.
 
     A, B1, B2, f_state, f_costate vary in time through the follower gains and
-    the offsets; B, A1, A2 and the noise loading are constant.
+    the offsets and are stage tables, read at every RK4 stage time; B, A1, A2
+    and the noise loading are constant.
     """
 
     n: int
     grid: object
-    A: GridFunction           # (3n, 3n) state drift
+    A: StageTable             # (3n, 3n) state drift
     B: np.ndarray             # (3n, 3n) costate feedback into the state drift
     A1: np.ndarray            # (3n, 3n) state source of the costate drift
-    B1: GridFunction          # (3n, 3n) costate drift
+    B1: StageTable            # (3n, 3n) costate drift
     A2: np.ndarray            # (3n, 3n) mean-state source of the costate drift
-    B2: GridFunction          # (3n, 3n) mean-costate source of the costate drift
-    f_state: GridFunction     # (3n,)
-    f_costate: GridFunction   # (3n,)
+    B2: StageTable            # (3n, 3n) mean-costate source of the costate drift
+    f_state: StageTable       # (3n,)
+    f_costate: StageTable     # (3n,)
     noise: np.ndarray         # (3n,)
     e1: np.ndarray            # (n, 3n) selector of block 1
     e3: np.ndarray            # (n, 3n) selector of block 3
@@ -107,32 +110,36 @@ def _assert_structure(name: str, M: np.ndarray, n: int, nonzero: set[tuple[int, 
 
 
 def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
-    """Build the block coefficients from the scenario and the follower gains."""
+    """Build the block coefficients from the scenario and the follower gains.
+
+    The time-varying blocks are built at every RK4 stage time from stage
+    tables of the follower P and Pi (Hermite midpoints from their own
+    equations) and of the sampled forcing and targets (linear midpoints).
+    """
     require_valid(s)
     if fg.grid != s.grid:
         raise ValueError("follower gains were solved on a different grid")
+    grid = s.grid
     n = s.dims.n
-    K = s.grid.steps
+    rows = 2 * grid.steps + 1
     A0, B0 = s.leader_dyn.A, s.leader_dyn.B
     A, B = s.follower_dyn.A, s.follower_dyn.B
     Q0, R0, Gamma0 = s.leader_cost.Q, s.leader_cost.R, s.leader_cost.Gamma
-    Q, Gamma, Gamma1 = s.follower_cost.Q, s.follower_cost.Gamma, s.follower_cost.Gamma1
 
     G = B @ np.linalg.solve(s.follower_cost.R, B.T)
     G0 = B0 @ np.linalg.solve(R0, B0.T)
 
-    P = fg.P.values          # (K+1, n, n)
-    Pi = fg.Pi.values
+    P = riccati_stages(s, fg.P, state_weight(s)).values          # (rows, n, n)
+    Pi = riccati_stages(s, fg.Pi, aggregate_weight(s)).values
+    f0 = sampled_stages(s.leader_dyn.f, grid).values
+    f = sampled_stages(s.follower_dyn.f, grid).values
+    eta0 = sampled_stages(s.leader_cost.eta, grid).values
+    W, target = offset_terms(s)                # offset drive: W E[x0] + target
 
-    f0 = time_sampled(s.leader_dyn.f, s.grid)
-    f = time_sampled(s.follower_dyn.f, s.grid)
-    eta0 = time_sampled(s.leader_cost.eta, s.grid)
-    eta = time_sampled(s.follower_cost.eta, s.grid)
-
-    A_blocks = np.zeros((K + 1, 3 * n, 3 * n))
-    B1_blocks = np.zeros((K + 1, 3 * n, 3 * n))
-    B2_blocks = np.zeros((K + 1, 3 * n, 3 * n))
-    closed = A - G @ Pi                      # (K+1, n, n) follower closed-loop drift
+    A_blocks = np.zeros((rows, 3 * n, 3 * n))
+    B1_blocks = np.zeros((rows, 3 * n, 3 * n))
+    B2_blocks = np.zeros((rows, 3 * n, 3 * n))
+    closed = A - G @ Pi                      # follower closed-loop drift
     A_blocks[:, :n, :n] = A0
     A_blocks[:, n:2 * n, n:2 * n] = closed
     A_blocks[:, 2 * n:, 2 * n:] = closed
@@ -151,28 +158,16 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
             (1, 1): -(Gamma0.T @ Q0 @ Gamma0),
         },
     )
+    A2_blk = _block(n, {(0, 2): -W.T, (2, 0): W})
 
-    if s.mode is Mode.GAME:
-        J = np.eye(n) - Gamma / s.dims.N
-        A2_blk = _block(n, {(0, 2): -(Gamma1.T @ Q @ J), (2, 0): J.T @ Q @ Gamma1})
-        offset_weight = (J.T @ Q)            # applied to eta
-    else:
-        tw = team_weights(s)
-        A2_blk = _block(n, {(0, 2): -tw.leader.T, (2, 0): tw.leader})
-        offset_weight = None
-
-    f_state = np.zeros((K + 1, 3 * n))
+    f_state = np.zeros((rows, 3 * n))
     f_state[:, :n] = f0
     f_state[:, n:2 * n] = f
 
-    f_costate = np.zeros((K + 1, 3 * n))
+    f_costate = np.zeros((rows, 3 * n))
     f_costate[:, :n] = eta0 @ Q0.T
     f_costate[:, n:2 * n] = -(eta0 @ Q0.T) @ Gamma0
-    pi_f = np.einsum("kij,kj->ki", Pi, f)
-    if s.mode is Mode.GAME:
-        f_costate[:, 2 * n:] = eta @ offset_weight.T - pi_f
-    else:
-        f_costate[:, 2 * n:] = team_weights(s).target - pi_f
+    f_costate[:, 2 * n:] = stage_table(grid, target).values - np.einsum("kij,kj->ki", Pi, f)
 
     noise = np.zeros(3 * n)
     noise[:n] = s.leader_dyn.D
@@ -186,29 +181,51 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     _assert_structure("B", B_blk, n, {(0, 0), (1, 2), (2, 1)})
     _assert_structure("A1", A1_blk, n, {(0, 0), (0, 1), (1, 0), (1, 1)})
     _assert_structure("A2", A2_blk, n, {(0, 2), (2, 0)})
-    for k in (0, K):
+    for k in (0, rows - 1):
         _assert_structure("A", A_blocks[k], n, {(0, 0), (1, 1), (2, 2)})
         _assert_structure("B1", B1_blocks[k], n, {(0, 0), (1, 1), (2, 2)})
         _assert_structure("B2", B2_blocks[k], n, {(1, 1)})
     if np.any(noise[n:] != 0.0):
         raise AssertionError("noise loading: blocks 2 and 3 must be zero")
 
-    grid = s.grid
     return ExtendedSystem(
         n=n,
         grid=grid,
-        A=GridFunction(grid, A_blocks),
+        A=StageTable(grid, A_blocks),
         B=B_blk,
         A1=A1_blk,
-        B1=GridFunction(grid, B1_blocks),
+        B1=StageTable(grid, B1_blocks),
         A2=A2_blk,
-        B2=GridFunction(grid, B2_blocks),
-        f_state=GridFunction(grid, f_state),
-        f_costate=GridFunction(grid, f_costate),
+        B2=StageTable(grid, B2_blocks),
+        f_state=StageTable(grid, f_state),
+        f_costate=StageTable(grid, f_costate),
         noise=noise,
         e1=e1,
         e3=e3,
     )
+
+
+def _dP(es: ExtendedSystem, A, B1, P):
+    """dP/dt given the blocks A, B1; P and the blocks may be stacks of nodes."""
+    return -(P @ A + P @ es.B @ P - es.A1 - B1 @ P)
+
+
+def _dM(es: ExtendedSystem, A, B1, B2, M):
+    """dM/dt given the blocks A, B1, B2; M and the blocks may be stacks of nodes."""
+    return -(M @ A + M @ es.B @ M - B1 @ M - B2 @ M - es.A1 - es.A2)
+
+
+def leader_M_stages(es: ExtendedSystem, M: GridFunction) -> StageTable:
+    """Stage table of the mean costate gain: Hermite midpoints from its own equation."""
+    return stage_table(es.grid, M.values, _dM(es, es.A.nodes, es.B1.nodes, es.B2.nodes, M.values))
+
+
+def leader_V_stages(es: ExtendedSystem, M: GridFunction, V: GridFunction) -> StageTable:
+    """Stage table of the costate offset: Hermite midpoints from its own equation."""
+    MB = M.values @ es.B
+    slopes = -np.einsum("kij,kj->ki", MB - es.B1.nodes - es.B2.nodes, V.values) - (
+        np.einsum("kij,kj->ki", M.values, es.f_state.nodes) - es.f_costate.nodes)
+    return stage_table(es.grid, V.values, slopes)
 
 
 def solve_leader_P(es: ExtendedSystem) -> GridFunction:
@@ -216,9 +233,7 @@ def solve_leader_P(es: ExtendedSystem) -> GridFunction:
     zero = np.zeros((3 * es.n, 3 * es.n))
 
     def rhs(t, P):
-        At = es.A.eval(t)
-        B1t = es.B1.eval(t)
-        return -(P @ At + P @ es.B @ P - es.A1 - B1t @ P)
+        return _dP(es, es.A.at(t), es.B1.at(t), P)
 
     return integrate_backward(rhs, zero, es.grid)
 
@@ -228,10 +243,7 @@ def solve_leader_M(es: ExtendedSystem) -> GridFunction:
     zero = np.zeros((3 * es.n, 3 * es.n))
 
     def rhs(t, M):
-        At = es.A.eval(t)
-        B1t = es.B1.eval(t)
-        B2t = es.B2.eval(t)
-        return -(M @ At + M @ es.B @ M - B1t @ M - B2t @ M - es.A1 - es.A2)
+        return _dM(es, es.A.at(t), es.B1.at(t), es.B2.at(t), M)
 
     return integrate_backward(rhs, zero, es.grid)
 
@@ -240,12 +252,13 @@ def solve_leader_K(es: ExtendedSystem, P: GridFunction) -> GridFunction:
     """Mean-coupling gain K, fed by P; its source is the one consistent with
     M = P + K (the same constant A2 in both modes)."""
     zero = np.zeros((3 * es.n, 3 * es.n))
+    P_st = stage_table(es.grid, P.values, _dP(es, es.A.nodes, es.B1.nodes, P.values))
 
     def rhs(t, K):
-        At = es.A.eval(t)
-        B1t = es.B1.eval(t)
-        B2t = es.B2.eval(t)
-        Pt = P.eval(t)
+        At = es.A.at(t)
+        B1t = es.B1.at(t)
+        B2t = es.B2.at(t)
+        Pt = P_st.at(t)
         return -(Pt @ es.B @ K + K @ At + K @ es.B @ (Pt + K) - B1t @ K - es.A2 - B2t @ (Pt + K))
 
     return integrate_backward(rhs, zero, es.grid)
@@ -253,12 +266,13 @@ def solve_leader_K(es: ExtendedSystem, P: GridFunction) -> GridFunction:
 
 def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
     """Offset vector of the costate reconstruction."""
+    M_st = leader_M_stages(es, M)
 
     def rhs(t, V):
-        B1t = es.B1.eval(t)
-        B2t = es.B2.eval(t)
-        Mt = M.eval(t)
-        return -(Mt @ es.B @ V + Mt @ es.f_state.eval(t) - B1t @ V - B2t @ V - es.f_costate.eval(t))
+        Mt = M_st.at(t)
+        B1t = es.B1.at(t)
+        B2t = es.B2.at(t)
+        return -(Mt @ es.B @ V + Mt @ es.f_state.at(t) - B1t @ V - B2t @ V - es.f_costate.at(t))
 
     return integrate_backward(rhs, np.zeros(3 * es.n), es.grid)
 
@@ -266,9 +280,9 @@ def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
 _CONST_TOL = 1e-12
 
 
-def _constant_block(gf: GridFunction, name: str) -> np.ndarray:
-    ref = gf.values[0]
-    dev = float(np.max(np.abs(gf.values - ref)))
+def _constant_block(table: StageTable, name: str) -> np.ndarray:
+    ref = table.values[0]
+    dev = float(np.max(np.abs(table.values - ref)))
     if dev > _CONST_TOL * (1.0 + float(np.max(np.abs(ref)))):
         raise ValueError(f"flow oracle needs constant coefficients; {name} varies by {dev:.3e}")
     return ref
@@ -296,7 +310,7 @@ def flow_oracle_P(es: ExtendedSystem, lower_right: str = "B1") -> GridFunction:
     if lower_right not in ("B1", "B2"):
         raise ValueError("lower_right must be 'B1' or 'B2'")
     d = 3 * es.n
-    lower_gf = es.B1 if lower_right == "B1" else es.B2
+    lower_table = es.B1 if lower_right == "B1" else es.B2
 
     def generator(A: np.ndarray, lower: np.ndarray) -> np.ndarray:
         H = np.zeros((2 * d, 2 * d))
@@ -311,7 +325,7 @@ def flow_oracle_P(es: ExtendedSystem, lower_right: str = "B1") -> GridFunction:
     nodes = es.grid.nodes
     W = np.zeros((K + 1, 2 * d, d))
     try:
-        H = generator(_constant_block(es.A, "A"), _constant_block(lower_gf, lower_right))
+        H = generator(_constant_block(es.A, "A"), _constant_block(lower_table, lower_right))
     except ValueError:
         H = None
     if H is not None:
@@ -321,8 +335,8 @@ def flow_oracle_P(es: ExtendedSystem, lower_right: str = "B1") -> GridFunction:
         dt = es.grid.dt
         W[K, :d] = np.eye(d)
         for k in range(K - 1, -1, -1):
-            tm = 0.5 * (nodes[k] + nodes[k + 1])
-            W[k] = expm(-dt * generator(es.A.eval(tm), lower_gf.eval(tm))) @ W[k + 1]
+            mid = 2 * k + 1
+            W[k] = expm(-dt * generator(es.A.values[mid], lower_table.values[mid])) @ W[k + 1]
 
     out = np.empty((K + 1, d, d))
     prev_sign = 0.0
@@ -365,30 +379,47 @@ def _solve_leader_coupled(es: ExtendedSystem):
 
     Joint integration lets each Runge-Kutta stage combine the exact current
     P and K (and M = P + K inside the offset equation) instead of values
-    interpolated from a previously solved table, so M - (P + K) is rounding-
-    level when M is re-solved on its own.
+    read from a previously solved table, so M - (P + K) is rounding-level
+    when M is re-solved on its own from the same stage tables.
+
+    The three equations are the top block row of one rectangular Riccati
+    equation: the gain [[P, K, V], [0, M, V]] maps the doubled state
+    (X, E[X], 1) to the costates (Y, E[Y]).  With Z = [P | K | V],
+
+        Z' = C + (D - Z Bh) [[Z], [0, P + K, V]] - Z Ah,
+
+    Ah = [[A, 0, f_state], [0, A, f_state], [0, 0, 0]],
+    Bh = [[B, 0], [0, B], [0, 0]], C = [A1, A2, f_costate], D = [B1, B2];
+    expanding the blocks gives the P, K and V equations term by term.
     """
     d = 3 * es.n
-    d2 = d * d
+    w = 2 * d + 1
+    # Scratch blocks, refilled from the stage tables at every call: Ah, C, D
+    # per stage would multiply the tables' memory by about four.
+    Ah = np.zeros((w, w))
+    Bh = np.zeros((w, 2 * d))
+    Bh[:d, :d] = Bh[d:2 * d, d:] = es.B
+    C = np.zeros((d, w))
+    C[:, :d], C[:, d:2 * d] = es.A1, es.A2
+    D = np.zeros((d, 2 * d))
+    gain = np.zeros((2 * d, w))
 
     def rhs(t, y):
-        P = y[:d2].reshape(d, d)
-        K = y[d2:2 * d2].reshape(d, d)
-        V = y[2 * d2:]
-        At = es.A.eval(t)
-        B1t = es.B1.eval(t)
-        B2t = es.B2.eval(t)
-        M = P + K
-        dP = -(P @ At + P @ es.B @ P - es.A1 - B1t @ P)
-        dK = -(P @ es.B @ K + K @ At + K @ es.B @ M - B1t @ K - es.A2 - B2t @ M)
-        dV = -(M @ es.B @ V + M @ es.f_state.eval(t) - B1t @ V - B2t @ V - es.f_costate.eval(t))
-        return np.concatenate([dP.ravel(), dK.ravel(), dV])
+        Z = y.reshape(d, w)
+        Ah[:d, :d] = Ah[d:2 * d, d:2 * d] = es.A.at(t)
+        Ah[:d, 2 * d] = Ah[d:2 * d, 2 * d] = es.f_state.at(t)
+        C[:, 2 * d] = es.f_costate.at(t)
+        D[:, :d] = es.B1.at(t)
+        D[:, d:] = es.B2.at(t)
+        gain[:d] = Z
+        gain[d:, d:2 * d] = Z[:, :d] + Z[:, d:2 * d]
+        gain[d:, 2 * d] = Z[:, 2 * d]
+        return (C + (D - Z @ Bh) @ gain - Z @ Ah).ravel()
 
-    sol = integrate_backward(rhs, np.zeros(2 * d2 + d), es.grid)
-    vals = sol.values
-    P = GridFunction(es.grid, vals[:, :d2].reshape(-1, d, d))
-    K = GridFunction(es.grid, vals[:, d2:2 * d2].reshape(-1, d, d))
-    V = GridFunction(es.grid, vals[:, 2 * d2:])
+    vals = integrate_backward(rhs, np.zeros(d * w), es.grid).values.reshape(-1, d, w)
+    P = GridFunction(es.grid, vals[:, :, :d])
+    K = GridFunction(es.grid, vals[:, :, d:2 * d])
+    V = GridFunction(es.grid, vals[:, :, 2 * d])
     return P, K, V
 
 

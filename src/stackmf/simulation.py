@@ -28,9 +28,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .follower import FollowerGains, offset_source, solve_follower_gains
-from .integrators import GridFunction, integrate_backward, integrate_forward
-from .leader import ExtendedSystem, LeaderGains, assemble_extended, solve_leader_gains
+from .follower import FollowerGains, aggregate_weight, offset_terms, riccati_stages, solve_follower_gains
+from .integrators import GridFunction, StageTable, integrate_backward, integrate_forward, stage_table
+from .leader import (
+    ExtendedSystem,
+    LeaderGains,
+    assemble_extended,
+    leader_M_stages,
+    leader_V_stages,
+    solve_leader_gains,
+)
 from .model import InitialLaw, Mode, Scenario, require_valid, time_sampled
 
 __all__ = [
@@ -41,6 +48,8 @@ __all__ = [
     "EnsembleResult",
     "GridMismatchError",
     "solve_mean_state",
+    "mean_state_stages",
+    "deterministic_layer",
     "simulate",
     "estimate_costs",
     "lln_diagnostic",
@@ -224,17 +233,39 @@ class _Tables:
     eta: np.ndarray           # (K+1, n)
 
 
+def _mean_coefficients(es: ExtendedSystem, lg: LeaderGains) -> tuple[StageTable, StageTable]:
+    """Drift A + B M and forcing B V + f_state of the mean equation, on the stage grid."""
+    M = leader_M_stages(es, lg.M).values
+    V = leader_V_stages(es, lg.M, lg.V).values
+    return StageTable(es.grid, es.A.values + es.B @ M), StageTable(es.grid, V @ es.B.T + es.f_state.values)
+
+
 def solve_mean_state(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> GridFunction:
     """Forward RK4 for the deterministic mean of the extended leader state."""
     n = s.dims.n
     init = np.zeros(3 * n)
     init[:n] = s.leader_mean0
     init[n:2 * n] = s.follower_mean0
+    drift, forcing = _mean_coefficients(es, lg)
 
     def rhs(t, E):
-        return (es.A.eval(t) + es.B @ lg.M.eval(t)) @ E + es.B @ lg.V.eval(t) + es.f_state.eval(t)
+        return drift.at(t) @ E + forcing.at(t)
 
     return integrate_forward(rhs, init, s.grid)
+
+
+def mean_state_stages(es: ExtendedSystem, lg: LeaderGains, mean: GridFunction) -> StageTable:
+    """The mean path at every RK4 stage time: Hermite midpoints from its own equation."""
+    drift, forcing = _mean_coefficients(es, lg)
+    return stage_table(es.grid, mean.values, np.einsum("kij,kj->ki", drift.nodes, mean.values) + forcing.nodes)
+
+
+def deterministic_layer(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> tuple:
+    """What every path shares, per node: the mean extended state E[X], the mean
+    costate offset K E[X] + V, and its third block, the follower offset."""
+    mX = solve_mean_state(s, es, lg).values
+    KmV = np.einsum("kij,kj->ki", lg.K.values, mX) + lg.V.values
+    return mX, KmV, KmV[:, 2 * es.n:]
 
 
 def _check_grids(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> None:
@@ -246,14 +277,10 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
     K = s.grid.steps
     dt = s.grid.dt
     n, m, N = s.dims.n, s.dims.m, s.dims.N
-    mean_state = solve_mean_state(s, es, lg)
-    mX = mean_state.values
-    P, Kg, V = lg.P.values, lg.K.values, lg.V.values
-
-    KmV = np.einsum("kij,kj->ki", Kg, mX) + V          # K meanX + V per node
-    offset = np.einsum("ij,kj->ki", es.e3, KmV)
-    X_drift = es.A.values + np.einsum("ij,kjl->kil", es.B, P)
-    X_const = KmV @ es.B.T + es.f_state.values
+    mX, KmV, offset = deterministic_layer(s, es, lg)
+    P = lg.P.values
+    X_drift = es.A.nodes + np.einsum("ij,kjl->kil", es.B, P)
+    X_const = KmV @ es.B.T + es.f_state.nodes
     e3P = np.einsum("ij,kjl->kil", es.e3, P)
     u0_P = np.einsum("ij,kjl->kil", lg.control_map, P)
     u0_const = -np.einsum("ij,kj->ki", lg.control_map, KmV)
@@ -339,18 +366,20 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
     of the mean response; the shift is then marched with the same one-step
     scheme the paths use.
     """
-    lead = chi0.transpose(1, 0, 2)
-    dg = GridFunction(s.grid, (offset_source(s, lead) - offset_source(s, np.zeros_like(lead))).transpose(1, 0, 2))
+    grid = s.grid
+    dg = stage_table(grid, chi0 @ offset_terms(s)[0].T)        # drive shift; chi0 is Euler-marched
     G = s.follower_dyn.B @ tab.RinvBt
-    A, Pi, P, Kf = s.follower_dyn.A, fg.Pi, fg.P.values, fg.K.values
+    A, P, Kf = s.follower_dyn.A, fg.P.values, fg.K.values
+    Pi = riccati_stages(s, fg.Pi, aggregate_weight(s)).values
+    back = StageTable(grid, np.swapaxes(A.T - Pi @ G, 1, 2))    # row-vector form of each drift
+    fwd = StageTable(grid, np.swapaxes(A - G @ Pi, 1, 2))
     zero = np.zeros(chi0.shape[1:])
-    dphi = integrate_backward(lambda t, p: dg.eval(t) - p @ (A.T - Pi.eval(t) @ G).T, zero, s.grid)
-    dEbar = integrate_forward(
-        lambda t, E: E @ (A - G @ Pi.eval(t)).T - dphi.eval(t) @ G.T, zero, s.grid
-    ).values
+    dphi = integrate_backward(lambda t, p: dg.at(t) - p @ back.at(t), zero, grid).values
+    dphi_st = stage_table(grid, dphi, dg.nodes - dphi @ back.nodes)
+    dEbar = integrate_forward(lambda t, E: E @ fwd.at(t) - dphi_st.at(t) @ G.T, zero, grid).values
     shift = np.zeros_like(chi0)
     for k in range(tab.steps):
-        du = -(shift[k] @ P[k].T + dEbar[k] @ Kf[k].T + dphi.values[k]) @ tab.RinvBt.T
+        du = -(shift[k] @ P[k].T + dEbar[k] @ Kf[k].T + dphi[k]) @ tab.RinvBt.T
         shift[k + 1] = shift[k] + tab.dt * (shift[k] @ tab.A_fT + du @ tab.B_fT)
     return shift
 

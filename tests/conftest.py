@@ -112,6 +112,13 @@ def game_gains(game_scenario):
 
 
 @pytest.fixture(scope="session")
+def team_gains_fine(team_scenario):
+    """The benchmark team solve on a 16x-finer grid: a convergence reference."""
+    return solve_both(dataclasses.replace(team_scenario, grid=TimeGrid(team_scenario.grid.horizon,
+                                                                       16 * team_scenario.grid.steps)))
+
+
+@pytest.fixture(scope="session")
 def fast_scenario() -> Scenario:
     return load_scenario(FAST_CFG_TEXT)
 

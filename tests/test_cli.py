@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from stackmf.cli import main
-from stackmf.simulation import NOISE_SCHEME
+from stackmf.cli import _load_gains, main
+from stackmf.follower import solve_follower_gains
+from stackmf.integrators import read_grid_csv
+from stackmf.leader import assemble_extended, solve_leader_gains
+from stackmf.model import load_scenario_file
+from stackmf.simulation import NOISE_SCHEME, mean_state_stages, simulate, solve_mean_state
 from conftest import FAST_CFG_TEXT
 
 GAIN_TABLES = ("P", "K", "Pi", "phi", "leaderP", "leaderK", "leaderM", "leaderV")
@@ -153,6 +157,33 @@ def test_simulate_artifacts_and_schema(workdir, config, gains_dir):
     assert set(manifest["outputs"]) == {"summary.csv", "costs.csv", "trajectories.csv"}
     assert set(manifest["inputs"]["gains_sha256"]) == {f"{t}.csv" for t in GAIN_TABLES}
     assert manifest["versions"]["noise"] == NOISE_SCHEME
+
+
+def test_phi_csv_is_the_offset_simulate_uses(config, gains_dir):
+    # solve writes phi.csv and simulate builds its offset with the same
+    # function; from the CSV-loaded gains the two agree bit for bit.
+    s = load_scenario_file(str(config))
+    fg, lg = _load_gains(s, gains_dir)
+    offset = simulate(s, fg, lg, 2, seed=0, store_paths=0).offset.values
+    phi = read_grid_csv(gains_dir / "phi.csv")[1]
+    assert phi.tobytes() == offset.tobytes()
+
+
+def test_stage_tables_from_csv_gains_are_bit_identical(config, gains_dir):
+    # Stage tables depend on node values only, and the CSVs round-trip node
+    # values exactly, so reloaded gains rebuild the same tables bit for bit.
+    s = load_scenario_file(str(config))
+    fg = solve_follower_gains(s)
+    lg = solve_leader_gains(s, fg)
+    fg_csv, lg_csv = _load_gains(s, gains_dir)
+    es, es_csv = assemble_extended(s, fg), assemble_extended(s, fg_csv)
+    for name in ("A", "B1", "B2", "f_state", "f_costate"):
+        assert getattr(es, name).values.tobytes() == getattr(es_csv, name).values.tobytes(), name
+    mean = solve_mean_state(s, es, lg)
+    mean_csv = solve_mean_state(s, es_csv, lg_csv)
+    assert mean.values.tobytes() == mean_csv.values.tobytes()
+    stages, stages_csv = mean_state_stages(es, lg, mean), mean_state_stages(es_csv, lg_csv, mean_csv)
+    assert stages.values.tobytes() == stages_csv.values.tobytes()
 
 
 def test_simulate_worker_count_is_invisible_in_outputs(workdir, config, gains_dir, tmp_path):

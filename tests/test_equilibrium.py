@@ -276,34 +276,40 @@ def test_verification_solves_gains_when_not_supplied(fast_scenario):
 
 # Deviation fields of run_verification(fast, n_paths=128, seed=0, directions=3)
 # on noise streams keyed by (seed, path, purpose) with one row per agent.
-# Re-pinned when the streams changed from one per (seed, path, agent, purpose);
-# on the old streams the flat path kernel reproduced the previous pins bit for
-# bit.  Rows: (target/label, c1, c1_se, c2, c2_se, delta_mean).
+# Re-pinned when the leader stage and the mean pass moved to stage tables
+# with Hermite midpoints: the gain tables moved by their removed
+# interpolation error (about 1e-6 relative), c1 by about 2e-5 relative.
+# Rows: (target/label, c1, c1_se, c2, delta_mean).
 PINNED_DEVIATIONS = (
-    ("follower/const", 0.005684363377171139, 0.006560012195050486, 0.17231601907813815, 2.0385355385332234e-15,
-     (0.005755768087691299, 0.0011547238530642597, 0.00014657187883685037, 0.0007150082165539541,
-      0.0022915965284985187, 0.008029513438559744)),
-    ("follower/halfsine", 0.0037889858165221883, 0.0042028990044638915, 0.08329609771337539, 1.7471245750850477e-15,
-     (0.0025740467452305574, 0.0004540623954815432, 1.8790953457413582e-05, 0.00039768953510950977,
-      0.0012118595587859693, 0.004089641071839471)),
-    ("follower/cosine", 0.002603483096449877, 0.003023729353522456, 0.061115868939402594, 1.800636622033018e-15,
-     (0.0019239381382861083, 0.00035081037974908896, 2.2615517526053397e-05, 0.00028296382717099946,
-      0.0008715069990390552, 0.002965331376866075)),
-    ("leader/const", -0.014234947322549606, 0.018297450270647362, 1.2068053534781142, 7.234289691623493e-16,
-     (0.051119203603634505, 0.013491548267036094, 0.010644558802526209, 0.04542522467461468)),
-    ("leader/halfsine", -0.008685668832150667, 0.011567207983304038, 0.5944732872885523, 7.040485237796653e-16,
-     (0.025516065257972217, 0.0068132997561005946, 0.0050761659896704356, 0.02204179772511197)),
-    ("leader/cosine", -0.007007621999674482, 0.011221282178243145, 0.5362630655009302, 5.674888030495073e-16,
-     (0.0228520470199721, 0.006063392854976759, 0.004661868455041876, 0.02004899822010231)),
+    ("follower/const", 0.005684241996049154, 0.006560012195050518, 0.17231601907813915,
+     (0.005755792363915693, 0.0011547359911765554, 0.0001465779478929544, 0.0007150021474977859,
+      0.002291584390386306, 0.00802948916233542)),
+    ("follower/halfsine", 0.003788912863553963, 0.004202899004463927, 0.08329609771337612,
+     (0.0025740613358242567, 0.000454069690778363, 1.879460110576622e-05, 0.0003976858874611918,
+      0.001211852263489173, 0.004089626481245826)),
+    ("follower/cosine", 0.00260341499352048, 0.0030237293535224693, 0.06111586893940368,
+     (0.0019239517588720279, 0.0003508171900420639, 2.2618922672492953e-05, 0.00028296042202458115,
+      0.0008715001887460955, 0.0029653177562802427)),
+    ("leader/const", -0.014235259055352553, 0.018297448681801016, 1.2068053003346577,
+     (0.051119263824456834, 0.01349157890888188, 0.010644527097811322, 0.04542516020231582)),
+    ("leader/halfsine", -0.008685853108913436, 0.011567207279518052, 0.5944732698461654,
+     (0.025516101415629315, 0.006813318009353021, 0.005076147387570345, 0.02204176017206392)),
+    ("leader/cosine", -0.007007807711917475, 0.011221279012791905, 0.5362630469526344,
+     (0.02285208342048886, 0.006063411240718117, 0.004661849698334585, 0.020048960335721896)),
 )
 
 
 def test_verification_deviations_match_pinned_values(fast_report):
-    got = [(f"{d.target}/{d.label}", d.c1, d.c1_se, d.c2, d.c2_se, d.delta_mean) for d in fast_report.deviations]
+    got = [(f"{d.target}/{d.label}", d.c1, d.c1_se, d.c2, d.delta_mean) for d in fast_report.deviations]
     assert [g[0] for g in got] == [p[0] for p in PINNED_DEVIATIONS]
     for g, p in zip(got, PINNED_DEVIATIONS):
-        np.testing.assert_allclose(g[1:5], p[1:5], rtol=1e-10, atol=0.0, err_msg=p[0])
-        np.testing.assert_allclose(g[5], p[5], rtol=1e-10, atol=0.0, err_msg=p[0])
+        np.testing.assert_allclose(g[1:4], p[1:4], rtol=1e-10, atol=0.0, err_msg=p[0])
+        np.testing.assert_allclose(g[4], p[4], rtol=1e-10, atol=0.0, err_msg=p[0])
+    # The cost change is exactly quadratic in eps with a curvature that no
+    # path changes, so its standard error is rounding noise; a path-dependent
+    # fitted curvature would lift it far above this.
+    for d in fast_report.deviations:
+        assert d.c2_se <= 1e-12 * abs(d.c2), (d.target, d.label, d.c2_se, d.c2)
 
 
 def test_verification_csv_is_worker_invariant(fast_gains, tmp_path):

@@ -125,7 +125,7 @@ def test_standalone_solvers_agree_with_coupled_route(fast_gains):
     s, fg, _ = fast_gains
     P = solve_P(s)
     assert np.max(np.abs(P.values - fg.P.values)) <= 1e-12 * (1.0 + max_abs(P))
-    # The standalone K solver interpolates P between nodes, so it agrees to
+    # The standalone K solver reads P through a Hermite stage table, so it agrees to
     # integration accuracy, not bitwise.
     K = solve_K(s, P)
     assert np.max(np.abs(K.values - fg.K.values)) <= 1e-5 * (1.0 + max_abs(K))

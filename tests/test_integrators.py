@@ -1,6 +1,7 @@
 """Integrator layer: RK4 marches, blow-up detection, grid tables, expm."""
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -11,10 +12,13 @@ from stackmf.integrators import (
     BLOWUP_FACTOR,
     BlowUpError,
     GridFunction,
+    StageTable,
     expm,
     integrate_backward,
     integrate_forward,
     read_grid_csv,
+    sampled_stages,
+    stage_table,
 )
 from stackmf.model import TimeGrid
 
@@ -99,13 +103,28 @@ def test_no_blowup_on_bounded_solution():
 # ---------------------------------------------------------------------------
 
 
-def test_gridfunction_eval_interpolates_and_clamps():
+def test_stage_table_reads_nodes_and_midpoints():
+    # Hermite midpoints are exact for a cubic, linear ones for sampled data;
+    # at(t) reads the row of every stage time of a forward or backward step.
     grid = TimeGrid(1.0, 4)
-    gf = GridFunction(grid, grid.nodes.copy().reshape(-1, 1))
-    assert gf.eval(0.375)[0] == pytest.approx(0.375, abs=1e-15)
-    assert gf.eval(-5.0)[0] == 0.0
-    assert gf.eval(7.0)[0] == 1.0
-    assert gf.at(2)[0] == 0.5
+    t, dt = grid.nodes, grid.dt
+    cubic = stage_table(grid, (t ** 3)[:, None], (3.0 * t ** 2)[:, None])
+    mids = t[:-1] + 0.5 * dt
+    np.testing.assert_allclose(cubic.values[1::2, 0], mids ** 3, rtol=0.0, atol=1e-15)
+    assert np.array_equal(cubic.nodes[:, 0], t ** 3)
+    linear = sampled_stages(np.column_stack([t, -t]), grid)
+    np.testing.assert_allclose(linear.values[1::2], np.column_stack([mids, -mids]), rtol=0.0, atol=1e-15)
+    assert np.array_equal(sampled_stages(np.array([2.5, -1.0]), grid).values, np.tile([2.5, -1.0], (9, 1)))
+    for k in range(grid.steps):
+        for h in (dt, -dt):
+            start = t[k] if h > 0 else t[k + 1]
+            row = 2 * k if h > 0 else 2 * k + 2
+            assert cubic.at(start)[0] == cubic.values[row, 0]
+            assert cubic.at(start + 0.5 * h)[0] == cubic.values[2 * k + 1, 0]
+            assert cubic.at(start + h)[0] == cubic.values[2 * k + (2 if h > 0 else 0), 0]
+    with pytest.raises(ValueError):
+        StageTable(grid, np.zeros((5, 1)))
+    assert GridFunction(grid, t.reshape(-1, 1)).at(2)[0] == 0.5
 
 
 def test_gridfunction_rejects_non_finite_values():
@@ -132,6 +151,40 @@ def test_csv_round_trip_is_exact(tmp_path):
     t, flat = read_grid_csv(path)
     assert np.array_equal(t, grid.nodes)
     assert np.array_equal(flat, gf.values.reshape(8, -1))
+
+
+def _csv_writer_reference(gf, path, prefix):
+    """The table format as csv.writer produced it, kept as the byte reference."""
+    flat = gf.values.reshape(gf.grid.steps + 1, -1)
+    cols = flat.shape[1]
+    if gf.values.ndim == 3:
+        header = [f"{prefix}_{i}_{j}" for i in range(gf.values.shape[1]) for j in range(gf.values.shape[2])]
+    else:
+        header = [f"{prefix}_{i}" for i in range(cols)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + header)
+        for k in range(gf.grid.steps + 1):
+            writer.writerow([repr(float(gf.grid.nodes[k]))] + [repr(float(x)) for x in flat[k]])
+
+
+@pytest.mark.parametrize("item_shape", [(5,), (2, 3)])
+def test_csv_bytes_match_csv_writer(item_shape, tmp_path):
+    # Extreme and signed values: negative zero, the smallest subnormal, huge
+    # magnitudes, negatives; the bytes and the round trip are both exact.
+    grid = TimeGrid(0.7, 9)
+    rng = np.random.default_rng(12)
+    vals = rng.standard_normal((10,) + item_shape) * 10.0 ** rng.integers(-300, 300, (10,) + item_shape)
+    flat = vals.reshape(10, -1)
+    flat[0, :4] = (-0.0, 5e-324, 1e300, -1e300)
+    flat[1, :3] = (0.0, -5e-324, -2.5)
+    gf = GridFunction(grid, vals)
+    gf.to_csv(tmp_path / "new.csv", prefix="g")
+    _csv_writer_reference(gf, tmp_path / "ref.csv", "g")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    t, back = read_grid_csv(tmp_path / "new.csv")
+    assert np.array_equal(t, grid.nodes)
+    assert back.tobytes() == flat.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from stackmf.follower import solve_follower_gains, solve_phi
-from stackmf.integrators import BlowUpError, GridFunction
+from stackmf.integrators import BlowUpError, GridFunction, StageTable
 from stackmf.leader import (
     ExtendedSystem,
     LeaderGains,
@@ -23,8 +23,10 @@ from stackmf.leader import (
     solve_leader_gains,
 )
 from stackmf.model import Mode, TimeGrid, load_scenario
-from stackmf.simulation import simulate, solve_mean_state
-from conftest import replace_mode, solve_both
+from stackmf.simulation import mean_state_stages, simulate, solve_mean_state
+from conftest import REPO, replace_mode, solve_both
+
+GAME_N4_CFG = REPO / "perfbench" / "game_n4.cfg"
 
 
 def constant_system(n=1, *, T=1.0, steps=400, A=None, B=None, A1=None, B1=None,
@@ -38,11 +40,11 @@ def constant_system(n=1, *, T=1.0, steps=400, A=None, B=None, A1=None, B1=None,
         return np.zeros((d, d)) if M is None else np.asarray(M, dtype=float)
 
     def tab(M):
-        return GridFunction(grid, np.tile(blk(M), (K + 1, 1, 1)))
+        return StageTable(grid, np.tile(blk(M), (2 * K + 1, 1, 1)))
 
     def vec(v):
         arr = np.zeros(d) if v is None else np.asarray(v, dtype=float)
-        return GridFunction(grid, np.tile(arr, (K + 1, 1)))
+        return StageTable(grid, np.tile(arr, (2 * K + 1, 1)))
 
     e1 = np.zeros((n, d)); e1[:, :n] = np.eye(n)
     e3 = np.zeros((n, d)); e3[:, 2 * n:] = np.eye(n)
@@ -67,7 +69,7 @@ def test_benchmark_terminal_drift_blocks(team_gains):
     # bare diagonal (leader drift, follower drift twice).
     s, fg, _ = team_gains
     es = assemble_extended(s, fg)
-    A_T = es.A.values[s.grid.steps]
+    A_T = es.A.nodes[s.grid.steps]
     assert np.allclose(A_T, np.diag([0.05, -0.05, -0.05]), atol=1e-14)
 
 
@@ -160,8 +162,8 @@ def test_follower_closed_loop_drift_is_A_minus_G_Pi():
     Pi = fg.Pi.values
     assert np.max(np.abs(G @ Pi - Pi @ G)) > 1e-2
     expected = A - G @ Pi
-    np.testing.assert_allclose(es.A.values[:, n:2 * n, n:2 * n], expected, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(es.A.values[:, 2 * n:, 2 * n:], expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(es.A.nodes[:, n:2 * n, n:2 * n], expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(es.A.nodes[:, 2 * n:, 2 * n:], expected, rtol=0.0, atol=1e-12)
 
     paths = 256
     er = simulate(s, fg, lg, paths, seed=3, store_paths=0)
@@ -225,17 +227,20 @@ def test_standalone_gain_solvers_are_consistent(fast_gains):
     es = assemble_extended(s, fg)
     P = solve_leader_P(es)
     assert np.max(np.abs(P.values - lg.P.values)) <= 1e-12 * (1.0 + max_abs(P))
-    # K and V interpolate their partner tables, so integration-level accuracy.
+    # K and V read their partner tables through Hermite stage tables, so they
+    # agree with the joint solve to the 4th-order integration error.
     K = solve_leader_K(es, P)
-    assert np.max(np.abs(K.values - lg.K.values)) <= 1e-5 * (1.0 + max_abs(K))
+    assert np.max(np.abs(K.values - lg.K.values)) <= 1e-9 * (1.0 + max_abs(K))
     V = solve_leader_V(es, solve_leader_M(es))
-    assert np.max(np.abs(V.values - lg.V.values)) <= 1e-5 * (1.0 + max_abs(V))
+    assert np.max(np.abs(V.values - lg.V.values)) <= 1e-9 * (1.0 + max_abs(V))
 
 
-def test_offset_routes_agree(team_gains):
+@pytest.mark.parametrize("config", ["baseline", "game_n4"])
+def test_offset_routes_agree(config, team_gains):
     # The third block of the costate reconstruction along the deterministic
-    # mean path equals the follower-stage offset driven by the leader mean.
-    s, fg, lg = team_gains
+    # mean path equals the follower-stage offset driven by the leader mean
+    # (given with the mean path's own Hermite midpoints).
+    s, fg, lg = team_gains if config == "baseline" else solve_both(load_scenario(GAME_N4_CFG.read_text()))
     es = assemble_extended(s, fg)
     mean = solve_mean_state(s, es, lg)
     n = s.dims.n
@@ -245,9 +250,10 @@ def test_offset_routes_agree(team_gains):
         + lg.V.values
     )
     offset_leader_route = costate[:, 2 * n:]
-    phi = solve_phi(s, fg.Pi, mean.values[:, :n])
+    lead = StageTable(s.grid, mean_state_stages(es, lg, mean).values[:, :n])
+    phi = solve_phi(s, fg.Pi, lead)
     gap = np.max(np.abs(offset_leader_route - phi.values))
-    assert gap <= 1e-6 * (1.0 + np.max(np.abs(phi.values)))
+    assert gap <= 1e-9 * (1.0 + np.max(np.abs(phi.values)))
     assert np.all(phi.values[Kn] == 0.0)
 
 
@@ -374,15 +380,27 @@ def test_offset_equation_matches_variation_of_constants():
         assert np.max(np.abs(V.values[k] - exact)) <= 1e-9, k
 
 
-def test_offset_richardson_reference(team_gains):
+def test_offset_richardson_reference(team_gains, team_gains_fine):
     # The benchmark offset at the initial node agrees with a 16x-finer
-    # reference within 1e-6.  (The follower tables feeding the blocks are
-    # interpolated linearly, so the leader stage converges at second order;
-    # at the benchmark grid that term is ~1e-7.)
-    s, _, lg = team_gains
-    fine = dataclasses.replace(s, grid=TimeGrid(s.grid.horizon, 16 * s.grid.steps))
-    _, _, lg_f = solve_both(fine)
-    assert np.max(np.abs(lg.V.values[0] - lg_f.V.values[0])) <= 1e-6
+    # reference within 1e-8.  (The follower tables feeding the blocks have
+    # Hermite midpoints, so the leader stage converges at fourth order; at
+    # the benchmark grid that term is ~1e-12.)
+    _, _, lg = team_gains
+    _, _, lg_f = team_gains_fine
+    assert np.max(np.abs(lg.V.values[0] - lg_f.V.values[0])) <= 1e-8
+
+
+def test_leader_tables_converge_at_fourth_order(team_scenario, team_gains_fine):
+    # Error of leader P, K, V at t = 0 against the 16x-finer solve falls at
+    # least 12-fold per halving of dt over 250 -> 500 -> 1000 steps (16-fold
+    # is 4th order; linear midpoints gave 4-fold).
+    _, _, ref = team_gains_fine
+    errors = []
+    for steps in (250, 500, 1000):
+        _, _, lg = solve_both(dataclasses.replace(team_scenario, grid=TimeGrid(team_scenario.grid.horizon, steps)))
+        errors.append(max(float(np.max(np.abs(getattr(lg, k).values[0] - getattr(ref, k).values[0])))
+                          for k in ("P", "K", "V")))
+    assert errors[0] >= 12.0 * errors[1] and errors[1] >= 12.0 * errors[2], errors
 
 
 def test_zero_forcing_zeroes_offset():

@@ -8,8 +8,8 @@ import pytest
 import scipy.stats
 
 from stackmf.equilibrium import direction_library
-from stackmf.follower import solve_phi
-from stackmf.integrators import GridFunction, integrate_forward
+from stackmf.follower import aggregate_weight, phi_stages, riccati_stages, solve_phi
+from stackmf.integrators import StageTable, integrate_forward
 from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import (
@@ -357,14 +357,16 @@ def _population_shift_reference(s, fg, tab, v):
     chi0 = np.zeros((K + 1, n))
     for k in range(K):
         chi0[k + 1] = chi0[k] + dt * (tab.A0 @ chi0[k] + tab.B0 @ v[k])
-    mean_leader = tab.mean_state[:, :n]
-    dphi = GridFunction(s.grid, solve_phi(s, fg.Pi, mean_leader + chi0).values - solve_phi(s, fg.Pi, mean_leader).values)
+    leads = (tab.mean_state[:, :n] + chi0, tab.mean_state[:, :n])
+    phis = [solve_phi(s, fg.Pi, lead) for lead in leads]
+    dphi = phis[0].values - phis[1].values
+    dphi_st = StageTable(s.grid, np.subtract(*(phi_stages(s, fg.Pi, p, lead).values for p, lead in zip(phis, leads))))
     G = s.follower_dyn.B @ fg.control_map
-    A, Pi = s.follower_dyn.A, fg.Pi
-    dEbar = integrate_forward(lambda t, E: (A - G @ Pi.eval(t)) @ E - G @ dphi.eval(t), np.zeros(n), s.grid).values
+    A, Pi = s.follower_dyn.A, riccati_stages(s, fg.Pi, aggregate_weight(s))
+    dEbar = integrate_forward(lambda t, E: (A - G @ Pi.at(t)) @ E - G @ dphi_st.at(t), np.zeros(n), s.grid).values
     shift = np.zeros((K + 1, n))
     for k in range(K):
-        du = -fg.control_map @ (fg.P.values[k] @ shift[k] + fg.K.values[k] @ dEbar[k] + dphi.values[k])
+        du = -fg.control_map @ (fg.P.values[k] @ shift[k] + fg.K.values[k] @ dEbar[k] + dphi[k])
         shift[k + 1] = shift[k] + dt * (tab.A_fT.T @ shift[k] + tab.B_fT.T @ du)
     return shift
 
