@@ -274,7 +274,8 @@ def phi_stages(s: Scenario, Pi: GridFunction, phi: GridFunction, mean_leader) ->
     """Stage table of an offset solved for (Pi, mean_leader): Hermite midpoints
     from the offset equation."""
     drift, forcing = _phi_coefficients(s, Pi, mean_leader)
-    return stage_table(s.grid, phi.values, -(np.einsum("kij,kj->ki", drift.nodes, phi.values) + forcing.nodes))
+    slopes = -(np.einsum("kij,kj->ki", drift.nodes, phi.values) + forcing.nodes)
+    return stage_table(s.grid, phi.values, slopes)
 
 
 @dataclass(frozen=True)

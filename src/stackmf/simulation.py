@@ -237,7 +237,8 @@ def _mean_coefficients(es: ExtendedSystem, lg: LeaderGains) -> tuple[StageTable,
     """Drift A + B M and forcing B V + f_state of the mean equation, on the stage grid."""
     M = leader_M_stages(es, lg.M).values
     V = leader_V_stages(es, lg.M, lg.V).values
-    return StageTable(es.grid, es.A.values + es.B @ M), StageTable(es.grid, V @ es.B.T + es.f_state.values)
+    drift = StageTable(es.grid, es.A.values + es.B @ M)
+    return drift, StageTable(es.grid, V @ es.B.T + es.f_state.values)
 
 
 def solve_mean_state(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> GridFunction:
@@ -257,7 +258,8 @@ def solve_mean_state(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> GridFu
 def mean_state_stages(es: ExtendedSystem, lg: LeaderGains, mean: GridFunction) -> StageTable:
     """The mean path at every RK4 stage time: Hermite midpoints from its own equation."""
     drift, forcing = _mean_coefficients(es, lg)
-    return stage_table(es.grid, mean.values, np.einsum("kij,kj->ki", drift.nodes, mean.values) + forcing.nodes)
+    slopes = np.einsum("kij,kj->ki", drift.nodes, mean.values) + forcing.nodes
+    return stage_table(es.grid, mean.values, slopes)
 
 
 def deterministic_layer(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> tuple:

@@ -397,7 +397,8 @@ def test_leader_tables_converge_at_fourth_order(team_scenario, team_gains_fine):
     _, _, ref = team_gains_fine
     errors = []
     for steps in (250, 500, 1000):
-        _, _, lg = solve_both(dataclasses.replace(team_scenario, grid=TimeGrid(team_scenario.grid.horizon, steps)))
+        grid = TimeGrid(team_scenario.grid.horizon, steps)
+        _, _, lg = solve_both(dataclasses.replace(team_scenario, grid=grid))
         errors.append(max(float(np.max(np.abs(getattr(lg, k).values[0] - getattr(ref, k).values[0])))
                           for k in ("P", "K", "V")))
     assert errors[0] >= 12.0 * errors[1] and errors[1] >= 12.0 * errors[2], errors

@@ -360,10 +360,12 @@ def _population_shift_reference(s, fg, tab, v):
     leads = (tab.mean_state[:, :n] + chi0, tab.mean_state[:, :n])
     phis = [solve_phi(s, fg.Pi, lead) for lead in leads]
     dphi = phis[0].values - phis[1].values
-    dphi_st = StageTable(s.grid, np.subtract(*(phi_stages(s, fg.Pi, p, lead).values for p, lead in zip(phis, leads))))
+    dphi_st = StageTable(s.grid, np.subtract(*(phi_stages(s, fg.Pi, p, lead).values
+                                               for p, lead in zip(phis, leads))))
     G = s.follower_dyn.B @ fg.control_map
     A, Pi = s.follower_dyn.A, riccati_stages(s, fg.Pi, aggregate_weight(s))
-    dEbar = integrate_forward(lambda t, E: (A - G @ Pi.at(t)) @ E - G @ dphi_st.at(t), np.zeros(n), s.grid).values
+    dEbar = integrate_forward(lambda t, E: (A - G @ Pi.at(t)) @ E - G @ dphi_st.at(t),
+                              np.zeros(n), s.grid).values
     shift = np.zeros((K + 1, n))
     for k in range(K):
         du = -fg.control_map @ (fg.P.values[k] @ shift[k] + fg.K.values[k] @ dEbar[k] + dphi[k])
