@@ -215,6 +215,12 @@ def _dM(es: ExtendedSystem, A, B1, B2, M):
     return -(M @ A + M @ es.B @ M - B1 @ M - B2 @ M - es.A1 - es.A2)
 
 
+def _dV(es: ExtendedSystem, B1, B2, f_state, f_costate, M, V):
+    """dV/dt given the blocks; V and the blocks may be stacks of nodes."""
+    return -(np.einsum("...ij,...j->...i", M @ es.B - B1 - B2, V)
+             + np.einsum("...ij,...j->...i", M, f_state) - f_costate)
+
+
 def leader_M_stages(es: ExtendedSystem, M: GridFunction) -> StageTable:
     """Stage table of the mean costate gain: Hermite midpoints from its own equation."""
     return stage_table(es.grid, M.values, _dM(es, es.A.nodes, es.B1.nodes, es.B2.nodes, M.values))
@@ -222,9 +228,7 @@ def leader_M_stages(es: ExtendedSystem, M: GridFunction) -> StageTable:
 
 def leader_V_stages(es: ExtendedSystem, M: GridFunction, V: GridFunction) -> StageTable:
     """Stage table of the costate offset: Hermite midpoints from its own equation."""
-    MB = M.values @ es.B
-    slopes = -np.einsum("kij,kj->ki", MB - es.B1.nodes - es.B2.nodes, V.values) - (
-        np.einsum("kij,kj->ki", M.values, es.f_state.nodes) - es.f_costate.nodes)
+    slopes = _dV(es, es.B1.nodes, es.B2.nodes, es.f_state.nodes, es.f_costate.nodes, M.values, V.values)
     return stage_table(es.grid, V.values, slopes)
 
 
@@ -269,10 +273,7 @@ def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
     M_st = leader_M_stages(es, M)
 
     def rhs(t, V):
-        Mt = M_st.at(t)
-        B1t = es.B1.at(t)
-        B2t = es.B2.at(t)
-        return -(Mt @ es.B @ V + Mt @ es.f_state.at(t) - B1t @ V - B2t @ V - es.f_costate.at(t))
+        return _dV(es, es.B1.at(t), es.B2.at(t), es.f_state.at(t), es.f_costate.at(t), M_st.at(t), V)
 
     return integrate_backward(rhs, np.zeros(3 * es.n), es.grid)
 

@@ -114,8 +114,8 @@ def game_gains(game_scenario):
 @pytest.fixture(scope="session")
 def team_gains_fine(team_scenario):
     """The benchmark team solve on a 16x-finer grid: a convergence reference."""
-    return solve_both(dataclasses.replace(team_scenario, grid=TimeGrid(team_scenario.grid.horizon,
-                                                                       16 * team_scenario.grid.steps)))
+    grid = TimeGrid(team_scenario.grid.horizon, 16 * team_scenario.grid.steps)
+    return solve_both(dataclasses.replace(team_scenario, grid=grid))
 
 
 @pytest.fixture(scope="session")

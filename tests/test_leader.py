@@ -392,8 +392,8 @@ def test_offset_richardson_reference(team_gains, team_gains_fine):
 
 def test_leader_tables_converge_at_fourth_order(team_scenario, team_gains_fine):
     # Error of leader P, K, V at t = 0 against the 16x-finer solve falls at
-    # least 12-fold per halving of dt over 250 -> 500 -> 1000 steps (16-fold
-    # is 4th order; linear midpoints gave 4-fold).
+    # least 12-fold per halving of dt over 250 -> 500 -> 1000 steps (4th
+    # order gives 16-fold; linear stage midpoints would give 4-fold).
     _, _, ref = team_gains_fine
     errors = []
     for steps in (250, 500, 1000):
