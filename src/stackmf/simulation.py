@@ -192,7 +192,12 @@ class EnsembleResult:
 
 @dataclass(frozen=True)
 class _Tables:
-    """Per-node precomputations shared by every path."""
+    """Per-node precomputations shared by every path.
+
+    States are rows, so every product is `row @ table`: matrices are stored
+    transposed (suffix T) and C-contiguous.  One Euler-Maruyama step of a
+    state z with control u is z @ (I + dt A') + u @ (dt B') + dt f + dW D.
+    """
 
     n: int
     m: int
@@ -205,32 +210,28 @@ class _Tables:
     mean_state: np.ndarray    # (K+1, 3n)
     mean_follower: np.ndarray  # (K+1, n)
     offset: np.ndarray        # (K+1, n) deterministic part of phi
-    X_drift: np.ndarray       # (K+1, 3n, 3n)  A + B P
-    X_const: np.ndarray       # (K+1, 3n)      B (K meanX + V) + f_state
-    e3P: np.ndarray           # (K+1, n, 3n)
-    u0_P: np.ndarray          # (K+1, m, 3n)
+    X_step: np.ndarray        # (K+1, 3n, 3n)  I + dt (A + B P)'
+    X_const: np.ndarray       # (K+1, 3n)      dt (B (K meanX + V) + f_state)
+    e3PT: np.ndarray          # (K+1, 3n, n)   offset loading of X
+    u0_PT: np.ndarray         # (K+1, 3n, m)
     u0_const: np.ndarray      # (K+1, m)
-    F_xT: np.ndarray          # (K+1, n, m)  follower feedback, transposed
+    F_xT: np.ndarray          # (K+1, n, m)    follower feedback on the own state
     F_mean: np.ndarray        # (K+1, m)
-    RinvBt: np.ndarray        # (m, n)
+    RinvBtT: np.ndarray       # (n, m)
     noise_vec: np.ndarray     # (3n,)
-    A0: np.ndarray
-    B0: np.ndarray
-    f0: np.ndarray            # (K+1, n)
-    D0: np.ndarray
-    A_fT: np.ndarray          # follower A', B', C-contiguous for the flat products
-    B_fT: np.ndarray
-    f_f: np.ndarray           # (K+1, n)
-    D_f: np.ndarray
+    step0: tuple              # leader (I + dt A0', dt B0', dt f0 per node, D0)
+    step_f: tuple             # follower (I + dt A', dt B', dt f per node, D)
     Q0: np.ndarray
     R0: np.ndarray
-    Gamma0: np.ndarray
+    Gamma0T: np.ndarray
     eta0: np.ndarray          # (K+1, n)
     Q: np.ndarray
     R: np.ndarray
-    Gamma: np.ndarray
-    Gamma1: np.ndarray
+    GammaT: np.ndarray
+    Gamma1T: np.ndarray
     eta: np.ndarray           # (K+1, n)
+    Qw: np.ndarray            # (K+1, n, n)  half the trapezoid weight times Q
+    Rw: np.ndarray            # (K+1, m, m)
 
 
 def _mean_coefficients(es: ExtendedSystem, lg: LeaderGains) -> tuple[StageTable, StageTable]:
@@ -281,10 +282,12 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
     n, m, N = s.dims.n, s.dims.m, s.dims.N
     mX, KmV, offset = deterministic_layer(s, es, lg)
     P = lg.P.values
+
+    def T(a):
+        return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
     X_drift = es.A.nodes + np.einsum("ij,kjl->kil", es.B, P)
     X_const = KmV @ es.B.T + es.f_state.nodes
-    e3P = np.einsum("ij,kjl->kil", es.e3, P)
-    u0_P = np.einsum("ij,kjl->kil", lg.control_map, P)
     u0_const = -np.einsum("ij,kj->ki", lg.control_map, KmV)
 
     F_x = np.einsum("ij,kjl->kil", fg.control_map, fg.P.values)
@@ -293,6 +296,11 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
 
     weights = np.full(K + 1, dt)
     weights[0] = weights[K] = 0.5 * dt
+    half_w = 0.5 * weights[:, None, None]
+
+    def step(dyn):
+        eye = np.eye(dyn.A.shape[0])
+        return eye + dt * T(dyn.A), dt * T(dyn.B), dt * time_sampled(dyn.f, s.grid), dyn.D
 
     return _Tables(
         n=n,
@@ -306,32 +314,28 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         mean_state=mX,
         mean_follower=mean_follower,
         offset=offset,
-        X_drift=X_drift,
-        X_const=X_const,
-        e3P=e3P,
-        u0_P=u0_P,
+        X_step=np.eye(3 * n) + dt * T(X_drift),
+        X_const=dt * X_const,
+        e3PT=T(np.einsum("ij,kjl->kil", es.e3, P)),
+        u0_PT=T(np.einsum("ij,kjl->kil", lg.control_map, P)),
         u0_const=u0_const,
-        F_xT=np.ascontiguousarray(F_x.transpose(0, 2, 1)),
+        F_xT=T(F_x),
         F_mean=F_mean,
-        RinvBt=fg.control_map,
+        RinvBtT=T(fg.control_map),
         noise_vec=es.noise,
-        A0=s.leader_dyn.A,
-        B0=s.leader_dyn.B,
-        f0=time_sampled(s.leader_dyn.f, s.grid),
-        D0=s.leader_dyn.D,
-        A_fT=np.ascontiguousarray(s.follower_dyn.A.T),
-        B_fT=np.ascontiguousarray(s.follower_dyn.B.T),
-        f_f=time_sampled(s.follower_dyn.f, s.grid),
-        D_f=s.follower_dyn.D,
+        step0=step(s.leader_dyn),
+        step_f=step(s.follower_dyn),
         Q0=s.leader_cost.Q,
         R0=s.leader_cost.R,
-        Gamma0=s.leader_cost.Gamma,
+        Gamma0T=T(s.leader_cost.Gamma),
         eta0=time_sampled(s.leader_cost.eta, s.grid),
         Q=s.follower_cost.Q,
         R=s.follower_cost.R,
-        Gamma=s.follower_cost.Gamma,
-        Gamma1=s.follower_cost.Gamma1,
+        GammaT=T(s.follower_cost.Gamma),
+        Gamma1T=T(s.follower_cost.Gamma1),
         eta=time_sampled(s.follower_cost.eta, s.grid),
+        Qw=half_w * s.follower_cost.Q,
+        Rw=half_w * s.follower_cost.R,
     )
 
 
@@ -345,17 +349,43 @@ def default_chunk_size(N: int, steps: int, n_paths: int) -> int:
     return max(1, min(n_paths, min(budget, 1024)))
 
 
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, added in index order for any trailing shape.
+
+    numpy adds a lone contiguous column pairwise but several columns in
+    order, so a plain sum would let a chunk of one path round differently.
+    """
+    if len(a) > 1 and a[0].size == 1:
+        return np.add.accumulate(a, axis=0)[-1]
+    return a.sum(axis=0)
+
+
+def _dot(a: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Rows of a times M, (..., d) @ (d, k) or per node (B, c, d) @ (B, d, k).
+
+    One broadcast multiply-add per column of a, in column order: unlike a
+    BLAS product, the rounding of a row never depends on how many rows
+    there are.  Used where rows are paths; the follower products, whose
+    rows number N times as many, keep BLAS.
+    """
+    out = a[..., :1] * M[..., 0, None, :]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i:i + 1] * M[..., i, None, :]
+    return out
+
+
 def _quad(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Quadratic form along the last axis: y' M y."""
-    return np.einsum("...i,ij,...j->...", y, M, y)
+    return (_dot(y, M) * y).sum(-1)
 
 
-def _control_shift(tab: _Tables, v: np.ndarray, At: np.ndarray, Bt: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama response of a single state (dynamics A, B given as
-    A', B') to unit control deviations v, (K+1, D, m); returns (K+1, D, n)."""
-    chi = np.zeros((tab.steps + 1, v.shape[1], At.shape[0]))
+def _control_shift(tab: _Tables, v: np.ndarray, step: tuple) -> np.ndarray:
+    """Euler-Maruyama response of a single state (step tables `step`, as in
+    `_Tables`) to unit control deviations v, (K+1, D, m); returns (K+1, D, n)."""
+    A_step, dtBT = step[:2]
+    chi = np.zeros((tab.steps + 1, v.shape[1], A_step.shape[0]))
     for k in range(tab.steps):
-        chi[k + 1] = chi[k] + tab.dt * (chi[k] @ At + v[k] @ Bt)
+        chi[k + 1] = chi[k] @ A_step + v[k] @ dtBT
     return chi
 
 
@@ -370,7 +400,7 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
     """
     grid = s.grid
     dg = stage_table(grid, chi0 @ offset_terms(s)[0].T)        # drive shift; chi0 is Euler-marched
-    G = s.follower_dyn.B @ tab.RinvBt
+    G = s.follower_dyn.B @ fg.control_map
     A, P, Kf = s.follower_dyn.A, fg.P.values, fg.K.values
     Pi = riccati_stages(s, fg.Pi, aggregate_weight(s)).values
     back = StageTable(grid, np.swapaxes(A.T - Pi @ G, 1, 2))    # row-vector form of each drift
@@ -379,10 +409,11 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
     dphi = integrate_backward(lambda t, p: dg.at(t) - p @ back.at(t), zero, grid).values
     dphi_st = stage_table(grid, dphi, dg.nodes - dphi @ back.nodes)
     dEbar = integrate_forward(lambda t, E: E @ fwd.at(t) - dphi_st.at(t) @ G.T, zero, grid).values
+    A_step, dtBT = tab.step_f[:2]
     shift = np.zeros_like(chi0)
     for k in range(tab.steps):
-        du = -(shift[k] @ P[k].T + dEbar[k] @ Kf[k].T + dphi[k]) @ tab.RinvBt.T
-        shift[k + 1] = shift[k] + tab.dt * (shift[k] @ tab.A_fT + du @ tab.B_fT)
+        du = -(shift[k] @ P[k].T + dEbar[k] @ Kf[k].T + dphi[k]) @ tab.RinvBtT
+        shift[k + 1] = shift[k] @ A_step + du @ dtBT
     return shift
 
 
@@ -401,26 +432,30 @@ def _deviation_shifts(s: Scenario, fg: FollowerGains, tab: _Tables, dev: Deviati
         eps = np.asarray(eps, dtype=float)
         return (eps[None, None, :, None] * tables[:, :, None, :]).reshape(K + 1, -1, tables.shape[2])
 
-    chi0 = _control_shift(tab, v_l, tab.A0.T, tab.B0.T)
+    chi0 = _control_shift(tab, v_l, tab.step0)
     xi_shift = _population_shift(s, fg, tab, chi0) if dev.leader else chi0
     return (
-        scaled(dev.follower_eps, _control_shift(tab, v_f, tab.A_fT, tab.B_fT)), scaled(dev.follower_eps, v_f),
+        scaled(dev.follower_eps, _control_shift(tab, v_f, tab.step_f)), scaled(dev.follower_eps, v_f),
         scaled(dev.leader_eps, chi0), scaled(dev.leader_eps, xi_shift), scaled(dev.leader_eps, v_l),
     )
 
 
-def _follower_deviation_cost(tab, k, x0, x, u, dx, du) -> np.ndarray:
-    """Trapezoid increment of the deviating follower's cost, (c, Cf)."""
+def _follower_deviation_cost(tab, k, target, x3, u3, dx, du) -> np.ndarray:
+    """Trapezoid increment of the deviating follower's cost, (c, Cf).
+
+    x3 and u3 are the follower-major states and controls, (N, c, .); target
+    is the leader part x0 Gamma1' + eta of the tracking target, (c, n).
+    """
     N, Q, R = tab.N, tab.Q, tab.R
-    rest_x = x[:, 1:]
-    x1e = x[:, 0, None] + dx
-    u1e = u[:, 0, None] + du
-    Sx = rest_x.sum(axis=1)[:, None] + x1e
-    z = (Sx / N) @ tab.Gamma.T + (x0 @ tab.Gamma1.T)[:, None] + tab.eta[k]
+    rest_x = x3[1:]
+    x1e = x3[0][:, None] + dx
+    u1e = u3[0][:, None] + du
+    Sx = _ordered_sum(rest_x)[:, None] + x1e
+    z = _dot(Sx / N, tab.GammaT) + target[:, None]
     if tab.team:
-        S1 = _quad(rest_x, Q).sum(axis=1)[:, None] + _quad(x1e, Q)
-        Tu = _quad(u[:, 1:], R).sum(axis=1)[:, None]
-        cross = np.einsum("...i,ij,...j->...", z, Q, Sx)
+        S1 = _ordered_sum(_quad(rest_x, Q))[:, None] + _quad(x1e, Q)
+        Tu = _ordered_sum(_quad(u3[1:], R))[:, None]
+        cross = (_dot(z, Q) * Sx).sum(-1)
         integ = 0.5 * (S1 - 2.0 * cross + N * _quad(z, Q) + Tu + _quad(u1e, R)) / N
     else:
         integ = 0.5 * (_quad(x1e - z, Q) + _quad(u1e, R))
@@ -429,52 +464,68 @@ def _follower_deviation_cost(tab, k, x0, x, u, dx, du) -> np.ndarray:
 
 def _leader_deviation_cost(tab, k, x0, xbar, u0, dx0, dxbar, du0) -> np.ndarray:
     """Trapezoid increment of the leader's cost, (c, Cl)."""
-    y0 = (x0[:, None] + dx0) - (xbar[:, None] + dxbar) @ tab.Gamma0.T - tab.eta0[k]
+    y0 = (x0[:, None] + dx0) - _dot(xbar[:, None] + dxbar, tab.Gamma0T) - tab.eta0[k]
     return tab.weights[k] * 0.5 * (_quad(y0, tab.Q0) + _quad(u0[:, None] + du0, tab.R0))
 
 
+_BLOCK = 64     # time steps per block of leader-side and cross-path work
+
+
 def _chunk(args) -> dict:
-    """March one chunk of paths: the package's one Euler-Maruyama kernel."""
+    """March one chunk of paths: the package's one Euler-Maruyama kernel.
+
+    Follower states are one (N c, n) array, follower-major: row j c + i is
+    follower j of path i, so the population mean is a sum over the leading
+    axis and every per-path term broadcasts along contiguous rows.  The
+    leader never sees the followers, so its march, everything read off it
+    and every reduction across paths run one time block at a time; each
+    block first moves its increments from the path-major draw buffer into a
+    time-major one.
+    """
     (tab, law, seed, start, stop, substeps, rows, u0_override, store_upto, shifts) = args
     nm = NoiseModel(seed)
     c = stop - start
     K, n, m, N = tab.steps, tab.n, tab.m, tab.N
-    dt = tab.dt
+    Nc = N * c
 
-    # One stream per (path, purpose); agent slot j reads row rows[j].  The
-    # increments are stored time-major, (K, paths, N+1), so each step reads
-    # one contiguous slab.
+    # One stream per (path, purpose), drawn straight into its slot of the
+    # path-major buffer; agent slot j reads row rows[j].
     init = np.empty((c, N + 1, n))
-    dW = np.empty((K, c, N + 1))
-    drawn = np.empty((N + 1, K))
+    dW = np.empty((c, N + 1, K))
     for i, p in enumerate(range(start, stop)):
         init[i] = nm.initial(p, law, N)
-        nm.wiener(p, N + 1, K, dt, substeps, out=drawn)
-        if rows is not None:
-            init[i] = init[i, rows]
-            dW[:, i] = drawn[rows].T
+        if rows is None:
+            nm.wiener(p, N + 1, K, tab.dt, substeps, out=dW[i])
         else:
-            dW[:, i] = drawn.T
-    xi0 = init[:, 0]
+            init[i] = init[i, rows]
+            dW[i] = nm.wiener(p, N + 1, K, tab.dt, substeps)[rows]
 
+    # The leader state: x0 in open loop, else the extended state X.  One
+    # step is lead @ lead_step[k] + lead_drive[k] + dW0 lead_noise.
     open_loop = u0_override is not None
-
-    X = np.zeros((c, 3 * n))
-    X[:, :n] = xi0
-    X[:, n:2 * n] = tab.xi_bar
-    x0_open = xi0.copy() if open_loop else None
-    x = init[:, 1:].reshape(c * N, n)      # follower slot j of path i is row i*N + j
+    B = min(_BLOCK, K + 1)
+    if open_loop:
+        A0_step, dtB0T, dtf0, lead_noise = tab.step0
+        lead_step = np.broadcast_to(A0_step, (K, n, n))
+        lead_drive = u0_override[:K] @ dtB0T + dtf0[:K]
+        leads = np.empty((B + 1, c, n))
+        leads[0] = init[:, 0]
+    else:
+        lead_step, lead_drive, lead_noise = tab.X_step, tab.X_const, tab.noise_vec
+        leads = np.zeros((B + 1, c, 3 * n))
+        leads[0, :, :n] = init[:, 0]
+        leads[0, :, n:2 * n] = tab.xi_bar
+    x = np.ascontiguousarray(init[:, 1:].transpose(1, 0, 2)).reshape(Nc, n)
+    A_step, dtBT, dtf, D = tab.step_f
 
     J0 = np.zeros(c)
-    Ji = np.zeros((c, N))
+    acc_x = np.zeros((Nc, n))      # per follower and state component: sum_k w_k/2 y (Q y)
+    acc_u = np.zeros((Nc, m))
     if shifts is not None:
         fx, fu, lx, lxbar, lu = shifts
         Jf = np.zeros((c, fx.shape[1]))
         Jl = np.zeros((c, lx.shape[1]))
-    # Per node, x0 | xbar | u0 stacked as rows (each summed pairwise along its
-    # paths): chunk sums and centred second moments, merged by `simulate`.
-    stats = np.empty((2 * n + m, c))
-    node_sum = np.zeros((K + 1, 2 * n + m))
+    node_sum = np.zeros((K + 1, 2 * n + m))     # x0 | xbar | u0 per node
     node_m2 = np.zeros((K + 1, 2 * n + m))
     gap_sum = np.zeros(K + 1)
     phi_spread = 0.0
@@ -492,65 +543,75 @@ def _chunk(args) -> dict:
             "phi": np.empty((n_store, K + 1, n)),
         }
 
-    for k in range(K + 1):
+    inc = np.empty((B, N + 1, c))       # one block of increments, time-major
+    xbars = np.empty((B, c, n))
+    for k0 in range(0, K + 1, B):
+        nb = min(B, K + 1 - k0)
+        ks = slice(k0, k0 + nb)
+        steps = min(nb, K - k0)
+        for j in range(N + 1):
+            np.copyto(inc[:steps, j], dW[:, j, k0:k0 + steps].T)
+
+        if k0:
+            leads[0] = leads[B]
+        drive = inc[:steps, 0, :, None] * lead_noise + lead_drive[k0:k0 + steps, None]
+        for b in range(steps):
+            np.add(_dot(leads[b], lead_step[k0 + b]), drive[b], out=leads[b + 1])
+        lead = leads[:nb]
         if open_loop:
-            x0 = x0_open
-            phi_p = np.broadcast_to(tab.offset[k], (c, n))
-            u0 = np.broadcast_to(u0_override[k], (c, m))
+            x0 = lead
+            phi = np.broadcast_to(tab.offset[ks, None], (nb, c, n))
+            u0 = np.broadcast_to(u0_override[ks, None], (nb, c, m))
         else:
-            x0 = X[:, :n]
-            phi_p = tab.offset[k] + X @ tab.e3P[k].T
-            u0 = tab.u0_const[k] - X @ tab.u0_P[k].T
+            x0 = lead[:, :, :n]
+            phi = tab.offset[ks, None] + _dot(lead, tab.e3PT[ks])
+            u0 = tab.u0_const[ks, None] - _dot(lead, tab.u0_PT[ks])
+        u_const = -(tab.F_mean[ks, None] + _dot(phi, tab.RinvBtT))    # follower feedback constant, (nb, c, m)
+        target = _dot(x0, tab.Gamma1T) + tab.eta[ks, None]              # leader part of the follower target
 
-        x3 = x.reshape(c, N, n)
-        xbar = x3.mean(axis=1)
-        u = -(np.dot(x, tab.F_xT[k]).reshape(c, N, m) + tab.F_mean[k] + (phi_p @ tab.RinvBt.T)[:, None, :])
+        for b in range(nb):
+            k = k0 + b
+            x3 = x.reshape(N, c, n)
+            xbar = np.divide(_ordered_sum(x3), N, out=xbars[b])
+            u3 = np.dot(x, tab.F_xT[k]).reshape(N, c, m)
+            np.subtract(u_const[b], u3, out=u3)
+            u = u3.reshape(Nc, m)
+            y = (x3 - (_dot(xbar, tab.GammaT) + target[b])).reshape(Nc, n)
+            acc_x += np.dot(y, tab.Qw[k]) * y
+            acc_u += np.dot(u, tab.Rw[k]) * u
+            if shifts is not None:
+                if Jf.shape[1]:
+                    Jf += _follower_deviation_cost(tab, k, target[b], x3, u3, fx[k], fu[k])
+                if Jl.shape[1]:
+                    Jl += _leader_deviation_cost(tab, k, x0[b], xbar, u0[b], lx[k], lxbar[k], lu[k])
+            if store is not None:
+                store["followers"][:, :, k] = x3[:, :n_store].swapaxes(0, 1)
+                store["controls"][:, :, k] = u3[:, :n_store].swapaxes(0, 1)
+            if b < steps:
+                x = np.dot(x, A_step)
+                x += np.dot(u, dtBT)
+                x += dtf[k]
+                x += inc[b, 1:].reshape(Nc, 1) * D
 
-        y0 = x0 - xbar @ tab.Gamma0.T - tab.eta0[k]
-        J0 += tab.weights[k] * 0.5 * (_quad(y0, tab.Q0) + _quad(u0, tab.R0))
-        y = x3 - (xbar @ tab.Gamma.T)[:, None, :] - (x0 @ tab.Gamma1.T)[:, None, :] - tab.eta[k]
-        Ji += tab.weights[k] * 0.5 * (_quad(y, tab.Q) + _quad(u, tab.R))
-        if shifts is not None:
-            if Jf.shape[1]:
-                Jf += _follower_deviation_cost(tab, k, x0, x3, u, fx[k], fu[k])
-            if Jl.shape[1]:
-                Jl += _leader_deviation_cost(tab, k, x0, xbar, u0, lx[k], lxbar[k], lu[k])
-
-        stats[:n] = x0.T
-        stats[n:2 * n] = xbar.T
-        stats[2 * n:] = u0.T
-        node_sum[k] = stats.sum(axis=1)
-        centred = stats - (node_sum[k] / c)[:, None]
-        node_m2[k] = np.einsum("ij,ij->i", centred, centred)
-        gap_sum[k] = float(np.linalg.norm(xbar - tab.mean_follower[k], axis=1).sum())
-        spread = float(np.max(np.abs(phi_p - tab.offset[k])))
-        if spread > phi_spread:
-            phi_spread = spread
-
+        xbar = xbars[:nb]
+        y0 = x0 - _dot(xbar, tab.Gamma0T) - tab.eta0[ks, None]
+        J0 += _ordered_sum(0.5 * tab.weights[ks, None] * (_quad(y0, tab.Q0) + _quad(u0, tab.R0)))
+        # Node sums and centred second moments, each summed pairwise along its paths.
+        stats = np.concatenate([x0, xbar, u0], axis=2).transpose(0, 2, 1).copy()
+        node_sum[ks] = stats.sum(axis=2)
+        centred = stats - (node_sum[ks] / c)[:, :, None]
+        node_m2[ks] = (centred * centred).sum(axis=2)
+        gap_sum[ks] = np.linalg.norm(xbar - tab.mean_follower[ks, None], axis=2).sum(axis=1)
+        phi_spread = max(phi_spread, float(np.max(np.abs(phi - tab.offset[ks, None]))))
         if store is not None:
-            sl = slice(0, n_store)
-            store["x0"][:, k] = x0[sl]
-            store["followers"][:, :, k] = x3[sl]
-            store["xbar"][:, k] = xbar[sl]
-            store["u0"][:, k] = u0[sl]
-            store["controls"][:, :, k] = u[sl]
-            if store["X"] is not None:
-                store["X"][:, k] = X[sl]
-            store["phi"][:, k] = phi_p[sl]
-
-        if k < K:
-            if open_loop:
-                drift0 = x0_open @ tab.A0.T + u0 @ tab.B0.T + tab.f0[k]
-                x0_open = x0_open + dt * drift0 + dW[k, :, 0, None] * tab.D0
-            else:
-                X = X + dt * (X @ tab.X_drift[k].T + tab.X_const[k]) + dW[k, :, 0, None] * tab.noise_vec
-            drift = np.dot(x, tab.A_fT) + np.dot(u.reshape(c * N, m), tab.B_fT) + tab.f_f[k]
-            x = x + dt * drift + dW[k, :, 1:].reshape(c * N, 1) * tab.D_f
+            for key, value in (("x0", x0), ("xbar", xbar), ("u0", u0), ("phi", phi), ("X", lead)):
+                if store[key] is not None:
+                    store[key][:, ks] = value[:, :n_store].swapaxes(0, 1)
 
     return {
         "start": start,
         "J0": J0,
-        "Ji": Ji,
+        "Ji": (acc_x.sum(axis=1) + acc_u.sum(axis=1)).reshape(N, c).T,
         "Jdev": None if shifts is None else np.concatenate([Jf, Jl], axis=1),
         "node_sum": node_sum,
         "node_m2": node_m2,

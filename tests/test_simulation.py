@@ -354,9 +354,10 @@ def _population_shift_reference(s, fg, tab, v):
     """One leader direction at a time: re-solve the offset for the shifted mean
     leader path, forward-solve the mean response, march the follower shift."""
     K, dt, n = tab.steps, tab.dt, tab.n
+    lead, fol = s.leader_dyn, s.follower_dyn
     chi0 = np.zeros((K + 1, n))
     for k in range(K):
-        chi0[k + 1] = chi0[k] + dt * (tab.A0 @ chi0[k] + tab.B0 @ v[k])
+        chi0[k + 1] = chi0[k] + dt * (lead.A @ chi0[k] + lead.B @ v[k])
     leads = (tab.mean_state[:, :n] + chi0, tab.mean_state[:, :n])
     phis = [solve_phi(s, fg.Pi, lead) for lead in leads]
     dphi = phis[0].values - phis[1].values
@@ -369,7 +370,7 @@ def _population_shift_reference(s, fg, tab, v):
     shift = np.zeros((K + 1, n))
     for k in range(K):
         du = -fg.control_map @ (fg.P.values[k] @ shift[k] + fg.K.values[k] @ dEbar[k] + dphi[k])
-        shift[k + 1] = shift[k] + dt * (tab.A_fT.T @ shift[k] + tab.B_fT.T @ du)
+        shift[k + 1] = shift[k] + dt * (fol.A @ shift[k] + fol.B @ du)
     return shift
 
 
@@ -380,7 +381,7 @@ def test_stacked_leader_shifts_match_one_direction_at_a_time(case, fast_gains, f
         random_scenario(7, n=2, m=2, N=4))
     tab = _build_tables(s, fg, lg, assemble_extended(s, fg))
     dirs = [v for _, v in direction_library(s.grid, s.dims.m, 3, seed=4)]
-    stacked = _population_shift(s, fg, tab, _control_shift(tab, np.stack(dirs, axis=1), tab.A0.T, tab.B0.T))
+    stacked = _population_shift(s, fg, tab, _control_shift(tab, np.stack(dirs, axis=1), tab.step0))
     for d, v in enumerate(dirs):
         ref = _population_shift_reference(s, fg, tab, v)
         assert np.max(np.abs(stacked[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref)), d
