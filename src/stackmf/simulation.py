@@ -11,12 +11,18 @@ are linear, so a deviated path is the baseline path plus a deterministic
 shift, and every (direction, epsilon) pair is costed along the baseline
 paths in the same pass.
 
-Noise streams are counter-derived: path p draws from one Philox stream per
-purpose (initial states, increments), keyed purely by (seed, p, purpose), with
-one row per agent.  Results are therefore bit-identical for any worker count
-or chunking, path p never depends on how many paths run before it, and agent
-j's row never depends on how many followers there are.  Agent 0 is the
-leader; the population average is never sampled directly -- it is the exact
+Paths run in chunks.  Within a chunk the followers form one follower-major
+array (follower j of path i is row j c + i), so each step is a handful of
+flat array operations; the leader's state does not depend on the followers,
+so the leader march and every reduction across paths run one block of
+steps at a time (`_chunk`).
+
+Noise streams are counter-derived: path p draws from one SFC64 stream per
+purpose (initial states, increments), seeded purely by (seed, p, purpose),
+with one row per agent.  Results are therefore bit-identical for any worker
+count, path p never depends on how many paths run before it, and agent j's
+row never depends on how many followers there are.  Agent 0 is the leader;
+the population average is never sampled directly -- it is the exact
 arithmetic mean of the follower states.
 """
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,10 +64,7 @@ __all__ = [
 PURPOSE_INIT = 0
 PURPOSE_NOISE = 1
 # Recorded in manifests: outputs drawn under another scheme are not comparable.
-NOISE_SCHEME = "philox:seed,path,purpose:agent-rows"
-
-_MASK64 = (1 << 64) - 1
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+NOISE_SCHEME = "sfc64:seedsequence(seed,path,purpose):agent-rows"
 
 
 class GridMismatchError(ValueError):
@@ -72,41 +75,23 @@ class GridMismatchError(ValueError):
 class NoiseModel:
     """Counter-derived noise streams, one per (path, purpose).
 
-    Streams are independent Philox streams keyed by a 128-bit packing of
-    (seed, path, purpose); nothing about one stream depends on any other
-    stream having been consumed.  A stream holds one row per agent (row 0 the
-    leader, row j follower j), drawn in row order, so agent j's row depends
-    only on the rows before it and never on the follower count.  Draws re-key
-    one reusable Philox (counter reset to zero) rather than constructing a
-    generator per stream; the numbers are those of `generator(path, purpose)`.
+    Each stream is an SFC64 generator seeded by SeedSequence([seed, path,
+    purpose]); nothing about one stream depends on any other stream having
+    been consumed.  A stream holds one row per agent (row 0 the leader, row j
+    follower j), drawn in row order, so agent j's row depends only on the
+    rows before it and never on the follower count.
     """
 
     seed: int
-    _gen: np.random.Generator = field(
-        default_factory=lambda: np.random.Generator(np.random.Philox()),
-        init=False, repr=False, compare=False,
-    )
-
-    def key(self, path: int, purpose: int) -> int:
-        if path < 0 or path >= 1 << 32:
-            raise ValueError("path index out of the 32-bit stream range")
-        return ((self.seed & _MASK64) << 64) | (path << 32) | (purpose & 0x3)
 
     def generator(self, path: int, purpose: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.key(path, purpose)))
-
-    def _stream(self, path: int, purpose: int) -> np.random.Generator:
-        """The shared generator, re-keyed to the start of one stream."""
-        key = self.key(path, purpose)
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            "state": {"counter": _ZERO4, "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64)},
-        }
-        return self._gen
+        if path < 0 or path >= 1 << 32:
+            raise ValueError("path index out of the 32-bit stream range")
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence([self.seed, path, purpose])))
 
     def initial(self, path: int, law: InitialLaw, N: int) -> np.ndarray:
         """Initial states of one path, (N+1, n): the leader, then followers 1..N."""
-        g = self._stream(path, PURPOSE_INIT)
+        g = self.generator(path, PURPOSE_INIT)
         return np.concatenate([law.leader.sample(g, 1), law.follower.sample(g, N)])
 
     def wiener(self, path: int, agents: int, steps: int, dt: float, substeps: int = 1,
@@ -118,7 +103,7 @@ class NoiseModel:
         resolution consume the same underlying Brownian path.  `out`, when
         given, receives the increments.
         """
-        g = self._stream(path, PURPOSE_NOISE)
+        g = self.generator(path, PURPOSE_NOISE)
         if substeps == 1:
             raw = g.standard_normal((agents, steps), out=out)
             raw *= math.sqrt(dt)

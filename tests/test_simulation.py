@@ -243,23 +243,28 @@ def test_streams_differ_by_purpose_and_agent():
     w = nm.wiener(path=0, agents=3, steps=8, dt=0.1)
     assert not np.array_equal(w[1], w[2])
     assert not np.array_equal(w, nm.wiener(path=1, agents=3, steps=8, dt=0.1))
+    assert not np.array_equal(w, NoiseModel(seed=6).wiener(path=0, agents=3, steps=8, dt=0.1))
     init = nm.generator(0, PURPOSE_INIT).standard_normal(8)
     assert not np.array_equal(init, nm.generator(0, PURPOSE_NOISE).standard_normal(8))
     with pytest.raises(ValueError):
-        nm.key(path=-1, purpose=0)
+        nm.generator(path=-1, purpose=0)
     with pytest.raises(ValueError):
-        nm.key(path=1 << 32, purpose=0)
+        nm.generator(path=1 << 32, purpose=0)
+
+
+def _sfc64(seed, path, purpose):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, path, purpose])))
 
 
 @pytest.mark.parametrize("seed, path", [(0, 0), (5, 3), ((1 << 64) - 1, (1 << 32) - 1)])
 def test_rekeyed_streams_match_fresh_generators(seed, path):
-    # Draws re-key one shared Philox; they must equal a generator built for the stream.
+    # Every draw starts its stream afresh: SFC64 seeded by (seed, path, purpose).
     nm = NoiseModel(seed)
     law = load_scenario(FAST_CFG_TEXT).init
-    fresh = nm.generator(path, PURPOSE_INIT)
+    fresh = _sfc64(seed, path, PURPOSE_INIT)
     expected = np.concatenate([law.leader.sample(fresh, 1), law.follower.sample(fresh, 4)])
     assert np.array_equal(nm.initial(path, law, 4), expected)
-    fresh = nm.generator(path, PURPOSE_NOISE)
+    fresh = _sfc64(seed, path, PURPOSE_NOISE)
     expected = fresh.standard_normal((5, 64)) * np.sqrt(0.01)
     assert np.array_equal(nm.wiener(path, 5, steps=64, dt=0.01), expected)
     out = np.empty((5, 64))
@@ -269,6 +274,15 @@ def test_rekeyed_streams_match_fresh_generators(seed, path):
     other = nm.wiener(path ^ 1, 2, steps=7, dt=0.01)
     assert np.array_equal(nm.wiener(path ^ 1, 2, steps=7, dt=0.01), other)
     assert np.array_equal(nm.wiener(path, 1, steps=64, dt=0.01)[0, :7], expected[0, :7])
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_wiener_rows_are_prefix_stable(substeps):
+    # The first r agent rows of a draw are the draw for r agents.
+    nm = NoiseModel(seed=41)
+    full = nm.wiener(7, 9, steps=20, dt=0.05, substeps=substeps)
+    for r in range(1, 9):
+        assert np.array_equal(nm.wiener(7, r, steps=20, dt=0.05, substeps=substeps), full[:r]), r
 
 
 def test_agent_rows_do_not_depend_on_the_follower_count(fast_scenario):
