@@ -114,17 +114,29 @@ def _write_manifest(
     return path
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _write_rows(path: Path, header: list[str], lines) -> None:
+    """The header, then one CSV line per entry of `lines` (see `_line`, `_float_lines`)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _cell(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _line(row) -> str:
+    """One CSV line from cells of any type."""
+    return ",".join(map(_cell, row))
+
+
+def _float_lines(table: np.ndarray, lead: str = ""):
+    """CSV lines of a float table, each prefixed by `lead`; the same bytes as
+    `_line` gives its rows as Python floats."""
+    return (lead + ",".join(map(repr, row)) for row in table.tolist())
 
 
 def _out_dir(args) -> Path:
@@ -300,10 +312,10 @@ def _cmd_simulate(args) -> int:
         ]
     )
     summary_path = out / "summary.csv"
-    _write_rows(summary_path, header, ([float(x) for x in row] for row in columns))
+    _write_rows(summary_path, header, _float_lines(columns))
 
     costs_path = out / "costs.csv"
-    _write_rows(costs_path, ["name", "mean", "se"], estimate_costs(er))
+    _write_rows(costs_path, ["name", "mean", "se"], map(_line, estimate_costs(er)))
 
     traj_path = out / "trajectories.csv"
     traj_header = ["path", "t"]
@@ -311,16 +323,12 @@ def _cmd_simulate(args) -> int:
     for i in range(s.dims.N):
         traj_header += [f"f{i + 1}_{c}" for c in range(n)]
 
-    def traj_rows():
+    def traj_lines():
         for p in er.paths:
-            for k in range(K + 1):
-                row = [p.index, float(nodes[k])]
-                row += [float(x) for x in p.x0[k]]
-                for i in range(s.dims.N):
-                    row += [float(x) for x in p.followers[i, k]]
-                yield row
+            followers = p.followers.transpose(1, 0, 2).reshape(K + 1, -1)
+            yield from _float_lines(np.column_stack([nodes, p.x0, followers]), f"{p.index},")
 
-    _write_rows(traj_path, traj_header, traj_rows())
+    _write_rows(traj_path, traj_header, traj_lines())
 
     inputs = {
         "config": str(args.config),
@@ -430,7 +438,7 @@ def _sweep_N(s: Scenario, values, args, out: Path):
     if len(rows) > 1:
         agg.append(["N", "", "slope_loglog", float(slope)])
     for v, g in rows:
-        _write_rows(out / f"run_N{v}.csv", ["N", "gap"], [[v, float(g)]])
+        _write_rows(out / f"run_N{v}.csv", ["N", "gap"], [_line([v, float(g)])])
     return agg, [out / f"run_N{v}.csv" for v, _ in rows]
 
 
@@ -448,7 +456,7 @@ def _sweep_steps(s: Scenario, values, args, out: Path):
         )
         results[v] = (er.leader_cost.mean, er.social_cost.mean)
         path = out / f"run_steps{v}.csv"
-        _write_rows(path, ["name", "mean", "se"], estimate_costs(er))
+        _write_rows(path, ["name", "mean", "se"], map(_line, estimate_costs(er)))
         files.append(path)
 
     agg = []
@@ -486,7 +494,7 @@ def _sweep_Gamma(s: Scenario, values, args, out: Path):
         )
         agg.append(["Gamma", repr(float(v)), "mode_gap", gap])
         path = out / f"run_Gamma{v!r}.csv"
-        _write_rows(path, ["Gamma_scale", "mode_gap"], [[float(v), gap]])
+        _write_rows(path, ["Gamma_scale", "mode_gap"], [_line([float(v), gap])])
         files.append(path)
     return agg, files
 
@@ -499,7 +507,7 @@ def _cmd_sweep(args) -> int:
     agg, files = runner(s, args.values, args, out)
 
     agg_path = out / "aggregate.csv"
-    _write_rows(agg_path, ["param", "value", "metric", "result"], agg)
+    _write_rows(agg_path, ["param", "value", "metric", "result"], map(_line, agg))
     inputs = {
         "config": str(args.config),
         "vary": args.vary,

@@ -315,16 +315,17 @@ def _exact_discretization(A: np.ndarray, B: np.ndarray, dt: float):
     return E[:n, :n], E[:n, n:]
 
 
-def dp_gain_oracle(s: Scenario, mean_leader=None) -> DpOracleResult:
+def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader=None) -> DpOracleResult:
     """Independent finite-horizon check of the follower gain equations.
 
     Discretizes the follower's best-response problem exactly over each step
     (transition via matrix exponentials, stage cost via the rectangle rule)
     and solves it by backward dynamic programming.  The recursion touches
     none of the continuous-time solver code; its value-function curvature
-    and slope converge at O(dt) to the Riccati solution and to K m + phi
-    along the equilibrium mean path.  `mean_leader` is E[x0] as `solve_phi`
-    takes it; by default the uncontrolled leader mean.
+    and slope converge at O(dt) to the Riccati solution fg.P and to
+    K m + phi along the equilibrium mean path, with K and Pi from `fg` and
+    phi solved here for `mean_leader`.  `mean_leader` is E[x0] as
+    `solve_phi` takes it; by default the uncontrolled leader mean.
     """
     grid = s.grid
     Ksteps, dt, n = grid.steps, grid.dt, s.dims.n
@@ -345,20 +346,21 @@ def dp_gain_oracle(s: Scenario, mean_leader=None) -> DpOracleResult:
     g = offset_source(s, mean_leader.nodes)
 
     # ODE-route quantities the oracle is compared against.
-    fg = solve_follower_gains(s, mean_leader=mean_leader)
-    phi = fg.phi.values
+    phi = solve_phi(s, fg.Pi, mean_leader)
     G = s.follower_dyn.B @ fg.control_map
     closed = StageTable(grid, A - G @ riccati_stages(s, fg.Pi, aggregate_weight(s)).values)
-    phi_st = phi_stages(s, fg.Pi, fg.phi, mean_leader)
+    phi_st = phi_stages(s, fg.Pi, phi, mean_leader)
     f_st = sampled_stages(s.follower_dyn.f, grid)
     mean = integrate_forward(
         lambda t, e: closed.at(t) @ e - G @ phi_st.at(t) + f_st.at(t),
         s.init.follower.mean,
         grid,
     ).values
-    ode_offset = np.einsum("kij,kj->ki", fg.K.values, mean) + phi
+    ode_offset = np.einsum("kij,kj->ki", fg.K.values, mean) + phi.values
 
     Ad, Bd = _exact_discretization(A, B, dt)
+    # A forcing held over a step enters through the integral of e^{As} over the step.
+    fd = f @ _exact_discretization(A, np.eye(n), dt)[1].T
     Rd = dt * R
 
     Pdp = np.zeros((Ksteps + 1, n, n))
@@ -366,13 +368,12 @@ def dp_gain_oracle(s: Scenario, mean_leader=None) -> DpOracleResult:
     for k in range(Ksteps - 1, -1, -1):
         Pn = Pdp[k + 1]
         hn = h[k + 1]
-        fd_k = _exact_discretization(A, f[k][:, None], dt)[1][:, 0]
         PB = Pn @ Bd
         gain_den = Rd + Bd.T @ PB
         closed = Ad - Bd @ np.linalg.solve(gain_den, PB.T @ Ad)
         Pdp[k] = dt * S + Ad.T @ Pn @ closed
         Pdp[k] = 0.5 * (Pdp[k] + Pdp[k].T)
-        w = Pn @ fd_k + hn
+        w = Pn @ fd[k] + hn
         h[k] = -dt * (S1 @ mean[k] + g[k]) + Ad.T @ (
             w - PB @ np.linalg.solve(gain_den, Bd.T @ w)
         )
@@ -477,7 +478,7 @@ def run_verification(
     add(
         "leader_sum_identity",
         leader_gap,
-        1e-6 * (1.0 + float(np.max(np.abs(M_direct.values)))),
+        1e-12 * (1.0 + float(np.max(np.abs(M_direct.values)))),
         "independently solved combined equation",
     )
 
@@ -516,7 +517,7 @@ def run_verification(
         "stream relabeling permutes costs path-by-path",
     )
 
-    dp = dp_gain_oracle(s, mean_leader=mean0)
+    dp = dp_gain_oracle(s, fg, mean_leader=mean0)
     scale_P = 1.0 + float(np.max(np.abs(fg.P.values)))
     scale_h = 1.0 + float(np.max(np.abs(dp.offset)))
     add("dp_oracle_curvature", dp.delta_P, 200.0 * s.grid.dt * scale_P, "O(dt) discrete-time recursion")

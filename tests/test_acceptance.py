@@ -16,7 +16,7 @@ import pytest
 
 from stackmf.cli import main as cli_main
 from stackmf.equilibrium import deviation_battery, direction_library, dp_gain_oracle
-from stackmf.follower import solve_Pi
+from stackmf.follower import solve_Pi, solve_follower_gains
 from stackmf.leader import assemble_extended, flow_oracle_P, solve_leader_M
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import lln_diagnostic, simulate
@@ -250,7 +250,7 @@ def test_accept_08_dp_rate(team_scenario):
     deltas_P, deltas_h, dts = [], [], []
     for steps in steps_list:
         sv = dataclasses.replace(team_scenario, grid=TimeGrid(team_scenario.grid.horizon, steps))
-        d = dp_gain_oracle(sv)
+        d = dp_gain_oracle(sv, solve_follower_gains(sv))
         deltas_P.append(d.delta_P)
         deltas_h.append(d.delta_offset)
         dts.append(sv.grid.dt)

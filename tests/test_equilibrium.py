@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stackmf.follower import solve_follower_gains
 from stackmf.integrators import GridFunction
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
@@ -185,8 +186,9 @@ def test_residuals_require_stored_paths(fast_gains):
 
 def test_dp_oracle_converges_first_order(fast_scenario):
     s = fast_scenario
-    d1 = dp_gain_oracle(s)
-    d2 = dp_gain_oracle(dataclasses.replace(s, grid=TimeGrid(s.grid.horizon, 2 * s.grid.steps)))
+    s2 = dataclasses.replace(s, grid=TimeGrid(s.grid.horizon, 2 * s.grid.steps))
+    d1 = dp_gain_oracle(s, solve_follower_gains(s))
+    d2 = dp_gain_oracle(s2, solve_follower_gains(s2))
     assert d1.delta_P / d2.delta_P == pytest.approx(2.0, abs=0.3)
     assert d1.delta_offset / d2.delta_offset == pytest.approx(2.0, abs=0.3)
     assert d1.delta_P <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d1.P)))
@@ -194,7 +196,7 @@ def test_dp_oracle_converges_first_order(fast_scenario):
 
 def test_dp_oracle_shapes_and_terminal(fast_scenario):
     s = fast_scenario
-    d = dp_gain_oracle(s)
+    d = dp_gain_oracle(s, solve_follower_gains(s))
     K, n = s.grid.steps, s.dims.n
     assert d.P.shape == (K + 1, n, n)
     assert d.offset.shape == (K + 1, n)
@@ -208,7 +210,7 @@ def test_dp_oracle_accepts_an_external_mean_path(fast_gains):
     s, fg, lg = fast_gains
     es = assemble_extended(s, fg)
     mean0 = solve_mean_state(s, es, lg).values[:, : s.dims.n]
-    d = dp_gain_oracle(s, mean_leader=mean0)
+    d = dp_gain_oracle(s, fg, mean_leader=mean0)
     assert d.delta_P <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d.P)))
     assert d.delta_offset <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d.offset)))
 

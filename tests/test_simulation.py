@@ -11,7 +11,7 @@ from stackmf.equilibrium import direction_library
 from stackmf.follower import aggregate_weight, phi_stages, riccati_stages, solve_phi
 from stackmf.integrators import StageTable, integrate_forward
 from stackmf.leader import assemble_extended
-from stackmf.model import Mode, TimeGrid, load_scenario
+from stackmf.model import Mode, TimeGrid, load_scenario, time_sampled
 from stackmf.simulation import (
     PURPOSE_INIT,
     PURPOSE_NOISE,
@@ -62,20 +62,26 @@ def test_worker_count_does_not_change_results(fast_gains):
 def test_chunk_size_changes_nothing_per_path(fast_gains):
     # Per-path quantities are computed row-wise and must be bitwise stable
     # under re-chunking; cross-path reductions may reassociate by one ulp.
+    # A chunk of one path is included: numpy sums a lone column pairwise.
     s, fg, lg = fast_gains
-    base = simulate(s, fg, lg, 24, seed=7)
-    odd = simulate(s, fg, lg, 24, seed=7, chunk_size=7)
-    assert np.array_equal(base.leader_cost_paths, odd.leader_cost_paths)
-    assert np.array_equal(base.social_cost_paths, odd.social_cost_paths)
-    assert np.array_equal(base.follower_cost_paths, odd.follower_cost_paths)
-    for pa, pb in zip(base.paths, odd.paths):
-        assert np.array_equal(pa.x0, pb.x0)
-        assert np.array_equal(pa.followers, pb.followers)
-    assert np.allclose(base.lln_gap.values, odd.lln_gap.values, rtol=1e-12, atol=1e-14)
-    for key in base.node_summary:
-        assert np.allclose(
-            base.node_summary[key], odd.node_summary[key], rtol=1e-12, atol=1e-14
-        ), key
+    dirs = tuple(v for _, v in direction_library(s.grid, s.dims.m, 2, seed=1))
+    dev = Deviations(dirs, dirs, (0.0, -0.1, 0.2), (0.0, 0.1, 0.2))
+    base = simulate(s, fg, lg, 24, seed=7, deviations=dev)
+    for chunk in (7, 1):
+        odd = simulate(s, fg, lg, 24, seed=7, chunk_size=chunk, deviations=dev)
+        assert np.array_equal(base.leader_cost_paths, odd.leader_cost_paths)
+        assert np.array_equal(base.social_cost_paths, odd.social_cost_paths)
+        assert np.array_equal(base.follower_cost_paths, odd.follower_cost_paths)
+        assert np.array_equal(base.deviation_costs, odd.deviation_costs)
+        for pa, pb in zip(base.paths, odd.paths):
+            assert np.array_equal(pa.x0, pb.x0)
+            assert np.array_equal(pa.followers, pb.followers)
+            assert np.array_equal(pa.u0, pb.u0)
+        assert np.allclose(base.lln_gap.values, odd.lln_gap.values, rtol=1e-12, atol=1e-14)
+        for key in base.node_summary:
+            assert np.allclose(
+                base.node_summary[key], odd.node_summary[key], rtol=1e-12, atol=1e-14
+            ), key
 
 
 def test_noise_streams_are_counter_based(fast_gains):
@@ -364,15 +370,15 @@ def test_deviation_baseline_columns_are_the_ensemble_costs(fixture, request):
     assert not np.array_equal(J[:, 1], J[:, 0])
 
 
-def _population_shift_reference(s, fg, tab, v):
+def _population_shift_reference(s, fg, mean_state, v):
     """One leader direction at a time: re-solve the offset for the shifted mean
     leader path, forward-solve the mean response, march the follower shift."""
-    K, dt, n = tab.steps, tab.dt, tab.n
+    K, dt, n = s.grid.steps, s.grid.dt, s.dims.n
     lead, fol = s.leader_dyn, s.follower_dyn
     chi0 = np.zeros((K + 1, n))
     for k in range(K):
         chi0[k + 1] = chi0[k] + dt * (lead.A @ chi0[k] + lead.B @ v[k])
-    leads = (tab.mean_state[:, :n] + chi0, tab.mean_state[:, :n])
+    leads = (mean_state[:, :n] + chi0, mean_state[:, :n])
     phis = [solve_phi(s, fg.Pi, lead) for lead in leads]
     dphi = phis[0].values - phis[1].values
     dphi_st = StageTable(s.grid, np.subtract(*(phi_stages(s, fg.Pi, p, lead).values
@@ -397,8 +403,111 @@ def test_stacked_leader_shifts_match_one_direction_at_a_time(case, fast_gains, f
     dirs = [v for _, v in direction_library(s.grid, s.dims.m, 3, seed=4)]
     stacked = _population_shift(s, fg, tab, _control_shift(tab, np.stack(dirs, axis=1), tab.step0))
     for d, v in enumerate(dirs):
-        ref = _population_shift_reference(s, fg, tab, v)
+        ref = _population_shift_reference(s, fg, tab.mean_state, v)
         assert np.max(np.abs(stacked[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref)), d
+
+
+def _vector_game():
+    """A solved game with n = m = 2; Gamma commutes with Q, so the aggregate
+    gain is symmetric and the drift guard lets it through."""
+    s = random_scenario(3, n=2, m=2, N=4, mode="game", gamma_zero=True)
+    return solve_both(dataclasses.replace(s, follower_cost=dataclasses.replace(s.follower_cost, Gamma=0.4 * np.eye(2))))
+
+
+def _reference_ensemble(s, fg, lg, n_paths, seed, dev):
+    """Plain per-path, per-agent Euler-Maruyama on the draws `simulate` uses,
+    built from the scenario matrices and the gain tables.  Returns per-path
+    J0 (n_paths,), Ji (n_paths, N), the trajectories (x0, followers, u0,
+    controls), and the deviation costs in the column order of `Deviations`."""
+    K, dt, n, N = s.grid.steps, s.grid.dt, s.dims.n, s.dims.N
+    ld, fd, lc, fc = s.leader_dyn, s.follower_dyn, s.leader_cost, s.follower_cost
+    es = assemble_extended(s, fg)
+    mX = solve_mean_state(s, es, lg).values
+    f0, ff = time_sampled(ld.f, s.grid), time_sampled(fd.f, s.grid)
+    eta0, eta = time_sampled(lc.eta, s.grid), time_sampled(fc.eta, s.grid)
+    w = np.full(K + 1, dt)
+    w[[0, K]] = 0.5 * dt
+
+    def march(A, B, v):
+        chi = np.zeros((K + 1, n))
+        for k in range(K):
+            chi[k + 1] = chi[k] + dt * (A @ chi[k] + B @ v[k])
+        return chi
+
+    def cost(y, M, u, R):
+        return float(np.sum(0.5 * w * (np.einsum("ki,ij,kj->k", y, M, y) + np.einsum("ki,ij,kj->k", u, R, u))))
+
+    def leader_cost(x0, xbar, u0):
+        return cost(x0 - xbar @ lc.Gamma.T - eta0, lc.Q, u0, lc.R)
+
+    def follower_cost(x, xbar, x0, u):
+        return cost(x - xbar @ fc.Gamma.T - x0 @ fc.Gamma1.T - eta, fc.Q, u, fc.R)
+
+    f_chi = [march(fd.A, fd.B, v) for v in dev.follower]
+    l_chi = [march(ld.A, ld.B, v) for v in dev.leader]
+    l_shift = [_population_shift_reference(s, fg, mX, v) for v in dev.leader]
+    nm = NoiseModel(seed)
+    out = {"J0": [], "Ji": [], "x0": [], "followers": [], "u0": [], "controls": [], "dev": []}
+    for p in range(n_paths):
+        init = nm.initial(p, s.init, N)
+        dW = nm.wiener(p, N + 1, K, dt)
+        X = np.concatenate([init[0], s.follower_mean0, np.zeros(n)])
+        x = init[1:].copy()
+        x0s, u0s = np.empty((K + 1, n)), np.empty((K + 1, s.dims.m))
+        xs, us = np.empty((N, K + 1, n)), np.empty((N, K + 1, s.dims.m))
+        for k in range(K + 1):
+            costate = lg.P.values[k] @ X + lg.K.values[k] @ mX[k] + lg.V.values[k]
+            x0s[k], u0s[k] = X[:n], -lg.control_map @ costate
+            for j in range(N):
+                xs[j, k] = x[j]
+                us[j, k] = -fg.control_map @ (fg.P.values[k] @ x[j] + fg.K.values[k] @ mX[k, n:2 * n]
+                                              + costate[2 * n:])
+            if k < K:
+                X = X + dt * (es.A.nodes[k] @ X + es.B @ costate + es.f_state.nodes[k]) + dW[0, k] * es.noise
+                for j in range(N):
+                    x[j] = x[j] + dt * (fd.A @ x[j] + fd.B @ us[j, k] + ff[k]) + dW[j + 1, k] * fd.D
+        xbar = xs.mean(axis=0)
+        Ji = [follower_cost(xs[j], xbar, x0s, us[j]) for j in range(N)]
+        dev_costs = []
+        for v, chi in zip(dev.follower, f_chi):
+            for e in dev.follower_eps:
+                x1, u1, xbar_e = xs[0] + e * chi, us[0] + e * v, xbar + e * chi / N
+                own = follower_cost(x1, xbar_e, x0s, u1)
+                if s.mode is Mode.TEAM:
+                    own = (own + sum(follower_cost(xs[j], xbar_e, x0s, us[j]) for j in range(1, N))) / N
+                dev_costs.append(own)
+        for v, chi, shift in zip(dev.leader, l_chi, l_shift):
+            dev_costs += [leader_cost(x0s + e * chi, xbar + e * shift, u0s + e * v) for e in dev.leader_eps]
+        for key, value in (("J0", leader_cost(x0s, xbar, u0s)), ("Ji", Ji), ("x0", x0s), ("followers", xs),
+                           ("u0", u0s), ("controls", us), ("dev", dev_costs)):
+            out[key].append(value)
+    return {key: np.array(value) for key, value in out.items()}
+
+
+@pytest.mark.parametrize("case", ["fast_team", "vector_game"])
+def test_kernel_matches_a_plain_per_agent_loop(case, fast_gains):
+    # Costs, trajectories, node summaries and deviation costs of the chunked,
+    # follower-major kernel against one agent at a time, on the same draws.
+    s, fg, lg = fast_gains if case == "fast_team" else _vector_game()
+    K, m = s.grid.steps, s.dims.m
+    dirs = tuple(v for _, v in direction_library(s.grid, m, 2, seed=3))
+    dev = Deviations(dirs, dirs, (0.0, -0.1, 0.2), (0.0, 0.15, -0.3))
+    n_paths = 6
+    er = simulate(s, fg, lg, n_paths, seed=19, store_paths=n_paths, chunk_size=4, deviations=dev)
+    ref = _reference_ensemble(s, fg, lg, n_paths, 19, dev)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11 * np.max(np.abs(want)))
+
+    close(er.leader_cost_paths, ref["J0"])
+    close(er.follower_cost_paths, ref["Ji"])
+    close(er.deviation_costs, ref["dev"])
+    for name in ("x0", "followers", "u0", "controls"):
+        close(np.stack([getattr(p, name) for p in er.paths]), ref[name])
+    xbar = ref["followers"].mean(axis=1)
+    for name, values in (("x0", ref["x0"]), ("xbar", xbar), ("u0", ref["u0"])):
+        close(er.node_summary[f"{name}_mean"], values.mean(axis=0))
+        close(er.node_summary[f"{name}_std"], values.std(axis=0))
 
 
 def test_deviations_require_the_closed_loop(fast_gains):
