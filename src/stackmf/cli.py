@@ -122,20 +122,14 @@ def _write_rows(path: Path, header: list[str], lines) -> None:
             fh.write(line + "\n")
 
 
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _line(row) -> str:
-    """One CSV line from cells of any type."""
-    return ",".join(map(_cell, row))
+    """One CSV line from cells of any type; floats in shortest round-trip form."""
+    return ",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
 
 
 def _float_lines(table: np.ndarray, lead: str = ""):
-    """CSV lines of a float table, each prefixed by `lead`; the same bytes as
-    `_line` gives its rows as Python floats."""
+    """CSV lines of a float table, each prefixed by `lead`; the bytes `_line`
+    writes for the same rows."""
     return (lead + ",".join(map(repr, row)) for row in table.tolist())
 
 

@@ -272,10 +272,6 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
     X_drift = es.A.nodes + np.einsum("ij,kjl->kil", es.B, P)
-    X_const = KmV @ es.B.T + es.f_state.nodes
-    u0_const = -np.einsum("ij,kj->ki", lg.control_map, KmV)
-
-    F_x = np.einsum("ij,kjl->kil", fg.control_map, fg.P.values)
     mean_follower = mX[:, n:2 * n]
     F_mean = np.einsum("ij,kjl,kl->ki", fg.control_map, fg.K.values, mean_follower)
 
@@ -300,11 +296,11 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         mean_follower=mean_follower,
         offset=offset,
         X_step=np.eye(3 * n) + dt * T(X_drift),
-        X_const=dt * X_const,
+        X_const=dt * (KmV @ es.B.T + es.f_state.nodes),
         e3PT=T(np.einsum("ij,kjl->kil", es.e3, P)),
         u0_PT=T(np.einsum("ij,kjl->kil", lg.control_map, P)),
-        u0_const=u0_const,
-        F_xT=T(F_x),
+        u0_const=-np.einsum("ij,kj->ki", lg.control_map, KmV),
+        F_xT=T(np.einsum("ij,kjl->kil", fg.control_map, fg.P.values)),
         F_mean=F_mean,
         RinvBtT=T(fg.control_map),
         noise_vec=es.noise,
@@ -324,14 +320,19 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
     )
 
 
-def default_chunk_size(N: int, steps: int, n_paths: int) -> int:
-    """Paths per chunk, capped so one chunk's increments stay around 64 MB.
+_BLOCK = 64     # time steps per block of leader-side and cross-path work
 
-    Depends only on (N, steps, n_paths) -- never on the worker count -- so
-    reductions happen in the same order for any parallelism degree.
+
+def default_chunk_size(N: int, steps: int, n_paths: int) -> int:
+    """Paths per chunk: the fewest equal chunks whose buffers stay near 64 MB.
+
+    A path holds (N+1) x steps increments, one time-major block of them and
+    the block's leader-side work, taken as another block.  Depends only on
+    (N, steps, n_paths) -- never on the worker count -- so reductions happen
+    in the same order for any parallelism degree.
     """
-    budget = int(8e6 // ((N + 1) * steps)) or 1
-    return max(1, min(n_paths, min(budget, 1024)))
+    budget = max(1, min(1024, int(8e6 // ((N + 1) * (steps + 2 * _BLOCK)))))
+    return -(-n_paths // -(-n_paths // budget))
 
 
 def _ordered_sum(a: np.ndarray) -> np.ndarray:
@@ -453,9 +454,6 @@ def _leader_deviation_cost(tab, k, x0, xbar, u0, dx0, dxbar, du0) -> np.ndarray:
     return tab.weights[k] * 0.5 * (_quad(y0, tab.Q0) + _quad(u0[:, None] + du0, tab.R0))
 
 
-_BLOCK = 64     # time steps per block of leader-side and cross-path work
-
-
 def _chunk(args) -> dict:
     """March one chunk of paths: the package's one Euler-Maruyama kernel.
 
@@ -515,18 +513,15 @@ def _chunk(args) -> dict:
     gap_sum = np.zeros(K + 1)
     phi_spread = 0.0
 
+    # Stored paths, by `SimPath` field: (paths, [N,] K+1, dim).
     n_store = max(0, min(store_upto, stop) - start)
     store = None
     if n_store > 0:
-        store = {
-            "x0": np.empty((n_store, K + 1, n)),
-            "followers": np.empty((n_store, N, K + 1, n)),
-            "xbar": np.empty((n_store, K + 1, n)),
-            "u0": np.empty((n_store, K + 1, m)),
-            "controls": np.empty((n_store, N, K + 1, m)),
-            "X": None if open_loop else np.empty((n_store, K + 1, 3 * n)),
-            "phi": np.empty((n_store, K + 1, n)),
-        }
+        dims = {"x0": (n,), "followers": (N, n), "xbar": (n,), "u0": (m,), "controls": (N, m), "phi": (n,),
+                "X": (3 * n,)}
+        store = {key: np.empty((n_store,) + d[:-1] + (K + 1, d[-1])) for key, d in dims.items()}
+        if open_loop:
+            store["X"] = None
 
     inc = np.empty((B, N + 1, c))       # one block of increments, time-major
     xbars = np.empty((B, c, n))
@@ -698,25 +693,8 @@ def simulate(
     gap = total("gap_sum") / n_paths
     phi_spread = max(p["phi_spread"] for p in partials)
 
-    paths = []
-    for p in partials:
-        st = p["store"]
-        if st is None:
-            continue
-        count = st["x0"].shape[0]
-        for i in range(count):
-            paths.append(
-                SimPath(
-                    index=p["start"] + i,
-                    x0=st["x0"][i],
-                    followers=st["followers"][i],
-                    xbar=st["xbar"][i],
-                    u0=st["u0"][i],
-                    controls=st["controls"][i],
-                    X=None if st["X"] is None else st["X"][i],
-                    phi=st["phi"][i],
-                )
-            )
+    paths = [SimPath(index=p["start"] + i, **{key: None if v is None else v[i] for key, v in p["store"].items()})
+             for p in partials if p["store"] is not None for i in range(len(p["store"]["x0"]))]
 
     def estimate(samples: np.ndarray) -> CostEstimate:
         mean = float(samples.mean())
