@@ -693,8 +693,8 @@ def simulate(
     gap = total("gap_sum") / n_paths
     phi_spread = max(p["phi_spread"] for p in partials)
 
-    paths = [SimPath(index=p["start"] + i, **{key: None if v is None else v[i] for key, v in p["store"].items()})
-             for p in partials if p["store"] is not None for i in range(len(p["store"]["x0"]))]
+    paths = [SimPath(index=p["start"] + i, **{key: None if v is None else v[i] for key, v in st.items()})
+             for p in partials if (st := p["store"]) is not None for i in range(len(st["x0"]))]
 
     def estimate(samples: np.ndarray) -> CostEstimate:
         mean = float(samples.mean())

@@ -411,7 +411,8 @@ def _vector_game():
     """A solved game with n = m = 2; Gamma commutes with Q, so the aggregate
     gain is symmetric and the drift guard lets it through."""
     s = random_scenario(3, n=2, m=2, N=4, mode="game", gamma_zero=True)
-    return solve_both(dataclasses.replace(s, follower_cost=dataclasses.replace(s.follower_cost, Gamma=0.4 * np.eye(2))))
+    cost = dataclasses.replace(s.follower_cost, Gamma=0.4 * np.eye(2))
+    return solve_both(dataclasses.replace(s, follower_cost=cost))
 
 
 def _reference_ensemble(s, fg, lg, n_paths, seed, dev):
@@ -435,7 +436,8 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev):
         return chi
 
     def cost(y, M, u, R):
-        return float(np.sum(0.5 * w * (np.einsum("ki,ij,kj->k", y, M, y) + np.einsum("ki,ij,kj->k", u, R, u))))
+        quad = np.einsum("ki,ij,kj->k", y, M, y) + np.einsum("ki,ij,kj->k", u, R, u)
+        return float(np.sum(0.5 * w * quad))
 
     def leader_cost(x0, xbar, u0):
         return cost(x0 - xbar @ lc.Gamma.T - eta0, lc.Q, u0, lc.R)
