@@ -15,15 +15,13 @@ from .model import (
     validate,
 )
 from .integrators import BlowUpError, GridFunction, StageTable, expm, integrate_backward, integrate_forward
-from .follower import FollowerGains, follower_feedback, solve_follower_gains
-from .leader import ExtendedSystem, LeaderGains, assemble_extended, leader_feedback, solve_leader_gains
+from .follower import FollowerGains, follower_gains, solve_follower_gains
+from .leader import ExtendedSystem, LeaderGains, assemble_extended, leader_gains, solve_leader_gains
 from .simulation import Deviations, EnsembleResult, NoiseModel, estimate_costs, lln_diagnostic, simulate
 from .equilibrium import (
     VerificationReport,
     deviation_battery,
     dp_gain_oracle,
-    follower_deviation_test,
-    leader_deviation_test,
     run_verification,
     stationarity_residuals,
 )
@@ -44,12 +42,12 @@ __all__ = [
     "integrate_backward",
     "integrate_forward",
     "FollowerGains",
-    "follower_feedback",
+    "follower_gains",
     "solve_follower_gains",
     "ExtendedSystem",
     "LeaderGains",
     "assemble_extended",
-    "leader_feedback",
+    "leader_gains",
     "solve_leader_gains",
     "Deviations",
     "EnsembleResult",
@@ -60,8 +58,6 @@ __all__ = [
     "VerificationReport",
     "deviation_battery",
     "dp_gain_oracle",
-    "follower_deviation_test",
-    "leader_deviation_test",
     "run_verification",
     "stationarity_residuals",
     "__version__",

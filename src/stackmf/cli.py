@@ -7,7 +7,9 @@ Every command ingests a scenario config, writes CSV artifacts plus a
     1   I/O failure (unreadable config, missing gains files, unwritable out)
     2   validation hard-failure or malformed config
     3   gain equation blew up (failure time reported)
-    4   gains directory is not grid-compatible with the config
+    4   gains directory is not grid-compatible with the config, or a gains
+        table is malformed (non-numeric or non-finite cell, missing `t`
+        header, ragged row)
     5   verification found a violated invariant
     64  usage error (bad flags, empty value lists, zero paths, seed or path
         count outside the noise-stream range)
@@ -31,9 +33,9 @@ import numpy as np
 
 from . import __version__
 from .equilibrium import run_verification
-from .follower import FollowerGains, solve_follower_gains
+from .follower import FollowerGains, follower_gains, solve_follower_gains
 from .integrators import BlowUpError, GridFunction, read_grid_csv
-from .leader import LeaderGains, solve_leader_gains, assemble_extended
+from .leader import LeaderGains, assemble_extended, leader_gains, solve_leader_gains
 from .model import (
     Mode,
     Scenario,
@@ -168,7 +170,12 @@ def _read_table(s: Scenario, gains_dir: Path, name: str, item_shape: tuple) -> G
     path = gains_dir / f"{name}.csv"
     if not path.is_file():
         raise FileNotFoundError(f"missing gains table: {path}")
-    t, flat = read_grid_csv(path)
+    try:
+        t, flat = read_grid_csv(path)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("non-finite entries")
+    except (ValueError, IndexError) as e:
+        raise GridMismatchError(f"{path}: malformed gains table: {e}") from None
     if t.shape[0] != s.grid.steps + 1 or not np.array_equal(t, s.grid.nodes):
         raise GridMismatchError(
             f"{path}: time grid does not match config "
@@ -183,43 +190,23 @@ def _read_table(s: Scenario, gains_dir: Path, name: str, item_shape: tuple) -> G
 
 
 def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGains]:
-    """Rebuild the gain objects from a solve output directory."""
+    """Rebuild the gain objects from a solve output directory.
+
+    All eight tables are read and validated; phi.csv is not needed to build
+    the gains (`simulate` recomputes the offset) but is outside input too.
+    """
     n = s.dims.n
     d = 3 * n
     P = _read_table(s, gains_dir, "P", (n, n))
     K = _read_table(s, gains_dir, "K", (n, n))
     Pi = _read_table(s, gains_dir, "Pi", (n, n))
-    phi = _read_table(s, gains_dir, "phi", (n,))
+    _read_table(s, gains_dir, "phi", (n,))
     lP = _read_table(s, gains_dir, "leaderP", (d, d))
     lK = _read_table(s, gains_dir, "leaderK", (d, d))
     lM = _read_table(s, gains_dir, "leaderM", (d, d))
     lV = _read_table(s, gains_dir, "leaderV", (d,))
-
     sym_drift = float(np.max(np.abs(P.values - np.swapaxes(P.values, 1, 2))))
-    fg = FollowerGains(
-        mode=s.mode,
-        P=P,
-        K=K,
-        Pi=Pi,
-        phi=phi,
-        noise_loading=GridFunction(s.grid, np.einsum("kij,j->ki", P.values, s.follower_dyn.D)),
-        control_map=np.linalg.solve(s.follower_cost.R, s.follower_dyn.B.T),
-        sym_drift=sym_drift,
-    )
-
-    noise = np.zeros(d)
-    noise[:n] = s.leader_dyn.D
-    e1 = np.zeros((n, d))
-    e1[:, :n] = np.eye(n)
-    lg = LeaderGains(
-        P=lP,
-        K=lK,
-        M=lM,
-        V=lV,
-        noise_loading=GridFunction(s.grid, lP.values @ noise),
-        control_map=np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T) @ e1,
-    )
-    return fg, lg
+    return follower_gains(s, P, K, Pi, sym_drift), leader_gains(s, lP, lK, lM, lV)
 
 
 # --------------------------------------------------------------------------

@@ -32,11 +32,10 @@ import numpy as np
 
 from .follower import (
     FollowerGains,
-    aggregate_weight,
+    closed_loop,
     mean_weight,
     offset_source,
     phi_stages,
-    riccati_stages,
     solve_follower_gains,
     solve_phi,
     state_weight,
@@ -53,8 +52,6 @@ __all__ = [
     "VerificationReport",
     "direction_library",
     "deviation_battery",
-    "follower_deviation_test",
-    "leader_deviation_test",
     "stationarity_residuals",
     "dp_gain_oracle",
     "run_verification",
@@ -212,62 +209,14 @@ def deviation_battery(
     `follower_dirs` and `leader_dirs` are (label, direction) pairs, as
     `direction_library` returns them.  Every direction is costed with common
     random numbers along the same baseline paths; each one's cost matrix is
-    fitted on its own.  Results come follower directions first, in order.
+    fitted on its own.  Results come follower directions first, in order;
+    `simulation.Deviations` says what each kind of deviation moves.
     """
     results, _ = _battery(
         s, fg, lg, follower_dirs, leader_dirs, follower_eps, leader_eps, n_paths, seed,
         workers=workers, store_paths=0,
     )
     return results
-
-
-def follower_deviation_test(
-    s: Scenario,
-    fg: FollowerGains,
-    lg: LeaderGains,
-    direction,
-    epsilons,
-    n_paths: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    label: str = "follower",
-) -> DeviationResult:
-    """First-order condition for one follower's control.
-
-    The deviating slot is follower 1 (exchangeability makes the choice
-    irrelevant).  In game mode the follower's own cost must be stationary;
-    in team mode the social cost must be.  Everyone else keeps the solved
-    feedback, so only the 1/N population-average shift feeds back.
-    """
-    return deviation_battery(
-        s, fg, lg, [(label, direction)], [], epsilons, (), n_paths, seed, workers=workers
-    )[0]
-
-
-def leader_deviation_test(
-    s: Scenario,
-    fg: FollowerGains,
-    lg: LeaderGains,
-    direction,
-    epsilons,
-    n_paths: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    label: str = "leader",
-) -> DeviationResult:
-    """First-order condition for the leader's control.
-
-    The leader's realized control is perturbed open-loop.  The follower
-    population reacts to the shifted mean leader path: the offset shift is
-    re-solved through the follower backward equation and the mean response
-    through the forward mean equation, and every follower trajectory shifts
-    deterministically by the resulting amount.
-    """
-    return deviation_battery(
-        s, fg, lg, [], [(label, direction)], (), epsilons, n_paths, seed, workers=workers
-    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +264,7 @@ def _exact_discretization(A: np.ndarray, B: np.ndarray, dt: float):
     return E[:n, :n], E[:n, n:]
 
 
-def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader=None) -> DpOracleResult:
+def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | None = None) -> DpOracleResult:
     """Independent finite-horizon check of the follower gain equations.
 
     Discretizes the follower's best-response problem exactly over each step
@@ -324,8 +273,8 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader=None) -> DpOracle
     none of the continuous-time solver code; its value-function curvature
     and slope converge at O(dt) to the Riccati solution fg.P and to
     K m + phi along the equilibrium mean path, with K and Pi from `fg` and
-    phi solved here for `mean_leader`.  `mean_leader` is E[x0] as
-    `solve_phi` takes it; by default the uncontrolled leader mean.
+    phi solved here for `mean_leader`, the stage table of E[x0]; by default
+    the uncontrolled leader mean.
     """
     grid = s.grid
     Ksteps, dt, n = grid.steps, grid.dt, s.dims.n
@@ -338,8 +287,6 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader=None) -> DpOracle
         f0 = sampled_stages(s.leader_dyn.f, grid)
         lead = integrate_forward(lambda t, e: A0 @ e + f0.at(t), s.leader_mean0, grid).values
         mean_leader = stage_table(grid, lead, lead @ A0.T + f0.nodes)
-    elif not isinstance(mean_leader, StageTable):
-        mean_leader = stage_table(grid, np.asarray(mean_leader, dtype=float))
 
     S = state_weight(s)
     S1 = mean_weight(s)
@@ -348,7 +295,7 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader=None) -> DpOracle
     # ODE-route quantities the oracle is compared against.
     phi = solve_phi(s, fg.Pi, mean_leader)
     G = s.follower_dyn.B @ fg.control_map
-    closed = StageTable(grid, A - G @ riccati_stages(s, fg.Pi, aggregate_weight(s)).values)
+    closed = closed_loop(s, fg.Pi)[1]
     phi_st = phi_stages(s, fg.Pi, phi, mean_leader)
     f_st = sampled_stages(s.follower_dyn.f, grid)
     mean = integrate_forward(

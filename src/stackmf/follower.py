@@ -3,8 +3,8 @@
 Each follower's best response (game mode) or the social optimum (team mode)
 is characterized by one symmetric Riccati equation for the own-state gain P,
 a linear matrix equation for the mean-coupling gain K, an independent
-symmetric Riccati equation for the aggregate gain Pi (which must equal
-P + K), and an offset vector phi driven by the leader's mean path:
+Riccati equation for the aggregate gain Pi (which must equal P + K), and an
+offset vector phi driven by the leader's mean path:
 
     P'  + A'P + PA - P G P + S            = 0,   P(T)  = 0
     K'  + A'K + KA - P G K - K G (P + K) - S1 = 0,   K(T)  = 0
@@ -18,8 +18,14 @@ per-capita cost.  The feedback law for agent i is
 
     u_i = -R^-1 B' (P x_i + K E[x_i] + phi).
 
+P is symmetric and is kept so.  Pi is symmetric in team mode; in game mode
+its source (I - Gamma/N)'Q(I - Gamma) is in general not symmetric, and
+neither is Pi, so the aggregate solve imposes no symmetry.  The mean
+follower state moves under the drift A - G Pi and the offset under
+A' - Pi G; `closed_loop` is the one place that forms those products.
+
 Gains are identical across agents; there is deliberately no per-agent entry
-point.
+point.  `follower_gains` is the one constructor of `FollowerGains`.
 """
 
 from __future__ import annotations
@@ -53,8 +59,9 @@ __all__ = [
     "solve_phi",
     "phi_stages",
     "riccati_stages",
+    "closed_loop",
+    "follower_gains",
     "solve_follower_gains",
-    "follower_feedback",
 ]
 
 # Per-step symmetrization drift beyond this means the integrator itself is
@@ -136,16 +143,9 @@ def offset_source(s: Scenario, mean_leader: np.ndarray) -> np.ndarray:
     return mean_leader @ W.T + target
 
 
-def _offset_source_stages(s: Scenario, mean_leader) -> np.ndarray:
-    """Drive g at every RK4 stage time, (2 steps + 1, n).
-
-    mean_leader is a StageTable, used as it stands, or node values (a
-    GridFunction or a (steps + 1, n) array) read with linear midpoints; the
-    tracking target is sampled data and always has linear midpoints.
-    """
-    if not isinstance(mean_leader, StageTable):
-        lead = mean_leader.values if isinstance(mean_leader, GridFunction) else np.asarray(mean_leader)
-        mean_leader = stage_table(s.grid, lead)
+def _offset_source_stages(s: Scenario, mean_leader: StageTable) -> np.ndarray:
+    """Drive g at every RK4 stage time, (2 steps + 1, n); the tracking target
+    is sampled data and has linear midpoints."""
     W, target = offset_terms(s)
     return mean_leader.values @ W.T + stage_table(s.grid, target).values
 
@@ -207,29 +207,31 @@ def riccati_stages(s: Scenario, gain: GridFunction, source: np.ndarray) -> Stage
     return stage_table(s.grid, gain.values, slopes)
 
 
-def _solve_riccati(s: Scenario, source: np.ndarray) -> tuple[GridFunction, float]:
+def _solve_riccati(s: Scenario, source: np.ndarray, post_step=None) -> GridFunction:
     A = s.follower_dyn.A
     G = _gain_matrix(s)
 
     def rhs(t, P):
         return _riccati_rhs(A, G, source, P)
 
-    sym = _Symmetrizer()
-    out = integrate_backward(rhs, np.zeros_like(A), s.grid, post_step=sym)
-    _check_drift(sym, s)
-    return out, sym.max_drift
+    return integrate_backward(rhs, np.zeros_like(A), s.grid, post_step=post_step)
 
 
 def solve_P(s: Scenario) -> GridFunction:
-    """Own-state Riccati gain, zero terminal value."""
+    """Own-state Riccati gain, zero terminal value, kept symmetric."""
     require_valid(s)
-    return _solve_riccati(s, state_weight(s))[0]
+    sym = _Symmetrizer()
+    P = _solve_riccati(s, state_weight(s), sym)
+    _check_drift(sym, s)
+    return P
 
 
 def solve_Pi(s: Scenario) -> GridFunction:
-    """Aggregate gain; same Riccati family with source S2, solved on its own."""
+    """Aggregate gain; same Riccati family with source S2, solved on its own.
+    No symmetry is imposed: in game mode S2, and so Pi, is in general not
+    symmetric."""
     require_valid(s)
-    return _solve_riccati(s, aggregate_weight(s))[0]
+    return _solve_riccati(s, aggregate_weight(s))
 
 
 def solve_K(s: Scenario, P: GridFunction) -> GridFunction:
@@ -246,13 +248,11 @@ def solve_K(s: Scenario, P: GridFunction) -> GridFunction:
     return integrate_backward(rhs, np.zeros_like(A), s.grid)
 
 
-def solve_phi(s: Scenario, Pi: GridFunction, mean_leader) -> GridFunction:
-    """Offset vector given the aggregate gain and the leader's mean path.
+def solve_phi(s: Scenario, Pi: GridFunction, mean_leader: StageTable) -> GridFunction:
+    """Offset vector given the aggregate gain and the leader's mean path E[x0].
 
-    mean_leader: E[x0], as a StageTable or as node values (GridFunction or
-    (steps + 1, n) array, read with linear midpoints).  Exposed for
-    follower-stage-only workflows; in the full pipeline the same quantity is
-    reconstructed from the leader layer, and the two must agree.
+    Exposed for follower-stage-only workflows; in the full pipeline the same
+    quantity is reconstructed from the leader layer, and the two must agree.
     """
     drift, forcing = _phi_coefficients(s, Pi, mean_leader)
 
@@ -262,15 +262,23 @@ def solve_phi(s: Scenario, Pi: GridFunction, mean_leader) -> GridFunction:
     return integrate_backward(rhs, np.zeros(s.dims.n), s.grid)
 
 
-def _phi_coefficients(s: Scenario, Pi: GridFunction, mean_leader) -> tuple[StageTable, StageTable]:
+def closed_loop(s: Scenario, Pi: GridFunction) -> tuple[StageTable, StageTable, StageTable]:
+    """The follower closed loop on the stage grid: the aggregate gain (Hermite
+    midpoints from its own equation), the mean drift A - G Pi and the offset
+    drift A' - Pi G."""
+    Pi_st = riccati_stages(s, Pi, aggregate_weight(s))
+    A, G = s.follower_dyn.A, _gain_matrix(s)
+    return Pi_st, StageTable(s.grid, A - G @ Pi_st.values), StageTable(s.grid, A.T - Pi_st.values @ G)
+
+
+def _phi_coefficients(s: Scenario, Pi: GridFunction, mean_leader: StageTable) -> tuple[StageTable, StageTable]:
     """phi' = -(drift phi + forcing): drift A' - Pi G and forcing Pi f - g on the stage grid."""
-    Pi_st = riccati_stages(s, Pi, aggregate_weight(s)).values
-    Pi_f = np.einsum("kij,kj->ki", Pi_st, sampled_stages(s.follower_dyn.f, s.grid).values)
-    drift = StageTable(s.grid, s.follower_dyn.A.T - Pi_st @ _gain_matrix(s))
+    Pi_st, _, drift = closed_loop(s, Pi)
+    Pi_f = np.einsum("kij,kj->ki", Pi_st.values, sampled_stages(s.follower_dyn.f, s.grid).values)
     return drift, StageTable(s.grid, Pi_f - _offset_source_stages(s, mean_leader))
 
 
-def phi_stages(s: Scenario, Pi: GridFunction, phi: GridFunction, mean_leader) -> StageTable:
+def phi_stages(s: Scenario, Pi: GridFunction, phi: GridFunction, mean_leader: StageTable) -> StageTable:
     """Stage table of an offset solved for (Pi, mean_leader): Hermite midpoints
     from the offset equation."""
     drift, forcing = _phi_coefficients(s, Pi, mean_leader)
@@ -280,19 +288,15 @@ def phi_stages(s: Scenario, Pi: GridFunction, phi: GridFunction, mean_leader) ->
 
 @dataclass(frozen=True)
 class FollowerGains:
-    """Follower-stage gain tables on the scenario grid.
+    """Follower-stage gain tables on the scenario grid, built by `follower_gains`.
 
-    P, K, Pi are (steps+1, n, n); phi is (steps+1, n) or None when no leader
-    mean path was supplied; noise_loading[k] = P[k] @ D is the reconstructed
-    own-noise loading of the costate; control_map = R^-1 B'.
+    P, K, Pi are (steps+1, n, n); control_map = R^-1 B'; sym_drift is the
+    largest symmetrization drift of P.
     """
 
-    mode: Mode
     P: GridFunction
     K: GridFunction
     Pi: GridFunction
-    phi: GridFunction | None
-    noise_loading: GridFunction
     control_map: np.ndarray
     sym_drift: float
 
@@ -301,13 +305,19 @@ class FollowerGains:
         return self.P.grid
 
 
-def _solve_coupled(s: Scenario, mean_leader=None):
-    """Backward-integrate (P, K[, phi]) as one system.
+def follower_gains(s: Scenario, P: GridFunction, K: GridFunction, Pi: GridFunction,
+                   sym_drift: float) -> FollowerGains:
+    """The gain object of solved or loaded tables; derives the control map."""
+    control_map = np.linalg.solve(s.follower_cost.R, s.follower_dyn.B.T)
+    return FollowerGains(P=P, K=K, Pi=Pi, control_map=control_map, sym_drift=sym_drift)
+
+
+def _solve_coupled(s: Scenario):
+    """Backward-integrate (P, K) as one system.
 
     Solving the pair jointly lets every Runge-Kutta stage see the exact
     current P instead of an interpolated table, so the P + K = Pi identity
-    holds to rounding rather than to interpolation accuracy.  The offset,
-    when requested, rides along and sees Pi = P + K at stage values.
+    holds to rounding rather than to interpolation accuracy.
     """
     n = s.dims.n
     n2 = n * n
@@ -315,23 +325,13 @@ def _solve_coupled(s: Scenario, mean_leader=None):
     G = _gain_matrix(s)
     S = state_weight(s)
     S1 = mean_weight(s)
-    with_phi = mean_leader is not None
-    if with_phi:
-        g = StageTable(s.grid, _offset_source_stages(s, mean_leader))
-        f = sampled_stages(s.follower_dyn.f, s.grid)
 
     def rhs(t, y):
         P = y[:n2].reshape(n, n)
-        K = y[n2:2 * n2].reshape(n, n)
+        K = y[n2:].reshape(n, n)
         dP = -(A.T @ P + P @ A - P @ G @ P + S)
         dK = -(A.T @ K + K @ A - P @ G @ K - K @ G @ (P + K) - S1)
-        parts = [dP.ravel(), dK.ravel()]
-        if with_phi:
-            phi = y[2 * n2:]
-            Pi = P + K
-            dphi = -((A.T - Pi @ G) @ phi + Pi @ f.at(t) - g.at(t))
-            parts.append(dphi)
-        return np.concatenate(parts)
+        return np.concatenate([dP.ravel(), dK.ravel()])
 
     sym = _Symmetrizer()
 
@@ -340,37 +340,16 @@ def _solve_coupled(s: Scenario, mean_leader=None):
         out[:n2] = sym(y[:n2].reshape(n, n)).ravel()
         return out
 
-    size = 2 * n2 + (n if with_phi else 0)
-    sol = integrate_backward(rhs, np.zeros(size), s.grid, post_step=post)
+    sol = integrate_backward(rhs, np.zeros(2 * n2), s.grid, post_step=post)
     _check_drift(sym, s)
     vals = sol.values
     P = GridFunction(s.grid, vals[:, :n2].reshape(-1, n, n))
-    K = GridFunction(s.grid, vals[:, n2:2 * n2].reshape(-1, n, n))
-    phi = GridFunction(s.grid, vals[:, 2 * n2:]) if with_phi else None
-    return P, K, phi, sym.max_drift
+    K = GridFunction(s.grid, vals[:, n2:].reshape(-1, n, n))
+    return P, K, sym.max_drift
 
 
-def solve_follower_gains(s: Scenario, mean_leader=None) -> FollowerGains:
-    """Solve P, K, Pi (and phi when the leader mean path is supplied)."""
+def solve_follower_gains(s: Scenario) -> FollowerGains:
+    """Solve P, K and, independently, Pi."""
     require_valid(s)
-    P, K, phi, drift_p = _solve_coupled(s, mean_leader)
-    Pi, drift_pi = _solve_riccati(s, aggregate_weight(s))
-    D = s.follower_dyn.D
-    noise_loading = GridFunction(s.grid, P.values @ D)
-    control_map = np.linalg.solve(s.follower_cost.R, s.follower_dyn.B.T)
-    return FollowerGains(
-        mode=s.mode,
-        P=P,
-        K=K,
-        Pi=Pi,
-        phi=phi,
-        noise_loading=noise_loading,
-        control_map=control_map,
-        sym_drift=max(drift_p, drift_pi),
-    )
-
-
-def follower_feedback(gains: FollowerGains, k: int, x, mean_x, phi_k) -> np.ndarray:
-    """Control of one follower at node k: -R^-1 B'(P x + K E[x] + phi)."""
-    costate = gains.P.values[k] @ x + gains.K.values[k] @ mean_x + phi_k
-    return -(gains.control_map @ costate)
+    P, K, drift = _solve_coupled(s)
+    return follower_gains(s, P, K, _solve_riccati(s, aggregate_weight(s)), drift)

@@ -84,9 +84,6 @@ class GridFunction:
     def item_shape(self) -> tuple:
         return self.values.shape[1:]
 
-    def at(self, k: int) -> np.ndarray:
-        return self.values[k]
-
     def to_csv(self, path, prefix: str = "v") -> None:
         """Write one row per node: t, then the entries in row-major order."""
         shape = self.item_shape
@@ -202,9 +199,9 @@ def integrate_backward(rhs, terminal, grid: TimeGrid, post_step=None) -> GridFun
     return _run_rk4(rhs, terminal, grid, forward=False, post_step=post_step)
 
 
-def integrate_forward(rhs, initial, grid: TimeGrid, post_step=None) -> GridFunction:
+def integrate_forward(rhs, initial, grid: TimeGrid) -> GridFunction:
     """Forward RK4 mirror of integrate_backward; `initial` stored at node 0."""
-    return _run_rk4(rhs, initial, grid, forward=True, post_step=post_step)
+    return _run_rk4(rhs, initial, grid, forward=True, post_step=None)
 
 
 # --------------------------------------------------------------------------

@@ -27,11 +27,12 @@ leader's control reads the first block of the reconstructed costate:
 
     u0 = -R0^-1 B0' e1 (P X + K E[X] + V).
 
+`leader_gains` is the one constructor of `LeaderGains`.
+
 For constant coefficients, P also has a flow representation
 P(t) = V(t) U(t)^-1 with (U, V) propagated by the exponential of the stacked
 Hamiltonian-like matrix [[A, B], [A1, B1]]; `flow_oracle_P` implements it as
-an independent cross-check (a variant with B2 in the lower-right slot is kept
-behind a flag for comparison; it does not reproduce the P equation).
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import FollowerGains, aggregate_weight, offset_terms, riccati_stages, state_weight
+from .follower import FollowerGains, closed_loop, offset_terms, riccati_stages, state_weight
 from .integrators import GridFunction, StageTable, expm, integrate_backward, sampled_stages, stage_table
 from .model import Scenario, require_valid
 
@@ -56,8 +57,8 @@ __all__ = [
     "leader_M_stages",
     "leader_V_stages",
     "flow_oracle_P",
+    "leader_gains",
     "solve_leader_gains",
-    "leader_feedback",
 ]
 
 
@@ -89,7 +90,6 @@ class ExtendedSystem:
     f_state: StageTable       # (3n,)
     f_costate: StageTable     # (3n,)
     noise: np.ndarray         # (3n,)
-    e1: np.ndarray            # (n, 3n) selector of block 1
     e3: np.ndarray            # (n, 3n) selector of block 3
 
 
@@ -130,7 +130,8 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     G0 = B0 @ np.linalg.solve(R0, B0.T)
 
     P = riccati_stages(s, fg.P, state_weight(s)).values          # (rows, n, n)
-    Pi = riccati_stages(s, fg.Pi, aggregate_weight(s)).values
+    Pi_st, closed, offset_drift = closed_loop(s, fg.Pi)          # follower closed loop
+    Pi = Pi_st.values
     f0 = sampled_stages(s.leader_dyn.f, grid).values
     f = sampled_stages(s.follower_dyn.f, grid).values
     eta0 = sampled_stages(s.leader_cost.eta, grid).values
@@ -139,13 +140,12 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     A_blocks = np.zeros((rows, 3 * n, 3 * n))
     B1_blocks = np.zeros((rows, 3 * n, 3 * n))
     B2_blocks = np.zeros((rows, 3 * n, 3 * n))
-    closed = A - G @ Pi                      # follower closed-loop drift
     A_blocks[:, :n, :n] = A0
-    A_blocks[:, n:2 * n, n:2 * n] = closed
-    A_blocks[:, 2 * n:, 2 * n:] = closed
+    A_blocks[:, n:2 * n, n:2 * n] = closed.values
+    A_blocks[:, 2 * n:, 2 * n:] = closed.values
     B1_blocks[:, :n, :n] = -A0.T
     B1_blocks[:, n:2 * n, n:2 * n] = -A.T + P @ G
-    B1_blocks[:, 2 * n:, 2 * n:] = -A.T + Pi @ G
+    B1_blocks[:, 2 * n:, 2 * n:] = -offset_drift.values
     B2_blocks[:, n:2 * n, n:2 * n] = (Pi - P) @ G
 
     B_blk = _block(n, {(0, 0): -G0, (1, 2): -G, (2, 1): G})
@@ -172,8 +172,6 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     noise = np.zeros(3 * n)
     noise[:n] = s.leader_dyn.D
 
-    e1 = np.zeros((n, 3 * n))
-    e1[:, :n] = np.eye(n)
     e3 = np.zeros((n, 3 * n))
     e3[:, 2 * n:] = np.eye(n)
 
@@ -200,7 +198,6 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
         f_state=StageTable(grid, f_state),
         f_costate=StageTable(grid, f_costate),
         noise=noise,
-        e1=e1,
         e3=e3,
     )
 
@@ -289,13 +286,12 @@ def _constant_block(table: StageTable, name: str) -> np.ndarray:
     return ref
 
 
-def flow_oracle_P(es: ExtendedSystem, lower_right: str = "B1") -> GridFunction:
+def flow_oracle_P(es: ExtendedSystem) -> GridFunction:
     """Flow-map route to P: the stacked linear flow, inverted node-wise.
 
     Propagates (U, V)(t) = Phi(t, T) (I, 0) for the linear system with
-    generator H(t) = [[A, B], [A1, L]], L = B1 (default; differentiating
-    V U^-1 reproduces the P equation) or L = B2 (variant kept only for
-    comparison), and returns P(t) = V(t) U(t)^-1.
+    generator H(t) = [[A, B], [A1, B1]] (differentiating V U^-1 reproduces
+    the P equation) and returns P(t) = V(t) U(t)^-1.
 
     Constant blocks use one exact matrix exponential per node.  Blocks that
     vary in time (through the follower gains) are frozen at each step
@@ -308,17 +304,14 @@ def flow_oracle_P(es: ExtendedSystem, lower_right: str = "B1") -> GridFunction:
     between nodes; a regular instance keeps det U away from zero on the
     whole horizon, so neither trigger can fire spuriously.
     """
-    if lower_right not in ("B1", "B2"):
-        raise ValueError("lower_right must be 'B1' or 'B2'")
     d = 3 * es.n
-    lower_table = es.B1 if lower_right == "B1" else es.B2
 
-    def generator(A: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    def generator(A: np.ndarray, B1: np.ndarray) -> np.ndarray:
         H = np.zeros((2 * d, 2 * d))
         H[:d, :d] = A
         H[:d, d:] = es.B
         H[d:, :d] = es.A1
-        H[d:, d:] = lower
+        H[d:, d:] = B1
         return H
 
     K = es.grid.steps
@@ -326,7 +319,7 @@ def flow_oracle_P(es: ExtendedSystem, lower_right: str = "B1") -> GridFunction:
     nodes = es.grid.nodes
     W = np.zeros((K + 1, 2 * d, d))
     try:
-        H = generator(_constant_block(es.A, "A"), _constant_block(lower_table, lower_right))
+        H = generator(_constant_block(es.A, "A"), _constant_block(es.B1, "B1"))
     except ValueError:
         H = None
     if H is not None:
@@ -337,7 +330,7 @@ def flow_oracle_P(es: ExtendedSystem, lower_right: str = "B1") -> GridFunction:
         W[K, :d] = np.eye(d)
         for k in range(K - 1, -1, -1):
             mid = 2 * k + 1
-            W[k] = expm(-dt * generator(es.A.values[mid], lower_table.values[mid])) @ W[k + 1]
+            W[k] = expm(-dt * generator(es.A.values[mid], es.B1.values[mid])) @ W[k + 1]
 
     out = np.empty((K + 1, d, d))
     prev_sign = 0.0
@@ -357,22 +350,28 @@ def flow_oracle_P(es: ExtendedSystem, lower_right: str = "B1") -> GridFunction:
 
 @dataclass(frozen=True)
 class LeaderGains:
-    """Leader-stage gain tables: Y = P X + K E[X] + V, M = P + K.
-
-    noise_loading[k] = P[k] @ noise is the costate diffusion loading;
-    control_map = R0^-1 B0' e1 turns a reconstructed costate into -u0.
+    """Leader-stage gain tables: Y = P X + K E[X] + V, M = P + K; built by
+    `leader_gains`.  control_map = R0^-1 B0' e1, with e1 the selector of
+    block 1, turns a reconstructed costate into -u0.
     """
 
     P: GridFunction
     K: GridFunction
     M: GridFunction
     V: GridFunction
-    noise_loading: GridFunction
     control_map: np.ndarray
 
     @property
     def grid(self):
         return self.P.grid
+
+
+def leader_gains(s: Scenario, P: GridFunction, K: GridFunction, M: GridFunction,
+                 V: GridFunction) -> LeaderGains:
+    """The gain object of solved or loaded tables; derives the control map."""
+    e1 = np.eye(s.dims.n, 3 * s.dims.n)
+    control_map = np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T) @ e1
+    return LeaderGains(P=P, K=K, M=M, V=V, control_map=control_map)
 
 
 def _solve_leader_coupled(es: ExtendedSystem):
@@ -428,15 +427,4 @@ def solve_leader_gains(s: Scenario, fg: FollowerGains) -> LeaderGains:
     """Solve the leader-stage equations on the scenario grid."""
     es = assemble_extended(s, fg)
     P, K, V = _solve_leader_coupled(es)
-    M = GridFunction(es.grid, P.values + K.values)
-    noise_loading = GridFunction(s.grid, P.values @ es.noise)
-    control_map = np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T) @ es.e1
-    return LeaderGains(
-        P=P, K=K, M=M, V=V, noise_loading=noise_loading, control_map=control_map
-    )
-
-
-def leader_feedback(lg: LeaderGains, k: int, X, mean_X) -> np.ndarray:
-    """Leader control at node k: -R0^-1 B0' e1 (P X + K E[X] + V)."""
-    costate = lg.P.values[k] @ X + lg.K.values[k] @ mean_X + lg.V.values[k]
-    return -(lg.control_map @ costate)
+    return leader_gains(s, P, K, GridFunction(es.grid, P.values + K.values), V)

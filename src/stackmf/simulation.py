@@ -9,7 +9,8 @@ trapezoid rule.  The same march optionally costs open-loop control
 deviations of one follower and of the leader (`Deviations`): the dynamics
 are linear, so a deviated path is the baseline path plus a deterministic
 shift, and every (direction, epsilon) pair is costed along the baseline
-paths in the same pass.
+paths in the same pass.  Stored paths (`SimPath`) hold every agent's
+trajectory and control, and the leader's extended state X.
 
 Paths run in chunks.  Within a chunk the followers form one follower-major
 array (follower j of path i is row j c + i), so each step is a handful of
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .follower import FollowerGains, aggregate_weight, offset_terms, riccati_stages, solve_follower_gains
+from .follower import FollowerGains, closed_loop, offset_terms, solve_follower_gains
 from .integrators import GridFunction, StageTable, integrate_backward, integrate_forward, stage_table
 from .leader import (
     ExtendedSystem,
@@ -143,7 +144,7 @@ class SimPath:
     xbar: np.ndarray         # (K+1, n) exact arithmetic follower mean
     u0: np.ndarray           # (K+1, m)
     controls: np.ndarray     # (N, K+1, m)
-    X: np.ndarray | None     # (K+1, 3n) extended leader state; None in open-loop runs
+    X: np.ndarray            # (K+1, 3n) extended leader state
     phi: np.ndarray          # (K+1, n) offset used by the follower feedback
 
 
@@ -387,10 +388,10 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
     grid = s.grid
     dg = stage_table(grid, chi0 @ offset_terms(s)[0].T)        # drive shift; chi0 is Euler-marched
     G = s.follower_dyn.B @ fg.control_map
-    A, P, Kf = s.follower_dyn.A, fg.P.values, fg.K.values
-    Pi = riccati_stages(s, fg.Pi, aggregate_weight(s)).values
-    back = StageTable(grid, np.swapaxes(A.T - Pi @ G, 1, 2))    # row-vector form of each drift
-    fwd = StageTable(grid, np.swapaxes(A - G @ Pi, 1, 2))
+    P, Kf = fg.P.values, fg.K.values
+    _, mean_drift, offset_drift = closed_loop(s, fg.Pi)
+    back = StageTable(grid, np.swapaxes(offset_drift.values, 1, 2))    # row-vector form of each drift
+    fwd = StageTable(grid, np.swapaxes(mean_drift.values, 1, 2))
     zero = np.zeros(chi0.shape[1:])
     dphi = integrate_backward(lambda t, p: dg.at(t) - p @ back.at(t), zero, grid).values
     dphi_st = stage_table(grid, dphi, dg.nodes - dphi @ back.nodes)
@@ -465,7 +466,7 @@ def _chunk(args) -> dict:
     block first moves its increments from the path-major draw buffer into a
     time-major one.
     """
-    (tab, law, seed, start, stop, substeps, rows, u0_override, store_upto, shifts) = args
+    (tab, law, seed, start, stop, substeps, rows, store_upto, shifts) = args
     nm = NoiseModel(seed)
     c = stop - start
     K, n, m, N = tab.steps, tab.n, tab.m, tab.N
@@ -483,21 +484,12 @@ def _chunk(args) -> dict:
             init[i] = init[i, rows]
             dW[i] = nm.wiener(p, N + 1, K, tab.dt, substeps)[rows]
 
-    # The leader state: x0 in open loop, else the extended state X.  One
-    # step is lead @ lead_step[k] + lead_drive[k] + dW0 lead_noise.
-    open_loop = u0_override is not None
+    # The leader's extended state X: one step is
+    # X @ X_step[k] + X_const[k] + dW0 noise_vec.
     B = min(_BLOCK, K + 1)
-    if open_loop:
-        A0_step, dtB0T, dtf0, lead_noise = tab.step0
-        lead_step = np.broadcast_to(A0_step, (K, n, n))
-        lead_drive = u0_override[:K] @ dtB0T + dtf0[:K]
-        leads = np.empty((B + 1, c, n))
-        leads[0] = init[:, 0]
-    else:
-        lead_step, lead_drive, lead_noise = tab.X_step, tab.X_const, tab.noise_vec
-        leads = np.zeros((B + 1, c, 3 * n))
-        leads[0, :, :n] = init[:, 0]
-        leads[0, :, n:2 * n] = tab.xi_bar
+    leads = np.zeros((B + 1, c, 3 * n))
+    leads[0, :, :n] = init[:, 0]
+    leads[0, :, n:2 * n] = tab.xi_bar
     x = np.ascontiguousarray(init[:, 1:].transpose(1, 0, 2)).reshape(Nc, n)
     A_step, dtBT, dtf, D = tab.step_f
 
@@ -520,8 +512,6 @@ def _chunk(args) -> dict:
         dims = {"x0": (n,), "followers": (N, n), "xbar": (n,), "u0": (m,), "controls": (N, m), "phi": (n,),
                 "X": (3 * n,)}
         store = {key: np.empty((n_store,) + d[:-1] + (K + 1, d[-1])) for key, d in dims.items()}
-        if open_loop:
-            store["X"] = None
 
     inc = np.empty((B, N + 1, c))       # one block of increments, time-major
     xbars = np.empty((B, c, n))
@@ -534,18 +524,13 @@ def _chunk(args) -> dict:
 
         if k0:
             leads[0] = leads[B]
-        drive = inc[:steps, 0, :, None] * lead_noise + lead_drive[k0:k0 + steps, None]
+        drive = inc[:steps, 0, :, None] * tab.noise_vec + tab.X_const[k0:k0 + steps, None]
         for b in range(steps):
-            np.add(_dot(leads[b], lead_step[k0 + b]), drive[b], out=leads[b + 1])
+            np.add(_dot(leads[b], tab.X_step[k0 + b]), drive[b], out=leads[b + 1])
         lead = leads[:nb]
-        if open_loop:
-            x0 = lead
-            phi = np.broadcast_to(tab.offset[ks, None], (nb, c, n))
-            u0 = np.broadcast_to(u0_override[ks, None], (nb, c, m))
-        else:
-            x0 = lead[:, :, :n]
-            phi = tab.offset[ks, None] + _dot(lead, tab.e3PT[ks])
-            u0 = tab.u0_const[ks, None] - _dot(lead, tab.u0_PT[ks])
+        x0 = lead[:, :, :n]
+        phi = tab.offset[ks, None] + _dot(lead, tab.e3PT[ks])
+        u0 = tab.u0_const[ks, None] - _dot(lead, tab.u0_PT[ks])
         u_const = -(tab.F_mean[ks, None] + _dot(phi, tab.RinvBtT))    # follower feedback constant, (nb, c, m)
         target = _dot(x0, tab.Gamma1T) + tab.eta[ks, None]              # leader part of the follower target
 
@@ -585,8 +570,7 @@ def _chunk(args) -> dict:
         phi_spread = max(phi_spread, float(np.max(np.abs(phi - tab.offset[ks, None]))))
         if store is not None:
             for key, value in (("x0", x0), ("xbar", xbar), ("u0", u0), ("phi", phi), ("X", lead)):
-                if store[key] is not None:
-                    store[key][:, ks] = value[:, :n_store].swapaxes(0, 1)
+                store[key][:, ks] = value[:, :n_store].swapaxes(0, 1)
 
     return {
         "start": start,
@@ -612,7 +596,6 @@ def simulate(
     store_paths: int = 2,
     substeps: int = 1,
     agent_permutation=None,
-    u0_override=None,
     chunk_size: int | None = None,
     deviations: Deviations | None = None,
 ) -> EnsembleResult:
@@ -621,11 +604,8 @@ def simulate(
     Identical (scenario, seed, n_paths) produce bit-identical results for any
     `workers`.  `agent_permutation` relabels follower slots onto the agent
     rows of the noise streams (exchangeability checks): slot j reads row
-    agent_permutation[j - 1].  `u0_override` forces an open-loop
-    leader control -- a (m,) constant or (steps+1, m) table; the follower
-    layer still runs the solved feedback against the deterministic offset.
-    `deviations` additionally costs open-loop deviations along the same
-    paths (closed loop only); see `Deviations`.
+    agent_permutation[j - 1].  `deviations` additionally costs open-loop
+    deviations along the same paths; see `Deviations`.
     """
     if not 1 <= n_paths < 1 << 32:
         raise ValueError("n_paths must lie in [1, 2**32)")
@@ -635,7 +615,7 @@ def simulate(
     _check_grids(s, fg, lg)
     es = assemble_extended(s, fg)
     tab = _build_tables(s, fg, lg, es)
-    K, n, m, N = tab.steps, tab.n, tab.m, tab.N
+    K, n, N = tab.steps, tab.n, tab.N
 
     rows = None
     if agent_permutation is not None:
@@ -643,21 +623,11 @@ def simulate(
         if sorted(rows.tolist()) != list(range(N + 1)):
             raise ValueError("agent_permutation must permute 1..N")
 
-    if u0_override is not None:
-        if deviations is not None:
-            raise ValueError("deviations are costed on the closed loop; drop u0_override")
-        u0_override = np.asarray(u0_override, dtype=float)
-        if u0_override.ndim == 1:
-            u0_override = np.tile(u0_override, (K + 1, 1))
-        if u0_override.shape != (K + 1, m):
-            raise ValueError(f"u0_override must have shape ({K + 1}, {m})")
-
     shifts = None if deviations is None else _deviation_shifts(s, fg, tab, deviations)
     store_paths = max(0, min(store_paths, n_paths))
     chunk = chunk_size or default_chunk_size(N, K, n_paths)
     argses = [
-        (tab, s.init, seed, start, min(start + chunk, n_paths), substeps, rows, u0_override,
-         store_paths, shifts)
+        (tab, s.init, seed, start, min(start + chunk, n_paths), substeps, rows, store_paths, shifts)
         for start in range(0, n_paths, chunk)
     ]
     if workers > 1 and len(argses) > 1:
@@ -693,7 +663,7 @@ def simulate(
     gap = total("gap_sum") / n_paths
     phi_spread = max(p["phi_spread"] for p in partials)
 
-    paths = [SimPath(index=p["start"] + i, **{key: None if v is None else v[i] for key, v in st.items()})
+    paths = [SimPath(index=p["start"] + i, **{key: v[i] for key, v in st.items()})
              for p in partials if (st := p["store"]) is not None for i in range(len(st["x0"]))]
 
     def estimate(samples: np.ndarray) -> CostEstimate:

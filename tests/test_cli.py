@@ -217,6 +217,41 @@ def test_simulate_missing_gains_exits_io(config, tmp_path):
     assert code == 1
 
 
+def _ragged(lines):
+    lines[2] = lines[2].rsplit(",", 1)[0]
+
+
+def _non_numeric(lines):
+    lines[2] = lines[2].split(",", 1)[0] + ",abc"
+
+
+def _nan(lines):
+    lines[2] = lines[2].split(",", 1)[0] + ",nan"
+
+
+def _no_header(lines):
+    lines[0] = lines[0].replace("t,", "time,", 1)
+
+
+@pytest.mark.parametrize("corrupt", [_non_numeric, _no_header, _ragged, _nan],
+                         ids=["non-numeric", "missing-t-header", "ragged-row", "nan"])
+def test_malformed_gains_table_exits_4(config, gains_dir, tmp_path, capsys, corrupt):
+    # A damaged table is outside input: one line on stderr and exit 4, no traceback.
+    gains = tmp_path / "gains"
+    gains.mkdir()
+    for name in GAIN_TABLES:
+        (gains / f"{name}.csv").write_bytes((gains_dir / f"{name}.csv").read_bytes())
+    lines = (gains / "P.csv").read_text(encoding="utf-8").splitlines()
+    corrupt(lines)
+    (gains / "P.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(config), "--gains", str(gains),
+                 "--out", str(tmp_path / "o"), "--paths", "2"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1 and "P.csv" in err
+
+
 def test_simulate_zero_paths_is_usage_error(config, gains_dir, tmp_path):
     code = run_cli(
         "simulate", "--config", str(config), "--gains", str(gains_dir),

@@ -7,8 +7,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stackmf.follower import solve_follower_gains
+from stackmf.follower import solve_Pi, solve_follower_gains
 from stackmf.integrators import GridFunction
+from stackmf.leader import assemble_extended, solve_leader_M
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
 from stackmf.equilibrium import (
@@ -16,8 +17,6 @@ from stackmf.equilibrium import (
     deviation_battery,
     direction_library,
     dp_gain_oracle,
-    follower_deviation_test,
-    leader_deviation_test,
     run_verification,
     stationarity_residuals,
 )
@@ -25,6 +24,14 @@ from conftest import FAST_CFG_TEXT, random_scenario, solve_both
 
 FOLLOWER_EPS = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
 LEADER_EPS = (-0.2, -0.1, 0.1, 0.2)
+
+
+def one_direction(target, s, fg, lg, direction, epsilons, n_paths, seed, label="d"):
+    """The battery's result for a single follower or leader direction."""
+    dirs, eps = [(label, direction)], tuple(epsilons)
+    if target == "follower":
+        return deviation_battery(s, fg, lg, dirs, [], eps, (), n_paths, seed)[0]
+    return deviation_battery(s, fg, lg, [], dirs, (), eps, n_paths, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -48,21 +55,21 @@ def test_direction_library_shapes_and_labels():
 def test_direction_shape_is_validated(fast_gains):
     s, fg, lg = fast_gains
     with pytest.raises(ValueError):
-        follower_deviation_test(s, fg, lg, np.ones((7, 1)), FOLLOWER_EPS, 4, seed=0)
+        one_direction("follower", s, fg, lg, np.ones((7, 1)), FOLLOWER_EPS, 4, seed=0)
 
 
 def test_epsilon_grid_is_validated(fast_gains):
     s, fg, lg = fast_gains
     with pytest.raises(ValueError):
-        follower_deviation_test(s, fg, lg, np.ones(1), (0.1,), 4, seed=0)
+        one_direction("follower", s, fg, lg, np.ones(1), (0.1,), 4, seed=0)
 
 
 def test_zero_direction_is_vacuous(fast_gains):
     s, fg, lg = fast_gains
-    r = follower_deviation_test(s, fg, lg, np.zeros(1), FOLLOWER_EPS, 4, seed=0)
+    r = one_direction("follower", s, fg, lg, np.zeros(1), FOLLOWER_EPS, 4, seed=0)
     assert r.vacuous and r.passed
     assert r.c1 == 0.0 and r.c2 == 0.0
-    r = leader_deviation_test(s, fg, lg, np.zeros(1), LEADER_EPS, 4, seed=0)
+    r = one_direction("leader", s, fg, lg, np.zeros(1), LEADER_EPS, 4, seed=0)
     assert r.vacuous and r.passed
 
 
@@ -76,9 +83,8 @@ def test_zero_direction_is_vacuous(fast_gains):
 def test_solved_feedback_is_stationary(fixture, target, request):
     s, fg, lg = request.getfixturevalue(fixture)
     _, v = direction_library(s.grid, s.dims.m, 2, seed=123)[1]
-    test = follower_deviation_test if target == "follower" else leader_deviation_test
     eps = FOLLOWER_EPS if target == "follower" else LEADER_EPS
-    r = test(s, fg, lg, v, eps, 128, seed=5)
+    r = one_direction(target, s, fg, lg, v, eps, 128, seed=5)
     assert r.passed
     assert abs(r.c1) <= 3.0 * r.c1_se + PASS_FLOOR * 100
     assert r.c2 > 0.0
@@ -92,7 +98,7 @@ def test_mirrored_deviations_satisfy_convexity(fast_gains):
     # With common random numbers, dJ(+e) + dJ(-e) = 2 c2 e^2 >= 0 up to
     # Monte Carlo error on the shared baseline.
     s, fg, lg = fast_gains
-    r = follower_deviation_test(s, fg, lg, np.ones(1), FOLLOWER_EPS, 96, seed=8)
+    r = one_direction("follower", s, fg, lg, np.ones(1), FOLLOWER_EPS, 96, seed=8)
     eps = np.array(r.epsilons)
     dm = np.array(r.delta_mean)
     ds = np.array(r.delta_se)
@@ -105,7 +111,7 @@ def test_perturbed_gain_fails_the_first_order_test(fast_gains):
     # Inflating the follower feedback by 20% must produce a detected slope.
     s, fg, lg = fast_gains
     bad = dataclasses.replace(fg, P=GridFunction(s.grid, fg.P.values * 1.2))
-    r = follower_deviation_test(s, bad, lg, np.ones(1), FOLLOWER_EPS, 256, seed=3)
+    r = one_direction("follower", s, bad, lg, np.ones(1), FOLLOWER_EPS, 256, seed=3)
     assert not r.passed or abs(r.c1) > 10.0 * r.c1_se
 
 
@@ -114,7 +120,7 @@ def test_zero_leader_weight_makes_deviations_exact():
     # zero, so the cost change is (1/2) e^2 int v'R0 v with no noise at all.
     text = FAST_CFG_TEXT.replace("Q = 1.0\nR = 1.0", "Q = 0.0\nR = 1.0")
     s, fg, lg = solve_both(load_scenario(text))
-    r = leader_deviation_test(s, fg, lg, np.ones(1), LEADER_EPS, 16, seed=4)
+    r = one_direction("leader", s, fg, lg, np.ones(1), LEADER_EPS, 16, seed=4)
     w = np.full(s.grid.steps + 1, s.grid.dt)
     w[0] = w[-1] = 0.5 * s.grid.dt
     exact_c2 = 0.5 * float(np.sum(w))      # R0 = 1 and v = 1
@@ -134,8 +140,8 @@ def test_uncoupled_social_delta_is_own_delta_over_population():
     _, fg, lg = solve_both(s_team)
     s_game = dataclasses.replace(s_team, mode=Mode.GAME)
     _, v = direction_library(s_team.grid, s_team.dims.m, 2, seed=9)[1]
-    rt = follower_deviation_test(s_team, fg, lg, v, (-0.1, 0.1, 0.2), 32, seed=6)
-    rg = follower_deviation_test(s_game, fg, lg, v, (-0.1, 0.1, 0.2), 32, seed=6)
+    rt = one_direction("follower", s_team, fg, lg, v, (-0.1, 0.1, 0.2), 32, seed=6)
+    rg = one_direction("follower", s_game, fg, lg, v, (-0.1, 0.1, 0.2), 32, seed=6)
     N = s_team.dims.N
     assert abs(N * rt.c1 - rg.c1) <= 1e-10 * (1.0 + abs(rg.c1))
     assert abs(N * rt.c2 - rg.c2) <= 1e-10 * (1.0 + abs(rg.c2))
@@ -179,6 +185,20 @@ def test_residuals_require_stored_paths(fast_gains):
         stationarity_residuals(s, er, fg)
 
 
+def test_generic_vector_game_has_a_nonsymmetric_aggregate_gain_and_verifies():
+    # With its own random Gamma the game-mode aggregate source, and so Pi, is
+    # not symmetric; both sum identities still hold and the battery passes.
+    s, fg, lg = solve_both(random_scenario(3, n=2, m=2, N=4, mode="game"))
+    skew = fg.Pi.values - np.swapaxes(fg.Pi.values, 1, 2)
+    assert np.max(np.abs(skew)) > 1e-3
+    Pi = solve_Pi(s)
+    assert np.max(np.abs(fg.P.values + fg.K.values - Pi.values)) <= 1e-8 * (1.0 + np.max(np.abs(Pi.values)))
+    M = solve_leader_M(assemble_extended(s, fg))
+    assert np.max(np.abs(lg.P.values + lg.K.values - M.values)) <= 1e-12 * (1.0 + np.max(np.abs(M.values)))
+    rep = run_verification(s, fg, lg, n_paths=128, seed=0, directions=2)
+    assert rep.passed, rep.summary_lines()
+
+
 # ---------------------------------------------------------------------------
 # Dynamic-programming oracle
 # ---------------------------------------------------------------------------
@@ -204,13 +224,13 @@ def test_dp_oracle_shapes_and_terminal(fast_scenario):
 
 
 def test_dp_oracle_accepts_an_external_mean_path(fast_gains):
-    from stackmf.leader import assemble_extended
-    from stackmf.simulation import solve_mean_state
+    from stackmf.integrators import StageTable
+    from stackmf.simulation import mean_state_stages, solve_mean_state
 
     s, fg, lg = fast_gains
     es = assemble_extended(s, fg)
-    mean0 = solve_mean_state(s, es, lg).values[:, : s.dims.n]
-    d = dp_gain_oracle(s, fg, mean_leader=mean0)
+    mean = mean_state_stages(es, lg, solve_mean_state(s, es, lg))
+    d = dp_gain_oracle(s, fg, mean_leader=StageTable(s.grid, mean.values[:, : s.dims.n]))
     assert d.delta_P <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d.P)))
     assert d.delta_offset <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d.offset)))
 
@@ -328,7 +348,7 @@ def test_battery_equals_one_direction_at_a_time(fast_gains):
     f_dirs = direction_library(s.grid, s.dims.m, 2, seed=5)
     l_dirs = direction_library(s.grid, s.dims.m, 2, seed=6) + [("zero", np.zeros(1))]
     batch = deviation_battery(s, fg, lg, f_dirs, l_dirs, FOLLOWER_EPS, LEADER_EPS, 24, seed=9)
-    single = [follower_deviation_test(s, fg, lg, v, FOLLOWER_EPS, 24, seed=9, label=lab) for lab, v in f_dirs]
-    single += [leader_deviation_test(s, fg, lg, v, LEADER_EPS, 24, seed=9, label=lab) for lab, v in l_dirs]
+    single = [one_direction("follower", s, fg, lg, v, FOLLOWER_EPS, 24, seed=9, label=lab) for lab, v in f_dirs]
+    single += [one_direction("leader", s, fg, lg, v, LEADER_EPS, 24, seed=9, label=lab) for lab, v in l_dirs]
     assert batch == single
     assert batch[-1].vacuous

@@ -10,14 +10,15 @@ import pytest
 
 from stackmf.follower import (
     FollowerGains,
-    follower_feedback,
     solve_K,
     solve_P,
     solve_Pi,
     solve_follower_gains,
     solve_phi,
 )
+from stackmf.integrators import stage_table
 from stackmf.model import Dims, Mode, load_scenario
+from stackmf.simulation import simulate
 from conftest import replace_mode
 
 TANH_CFG = """\
@@ -99,7 +100,7 @@ def test_gain_convergence_is_fourth_order():
 def test_terminal_conditions_exact(which, team_gains, game_gains):
     s, fg, _ = team_gains if which == "team" else game_gains
     K = s.grid.steps
-    phi = solve_phi(s, fg.Pi, np.tile(s.leader_mean0, (K + 1, 1)))
+    phi = solve_phi(s, fg.Pi, stage_table(s.grid, np.tile(s.leader_mean0, (K + 1, 1))))
     for table in (fg.P, fg.K, fg.Pi, phi):
         assert np.all(table.values[K] == 0.0)
 
@@ -112,12 +113,18 @@ def test_sum_identity_against_independent_solve(which, team_gains, game_gains):
     assert gap <= 1e-8 * (1.0 + max_abs(Pi_direct))
 
 
+def asymmetry(gf) -> np.ndarray:
+    return gf.values - np.swapaxes(gf.values, 1, 2)
+
+
 @pytest.mark.parametrize("which", ["team", "game"])
 def test_symmetric_gains_stay_symmetric(which, team_gains, game_gains):
-    _, fg, _ = team_gains if which == "team" else game_gains
-    for gf in (fg.P, fg.Pi):
-        gap = np.max(np.abs(gf.values - np.swapaxes(gf.values, 1, 2)))
-        assert gap <= 1e-8
+    # P is symmetric in both modes and Pi in team mode.  A game-mode Pi need
+    # not be symmetric, but P + K = Pi with P symmetric fixes its skew part.
+    s, fg, _ = team_gains if which == "team" else game_gains
+    assert np.max(np.abs(asymmetry(fg.P))) <= 1e-8
+    skew_gap = asymmetry(fg.Pi) if s.mode is Mode.TEAM else asymmetry(fg.Pi) - asymmetry(fg.K)
+    assert np.max(np.abs(skew_gap)) <= 1e-8
     assert fg.sym_drift <= 1e-9
 
 
@@ -147,7 +154,7 @@ def test_modes_coincide_without_population_coupling(make_random_scenario):
         for name in ("P", "K", "Pi"):
             a, b = getattr(fg_g, name), getattr(fg_t, name)
             assert np.max(np.abs(a.values - b.values)) <= 1e-9, (seed, name)
-        mean_leader = np.tile(s_game.leader_mean0, (s_game.grid.steps + 1, 1))
+        mean_leader = stage_table(s_game.grid, np.tile(s_game.leader_mean0, (s_game.grid.steps + 1, 1)))
         phi_g = solve_phi(s_game, fg_g.Pi, mean_leader)
         phi_t = solve_phi(s_team, fg_t.Pi, mean_leader)
         assert np.max(np.abs(phi_g.values - phi_t.values)) <= 1e-9
@@ -180,12 +187,12 @@ def test_zero_state_weight_zeroes_everything(baseline_text):
     text = baseline_text.replace("Q = 1.0\nR = 0.1", "Q = 0.0\nR = 0.1")
     for mode_text in (text, text.replace('mode = "team"', 'mode = "game"')):
         s = load_scenario(mode_text)
-        mean_leader = np.tile(s.leader_mean0, (s.grid.steps + 1, 1))
-        fg = solve_follower_gains(s, mean_leader=mean_leader)
+        mean_leader = stage_table(s.grid, np.tile(s.leader_mean0, (s.grid.steps + 1, 1)))
+        fg = solve_follower_gains(s)
         assert max_abs(fg.P) == 0.0
         assert max_abs(fg.K) == 0.0
         assert max_abs(fg.Pi) == 0.0
-        assert max_abs(fg.phi) == 0.0
+        assert max_abs(solve_phi(s, fg.Pi, mean_leader)) == 0.0
 
 
 def test_single_follower_game_has_no_mean_coupling(make_random_scenario):
@@ -202,17 +209,15 @@ def test_single_follower_game_has_no_mean_coupling(make_random_scenario):
 
 
 def test_feedback_law_arithmetic(fast_gains):
-    s, fg, _ = fast_gains
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(s.dims.n)
-    m = rng.standard_normal(s.dims.n)
-    phi_k = rng.standard_normal(s.dims.n)
-    k = 3
-    u = follower_feedback(fg, k, x, m, phi_k)
-    expected = -np.linalg.solve(s.follower_cost.R, s.follower_dyn.B.T) @ (
-        fg.P.values[k] @ x + fg.K.values[k] @ m + phi_k
-    )
-    assert np.max(np.abs(u - expected)) <= 1e-12
+    # Every simulated follower control is -R^-1 B'(P x + K E[x] + phi).
+    s, fg, lg = fast_gains
+    assert np.array_equal(fg.control_map, np.linalg.solve(s.follower_cost.R, s.follower_dyn.B.T))
+    er = simulate(s, fg, lg, 2, seed=1, store_paths=2)
+    mean_term = np.einsum("kij,kj->ki", fg.K.values, er.mean_follower.values)
+    for path in er.paths:
+        costate = np.einsum("kij,akj->aki", fg.P.values, path.followers) + mean_term + path.phi
+        expected = -costate @ fg.control_map.T
+        assert np.max(np.abs(path.controls - expected)) <= 1e-12
 
 
 def test_gains_are_shared_by_all_followers():
@@ -221,9 +226,7 @@ def test_gains_are_shared_by_all_followers():
     assert "agent" not in inspect.signature(solve_follower_gains).parameters
     assert "i" not in inspect.signature(solve_follower_gains).parameters
     field_names = set(FollowerGains.__dataclass_fields__)
-    assert field_names == {
-        "mode", "P", "K", "Pi", "phi", "noise_loading", "control_map", "sym_drift",
-    }
+    assert field_names == {"P", "K", "Pi", "control_map", "sym_drift"}
 
 
 def test_drift_guard_reports_through_failure_channel(make_random_scenario, monkeypatch):

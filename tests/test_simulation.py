@@ -9,7 +9,7 @@ import scipy.stats
 
 from stackmf.equilibrium import direction_library
 from stackmf.follower import aggregate_weight, phi_stages, riccati_stages, solve_phi
-from stackmf.integrators import StageTable, integrate_forward
+from stackmf.integrators import StageTable, integrate_forward, stage_table
 from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario, time_sampled
 from stackmf.simulation import (
@@ -211,27 +211,6 @@ def test_noise_free_runs_are_seed_independent():
     assert np.max(a.node_summary["x0_std"]) == 0.0
 
 
-def test_forced_leader_control_costs_pure_energy():
-    # With no leader tracking weight, a forced constant control costs exactly
-    # (1/2) c' R0 c T regardless of the follower field.
-    text = FAST_CFG_TEXT.replace("Q = 1.0\nR = 1.0", "Q = 0.0\nR = 1.0")
-    text = text.replace("eta = 0.5", "eta = 0.0")
-    s, fg, lg = solve_both(load_scenario(text))
-    c = 0.7
-    er = simulate(s, fg, lg, 4, seed=2, store_paths=2, u0_override=np.array([c]))
-    exact = 0.5 * c * c * s.grid.horizon
-    assert er.leader_cost.mean == pytest.approx(exact, abs=1e-12)
-    assert er.leader_cost.se == 0.0
-    for path in er.paths:
-        assert np.all(path.u0 == c)
-
-
-def test_override_shape_is_validated(fast_gains):
-    s, fg, lg = fast_gains
-    with pytest.raises(ValueError):
-        simulate(s, fg, lg, 1, seed=0, u0_override=np.zeros((3, s.dims.m)))
-
-
 # ---------------------------------------------------------------------------
 # Noise model
 # ---------------------------------------------------------------------------
@@ -378,7 +357,7 @@ def _population_shift_reference(s, fg, mean_state, v):
     chi0 = np.zeros((K + 1, n))
     for k in range(K):
         chi0[k + 1] = chi0[k] + dt * (lead.A @ chi0[k] + lead.B @ v[k])
-    leads = (mean_state[:, :n] + chi0, mean_state[:, :n])
+    leads = [stage_table(s.grid, lead) for lead in (mean_state[:, :n] + chi0, mean_state[:, :n])]
     phis = [solve_phi(s, fg.Pi, lead) for lead in leads]
     dphi = phis[0].values - phis[1].values
     dphi_st = StageTable(s.grid, np.subtract(*(phi_stages(s, fg.Pi, p, lead).values
@@ -408,11 +387,8 @@ def test_stacked_leader_shifts_match_one_direction_at_a_time(case, fast_gains, f
 
 
 def _vector_game():
-    """A solved game with n = m = 2; Gamma commutes with Q, so the aggregate
-    gain is symmetric and the drift guard lets it through."""
-    s = random_scenario(3, n=2, m=2, N=4, mode="game", gamma_zero=True)
-    cost = dataclasses.replace(s.follower_cost, Gamma=0.4 * np.eye(2))
-    return solve_both(dataclasses.replace(s, follower_cost=cost))
+    """A solved game with n = m = 2 and its own random Gamma."""
+    return solve_both(random_scenario(3, n=2, m=2, N=4, mode="game"))
 
 
 def _reference_ensemble(s, fg, lg, n_paths, seed, dev):
@@ -513,10 +489,8 @@ def test_kernel_matches_a_plain_per_agent_loop(case, fast_gains):
 
 
 def test_deviations_require_the_closed_loop(fast_gains):
+    # Directions are full (steps + 1, m) control tables of the closed loop.
     s, fg, lg = fast_gains
-    dev = Deviations(leader=(np.ones((s.grid.steps + 1, s.dims.m)),), leader_eps=(0.0, 0.1, 0.2))
-    with pytest.raises(ValueError):
-        simulate(s, fg, lg, 2, seed=0, deviations=dev, u0_override=np.zeros(s.dims.m))
     with pytest.raises(ValueError):
         simulate(s, fg, lg, 2, seed=0, deviations=Deviations(leader=(np.ones(3),), leader_eps=(0.0, 0.1)))
 
