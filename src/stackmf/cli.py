@@ -172,21 +172,16 @@ def _read_table(s: Scenario, gains_dir: Path, name: str, item_shape: tuple) -> G
         raise FileNotFoundError(f"missing gains table: {path}")
     try:
         t, flat = read_grid_csv(path)
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("non-finite entries")
-    except (ValueError, IndexError) as e:
-        raise GridMismatchError(f"{path}: malformed gains table: {e}") from None
-    if t.shape[0] != s.grid.steps + 1 or not np.array_equal(t, s.grid.nodes):
-        raise GridMismatchError(
-            f"{path}: time grid does not match config "
-            f"({t.shape[0] - 1} steps vs {s.grid.steps})"
-        )
-    want = int(np.prod(item_shape))
-    if flat.shape[1] != want:
-        raise GridMismatchError(
-            f"{path}: expected {want} value columns for shape {item_shape}, got {flat.shape[1]}"
-        )
-    return GridFunction(s.grid, flat.reshape((s.grid.steps + 1,) + item_shape))
+        if t.shape[0] != s.grid.steps + 1 or not np.array_equal(t, s.grid.nodes):
+            raise ValueError(
+                f"time grid does not match config ({t.shape[0] - 1} steps vs {s.grid.steps})"
+            )
+        want = int(np.prod(item_shape))
+        if flat.shape[1] != want:
+            raise ValueError(f"expected {want} value columns for shape {item_shape}, got {flat.shape[1]}")
+        return GridFunction(s.grid, flat.reshape((s.grid.steps + 1,) + item_shape))
+    except (ValueError, IndexError) as e:     # unparsable, ragged or non-finite cells too
+        raise GridMismatchError(f"{path}: {e}") from None
 
 
 def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGains]:

@@ -153,7 +153,7 @@ def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:1] != ["t"]:
-        raise ValueError(f"{path}: not a grid CSV (missing 't' header)")
+        raise ValueError("not a grid CSV (missing 't' header)")
     data = np.array([[float(x) for x in row] for row in rows[1:]], dtype=float)
     return data[:, 0], data[:, 1:]
 

@@ -140,13 +140,17 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     A_blocks = np.zeros((rows, 3 * n, 3 * n))
     B1_blocks = np.zeros((rows, 3 * n, 3 * n))
     B2_blocks = np.zeros((rows, 3 * n, 3 * n))
+    # Block 3 of the state is the multiplier of the offset equation and the
+    # population costate is adjoint to the mean dynamics, so each moves under
+    # the transpose of the other drift: A - G Pi' and -(A' - Pi' G).  Pi is
+    # not symmetric in game mode.
     A_blocks[:, :n, :n] = A0
     A_blocks[:, n:2 * n, n:2 * n] = closed.values
-    A_blocks[:, 2 * n:, 2 * n:] = closed.values
+    A_blocks[:, 2 * n:, 2 * n:] = np.swapaxes(offset_drift.values, 1, 2)
     B1_blocks[:, :n, :n] = -A0.T
     B1_blocks[:, n:2 * n, n:2 * n] = -A.T + P @ G
     B1_blocks[:, 2 * n:, 2 * n:] = -offset_drift.values
-    B2_blocks[:, n:2 * n, n:2 * n] = (Pi - P) @ G
+    B2_blocks[:, n:2 * n, n:2 * n] = (np.swapaxes(Pi, 1, 2) - P) @ G
 
     B_blk = _block(n, {(0, 0): -G0, (1, 2): -G, (2, 1): G})
     A1_blk = _block(

@@ -10,7 +10,7 @@ import pytest
 from stackmf.follower import solve_Pi, solve_follower_gains
 from stackmf.integrators import GridFunction
 from stackmf.leader import assemble_extended, solve_leader_M
-from stackmf.model import Mode, TimeGrid, load_scenario
+from stackmf.model import Distribution, InitialLaw, Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
 from stackmf.equilibrium import (
     PASS_FLOOR,
@@ -197,6 +197,33 @@ def test_generic_vector_game_has_a_nonsymmetric_aggregate_gain_and_verifies():
     assert np.max(np.abs(lg.P.values + lg.K.values - M.values)) <= 1e-12 * (1.0 + np.max(np.abs(M.values)))
     rep = run_verification(s, fg, lg, n_paths=128, seed=0, directions=2)
     assert rep.passed, rep.summary_lines()
+
+
+def test_noiseless_vector_game_leader_is_first_order_optimal():
+    # Without noise and with a constant initial law every path is the same,
+    # so the leader's first-order coefficient is exact up to the O(dt) error
+    # of the simulation's one-step scheme.  Richardson-extrapolated over two
+    # grids it must vanish; a leader system that takes the nonsymmetric game
+    # Pi for its transpose in the offset multiplier or the population costate
+    # leaves a bias of a few percent of the coarse value here.
+    base = random_scenario(4, n=2, m=2, N=4, mode="game")
+    zero, lead, foll = np.zeros(base.dims.n), base.init.leader.mean, base.init.follower.mean
+
+    def leader_c1(steps):
+        s = dataclasses.replace(
+            base,
+            grid=TimeGrid(base.grid.horizon, steps),
+            leader_dyn=dataclasses.replace(base.leader_dyn, D=zero),
+            follower_dyn=dataclasses.replace(base.follower_dyn, D=zero),
+            init=InitialLaw(Distribution("constant", lead, lead), Distribution("constant", foll, foll)),
+        )
+        s, fg, lg = solve_both(s)
+        dirs = direction_library(s.grid, s.dims.m, 3, seed=0)
+        return np.array([r.c1 for r in deviation_battery(s, fg, lg, [], dirs, (), (-0.1, 0.1), 2, seed=0)])
+
+    coarse, fine = leader_c1(320), leader_c1(640)
+    assert np.all(np.abs(coarse) > 1e-6)
+    assert np.all(np.abs(2.0 * fine - coarse) <= 1e-2 * np.abs(coarse))
 
 
 # ---------------------------------------------------------------------------
