@@ -7,9 +7,11 @@ Every command ingests a scenario config, writes CSV artifacts plus a
     1   I/O failure (unreadable config, missing gains files, unwritable out)
     2   validation hard-failure or malformed config
     3   gain equation blew up (failure time reported)
-    4   gains directory is not grid-compatible with the config, or a gains
+    4   gains directory is not grid-compatible with the config, a gains
         table is malformed (non-numeric or non-finite cell, missing `t`
-        header, ragged row)
+        header, ragged row), or the tables contradict each other (follower
+        P + K against Pi, leader P + K against M, or P not symmetric, past
+        the gates of `verify`)
     5   verification found a violated invariant
     64  usage error (bad flags, empty value lists, zero paths, seed or path
         count outside the noise-stream range)
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import run_verification
+from .equilibrium import FOLLOWER_SUM_TOL, LEADER_SUM_TOL, SYMMETRY_TOL, run_verification
 from .follower import FollowerGains, follower_gains, solve_follower_gains
 from .integrators import BlowUpError, GridFunction, read_grid_csv
 from .leader import LeaderGains, assemble_extended, leader_gains, solve_leader_gains
@@ -189,6 +191,8 @@ def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGain
 
     All eight tables are read and validated; phi.csv is not needed to build
     the gains (`simulate` recomputes the offset) but is outside input too.
+    The tables must satisfy the identities `verify` gates: P + K = Pi with
+    P symmetric, and the leader's P + K = M.
     """
     n = s.dims.n
     d = 3 * n
@@ -201,6 +205,16 @@ def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGain
     lM = _read_table(s, gains_dir, "leaderM", (d, d))
     lV = _read_table(s, gains_dir, "leaderV", (d,))
     sym_drift = float(np.max(np.abs(P.values - np.swapaxes(P.values, 1, 2))))
+    for name, gap, tol in (
+        ("P + K - Pi", np.max(np.abs(P.values + K.values - Pi.values)),
+         FOLLOWER_SUM_TOL * (1.0 + np.max(np.abs(Pi.values)))),
+        ("P - P'", sym_drift, SYMMETRY_TOL),
+        ("leaderP + leaderK - leaderM", np.max(np.abs(lP.values + lK.values - lM.values)),
+         LEADER_SUM_TOL * (1.0 + np.max(np.abs(lM.values)))),
+    ):
+        if not gap <= tol:
+            raise GridMismatchError(f"{gains_dir}: gains tables contradict each other: "
+                                    f"max |{name}| = {gap:.3e} exceeds {tol:.3e}")
     return follower_gains(s, P, K, Pi, sym_drift), leader_gains(s, lP, lK, lM, lV)
 
 
@@ -558,7 +572,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GridMismatchError as e:
-        return _fail(EXIT_GRID, f"grid mismatch: {e}")
+        return _fail(EXIT_GRID, f"gains rejected: {e}")
     except ScenarioError as e:
         return _fail(EXIT_VALIDATION, f"invalid scenario: {e}")
     except BlowUpError as e:

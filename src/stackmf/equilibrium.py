@@ -4,17 +4,17 @@ Three independent lines of evidence, none of which reuse the solver route
 they are checking:
 
 * **Deviation tests** -- Monte Carlo first-order conditions.  One agent's
-  realized control is perturbed open-loop by ``eps * v(t)`` with common
-  random numbers across the epsilon grid; in a linear system the perturbed
-  trajectories are exact affine shifts of the baseline, so the cost change
-  of every path is an exact quadratic in eps.  At an optimum the fitted
-  linear coefficient is statistically zero and the curvature positive.
-  A leader deviation shifts the mean leader path, so the follower reaction
-  (offset and mean response) is recomputed for the shifted mean and the
-  follower population shifts accordingly; a follower deviation leaves every
-  other agent untouched but moves the population average by 1/N.  Every
-  direction and epsilon is costed along the same baseline paths in one
-  ensemble pass (`simulation.Deviations`).
+  realized control is perturbed open-loop by ``eps * v(t)``; in a linear
+  system the perturbed trajectories are exact affine shifts of the
+  baseline, so the cost change of every path is exactly
+  ``eps * a_p + eps**2 * b`` with a curvature b shared by all paths.  At
+  an optimum the mean pathwise slope a_p is statistically zero and the
+  curvature positive.  A leader deviation shifts the mean leader path, so
+  the follower reaction (offset and mean response) is recomputed for the
+  shifted mean and the follower population shifts accordingly; a follower
+  deviation leaves every other agent untouched but moves the population
+  average by 1/N.  Every direction's slopes are read off the same baseline
+  paths in one ensemble pass (`simulation.Deviations`).
 * **Stationarity residuals** -- along simulated paths the follower control
   must satisfy R u + B' (P x + K m + phi) = 0 at machine precision.
 * **Dynamic-programming oracle** -- an exact one-step discretization of the
@@ -58,6 +58,11 @@ __all__ = [
 ]
 
 PASS_FLOOR = 1e-9
+# Gates on the gain tables, relative to 1 + max |Pi| and 1 + max |M|; the
+# symmetry drift of P is absolute.
+FOLLOWER_SUM_TOL = 1e-8
+SYMMETRY_TOL = 1e-9
+LEADER_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,14 +72,9 @@ class DeviationResult:
     label: str
     target: str             # "leader" or "follower"
     vacuous: bool
-    epsilons: tuple         # nonzero deviation magnitudes
-    delta_mean: tuple       # mean cost change per epsilon
-    delta_se: tuple
-    c1: float               # fitted linear coefficient (should be ~0)
+    c1: float               # mean pathwise cost slope (should be ~0)
     c1_se: float
-    c2: float               # fitted curvature (should be > 0)
-    c2_se: float
-    fit_residual: float     # worst gap between mean deltas and the fit
+    c2: float               # cost curvature, the same on every path (should be > 0)
     passed: bool
 
 
@@ -110,84 +110,40 @@ def _normalize_direction(direction, grid: TimeGrid, m: int) -> np.ndarray:
     return v
 
 
-def _fit_quadratic(J: np.ndarray, epsilons: np.ndarray, label: str, target: str, base_mean: float) -> DeviationResult:
-    """Per-path quadratic fit of cost changes over the epsilon grid."""
-    if len(epsilons) < 3:
-        raise ValueError("need at least two nonzero epsilons to fit a quadratic")
-    n_paths = J.shape[0]
-    delta = J[:, 1:] - J[:, :1]           # slot 0 is the baseline
-    eps = epsilons[1:]
-    design = np.stack([eps, eps * eps], axis=1)
-    coef = delta @ np.linalg.pinv(design).T     # (n_paths, 2)
-    a, b = coef[:, 0], coef[:, 1]
-
-    def mean_se(x):
-        mu = float(x.mean())
-        se = float(x.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        return mu, se
-
-    c1, c1_se = mean_se(a)
-    c2, c2_se = mean_se(b)
-    dm = delta.mean(axis=0)
-    ds = delta.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros_like(dm)
-    fit = float(np.max(np.abs(dm - (c1 * eps + c2 * eps * eps))))
-    floor = PASS_FLOOR * (1.0 + abs(base_mean))
-    passed = abs(c1) <= 3.0 * c1_se + floor and c2 > 0.0
-    return DeviationResult(
-        label=label,
-        target=target,
-        vacuous=False,
-        epsilons=tuple(float(e) for e in eps),
-        delta_mean=tuple(float(x) for x in dm),
-        delta_se=tuple(float(x) for x in ds),
-        c1=c1,
-        c1_se=c1_se,
-        c2=c2,
-        c2_se=c2_se,
-        fit_residual=fit,
-        passed=passed,
-    )
-
-
-def _vacuous(label: str, target: str, epsilons) -> DeviationResult:
-    eps = tuple(float(e) for e in epsilons if e != 0.0)
-    zeros = tuple(0.0 for _ in eps)
-    return DeviationResult(
-        label=label, target=target, vacuous=True, epsilons=eps,
-        delta_mean=zeros, delta_se=zeros, c1=0.0, c1_se=0.0, c2=0.0, c2_se=0.0,
-        fit_residual=0.0, passed=True,
-    )
-
-
-def _eps_grid(epsilons) -> np.ndarray:
-    """Baseline slot 0 followed by the nonzero magnitudes."""
-    eps = np.concatenate(([0.0], np.asarray([e for e in epsilons if e != 0.0], dtype=float)))
-    if len(eps) < 3:
-        raise ValueError("need at least two nonzero epsilons to fit a quadratic")
-    return eps
+def _first_order(er, col: int, label: str, target: str) -> DeviationResult:
+    """The mean pathwise slope of deviation column `col` against three
+    standard errors, and its curvature."""
+    a = er.deviation_slopes[:, col]
+    n_paths = len(a)
+    c1 = float(a.mean())
+    c1_se = float(a.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    c2 = float(er.deviation_curvature[col])
+    if target == "leader":
+        base = er.leader_cost.mean
+    else:
+        base = er.social_cost.mean if er.mode is Mode.TEAM else float(er.follower_costs[0])
+    passed = abs(c1) <= 3.0 * c1_se + PASS_FLOOR * (1.0 + abs(base)) and c2 > 0.0
+    return DeviationResult(label=label, target=target, vacuous=False, c1=c1, c1_se=c1_se, c2=c2, passed=passed)
 
 
 def _battery(s: Scenario, fg: FollowerGains, lg: LeaderGains, follower_dirs, leader_dirs,
-             follower_eps, leader_eps, n_paths: int, seed: int, *, workers: int, store_paths: int):
-    """Deviation fits plus the ensemble they were costed on (None when nothing had to run)."""
-    groups = (("follower", follower_dirs, follower_eps), ("leader", leader_dirs, leader_eps))
-    plan = [(label, target, epsilons, _normalize_direction(d, s.grid, s.dims.m))
-            for target, dirs, epsilons in groups for label, d in dirs]
-    live = {t: tuple(v for _, tt, _, v in plan if tt == t and np.any(v)) for t, _, _ in groups}
-    eps = {t: _eps_grid(e) if live[t] else np.zeros(0) for t, _, e in groups}
+             n_paths: int, seed: int, *, workers: int, store_paths: int):
+    """Deviation results plus the ensemble they were costed on (None when nothing had to run)."""
+    plan = [(label, target, _normalize_direction(d, s.grid, s.dims.m))
+            for target, dirs in (("follower", follower_dirs), ("leader", leader_dirs)) for label, d in dirs]
+    live = {t: tuple(v for _, tt, v in plan if tt == t and np.any(v)) for t in ("follower", "leader")}
     er = None
     if store_paths or live["follower"] or live["leader"]:
-        spec = Deviations(live["follower"], live["leader"], tuple(eps["follower"]), tuple(eps["leader"]))
-        er = simulate(s, fg, lg, n_paths, seed, workers=workers, store_paths=store_paths, deviations=spec)
+        er = simulate(s, fg, lg, n_paths, seed, workers=workers, store_paths=store_paths,
+                      deviations=Deviations(live["follower"], live["leader"]))
     results, col = [], 0
-    for label, target, epsilons, v in plan:
+    for label, target, v in plan:
         if not np.any(v):
-            results.append(_vacuous(label, target, epsilons))
+            results.append(DeviationResult(label=label, target=target, vacuous=True, c1=0.0, c1_se=0.0,
+                                           c2=0.0, passed=True))
             continue
-        e = eps[target]
-        J = er.deviation_costs[:, col:col + len(e)]
-        col += len(e)
-        results.append(_fit_quadratic(J, e, label, target, float(J[:, 0].mean())))
+        results.append(_first_order(er, col, label, target))
+        col += 1
     return results, er
 
 
@@ -197,8 +153,6 @@ def deviation_battery(
     lg: LeaderGains,
     follower_dirs,
     leader_dirs,
-    follower_eps,
-    leader_eps,
     n_paths: int,
     seed: int,
     *,
@@ -207,15 +161,12 @@ def deviation_battery(
     """First-order conditions for many directions from one ensemble pass.
 
     `follower_dirs` and `leader_dirs` are (label, direction) pairs, as
-    `direction_library` returns them.  Every direction is costed with common
-    random numbers along the same baseline paths; each one's cost matrix is
-    fitted on its own.  Results come follower directions first, in order;
-    `simulation.Deviations` says what each kind of deviation moves.
+    `direction_library` returns them.  Every direction's pathwise slopes are
+    read off the same baseline paths, with common random numbers.  Results
+    come follower directions first, in order; `simulation.Deviations` says
+    what each kind of deviation moves.
     """
-    results, _ = _battery(
-        s, fg, lg, follower_dirs, leader_dirs, follower_eps, leader_eps, n_paths, seed,
-        workers=workers, store_paths=0,
-    )
+    results, _ = _battery(s, fg, lg, follower_dirs, leader_dirs, n_paths, seed, workers=workers, store_paths=0)
     return results
 
 
@@ -224,7 +175,7 @@ def deviation_battery(
 # ---------------------------------------------------------------------------
 
 
-def stationarity_residuals(s: Scenario, er, fg: FollowerGains, *, control_offset: float = 0.0) -> float:
+def stationarity_residuals(s: Scenario, er, fg: FollowerGains) -> float:
     """Worst pointwise optimality residual R u + B'(P x + K m + phi) over stored paths."""
     if not er.paths:
         raise ValueError("ensemble holds no stored paths; rerun with store_paths >= 1")
@@ -234,7 +185,7 @@ def stationarity_residuals(s: Scenario, er, fg: FollowerGains, *, control_offset
     worst = 0.0
     for path in er.paths:
         p = np.einsum("kij,akj->aki", P, path.followers) + mean_term + path.phi
-        r = p @ B + (path.controls + control_offset) @ R.T
+        r = p @ B + path.controls @ R.T
         worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
@@ -250,6 +201,7 @@ class DpOracleResult:
 
     P: np.ndarray        # (steps+1, n, n) DP value-function curvature
     offset: np.ndarray   # (steps+1, n) DP value-function slope at x = 0
+    phi: np.ndarray      # (steps+1, n) ODE-route follower offset along the leader mean
     delta_P: float       # max node gap to the Riccati solution
     delta_offset: float  # max node gap to K m + phi from the ODE route
 
@@ -274,7 +226,8 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
     and slope converge at O(dt) to the Riccati solution fg.P and to
     K m + phi along the equilibrium mean path, with K and Pi from `fg` and
     phi solved here for `mean_leader`, the stage table of E[x0]; by default
-    the uncontrolled leader mean.
+    the uncontrolled leader mean.  That phi is returned too, so a caller
+    that needs the follower-route offset along the same mean solves it once.
     """
     grid = s.grid
     Ksteps, dt, n = grid.steps, grid.dt, s.dims.n
@@ -327,7 +280,7 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
 
     delta_P = float(np.max(np.abs(Pdp - fg.P.values)))
     delta_offset = float(np.max(np.abs(h - ode_offset)))
-    return DpOracleResult(P=Pdp, offset=h, delta_P=delta_P, delta_offset=delta_offset)
+    return DpOracleResult(P=Pdp, offset=h, phi=phi.values, delta_P=delta_P, delta_offset=delta_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +320,7 @@ class VerificationReport:
                 lines.append(f"[{tag}] deviation {d.target}/{d.label}: vacuous (zero direction)")
             else:
                 lines.append(
-                    f"[{tag}] deviation {d.target}/{d.label}: c1={d.c1:.3e} (se {d.c1_se:.3e}) "
-                    f"c2={d.c2:.3e} fit_residual={d.fit_residual:.3e}"
+                    f"[{tag}] deviation {d.target}/{d.label}: c1={d.c1:.3e} (se {d.c1_se:.3e}) c2={d.c2:.3e}"
                 )
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"overall: {verdict}")
@@ -376,15 +328,11 @@ class VerificationReport:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("kind,name,value,threshold,c1,c1_se,c2,c2_se,fit_residual,passed\n")
+            fh.write("kind,name,value,threshold,c1,c1_se,c2,passed\n")
             for c in self.checks:
-                fh.write(
-                    f"check,{c.name},{c.value!r},{c.threshold!r},,,,,,{int(c.passed)}\n"
-                )
+                fh.write(f"check,{c.name},{c.value!r},{c.threshold!r},,,,{int(c.passed)}\n")
             for d in self.deviations:
-                fh.write(
-                    f"deviation,{d.target}/{d.label},,,{d.c1!r},{d.c1_se!r},{d.c2!r},{d.c2_se!r},{d.fit_residual!r},{int(d.passed)}\n"
-                )
+                fh.write(f"deviation,{d.target}/{d.label},,,{d.c1!r},{d.c1_se!r},{d.c2!r},{int(d.passed)}\n")
 
 
 def run_verification(
@@ -395,8 +343,6 @@ def run_verification(
     n_paths: int = 256,
     seed: int = 0,
     directions: int = 3,
-    follower_epsilons=(-0.2, -0.1, -0.05, 0.05, 0.1, 0.2),
-    leader_epsilons=(-0.2, -0.1, 0.1, 0.2),
     workers: int = 1,
 ) -> VerificationReport:
     """Full verification battery: solver invariants, oracles, deviation tests.
@@ -416,8 +362,8 @@ def run_verification(
         checks.append(CheckRow(name, float(value), float(threshold), bool(value <= threshold), detail))
 
     sum_gap = float(np.max(np.abs(fg.P.values + fg.K.values - fg.Pi.values)))
-    add("follower_sum_identity", sum_gap, 1e-8 * (1.0 + float(np.max(np.abs(fg.Pi.values)))))
-    add("follower_symmetry_drift", fg.sym_drift, 1e-9)
+    add("follower_sum_identity", sum_gap, FOLLOWER_SUM_TOL * (1.0 + float(np.max(np.abs(fg.Pi.values)))))
+    add("follower_symmetry_drift", fg.sym_drift, SYMMETRY_TOL)
 
     es = assemble_extended(s, fg)
     M_direct = solve_leader_M(es)
@@ -425,7 +371,7 @@ def run_verification(
     add(
         "leader_sum_identity",
         leader_gap,
-        1e-12 * (1.0 + float(np.max(np.abs(M_direct.values)))),
+        LEADER_SUM_TOL * (1.0 + float(np.max(np.abs(M_direct.values)))),
         "independently solved combined equation",
     )
 
@@ -433,13 +379,12 @@ def run_verification(
         s, fg, lg,
         direction_library(s.grid, s.dims.m, directions, seed + 17),
         direction_library(s.grid, s.dims.m, directions, seed + 29),
-        follower_epsilons, leader_epsilons, n_paths, seed,
-        workers=workers, store_paths=min(4, n_paths),
+        n_paths, seed, workers=workers, store_paths=min(4, n_paths),
     )
 
     mean0 = StageTable(s.grid, mean_state_stages(es, lg, er.mean_state).values[:, : s.dims.n])
-    phi_follower = solve_phi(s, fg.Pi, mean0).values
-    phi_gap = float(np.max(np.abs(phi_follower - er.offset.values)))
+    dp = dp_gain_oracle(s, fg, mean_leader=mean0)
+    phi_gap = float(np.max(np.abs(dp.phi - er.offset.values)))
     add(
         "offset_consistency",
         phi_gap,
@@ -464,7 +409,6 @@ def run_verification(
         "stream relabeling permutes costs path-by-path",
     )
 
-    dp = dp_gain_oracle(s, fg, mean_leader=mean0)
     scale_P = 1.0 + float(np.max(np.abs(fg.P.values)))
     scale_h = 1.0 + float(np.max(np.abs(dp.offset)))
     add("dp_oracle_curvature", dp.delta_P, 200.0 * s.grid.dt * scale_P, "O(dt) discrete-time recursion")

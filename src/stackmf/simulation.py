@@ -8,8 +8,8 @@ feedback laws node by node, and accumulates the quadratic costs with the
 trapezoid rule.  The same march optionally costs open-loop control
 deviations of one follower and of the leader (`Deviations`): the dynamics
 are linear, so a deviated path is the baseline path plus a deterministic
-shift, and every (direction, epsilon) pair is costed along the baseline
-paths in the same pass.  Stored paths (`SimPath`) hold every agent's
+shift, and each direction's pathwise cost slope is accumulated along the
+baseline paths in the same pass.  Stored paths (`SimPath`) hold every agent's
 trajectory and control, and the leader's extended state X.
 
 Paths run in chunks.  Within a chunk the followers form one follower-major
@@ -117,21 +117,22 @@ class NoiseModel:
 class Deviations:
     """Open-loop control deviations costed along the ensemble's own paths.
 
-    Follower slot 1 deviates by eps * v(t) for every follower direction v
-    and every eps in `follower_eps`; everyone else keeps the solved feedback,
-    so only the 1/N population-average shift feeds back.  A leader deviation
-    shifts the leader path, and the follower population shifts by its
-    deterministic reaction to the shifted mean leader path.  Directions are
-    (steps+1, m) tables.  `EnsembleResult.deviation_costs` holds one column
-    per (direction, eps), epsilon fastest: follower directions first (the
-    social cost in team mode, the deviator's own cost in game mode), then
-    leader directions (the leader's cost).
+    Follower slot 1 deviates by eps * v(t) for every follower direction v;
+    everyone else keeps the solved feedback, so only the 1/N
+    population-average shift feeds back.  A leader deviation shifts the
+    leader path, and the follower population shifts by its deterministic
+    reaction to the shifted mean leader path.  Directions are (steps+1, m)
+    tables.  The dynamics are linear and the costs quadratic, so each
+    path's cost moves by exactly eps a_p + eps^2 b: `EnsembleResult`
+    holds the slopes a_p (`deviation_slopes`, one column per direction) and
+    the curvatures b (`deviation_curvature`, one per direction, the same on
+    every path), follower directions first (the social cost in team mode,
+    the deviator's own cost in game mode), then leader directions (the
+    leader's cost).
     """
 
     follower: tuple = ()
     leader: tuple = ()
-    follower_eps: tuple = ()
-    leader_eps: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,8 @@ class EnsembleResult:
     phi_spread: float                 # max cross-path deviation of the offset
     node_summary: dict
     paths: tuple
-    deviation_costs: np.ndarray | None = None   # (n_paths, columns of `Deviations`)
+    deviation_slopes: np.ndarray | None = None     # (n_paths, directions of `Deviations`)
+    deviation_curvature: np.ndarray | None = None  # (directions,)
 
 
 @dataclass(frozen=True)
@@ -405,7 +407,7 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
 
 
 def _deviation_shifts(s: Scenario, fg: FollowerGains, tab: _Tables, dev: Deviations) -> tuple:
-    """Per-node shifts, (K+1, columns, dim) each, scaled by every epsilon:
+    """Per-node shifts of the unit deviations, (K+1, directions, dim) each:
     follower-1 state and control, then leader state, population average and
     leader control."""
     K, m = tab.steps, tab.m
@@ -414,45 +416,48 @@ def _deviation_shifts(s: Scenario, fg: FollowerGains, tab: _Tables, dev: Deviati
             raise ValueError(f"deviation directions must have shape ({K + 1}, {m})")
     v_f = np.stack(dev.follower, axis=1) if dev.follower else np.zeros((K + 1, 0, m))
     v_l = np.stack(dev.leader, axis=1) if dev.leader else np.zeros((K + 1, 0, m))
-
-    def scaled(eps, tables):
-        eps = np.asarray(eps, dtype=float)
-        return (eps[None, None, :, None] * tables[:, :, None, :]).reshape(K + 1, -1, tables.shape[2])
-
     chi0 = _control_shift(tab, v_l, tab.step0)
     xi_shift = _population_shift(s, fg, tab, chi0) if dev.leader else chi0
-    return (
-        scaled(dev.follower_eps, _control_shift(tab, v_f, tab.step_f)), scaled(dev.follower_eps, v_f),
-        scaled(dev.leader_eps, chi0), scaled(dev.leader_eps, xi_shift), scaled(dev.leader_eps, v_l),
-    )
+    return _control_shift(tab, v_f, tab.step_f), v_f, chi0, xi_shift, v_l
 
 
-def _follower_deviation_cost(tab, k, target, x3, u3, dx, du) -> np.ndarray:
-    """Trapezoid increment of the deviating follower's cost, (c, Cf).
+def _slope_tables(tab: _Tables, shifts: tuple) -> tuple:
+    """What the kernel reads to cost the unit deviations, and their curvatures.
 
-    x3 and u3 are the follower-major states and controls, (N, c, .); target
-    is the leader part x0 Gamma1' + eta of the tracking target, (c, n).
+    A deviation by eps moves a cost's tracking errors y by eps dy and its
+    controls u by eps du, so the path's cost moves by eps a + eps^2 b with
+    a = sum_k w_k (y Q dy + u R du), read off the path, and
+    b = 1/2 sum_k w_k (dy Q dy + du R du), the same on every path (Q and R
+    are symmetric).  A table holds w_k Q dy per node and direction, as
+    (K+1, dim, directions), so the kernel adds y @ table.
+
+    The deviating follower moves the tracking target of everyone by
+    g = Gamma dx / N.  Game mode costs the deviator: dy = dx - g.  Team mode
+    costs the social average, where every other follower's error also moves
+    by -g; the kernel reads the summed error of all N followers as
+    N (xbar - z), so the follower tables are (dx, du, -g) with 1/N on the
+    first two.
     """
-    N, Q, R = tab.N, tab.Q, tab.R
-    rest_x = x3[1:]
-    x1e = x3[0][:, None] + dx
-    u1e = u3[0][:, None] + du
-    Sx = _ordered_sum(rest_x)[:, None] + x1e
-    z = _dot(Sx / N, tab.GammaT) + target[:, None]
+    fx, fu, lx, lxbar, lu = shifts
+    N, w = tab.N, tab.weights
+
+    def table(d, M):
+        return np.ascontiguousarray(np.swapaxes(w[:, None, None] * (d @ M), 1, 2))
+
+    def curvature(*pairs):
+        return 0.5 * sum(np.einsum("k,kdi,kdi->d", w, d @ M, d) for d, M in pairs)
+
+    g = fx @ tab.GammaT / N
+    dy1 = fx - g
+    dy0 = lx - lxbar @ tab.Gamma0T
     if tab.team:
-        S1 = _ordered_sum(_quad(rest_x, Q))[:, None] + _quad(x1e, Q)
-        Tu = _ordered_sum(_quad(u3[1:], R))[:, None]
-        cross = (_dot(z, Q) * Sx).sum(-1)
-        integ = 0.5 * (S1 - 2.0 * cross + N * _quad(z, Q) + Tu + _quad(u1e, R)) / N
+        follower = (table(fx, tab.Q) / N, table(fu, tab.R) / N, -table(g, tab.Q))
+        curv_f = (curvature((dy1, tab.Q), (fu, tab.R)) + (N - 1) * curvature((g, tab.Q))) / N
     else:
-        integ = 0.5 * (_quad(x1e - z, Q) + _quad(u1e, R))
-    return tab.weights[k] * integ
-
-
-def _leader_deviation_cost(tab, k, x0, xbar, u0, dx0, dxbar, du0) -> np.ndarray:
-    """Trapezoid increment of the leader's cost, (c, Cl)."""
-    y0 = (x0[:, None] + dx0) - _dot(xbar[:, None] + dxbar, tab.Gamma0T) - tab.eta0[k]
-    return tab.weights[k] * 0.5 * (_quad(y0, tab.Q0) + _quad(u0[:, None] + du0, tab.R0))
+        follower = (table(dy1, tab.Q), table(fu, tab.R), None)
+        curv_f = curvature((dy1, tab.Q), (fu, tab.R))
+    tables = follower + (table(dy0, tab.Q0), table(lu, tab.R0))
+    return tables, np.concatenate([curv_f, curvature((dy0, tab.Q0), (lu, tab.R0))])
 
 
 def _chunk(args) -> dict:
@@ -466,7 +471,7 @@ def _chunk(args) -> dict:
     block first moves its increments from the path-major draw buffer into a
     time-major one.
     """
-    (tab, law, seed, start, stop, substeps, rows, store_upto, shifts) = args
+    (tab, law, seed, start, stop, substeps, rows, store_upto, slopes) = args
     nm = NoiseModel(seed)
     c = stop - start
     K, n, m, N = tab.steps, tab.n, tab.m, tab.N
@@ -496,10 +501,10 @@ def _chunk(args) -> dict:
     J0 = np.zeros(c)
     acc_x = np.zeros((Nc, n))      # per follower and state component: sum_k w_k/2 y (Q y)
     acc_u = np.zeros((Nc, m))
-    if shifts is not None:
-        fx, fu, lx, lxbar, lu = shifts
-        Jf = np.zeros((c, fx.shape[1]))
-        Jl = np.zeros((c, lx.shape[1]))
+    if slopes is not None:
+        Fy, Fu, Fz, Ly, Lu = slopes
+        Sf = np.zeros((c, Fy.shape[2]))     # per path and direction: sum_k w_k (y Q dy + u R du)
+        Sl = np.zeros((c, Ly.shape[2]))
     node_sum = np.zeros((K + 1, 2 * n + m))     # x0 | xbar | u0 per node
     node_m2 = np.zeros((K + 1, 2 * n + m))
     gap_sum = np.zeros(K + 1)
@@ -541,14 +546,15 @@ def _chunk(args) -> dict:
             u3 = np.dot(x, tab.F_xT[k]).reshape(N, c, m)
             np.subtract(u_const[b], u3, out=u3)
             u = u3.reshape(Nc, m)
-            y = (x3 - (_dot(xbar, tab.GammaT) + target[b])).reshape(Nc, n)
+            z = _dot(xbar, tab.GammaT) + target[b]
+            y = (x3 - z).reshape(Nc, n)
             acc_x += np.dot(y, tab.Qw[k]) * y
             acc_u += np.dot(u, tab.Rw[k]) * u
-            if shifts is not None:
-                if Jf.shape[1]:
-                    Jf += _follower_deviation_cost(tab, k, target[b], x3, u3, fx[k], fu[k])
-                if Jl.shape[1]:
-                    Jl += _leader_deviation_cost(tab, k, x0[b], xbar, u0[b], lx[k], lxbar[k], lu[k])
+            if slopes is not None:
+                Sf += _dot(y[:c], Fy[k])      # follower 1 of every path
+                Sf += _dot(u[:c], Fu[k])
+                if Fz is not None:
+                    Sf += _dot(xbar - z, Fz[k])
             if store is not None:
                 store["followers"][:, :, k] = x3[:, :n_store].swapaxes(0, 1)
                 store["controls"][:, :, k] = u3[:, :n_store].swapaxes(0, 1)
@@ -561,6 +567,8 @@ def _chunk(args) -> dict:
         xbar = xbars[:nb]
         y0 = x0 - _dot(xbar, tab.Gamma0T) - tab.eta0[ks, None]
         J0 += _ordered_sum(0.5 * tab.weights[ks, None] * (_quad(y0, tab.Q0) + _quad(u0, tab.R0)))
+        if slopes is not None:
+            Sl += _ordered_sum(_dot(y0, Ly[ks]) + _dot(u0, Lu[ks]))
         # Node sums and centred second moments, each summed pairwise along its paths.
         stats = np.concatenate([x0, xbar, u0], axis=2).transpose(0, 2, 1).copy()
         node_sum[ks] = stats.sum(axis=2)
@@ -576,7 +584,7 @@ def _chunk(args) -> dict:
         "start": start,
         "J0": J0,
         "Ji": (acc_x.sum(axis=1) + acc_u.sum(axis=1)).reshape(N, c).T,
-        "Jdev": None if shifts is None else np.concatenate([Jf, Jl], axis=1),
+        "slopes": None if slopes is None else np.concatenate([Sf, Sl], axis=1),
         "node_sum": node_sum,
         "node_m2": node_m2,
         "gap_sum": gap_sum,
@@ -623,11 +631,13 @@ def simulate(
         if sorted(rows.tolist()) != list(range(N + 1)):
             raise ValueError("agent_permutation must permute 1..N")
 
-    shifts = None if deviations is None else _deviation_shifts(s, fg, tab, deviations)
+    slopes = curvature = None
+    if deviations is not None:
+        slopes, curvature = _slope_tables(tab, _deviation_shifts(s, fg, tab, deviations))
     store_paths = max(0, min(store_paths, n_paths))
     chunk = chunk_size or default_chunk_size(N, K, n_paths)
     argses = [
-        (tab, s.init, seed, start, min(start + chunk, n_paths), substeps, rows, store_paths, shifts)
+        (tab, s.init, seed, start, min(start + chunk, n_paths), substeps, rows, store_paths, slopes)
         for start in range(0, n_paths, chunk)
     ]
     if workers > 1 and len(argses) > 1:
@@ -691,7 +701,8 @@ def simulate(
         phi_spread=phi_spread,
         node_summary=node_summary,
         paths=tuple(paths),
-        deviation_costs=None if shifts is None else np.concatenate([p["Jdev"] for p in partials]),
+        deviation_slopes=None if slopes is None else np.concatenate([p["slopes"] for p in partials]),
+        deviation_curvature=curvature,
     )
 
 

@@ -23,9 +23,7 @@ from stackmf.simulation import lln_diagnostic, simulate
 from conftest import FAST_CFG_TEXT, random_scenario, replace_mode, solve_both
 
 SOLVE_TIME_BUDGET = 1.2          # seconds, benchmark solve
-DEVIATION_TIME_BUDGET = 70.0     # seconds, full certification battery
-FOLLOWER_EPS = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
-LEADER_EPS = (-0.2, -0.1, 0.1, 0.2)
+DEVIATION_TIME_BUDGET = 35.0     # seconds, full certification battery
 
 TANH_CFG = """\
 mode = "team"
@@ -209,7 +207,7 @@ def test_accept_06_deviation_certification(team_gains):
     lines = []
     all_ok = True
     dirs = direction_library(s.grid, s.dims.m, 5, seed=17)
-    results = deviation_battery(s, fg, lg, dirs, dirs, FOLLOWER_EPS, LEADER_EPS, 10_000, seed=42)
+    results = deviation_battery(s, fg, lg, dirs, dirs, 10_000, seed=42)
     for r in results:
         ok = abs(r.c1) <= 3.0 * r.c1_se and r.c2 > 0.0
         all_ok &= ok

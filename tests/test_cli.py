@@ -12,9 +12,9 @@ from stackmf.cli import _load_gains, main
 from stackmf.follower import solve_follower_gains
 from stackmf.integrators import read_grid_csv
 from stackmf.leader import assemble_extended, solve_leader_gains
-from stackmf.model import load_scenario_file
+from stackmf.model import load_scenario_file, scenario_to_text
 from stackmf.simulation import NOISE_SCHEME, mean_state_stages, simulate, solve_mean_state
-from conftest import FAST_CFG_TEXT
+from conftest import BASELINE_CFG, FAST_CFG_TEXT, random_scenario
 
 GAIN_TABLES = ("P", "K", "Pi", "phi", "leaderP", "leaderK", "leaderM", "leaderV")
 
@@ -252,6 +252,41 @@ def test_malformed_gains_table_exits_4(config, gains_dir, tmp_path, capsys, corr
     assert len(err.splitlines()) == 1 and "P.csv" in err
 
 
+def _bump(path: Path, column: int, delta: float) -> None:
+    """Add delta to one cell of a gains table's t = 0 row."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[column] = repr(float(cells[column]) + delta)
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["follower-sum", "leader-sum", "asymmetric-P"])
+def test_contradictory_gains_tables_exit_4(case, tmp_path, capsys):
+    # Tables that parse but contradict each other are refused with exit 4,
+    # by the gates `verify` applies: follower P + K = Pi, P symmetric, and
+    # the leader's P + K = M.
+    cfg = BASELINE_CFG
+    if case == "asymmetric-P":
+        cfg = tmp_path / "vector.cfg"
+        cfg.write_text(scenario_to_text(random_scenario(3, n=2, m=2, N=4)), encoding="utf-8")
+    gains = tmp_path / "gains"
+    assert run_cli("solve", "--config", str(cfg), "--out", str(gains)) == 0
+    sim = ("simulate", "--config", str(cfg), "--gains", str(gains), "--paths", "8")
+    assert run_cli(*sim, "--out", str(tmp_path / "ok")) == 0
+    if case == "follower-sum":
+        _bump(gains / "K.csv", 1, 0.5)
+    elif case == "leader-sum":
+        _bump(gains / "leaderK.csv", 1, 0.5)
+    else:
+        _bump(gains / "P.csv", 2, 0.5)      # P_0_1; P + K still equals Pi
+        _bump(gains / "K.csv", 2, -0.5)
+    capsys.readouterr()
+    assert run_cli(*sim, "--out", str(tmp_path / "bad")) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "contradict" in err
+
+
 def test_simulate_zero_paths_is_usage_error(config, gains_dir, tmp_path):
     code = run_cli(
         "simulate", "--config", str(config), "--gains", str(gains_dir),
@@ -292,7 +327,7 @@ def test_verify_passes_on_solved_scenario(workdir, config, capsys):
     assert "overall: PASS" in stdout
     rows = read_csv(out / "verification.csv")
     assert rows[0][0] == "kind"
-    assert all(row[9] == "1" for row in rows[1:])
+    assert all(row[7] == "1" for row in rows[1:])
 
 
 def test_verify_detects_injected_fault(config, tmp_path, capsys):
@@ -306,7 +341,7 @@ def test_verify_detects_injected_fault(config, tmp_path, capsys):
     assert "follower_sum_identity" in captured.err
     assert "overall: FAIL" in captured.out
     rows = read_csv(out / "verification.csv")
-    failed = {row[1] for row in rows[1:] if row[9] == "0"}
+    failed = {row[1] for row in rows[1:] if row[7] == "0"}
     assert "follower_sum_identity" in failed
 
 

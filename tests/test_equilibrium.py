@@ -22,16 +22,12 @@ from stackmf.equilibrium import (
 )
 from conftest import FAST_CFG_TEXT, random_scenario, solve_both
 
-FOLLOWER_EPS = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
-LEADER_EPS = (-0.2, -0.1, 0.1, 0.2)
-
-
-def one_direction(target, s, fg, lg, direction, epsilons, n_paths, seed, label="d"):
+def one_direction(target, s, fg, lg, direction, n_paths, seed, label="d"):
     """The battery's result for a single follower or leader direction."""
-    dirs, eps = [(label, direction)], tuple(epsilons)
+    dirs = [(label, direction)]
     if target == "follower":
-        return deviation_battery(s, fg, lg, dirs, [], eps, (), n_paths, seed)[0]
-    return deviation_battery(s, fg, lg, [], dirs, (), eps, n_paths, seed)[0]
+        return deviation_battery(s, fg, lg, dirs, [], n_paths, seed)[0]
+    return deviation_battery(s, fg, lg, [], dirs, n_paths, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -55,21 +51,15 @@ def test_direction_library_shapes_and_labels():
 def test_direction_shape_is_validated(fast_gains):
     s, fg, lg = fast_gains
     with pytest.raises(ValueError):
-        one_direction("follower", s, fg, lg, np.ones((7, 1)), FOLLOWER_EPS, 4, seed=0)
-
-
-def test_epsilon_grid_is_validated(fast_gains):
-    s, fg, lg = fast_gains
-    with pytest.raises(ValueError):
-        one_direction("follower", s, fg, lg, np.ones(1), (0.1,), 4, seed=0)
+        one_direction("follower", s, fg, lg, np.ones((7, 1)), 4, seed=0)
 
 
 def test_zero_direction_is_vacuous(fast_gains):
     s, fg, lg = fast_gains
-    r = one_direction("follower", s, fg, lg, np.zeros(1), FOLLOWER_EPS, 4, seed=0)
+    r = one_direction("follower", s, fg, lg, np.zeros(1), 4, seed=0)
     assert r.vacuous and r.passed
     assert r.c1 == 0.0 and r.c2 == 0.0
-    r = one_direction("leader", s, fg, lg, np.zeros(1), LEADER_EPS, 4, seed=0)
+    r = one_direction("leader", s, fg, lg, np.zeros(1), 4, seed=0)
     assert r.vacuous and r.passed
 
 
@@ -83,35 +73,30 @@ def test_zero_direction_is_vacuous(fast_gains):
 def test_solved_feedback_is_stationary(fixture, target, request):
     s, fg, lg = request.getfixturevalue(fixture)
     _, v = direction_library(s.grid, s.dims.m, 2, seed=123)[1]
-    eps = FOLLOWER_EPS if target == "follower" else LEADER_EPS
-    r = one_direction(target, s, fg, lg, v, eps, 128, seed=5)
+    r = one_direction(target, s, fg, lg, v, 128, seed=5)
     assert r.passed
     assert abs(r.c1) <= 3.0 * r.c1_se + PASS_FLOOR * 100
     assert r.c2 > 0.0
-    # Per-path cost changes are exactly quadratic in the magnitude, so the
-    # quadratic fit reproduces the mean deltas to roundoff.
-    assert r.fit_residual <= 1e-12
-    assert r.epsilons == tuple(e for e in eps if e != 0.0)
 
 
 def test_mirrored_deviations_satisfy_convexity(fast_gains):
-    # With common random numbers, dJ(+e) + dJ(-e) = 2 c2 e^2 >= 0 up to
-    # Monte Carlo error on the shared baseline.
+    # With common random numbers, dJ(+v) + dJ(-v) = 2 c2 > 0 on every path:
+    # the mirrored direction negates each path's slope and keeps the
+    # curvature, bit for bit (negation is exact).
     s, fg, lg = fast_gains
-    r = one_direction("follower", s, fg, lg, np.ones(1), FOLLOWER_EPS, 96, seed=8)
-    eps = np.array(r.epsilons)
-    dm = np.array(r.delta_mean)
-    ds = np.array(r.delta_se)
-    for i, e in enumerate(eps):
-        (j,) = np.nonzero(eps == -e)[0]
-        assert dm[i] + dm[j] >= -6.0 * (ds[i] + ds[j])
+    _, v = direction_library(s.grid, s.dims.m, 2, seed=8)[1]
+    dirs = [("plus", v), ("minus", -v)]
+    f_plus, f_minus, l_plus, l_minus = deviation_battery(s, fg, lg, dirs, dirs, 96, seed=8)
+    for plus, minus in ((f_plus, f_minus), (l_plus, l_minus)):
+        assert minus.c1 == -plus.c1 and minus.c1_se == plus.c1_se
+        assert minus.c2 == plus.c2 > 0.0
 
 
 def test_perturbed_gain_fails_the_first_order_test(fast_gains):
     # Inflating the follower feedback by 20% must produce a detected slope.
     s, fg, lg = fast_gains
     bad = dataclasses.replace(fg, P=GridFunction(s.grid, fg.P.values * 1.2))
-    r = one_direction("follower", s, bad, lg, np.ones(1), FOLLOWER_EPS, 256, seed=3)
+    r = one_direction("follower", s, bad, lg, np.ones(1), 256, seed=3)
     assert not r.passed or abs(r.c1) > 10.0 * r.c1_se
 
 
@@ -120,33 +105,31 @@ def test_zero_leader_weight_makes_deviations_exact():
     # zero, so the cost change is (1/2) e^2 int v'R0 v with no noise at all.
     text = FAST_CFG_TEXT.replace("Q = 1.0\nR = 1.0", "Q = 0.0\nR = 1.0")
     s, fg, lg = solve_both(load_scenario(text))
-    r = one_direction("leader", s, fg, lg, np.ones(1), LEADER_EPS, 16, seed=4)
+    r = one_direction("leader", s, fg, lg, np.ones(1), 16, seed=4)
     w = np.full(s.grid.steps + 1, s.grid.dt)
     w[0] = w[-1] = 0.5 * s.grid.dt
     exact_c2 = 0.5 * float(np.sum(w))      # R0 = 1 and v = 1
     assert abs(r.c1) <= 1e-12
     assert r.c1_se <= 1e-12
     assert abs(r.c2 - exact_c2) <= 1e-10
-    assert r.fit_residual <= 1e-12
     assert r.passed
 
 
 def test_uncoupled_social_delta_is_own_delta_over_population():
     # With no population coupling in the follower cost, a single deviation
-    # moves the social cost by exactly 1/N of the own-cost change; running
-    # the two cost functionals over identical trajectories must agree to
-    # roundoff.
+    # moves every path's social cost by exactly 1/N of its own-cost change;
+    # running the two cost functionals over identical trajectories must
+    # agree to roundoff, standard error included.
     s_team = random_scenario(77, gamma_zero=True, mode="team", N=4)
     _, fg, lg = solve_both(s_team)
     s_game = dataclasses.replace(s_team, mode=Mode.GAME)
     _, v = direction_library(s_team.grid, s_team.dims.m, 2, seed=9)[1]
-    rt = one_direction("follower", s_team, fg, lg, v, (-0.1, 0.1, 0.2), 32, seed=6)
-    rg = one_direction("follower", s_game, fg, lg, v, (-0.1, 0.1, 0.2), 32, seed=6)
+    rt = one_direction("follower", s_team, fg, lg, v, 32, seed=6)
+    rg = one_direction("follower", s_game, fg, lg, v, 32, seed=6)
     N = s_team.dims.N
     assert abs(N * rt.c1 - rg.c1) <= 1e-10 * (1.0 + abs(rg.c1))
+    assert abs(N * rt.c1_se - rg.c1_se) <= 1e-10 * (1.0 + abs(rg.c1_se))
     assert abs(N * rt.c2 - rg.c2) <= 1e-10 * (1.0 + abs(rg.c2))
-    dm = np.max(np.abs(N * np.array(rt.delta_mean) - np.array(rg.delta_mean)))
-    assert dm <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +145,12 @@ def test_residuals_vanish_on_solved_paths(fast_gains):
 
 
 def test_residuals_scale_with_a_control_offset(fast_gains):
-    # Shifting every control by delta adds exactly R * delta to the residual
-    # (scalar control, R = 0.5 in the fast scenario).
+    # Shifting every stored control by delta adds exactly R * delta to the
+    # residual (scalar control, R = 0.5 in the fast scenario).
     s, fg, lg = fast_gains
     er = simulate(s, fg, lg, 4, seed=3, store_paths=2)
-    r = stationarity_residuals(s, er, fg, control_offset=0.1)
+    shifted = tuple(dataclasses.replace(p, controls=p.controls + 0.1) for p in er.paths)
+    r = stationarity_residuals(s, dataclasses.replace(er, paths=shifted), fg)
     assert r == pytest.approx(0.05, abs=1e-8)
 
 
@@ -219,7 +203,7 @@ def test_noiseless_vector_game_leader_is_first_order_optimal():
         )
         s, fg, lg = solve_both(s)
         dirs = direction_library(s.grid, s.dims.m, 3, seed=0)
-        return np.array([r.c1 for r in deviation_battery(s, fg, lg, [], dirs, (), (-0.1, 0.1), 2, seed=0)])
+        return np.array([r.c1 for r in deviation_battery(s, fg, lg, [], dirs, 2, seed=0)])
 
     coarse, fine = leader_c1(320), leader_c1(640)
     assert np.all(np.abs(coarse) > 1e-6)
@@ -306,12 +290,12 @@ def test_verification_csv_schema(fast_report, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == [
         "kind", "name", "value", "threshold",
-        "c1", "c1_se", "c2", "c2_se", "fit_residual", "passed",
+        "c1", "c1_se", "c2", "passed",
     ]
     assert len(rows) == 1 + len(fast_report.checks) + len(fast_report.deviations)
     for row in rows[1:]:
         assert row[0] in {"check", "deviation"}
-        assert row[9] in {"0", "1"}
+        assert row[7] in {"0", "1"}
     # Floats are written with repr, so the report round-trips losslessly.
     c0 = fast_report.checks[0]
     assert float(rows[1][2]) == c0.value
@@ -326,38 +310,25 @@ def test_verification_solves_gains_when_not_supplied(fast_scenario):
 # Deviation fields of run_verification(fast, n_paths=128, seed=0, directions=3)
 # on SFC64 noise streams keyed by (seed, path, purpose) with one row per
 # agent.  Re-pinned when the streams moved from Philox to SFC64: c2 is the
-# same to 2.1e-14 relative (it does not depend on the draws); c1, c1_se and
-# delta_mean are new draws.  Rows: (target/label, c1, c1_se, c2, delta_mean).
+# same to 2.1e-14 relative (it does not depend on the draws); c1 and c1_se
+# are new draws.  Pinned while c1 and c2 were fitted over an epsilon grid;
+# the pathwise slope and the exact curvature match them at rtol 1e-10.
+# Rows: (target/label, c1, c1_se, c2).
 PINNED_DEVIATIONS = (
-    ("follower/const", 0.0039326444284919805, 0.0073303541693800454, 0.17231601907813965,
-     (0.006106111877427181, 0.001329895747932218, 0.0002341578262708211, 0.0006274222691199827,
-      0.0021164246336306492, 0.007679169648823969)),
-    ("follower/halfsine", 0.003286025424549732, 0.004783760139441421, 0.08329609771337776,
-     (0.002674638823625134, 0.0005043584346788731, 4.3938973056109956e-05, 0.00037254151551103045,
-      0.0011615635195888281, 0.0039890489934450366)),
-    ("follower/cosine", 4.740549023745516e-05, 0.003115346173169362, 0.06111586893940495,
-     (0.002435153659528689, 0.0006064181403702938, 0.0001504193978367431, 0.00015515994686034662,
-      0.0006158992384177739, 0.0024541158556237127)),
-    ("leader/const", 0.012182234712608745, 0.02071582643572921, 1.2068053003346573,
-     (0.04583576507086453, 0.010849829532085749, 0.013286276474607436, 0.050708658955908044)),
-    ("leader/halfsine", 0.011516774506484254, 0.013232980936643024, 0.5944732698461652,
-     (0.02147557589254975, 0.004793055247813223, 0.007096410149110111, 0.02608228569514345)),
-    ("leader/cosine", -0.0006211868354512829, 0.012032733313849145, 0.5362630469526339,
-     (0.021574759245195595, 0.0054247491530715316, 0.00530051178598121, 0.021326284511015117)),
+    ("follower/const", 0.0039326444284919805, 0.0073303541693800454, 0.17231601907813965),
+    ("follower/halfsine", 0.003286025424549732, 0.004783760139441421, 0.08329609771337776),
+    ("follower/cosine", 4.740549023745516e-05, 0.003115346173169362, 0.06111586893940495),
+    ("leader/const", 0.012182234712608745, 0.02071582643572921, 1.2068053003346573),
+    ("leader/halfsine", 0.011516774506484254, 0.013232980936643024, 0.5944732698461652),
+    ("leader/cosine", -0.0006211868354512829, 0.012032733313849145, 0.5362630469526339),
 )
 
 
 def test_verification_deviations_match_pinned_values(fast_report):
-    got = [(f"{d.target}/{d.label}", d.c1, d.c1_se, d.c2, d.delta_mean) for d in fast_report.deviations]
+    got = [(f"{d.target}/{d.label}", d.c1, d.c1_se, d.c2) for d in fast_report.deviations]
     assert [g[0] for g in got] == [p[0] for p in PINNED_DEVIATIONS]
     for g, p in zip(got, PINNED_DEVIATIONS):
-        np.testing.assert_allclose(g[1:4], p[1:4], rtol=1e-10, atol=0.0, err_msg=p[0])
-        np.testing.assert_allclose(g[4], p[4], rtol=1e-10, atol=0.0, err_msg=p[0])
-    # The cost change is exactly quadratic in eps with a curvature that no
-    # path changes, so its standard error is rounding noise; a path-dependent
-    # fitted curvature would lift it far above this.
-    for d in fast_report.deviations:
-        assert d.c2_se <= 1e-12 * abs(d.c2), (d.target, d.label, d.c2_se, d.c2)
+        np.testing.assert_allclose(g[1:], p[1:], rtol=1e-10, atol=0.0, err_msg=p[0])
 
 
 def test_verification_csv_is_worker_invariant(fast_gains, tmp_path):
@@ -374,8 +345,8 @@ def test_battery_equals_one_direction_at_a_time(fast_gains):
     s, fg, lg = fast_gains
     f_dirs = direction_library(s.grid, s.dims.m, 2, seed=5)
     l_dirs = direction_library(s.grid, s.dims.m, 2, seed=6) + [("zero", np.zeros(1))]
-    batch = deviation_battery(s, fg, lg, f_dirs, l_dirs, FOLLOWER_EPS, LEADER_EPS, 24, seed=9)
-    single = [one_direction("follower", s, fg, lg, v, FOLLOWER_EPS, 24, seed=9, label=lab) for lab, v in f_dirs]
-    single += [one_direction("leader", s, fg, lg, v, LEADER_EPS, 24, seed=9, label=lab) for lab, v in l_dirs]
+    batch = deviation_battery(s, fg, lg, f_dirs, l_dirs, 24, seed=9)
+    single = [one_direction("follower", s, fg, lg, v, 24, seed=9, label=lab) for lab, v in f_dirs]
+    single += [one_direction("leader", s, fg, lg, v, 24, seed=9, label=lab) for lab, v in l_dirs]
     assert batch == single
     assert batch[-1].vacuous

@@ -52,11 +52,18 @@ def ensembles_equal(a, b) -> None:
         assert np.array_equal(pa.controls, pb.controls)
 
 
+def _two_directions(s):
+    dirs = tuple(v for _, v in direction_library(s.grid, s.dims.m, 2, seed=1))
+    return Deviations(dirs, dirs)
+
+
 def test_worker_count_does_not_change_results(fast_gains):
     s, fg, lg = fast_gains
-    base = simulate(s, fg, lg, 24, seed=7, workers=1)
-    multi = simulate(s, fg, lg, 24, seed=7, workers=3)
+    dev = _two_directions(s)
+    base = simulate(s, fg, lg, 24, seed=7, workers=1, deviations=dev)
+    multi = simulate(s, fg, lg, 24, seed=7, workers=3, deviations=dev)
     ensembles_equal(base, multi)
+    assert np.array_equal(base.deviation_slopes, multi.deviation_slopes)
 
 
 def test_chunk_size_changes_nothing_per_path(fast_gains):
@@ -64,15 +71,15 @@ def test_chunk_size_changes_nothing_per_path(fast_gains):
     # under re-chunking; cross-path reductions may reassociate by one ulp.
     # A chunk of one path is included: numpy sums a lone column pairwise.
     s, fg, lg = fast_gains
-    dirs = tuple(v for _, v in direction_library(s.grid, s.dims.m, 2, seed=1))
-    dev = Deviations(dirs, dirs, (0.0, -0.1, 0.2), (0.0, 0.1, 0.2))
+    dev = _two_directions(s)
     base = simulate(s, fg, lg, 24, seed=7, deviations=dev)
     for chunk in (7, 1):
         odd = simulate(s, fg, lg, 24, seed=7, chunk_size=chunk, deviations=dev)
         assert np.array_equal(base.leader_cost_paths, odd.leader_cost_paths)
         assert np.array_equal(base.social_cost_paths, odd.social_cost_paths)
         assert np.array_equal(base.follower_cost_paths, odd.follower_cost_paths)
-        assert np.array_equal(base.deviation_costs, odd.deviation_costs)
+        assert np.array_equal(base.deviation_slopes, odd.deviation_slopes)
+        assert np.array_equal(base.deviation_curvature, odd.deviation_curvature)
         for pa, pb in zip(base.paths, odd.paths):
             assert np.array_equal(pa.x0, pb.x0)
             assert np.array_equal(pa.followers, pb.followers)
@@ -297,11 +304,14 @@ def test_slot_relabelling_is_a_row_permutation(fast_gains):
 
 
 def test_multi_chunk_results_are_worker_invariant(fast_gains):
-    # Four chunks over two workers: costs, paths and the merged node moments
-    # match the in-process run bit for bit.
+    # Four chunks over two workers: costs, paths, the merged node moments and
+    # the deviation slopes match the in-process run bit for bit.
     s, fg, lg = fast_gains
-    base = simulate(s, fg, lg, 26, seed=6, chunk_size=7)
-    ensembles_equal(base, simulate(s, fg, lg, 26, seed=6, chunk_size=7, workers=2))
+    dev = _two_directions(s)
+    base = simulate(s, fg, lg, 26, seed=6, chunk_size=7, deviations=dev)
+    multi = simulate(s, fg, lg, 26, seed=6, chunk_size=7, workers=2, deviations=dev)
+    ensembles_equal(base, multi)
+    assert np.array_equal(base.deviation_slopes, multi.deviation_slopes)
 
 
 def test_node_std_is_stable_far_from_zero():
@@ -327,26 +337,24 @@ def test_stream_range_is_validated(fast_gains, n_paths, seed):
 
 
 @pytest.mark.parametrize("fixture", ["fast_gains", "fast_game_gains"])
-def test_deviation_baseline_columns_are_the_ensemble_costs(fixture, request):
-    # The eps = 0 column of every direction is the baseline cost of the same
-    # paths: the social cost (team) or follower 1's own cost (game), and J0.
+def test_deviation_slopes_scale_with_the_direction(fixture, request):
+    # Costing deviations leaves the ensemble's own costs untouched.  A
+    # direction scaled by -2 (exact in floating point) scales every path's
+    # slope by -2 and the curvature by 4, bit for bit.
     s, fg, lg = request.getfixturevalue(fixture)
     K, m = s.grid.steps, s.dims.m
     t = s.grid.nodes[:, None]
     dirs = (np.ones((K + 1, m)), np.sin(np.pi * t / s.grid.horizon) * np.ones((1, m)))
-    eps = (0.0, -0.1, 0.1)
-    dev = Deviations(follower=dirs, leader=dirs, follower_eps=eps, leader_eps=eps)
-    er = simulate(s, fg, lg, 40, seed=2, store_paths=0, deviations=dev)
+    dirs += tuple(-2.0 * v for v in dirs)
+    er = simulate(s, fg, lg, 40, seed=2, store_paths=0, deviations=Deviations(follower=dirs, leader=dirs))
     plain = simulate(s, fg, lg, 40, seed=2, store_paths=0)
     ensembles_equal(er, plain)
-    J = er.deviation_costs
-    assert J.shape == (40, 4 * len(eps))
-    follower_base = er.social_cost_paths if s.mode is Mode.TEAM else er.follower_cost_paths[:, 0]
-    for col in (0, 3):
-        np.testing.assert_allclose(J[:, col], follower_base, rtol=1e-12, atol=0.0)
-    for col in (6, 9):
-        np.testing.assert_allclose(J[:, col], er.leader_cost_paths, rtol=1e-12, atol=0.0)
-    assert not np.array_equal(J[:, 1], J[:, 0])
+    a, b = er.deviation_slopes, er.deviation_curvature
+    assert a.shape == (40, 8) and b.shape == (8,)
+    for col in (0, 1, 4, 5):
+        assert np.array_equal(a[:, col + 2], -2.0 * a[:, col]), col
+        assert b[col + 2] == 4.0 * b[col] > 0.0, col
+    assert not np.array_equal(a[:, 0], a[:, 1])
 
 
 def _population_shift_reference(s, fg, mean_state, v):
@@ -391,11 +399,12 @@ def _vector_game():
     return solve_both(random_scenario(3, n=2, m=2, N=4, mode="game"))
 
 
-def _reference_ensemble(s, fg, lg, n_paths, seed, dev):
+def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps):
     """Plain per-path, per-agent Euler-Maruyama on the draws `simulate` uses,
     built from the scenario matrices and the gain tables.  Returns per-path
     J0 (n_paths,), Ji (n_paths, N), the trajectories (x0, followers, u0,
-    controls), and the deviation costs in the column order of `Deviations`."""
+    controls), and the cost of every deviated path, (n_paths, directions,
+    len(eps)), directions in the order of `Deviations`."""
     K, dt, n, N = s.grid.steps, s.grid.dt, s.dims.n, s.dims.N
     ld, fd, lc, fc = s.leader_dyn, s.follower_dyn, s.leader_cost, s.follower_cost
     es = assemble_extended(s, fg)
@@ -448,14 +457,16 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev):
         Ji = [follower_cost(xs[j], xbar, x0s, us[j]) for j in range(N)]
         dev_costs = []
         for v, chi in zip(dev.follower, f_chi):
-            for e in dev.follower_eps:
+            row = []
+            for e in eps:
                 x1, u1, xbar_e = xs[0] + e * chi, us[0] + e * v, xbar + e * chi / N
                 own = follower_cost(x1, xbar_e, x0s, u1)
                 if s.mode is Mode.TEAM:
                     own = (own + sum(follower_cost(xs[j], xbar_e, x0s, us[j]) for j in range(1, N))) / N
-                dev_costs.append(own)
+                row.append(own)
+            dev_costs.append(row)
         for v, chi, shift in zip(dev.leader, l_chi, l_shift):
-            dev_costs += [leader_cost(x0s + e * chi, xbar + e * shift, u0s + e * v) for e in dev.leader_eps]
+            dev_costs.append([leader_cost(x0s + e * chi, xbar + e * shift, u0s + e * v) for e in eps])
         for key, value in (("J0", leader_cost(x0s, xbar, u0s)), ("Ji", Ji), ("x0", x0s), ("followers", xs),
                            ("u0", u0s), ("controls", us), ("dev", dev_costs)):
             out[key].append(value)
@@ -464,22 +475,31 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev):
 
 @pytest.mark.parametrize("case", ["fast_team", "vector_game"])
 def test_kernel_matches_a_plain_per_agent_loop(case, fast_gains):
-    # Costs, trajectories, node summaries and deviation costs of the chunked,
-    # follower-major kernel against one agent at a time, on the same draws.
+    # Costs, trajectories, node summaries and deviation slopes and curvatures
+    # of the chunked, follower-major kernel against one agent at a time, on
+    # the same draws.  The reference costs every deviated path at three
+    # magnitudes; each path's cost change must be the quadratic
+    # eps a_p + eps^2 b whose a_p and b the kernel reports.
     s, fg, lg = fast_gains if case == "fast_team" else _vector_game()
     K, m = s.grid.steps, s.dims.m
     dirs = tuple(v for _, v in direction_library(s.grid, m, 2, seed=3))
-    dev = Deviations(dirs, dirs, (0.0, -0.1, 0.2), (0.0, 0.15, -0.3))
+    dev = Deviations(dirs, dirs)
     n_paths = 6
     er = simulate(s, fg, lg, n_paths, seed=19, store_paths=n_paths, chunk_size=4, deviations=dev)
-    ref = _reference_ensemble(s, fg, lg, n_paths, 19, dev)
+    eps = np.array([0.0, -0.1, 0.2, 0.3])
+    ref = _reference_ensemble(s, fg, lg, n_paths, 19, dev, eps)
 
-    def close(got, want):
-        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11 * np.max(np.abs(want)))
+    def close(got, want, rtol=1e-11):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
 
     close(er.leader_cost_paths, ref["J0"])
     close(er.follower_cost_paths, ref["Ji"])
-    close(er.deviation_costs, ref["dev"])
+    delta = ref["dev"][:, :, 1:] - ref["dev"][:, :, :1]
+    (a, b), residual = np.linalg.lstsq(np.stack([eps[1:], eps[1:] ** 2], axis=1),
+                                       delta.reshape(-1, 3).T, rcond=None)[:2]
+    close(a.reshape(n_paths, -1), er.deviation_slopes, rtol=1e-10)
+    close(b.reshape(n_paths, -1), np.broadcast_to(er.deviation_curvature, (n_paths, 4)), rtol=1e-10)
+    assert np.all(np.sqrt(residual) <= 1e-12 * (1.0 + np.abs(ref["dev"]).max()))
     for name in ("x0", "followers", "u0", "controls"):
         close(np.stack([getattr(p, name) for p in er.paths]), ref[name])
     xbar = ref["followers"].mean(axis=1)
@@ -492,7 +512,7 @@ def test_deviations_require_the_closed_loop(fast_gains):
     # Directions are full (steps + 1, m) control tables of the closed loop.
     s, fg, lg = fast_gains
     with pytest.raises(ValueError):
-        simulate(s, fg, lg, 2, seed=0, deviations=Deviations(leader=(np.ones(3),), leader_eps=(0.0, 0.1)))
+        simulate(s, fg, lg, 2, seed=0, deviations=Deviations(leader=(np.ones(3),)))
 
 
 def test_refined_grid_with_shared_noise_converges(fast_gains):
