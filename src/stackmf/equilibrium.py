@@ -40,7 +40,7 @@ from .follower import (
     solve_phi,
     state_weight,
 )
-from .integrators import StageTable, expm, integrate_forward, sampled_stages, stage_table
+from .integrators import StageTable, expm, integrate_linear, sampled_stages, stage_table
 from .leader import LeaderGains, assemble_extended, solve_leader_M, solve_leader_gains
 from .model import Mode, Scenario, TimeGrid, time_sampled
 from .simulation import Deviations, mean_state_stages, simulate
@@ -238,7 +238,8 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
     if mean_leader is None:
         A0 = s.leader_dyn.A
         f0 = sampled_stages(s.leader_dyn.f, grid)
-        lead = integrate_forward(lambda t, e: A0 @ e + f0.at(t), s.leader_mean0, grid).values
+        drift0 = StageTable(grid, np.broadcast_to(A0, (2 * Ksteps + 1,) + A0.shape))
+        lead = integrate_linear(drift0, f0, s.leader_mean0, forward=True).values
         mean_leader = stage_table(grid, lead, lead @ A0.T + f0.nodes)
 
     S = state_weight(s)
@@ -251,11 +252,8 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
     closed = closed_loop(s, fg.Pi)[1]
     phi_st = phi_stages(s, fg.Pi, phi, mean_leader)
     f_st = sampled_stages(s.follower_dyn.f, grid)
-    mean = integrate_forward(
-        lambda t, e: closed.at(t) @ e - G @ phi_st.at(t) + f_st.at(t),
-        s.init.follower.mean,
-        grid,
-    ).values
+    forcing = StageTable(grid, f_st.values - phi_st.values @ G.T)
+    mean = integrate_linear(closed, forcing, s.init.follower.mean, forward=True).values
     ode_offset = np.einsum("kij,kj->ki", fg.K.values, mean) + phi.values
 
     Ad, Bd = _exact_discretization(A, B, dt)

@@ -2,7 +2,7 @@
 
 Each follower's best response (game mode) or the social optimum (team mode)
 is characterized by one symmetric Riccati equation for the own-state gain P,
-a linear matrix equation for the mean-coupling gain K, an independent
+a quadratic matrix equation for the mean-coupling gain K, an independent
 Riccati equation for the aggregate gain Pi (which must equal P + K), and an
 offset vector phi driven by the leader's mean path:
 
@@ -39,6 +39,7 @@ from .integrators import (
     GridFunction,
     StageTable,
     integrate_backward,
+    integrate_linear,
     sampled_stages,
     stage_table,
 )
@@ -235,7 +236,7 @@ def solve_Pi(s: Scenario) -> GridFunction:
 
 
 def solve_K(s: Scenario, P: GridFunction) -> GridFunction:
-    """Mean-coupling gain; linear matrix ODE fed by the own-state gain."""
+    """Mean-coupling gain; a matrix ODE quadratic in K, fed by the own-state gain."""
     A = s.follower_dyn.A
     G = _gain_matrix(s)
     S1 = mean_weight(s)
@@ -254,12 +255,7 @@ def solve_phi(s: Scenario, Pi: GridFunction, mean_leader: StageTable) -> GridFun
     Exposed for follower-stage-only workflows; in the full pipeline the same
     quantity is reconstructed from the leader layer, and the two must agree.
     """
-    drift, forcing = _phi_coefficients(s, Pi, mean_leader)
-
-    def rhs(t, phi):
-        return -(drift.at(t) @ phi + forcing.at(t))
-
-    return integrate_backward(rhs, np.zeros(s.dims.n), s.grid)
+    return integrate_linear(*_phi_coefficients(s, Pi, mean_leader), np.zeros(s.dims.n), forward=False)
 
 
 def closed_loop(s: Scenario, Pi: GridFunction) -> tuple[StageTable, StageTable, StageTable]:
@@ -272,17 +268,17 @@ def closed_loop(s: Scenario, Pi: GridFunction) -> tuple[StageTable, StageTable, 
 
 
 def _phi_coefficients(s: Scenario, Pi: GridFunction, mean_leader: StageTable) -> tuple[StageTable, StageTable]:
-    """phi' = -(drift phi + forcing): drift A' - Pi G and forcing Pi f - g on the stage grid."""
+    """phi' = L phi + c: L = -(A' - Pi G) and c = g - Pi f on the stage grid."""
     Pi_st, _, drift = closed_loop(s, Pi)
     Pi_f = np.einsum("kij,kj->ki", Pi_st.values, sampled_stages(s.follower_dyn.f, s.grid).values)
-    return drift, StageTable(s.grid, Pi_f - _offset_source_stages(s, mean_leader))
+    return StageTable(s.grid, -drift.values), StageTable(s.grid, _offset_source_stages(s, mean_leader) - Pi_f)
 
 
 def phi_stages(s: Scenario, Pi: GridFunction, phi: GridFunction, mean_leader: StageTable) -> StageTable:
     """Stage table of an offset solved for (Pi, mean_leader): Hermite midpoints
     from the offset equation."""
-    drift, forcing = _phi_coefficients(s, Pi, mean_leader)
-    slopes = -(np.einsum("kij,kj->ki", drift.nodes, phi.values) + forcing.nodes)
+    L, c = _phi_coefficients(s, Pi, mean_leader)
+    slopes = np.einsum("kij,kj->ki", L.nodes, phi.values) + c.nodes
     return stage_table(s.grid, phi.values, slopes)
 
 
@@ -317,35 +313,33 @@ def _solve_coupled(s: Scenario):
 
     Solving the pair jointly lets every Runge-Kutta stage see the exact
     current P instead of an interpolated table, so the P + K = Pi identity
-    holds to rounding rather than to interpolation accuracy.
+    holds to rounding rather than to interpolation accuracy.  With
+    Z = [P | K] the pair is one rectangular equation whose blocks are the P
+    and K equations term by term:
+
+        Z' = -(A'Z + Z diag(A, A) - Z diag(G, G) [[P, K], [0, P + K]] + [S, -S1])
     """
     n = s.dims.n
-    n2 = n * n
     A = s.follower_dyn.A
     G = _gain_matrix(s)
-    S = state_weight(s)
-    S1 = mean_weight(s)
+    AA, GG = (np.block([[M, np.zeros_like(M)], [np.zeros_like(M), M]]) for M in (A, G))
+    source = np.hstack([state_weight(s), -mean_weight(s)])
+    gain = np.zeros((2 * n, 2 * n))      # [[P, K], [0, P + K]], refilled per call
 
-    def rhs(t, y):
-        P = y[:n2].reshape(n, n)
-        K = y[n2:].reshape(n, n)
-        dP = -(A.T @ P + P @ A - P @ G @ P + S)
-        dK = -(A.T @ K + K @ A - P @ G @ K - K @ G @ (P + K) - S1)
-        return np.concatenate([dP.ravel(), dK.ravel()])
+    def rhs(t, Z):
+        gain[:n] = Z
+        gain[n:, n:] = Z[:, :n] + Z[:, n:]
+        return -(A.T @ Z + Z @ AA - Z @ GG @ gain + source)
 
     sym = _Symmetrizer()
 
-    def post(y):
-        out = y.copy()
-        out[:n2] = sym(y[:n2].reshape(n, n)).ravel()
-        return out
+    def post(Z):
+        Z[:, :n] = sym(Z[:, :n])
+        return Z
 
-    sol = integrate_backward(rhs, np.zeros(2 * n2), s.grid, post_step=post)
+    vals = integrate_backward(rhs, np.zeros((n, 2 * n)), s.grid, post_step=post).values
     _check_drift(sym, s)
-    vals = sol.values
-    P = GridFunction(s.grid, vals[:, :n2].reshape(-1, n, n))
-    K = GridFunction(s.grid, vals[:, n2:].reshape(-1, n, n))
-    return P, K, sym.max_drift
+    return GridFunction(s.grid, vals[:, :, :n]), GridFunction(s.grid, vals[:, :, n:]), sym.max_drift
 
 
 def solve_follower_gains(s: Scenario) -> FollowerGains:

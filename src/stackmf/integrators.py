@@ -4,14 +4,16 @@ All gain equations are terminal-value matrix ODEs integrated backward with
 classical RK4; the mean-field layer runs forward on the same grid, so every
 produced table lines up node for node.  Adaptive steppers are deliberately
 not used: a shared fixed grid keeps cross-module identities exact to the
-scheme's order instead of to interpolation error.
+scheme's order instead of to interpolation error.  Riccati equations step
+through a closure (`integrate_backward`), linear equations through each
+step's precomputed affine map (`integrate_linear`).
 
-Right-hand sides whose coefficients vary in time read them from stage
-tables: values at every node and every step midpoint, the only times an RK4
-step evaluates anything.  A table solved from an ODE gets cubic-Hermite
-midpoints from its own slopes (Hairer, Norsett & Wanner, Solving ODEs I,
-II.6), which keeps the consuming RK4 pass at 4th order; sampled data gets
-the linear midpoint.  Stage tables depend on node values only.
+Coefficients that vary in time are read from stage tables: values at every
+node and every step midpoint, the only times an RK4 step evaluates
+anything.  A table solved from an ODE gets cubic-Hermite midpoints from its
+own slopes (Hairer, Norsett & Wanner, Solving ODEs I, II.6), which keeps
+the consuming RK4 pass at 4th order; sampled data gets the linear
+midpoint.  Stage tables depend on node values only.
 
 Also provides a scaling-and-squaring matrix exponential (degree-13 rational
 core) backing the constant-coefficient flow oracle of the leader stage.
@@ -20,6 +22,7 @@ core) backing the constant-coefficient flow oracle of the leader stage.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "sampled_stages",
     "integrate_backward",
     "integrate_forward",
+    "integrate_linear",
     "expm",
     "read_grid_csv",
 ]
@@ -159,7 +163,8 @@ def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frob(y: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(y * y)))
+    v = y.ravel()
+    return math.sqrt(v @ v)
 
 
 def _run_rk4(rhs, start_value, grid: TimeGrid, forward: bool, post_step):
@@ -183,7 +188,7 @@ def _run_rk4(rhs, start_value, grid: TimeGrid, forward: bool, post_step):
                 y = post_step(y)
             target = k + 1 if forward else k - 1
             norm = _frob(y)
-            if not np.isfinite(norm) or norm > threshold:
+            if not norm <= threshold:       # NaN fails too
                 raise BlowUpError(nodes[target], norm)
             out[target] = y
     return GridFunction(grid, out)
@@ -202,6 +207,44 @@ def integrate_backward(rhs, terminal, grid: TimeGrid, post_step=None) -> GridFun
 def integrate_forward(rhs, initial, grid: TimeGrid) -> GridFunction:
     """Forward RK4 mirror of integrate_backward; `initial` stored at node 0."""
     return _run_rk4(rhs, initial, grid, forward=True, post_step=None)
+
+
+def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: bool) -> GridFunction:
+    """Classical RK4 for the linear equation dy/dt = L(t) y + c(t), no closure.
+
+    `drift` holds L, (d, d), and `forcing` c, (d,) or (d, p), at every stage
+    time; `start` is stored at node 0 (forward) or node `steps` (backward).
+    An RK4 step of a linear equation is an affine map y -> T y + s (Hairer &
+    Wanner, Solving ODEs II, IV.2); the maps of all steps are built at once,
+    so the march is one product and one add per step.  Raises BlowUpError at
+    the first node to escape the threshold of integrate_backward.
+    """
+    grid, K = drift.grid, drift.grid.steps
+    y = np.array(start, dtype=float)
+    L, c = drift.values, forcing.values.reshape(forcing.values.shape[:2] + (-1,))
+    if not forward:                     # a backward march reads the stage rows reversed
+        L, c = L[::-1], c[::-1]
+    h = grid.dt if forward else -grid.dt
+    L0, L1, L2, c0, c1, c2 = L[:-1:2], L[1::2], L[2::2], c[:-1:2], c[1::2], c[2::2]
+    out = np.empty((K + 1,) + y.shape)
+    out[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        hL1 = (0.5 * h) * L1            # stage i of every step is M_i y + m_i
+        M2 = L1 + hL1 @ L0
+        M3 = L1 + hL1 @ M2
+        T = np.eye(L.shape[-1]) + (h / 6.0) * (L0 + 2.0 * (M2 + M3) + L2 + h * (L2 @ M3))
+        m2 = hL1 @ c0 + c1
+        m3 = hL1 @ m2 + c1
+        s = ((h / 6.0) * (c0 + 2.0 * (m2 + m3) + c2 + h * (L2 @ m3))).reshape((K,) + y.shape)
+        for k in range(K):
+            out[k + 1] = T[k] @ out[k] + s[k]
+        flat = out.reshape(K + 1, -1)
+        norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))
+    escaped = np.flatnonzero(~(norms <= BLOWUP_FACTOR * (1.0 + _frob(y))))      # NaN escapes too
+    if escaped.size:
+        k = escaped[0]
+        raise BlowUpError(grid.nodes[k if forward else K - k], norms[k])
+    return GridFunction(grid, out if forward else out[::-1])
 
 
 # --------------------------------------------------------------------------

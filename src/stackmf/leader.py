@@ -9,7 +9,7 @@ size 3n:
     dY = [A1 X + B1(t) Y + A2 E[X] + B2(t) E[Y] + f_costate] dt + Z dW0
 
 The affine ansatz Y = P X + K E[X] + V closes the system into one
-nonsymmetric matrix Riccati equation for P, a coupled linear equation for K,
+nonsymmetric matrix Riccati equation for P, a coupled quadratic equation for K,
 an independent equation for the sum M (which must equal P + K), and an
 offset equation for V:
 
@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import FollowerGains, closed_loop, offset_terms, riccati_stages, state_weight
-from .integrators import GridFunction, StageTable, expm, integrate_backward, sampled_stages, stage_table
+from .integrators import (GridFunction, StageTable, expm, integrate_backward, integrate_linear,
+                          sampled_stages, stage_table)
 from .model import Scenario, require_valid
 
 __all__ = [
@@ -271,12 +272,10 @@ def solve_leader_K(es: ExtendedSystem, P: GridFunction) -> GridFunction:
 
 def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
     """Offset vector of the costate reconstruction."""
-    M_st = leader_M_stages(es, M)
-
-    def rhs(t, V):
-        return _dV(es, es.B1.at(t), es.B2.at(t), es.f_state.at(t), es.f_costate.at(t), M_st.at(t), V)
-
-    return integrate_backward(rhs, np.zeros(3 * es.n), es.grid)
+    M_st = leader_M_stages(es, M).values
+    drift = StageTable(es.grid, es.B1.values + es.B2.values - M_st @ es.B)
+    forcing = StageTable(es.grid, es.f_costate.values - np.einsum("kij,kj->ki", M_st, es.f_state.values))
+    return integrate_linear(drift, forcing, np.zeros(3 * es.n), forward=False)
 
 
 _CONST_TOL = 1e-12

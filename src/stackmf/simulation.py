@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .follower import FollowerGains, closed_loop, offset_terms, solve_follower_gains
-from .integrators import GridFunction, StageTable, integrate_backward, integrate_forward, stage_table
+from .integrators import GridFunction, StageTable, integrate_linear, stage_table
 from .leader import (
     ExtendedSystem,
     LeaderGains,
@@ -237,11 +237,7 @@ def solve_mean_state(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> GridFu
     init[:n] = s.leader_mean0
     init[n:2 * n] = s.follower_mean0
     drift, forcing = _mean_coefficients(es, lg)
-
-    def rhs(t, E):
-        return drift.at(t) @ E + forcing.at(t)
-
-    return integrate_forward(rhs, init, s.grid)
+    return integrate_linear(drift, forcing, init, forward=True)
 
 
 def mean_state_stages(es: ExtendedSystem, lg: LeaderGains, mean: GridFunction) -> StageTable:
@@ -388,16 +384,16 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
     scheme the paths use.
     """
     grid = s.grid
-    dg = stage_table(grid, chi0 @ offset_terms(s)[0].T)        # drive shift; chi0 is Euler-marched
+    # Column form: each column of the (n, D) states is one direction.
+    dg = stage_table(grid, offset_terms(s)[0] @ np.swapaxes(chi0, 1, 2))   # drive shift; chi0 is Euler-marched
     G = s.follower_dyn.B @ fg.control_map
     P, Kf = fg.P.values, fg.K.values
     _, mean_drift, offset_drift = closed_loop(s, fg.Pi)
-    back = StageTable(grid, np.swapaxes(offset_drift.values, 1, 2))    # row-vector form of each drift
-    fwd = StageTable(grid, np.swapaxes(mean_drift.values, 1, 2))
-    zero = np.zeros(chi0.shape[1:])
-    dphi = integrate_backward(lambda t, p: dg.at(t) - p @ back.at(t), zero, grid).values
-    dphi_st = stage_table(grid, dphi, dg.nodes - dphi @ back.nodes)
-    dEbar = integrate_forward(lambda t, E: E @ fwd.at(t) - dphi_st.at(t) @ G.T, zero, grid).values
+    zero = np.zeros(dg.values.shape[1:])
+    dphi = integrate_linear(StageTable(grid, -offset_drift.values), dg, zero, forward=False).values
+    dphi_st = stage_table(grid, dphi, dg.nodes - offset_drift.nodes @ dphi)
+    dEbar = integrate_linear(mean_drift, StageTable(grid, -G @ dphi_st.values), zero, forward=True).values
+    dphi, dEbar = np.swapaxes(dphi, 1, 2), np.swapaxes(dEbar, 1, 2)
     A_step, dtBT = tab.step_f[:2]
     shift = np.zeros_like(chi0)
     for k in range(tab.steps):

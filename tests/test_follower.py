@@ -10,16 +10,18 @@ import pytest
 
 from stackmf.follower import (
     FollowerGains,
+    mean_weight,
     solve_K,
     solve_P,
     solve_Pi,
     solve_follower_gains,
     solve_phi,
+    state_weight,
 )
-from stackmf.integrators import stage_table
-from stackmf.model import Dims, Mode, load_scenario
+from stackmf.integrators import integrate_backward, stage_table
+from stackmf.model import Dims, Mode, load_scenario, load_scenario_file
 from stackmf.simulation import simulate
-from conftest import replace_mode
+from conftest import REPO, replace_mode
 
 TANH_CFG = """\
 mode = "team"
@@ -136,6 +138,43 @@ def test_standalone_solvers_agree_with_coupled_route(fast_gains):
     # integration accuracy, not bitwise.
     K = solve_K(s, P)
     assert np.max(np.abs(K.values - fg.K.values)) <= 1e-5 * (1.0 + max_abs(K))
+
+
+def _pair_by_blocks(s):
+    """The (P, K) pair as its two block equations on one flat state, P kept
+    symmetric: the reference for the rectangular form of the coupled solve."""
+    n = s.dims.n
+    A, B = s.follower_dyn.A, s.follower_dyn.B
+    G = B @ np.linalg.solve(s.follower_cost.R, B.T)
+    S, S1 = state_weight(s), mean_weight(s)
+
+    def rhs(t, y):
+        P, K = y[:n * n].reshape(n, n), y[n * n:].reshape(n, n)
+        dP = -(A.T @ P + P @ A - P @ G @ P + S)
+        dK = -(A.T @ K + K @ A - P @ G @ K - K @ G @ (P + K) - S1)
+        return np.concatenate([dP.ravel(), dK.ravel()])
+
+    def symmetrize(y):
+        P = y[:n * n].reshape(n, n)
+        return np.concatenate([(0.5 * (P + P.T)).ravel(), y[n * n:]])
+
+    vals = integrate_backward(rhs, np.zeros(2 * n * n), s.grid, post_step=symmetrize).values
+    return vals[:, :n * n].reshape(-1, n, n), vals[:, n * n:].reshape(-1, n, n)
+
+
+def test_rectangular_pair_matches_the_block_equations(team_gains, game_gains, random_battery):
+    # The coupled solve steps Z = [P | K] as one rectangular equation; it must
+    # reproduce the two block equations to rounding, and P the standalone
+    # solve_P.  (solve_K reads P through Hermite midpoints, so it agrees only
+    # to integration accuracy; see the test above.)
+    n4 = load_scenario_file(REPO / "perfbench" / "game_n4.cfg")
+    cases = [team_gains, game_gains, (n4, solve_follower_gains(n4), None)] + list(random_battery)
+    for s, fg, _ in cases:
+        P_ref, K_ref = _pair_by_blocks(s)
+        scale = 1.0 + max_abs(fg.P) + max_abs(fg.K)
+        assert np.max(np.abs(fg.P.values - solve_P(s).values)) <= 1e-13 * scale
+        assert np.max(np.abs(fg.P.values - P_ref)) <= 1e-13 * scale
+        assert np.max(np.abs(fg.K.values - K_ref)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------

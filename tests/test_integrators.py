@@ -16,6 +16,7 @@ from stackmf.integrators import (
     expm,
     integrate_backward,
     integrate_forward,
+    integrate_linear,
     read_grid_csv,
     sampled_stages,
     stage_table,
@@ -77,6 +78,84 @@ def test_post_step_hook_is_applied():
         lambda t, y: np.ones(1), np.zeros(1), grid, post_step=lambda y: np.maximum(y, -0.5)
     )
     assert sol.values[0, 0] == -0.5
+
+
+# ---------------------------------------------------------------------------
+# Linear equations by precomputed step maps
+# ---------------------------------------------------------------------------
+
+
+def _random_linear_system(rng, grid, d, columns):
+    """Stage tables of a random time-varying y' = L(t) y + c(t), and a start value."""
+    t = np.linspace(0.0, grid.horizon, 2 * grid.steps + 1)
+    shape = (d,) if columns is None else (d, columns)
+    L = 0.5 * (rng.standard_normal((d, d)) + np.sin(2.0 * t)[:, None, None] * rng.standard_normal((d, d)))
+    wave = np.cos(3.0 * t).reshape((-1,) + (1,) * len(shape))
+    c = rng.standard_normal(shape) + wave * rng.standard_normal(shape)
+    return StageTable(grid, L), StageTable(grid, c), rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("columns", [None, 1, 3])
+@pytest.mark.parametrize("forward", [True, False])
+def test_linear_march_matches_closure_march(forward, columns):
+    # The step maps reassociate the RK4 stage arithmetic, nothing else.
+    rng = np.random.default_rng(21 + (columns or 0) + 10 * forward)
+    grid = TimeGrid(1.5, 300)
+    closure_march = integrate_forward if forward else integrate_backward
+    for d in (1, 2, 5):
+        drift, forcing, start = _random_linear_system(rng, grid, d, columns)
+        ref = closure_march(lambda t, y: drift.at(t) @ y + forcing.at(t), start, grid).values
+        got = integrate_linear(drift, forcing, start, forward=forward).values
+        assert got.shape == ref.shape
+        assert np.array_equal(got[0 if forward else -1], start)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_linear_march_is_fourth_order():
+    # Error against a steps*16 reference shrinks by 12x-20x when dt halves.
+    rng = np.random.default_rng(4)
+    L0, L1, c0 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), rng.standard_normal(2)
+
+    def solve(steps, forward):
+        grid = TimeGrid(1.0, steps)
+        t = np.linspace(0.0, 1.0, 2 * steps + 1)
+        drift = StageTable(grid, L0 + np.sin(3.0 * t)[:, None, None] * L1)
+        forcing = StageTable(grid, np.exp(t)[:, None] * c0)
+        return integrate_linear(drift, forcing, np.ones(2), forward=forward).values[-1 if forward else 0]
+
+    for forward in (True, False):
+        ref = solve(16 * 16, forward)
+        e_coarse = np.max(np.abs(solve(8, forward) - ref))
+        e_fine = np.max(np.abs(solve(16, forward) - ref))
+        assert 12.0 <= e_coarse / e_fine <= 20.0
+
+
+@pytest.mark.parametrize("case", ["escape", "nan", "inf"])
+@pytest.mark.parametrize("forward", [True, False])
+def test_linear_march_fails_at_the_closure_march_node(case, forward):
+    # y' = 40 y grows by e^40 over the horizon in the direction of the march
+    # and escapes the threshold part-way; a NaN or inf in the forcing's
+    # stage row 1001 poisons the step through it.  Both marches report the
+    # same node, and the closure march's cheap norm still rejects NaN/inf.
+    grid = TimeGrid(1.0, 1000)
+    rate = 40.0 if case == "escape" else 0.5
+    drift = StageTable(grid, np.full((2001, 2, 2), rate * np.eye(2) * (1.0 if forward else -1.0)))
+    c = np.ones((2001, 2, 3))
+    if case != "escape":
+        c[1001, 1, 2] = np.nan if case == "nan" else np.inf
+    forcing = StageTable(grid, c)
+    start = np.ones((2, 3))
+    closure_march = integrate_forward if forward else integrate_backward
+    with pytest.raises(BlowUpError) as ref:
+        closure_march(lambda t, y: drift.at(t) @ y + forcing.at(t), start, grid)
+    with pytest.raises(BlowUpError) as got:
+        integrate_linear(drift, forcing, start, forward=forward)
+    assert got.value.time == ref.value.time
+    if case == "escape":
+        assert 0.2 < abs(got.value.time - (0.0 if forward else 1.0)) < 0.9
+    else:
+        assert got.value.time == grid.nodes[501 if forward else 500]
+        assert not math.isfinite(got.value.norm) and not math.isfinite(ref.value.norm)
 
 
 # ---------------------------------------------------------------------------
