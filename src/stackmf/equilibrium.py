@@ -60,7 +60,7 @@ __all__ = [
 PASS_FLOOR = 1e-9
 # Gates on the gain tables, relative to 1 + max |Pi| and 1 + max |M|; the
 # symmetry drift of P is absolute.
-FOLLOWER_SUM_TOL = 1e-8
+FOLLOWER_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
 LEADER_SUM_TOL = 1e-12
 

@@ -18,6 +18,11 @@ per-capita cost.  The feedback law for agent i is
 
     u_i = -R^-1 B' (P x_i + K E[x_i] + phi).
 
+The coefficients A, G, S, S1, S2 are constant in time (only f and eta vary),
+so P, the (P, K) pair and Pi step by their exact Hamiltonian flow
+(`integrators.riccati_flow`) and carry no discretization error; the
+standalone `solve_K`, which reads P from a stage table, is RK4.
+
 P is symmetric and is kept so.  Pi is symmetric in team mode; in game mode
 its source (I - Gamma/N)'Q(I - Gamma) is in general not symmetric, and
 neither is Pi, so the aggregate solve imposes no symmetry.  The mean
@@ -40,6 +45,7 @@ from .integrators import (
     StageTable,
     integrate_backward,
     integrate_linear,
+    riccati_flow,
     sampled_stages,
     stage_table,
 )
@@ -181,8 +187,9 @@ class _Symmetrizer:
 def _check_drift(sym: _Symmetrizer, s: Scenario) -> None:
     """Reject the solve when symmetrization drift says accuracy collapsed.
 
-    Drift this large means the Riccati solution is growing too fast for the
-    grid — the same pathology as a norm escape, caught earlier — so it is
+    The flow step is exact, so drift this large means the step's linear
+    solve lost accuracy: the flow factor is near singular, as it is beside a
+    pole -- the pathology of a norm escape, caught earlier -- so it is
     reported through the same failure channel, located at the worst node.
     """
     if sym.max_drift > _SYM_DRIFT_LIMIT:
@@ -191,8 +198,7 @@ def _check_drift(sym: _Symmetrizer, s: Scenario) -> None:
             t_bad,
             sym.max_drift,
             f"Riccati symmetrization drift {sym.max_drift:.3e} at t={t_bad:.6g} "
-            f"exceeds limit {_SYM_DRIFT_LIMIT:g}: step size too coarse for the "
-            f"solution's growth",
+            f"exceeds limit {_SYM_DRIFT_LIMIT:g}: the Riccati flow is ill-conditioned there",
         )
 
 
@@ -209,13 +215,7 @@ def riccati_stages(s: Scenario, gain: GridFunction, source: np.ndarray) -> Stage
 
 
 def _solve_riccati(s: Scenario, source: np.ndarray, post_step=None) -> GridFunction:
-    A = s.follower_dyn.A
-    G = _gain_matrix(s)
-
-    def rhs(t, P):
-        return _riccati_rhs(A, G, source, P)
-
-    return integrate_backward(rhs, np.zeros_like(A), s.grid, post_step=post_step)
+    return riccati_flow(s.follower_dyn.A, _gain_matrix(s), source, s.grid, post_step)
 
 
 def solve_P(s: Scenario) -> GridFunction:
@@ -309,37 +309,31 @@ def follower_gains(s: Scenario, P: GridFunction, K: GridFunction, Pi: GridFuncti
 
 
 def _solve_coupled(s: Scenario):
-    """Backward-integrate (P, K) as one system.
+    """Solve (P, K) as one square Riccati equation.
 
-    Solving the pair jointly lets every Runge-Kutta stage see the exact
-    current P instead of an interpolated table, so the P + K = Pi identity
-    holds to rounding rather than to interpolation accuracy.  With
-    Z = [P | K] the pair is one rectangular equation whose blocks are the P
-    and K equations term by term:
-
-        Z' = -(A'Z + Z diag(A, A) - Z diag(G, G) [[P, K], [0, P + K]] + [S, -S1])
+    The unknown [[P, K], [0, P + K]] solves the follower Riccati family with
+    coefficients diag(A, A), diag(G, G) and source [[S, -S1], [0, S - S1]]:
+    its top row is the P and K equations term by term, its lower right block
+    their sum.  The pair therefore steps by one exact flow, and P + K against
+    the separately solved Pi checks the sources alone.  A pole that P and
+    P + K cross in the same step keeps the flow factor's determinant
+    positive; the Pi solve still sees it.
     """
     n = s.dims.n
     A = s.follower_dyn.A
     G = _gain_matrix(s)
-    AA, GG = (np.block([[M, np.zeros_like(M)], [np.zeros_like(M), M]]) for M in (A, G))
-    source = np.hstack([state_weight(s), -mean_weight(s)])
-    gain = np.zeros((2 * n, 2 * n))      # [[P, K], [0, P + K]], refilled per call
-
-    def rhs(t, Z):
-        gain[:n] = Z
-        gain[n:, n:] = Z[:, :n] + Z[:, n:]
-        return -(A.T @ Z + Z @ AA - Z @ GG @ gain + source)
-
+    S, S1 = state_weight(s), mean_weight(s)
+    zero = np.zeros((n, n))
+    AA, GG = (np.block([[M, zero], [zero, M]]) for M in (A, G))
     sym = _Symmetrizer()
 
     def post(Z):
-        Z[:, :n] = sym(Z[:, :n])
+        Z[:n, :n] = sym(Z[:n, :n])
         return Z
 
-    vals = integrate_backward(rhs, np.zeros((n, 2 * n)), s.grid, post_step=post).values
+    vals = riccati_flow(AA, GG, np.block([[S, -S1], [zero, S - S1]]), s.grid, post).values
     _check_drift(sym, s)
-    return GridFunction(s.grid, vals[:, :, :n]), GridFunction(s.grid, vals[:, :, n:]), sym.max_drift
+    return GridFunction(s.grid, vals[:, :n, :n]), GridFunction(s.grid, vals[:, :n, n:]), sym.max_drift
 
 
 def solve_follower_gains(s: Scenario) -> FollowerGains:

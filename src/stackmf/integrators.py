@@ -1,12 +1,17 @@
 """Fixed-step integrators and grid-sampled functions shared by every solver.
 
-All gain equations are terminal-value matrix ODEs integrated backward with
-classical RK4; the mean-field layer runs forward on the same grid, so every
+Every gain table lives on one fixed grid, solved backward from its terminal
+value; the mean-field layer runs forward on the same grid, so every
 produced table lines up node for node.  Adaptive steppers are deliberately
 not used: a shared fixed grid keeps cross-module identities exact to the
-scheme's order instead of to interpolation error.  Riccati equations step
-through a closure (`integrate_backward`), linear equations through each
-step's precomputed affine map (`integrate_linear`).
+scheme's order instead of to interpolation error.
+
+Constant-coefficient Riccati equations of the follower family step by their
+exact Hamiltonian flow (`riccati_flow`): one matrix exponential, then one
+linear-fractional update per step, so their node values carry rounding
+error only.  Everything else is classical RK4: nonlinear equations with
+time-varying coefficients through a closure (`integrate_backward`), linear
+equations through each step's precomputed affine map (`integrate_linear`).
 
 Coefficients that vary in time are read from stage tables: values at every
 node and every step midpoint, the only times an RK4 step evaluates
@@ -15,8 +20,9 @@ own slopes (Hairer, Norsett & Wanner, Solving ODEs I, II.6), which keeps
 the consuming RK4 pass at 4th order; sampled data gets the linear
 midpoint.  Stage tables depend on node values only.
 
-Also provides a scaling-and-squaring matrix exponential (degree-13 rational
-core) backing the constant-coefficient flow oracle of the leader stage.
+The scaling-and-squaring matrix exponential (degree-13 rational core) backs
+the Riccati flow, through the increment form `expm_increment`, and the
+constant-coefficient flow oracle of the leader stage.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ __all__ = [
     "integrate_backward",
     "integrate_forward",
     "integrate_linear",
+    "riccati_flow",
     "expm",
+    "expm_increment",
     "read_grid_csv",
 ]
 
@@ -124,9 +132,14 @@ class StageTable:
     def nodes(self) -> np.ndarray:
         return self.values[::2]
 
+    def row(self, t: float) -> int:
+        """Row of the stage time t (a node or a step midpoint); tables on one
+        grid share it."""
+        return int(t * self._rows_per_time + 0.5)
+
     def at(self, t: float) -> np.ndarray:
         """Value at the stage time t (a node or a step midpoint)."""
-        return self.values[int(t * self._rows_per_time + 0.5)]
+        return self.values[self.row(t)]
 
 
 def stage_table(grid: TimeGrid, values, slopes=None) -> StageTable:
@@ -167,7 +180,7 @@ def _frob(y: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _run_rk4(rhs, start_value, grid: TimeGrid, forward: bool, post_step):
+def _run_rk4(rhs, start_value, grid: TimeGrid, forward: bool):
     y = np.array(start_value, dtype=float)
     K = grid.steps
     out = np.empty((K + 1,) + y.shape)
@@ -184,8 +197,6 @@ def _run_rk4(rhs, start_value, grid: TimeGrid, forward: bool, post_step):
             k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
             k4 = rhs(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if post_step is not None:
-                y = post_step(y)
             target = k + 1 if forward else k - 1
             norm = _frob(y)
             if not norm <= threshold:       # NaN fails too
@@ -194,19 +205,18 @@ def _run_rk4(rhs, start_value, grid: TimeGrid, forward: bool, post_step):
     return GridFunction(grid, out)
 
 
-def integrate_backward(rhs, terminal, grid: TimeGrid, post_step=None) -> GridFunction:
+def integrate_backward(rhs, terminal, grid: TimeGrid) -> GridFunction:
     """Integrate dy/dt = rhs(t, y) from t = T down to 0 with classical RK4.
 
-    `terminal` is stored exactly at node `steps`. `post_step`, when given,
-    maps each freshly computed node value (e.g. re-symmetrization).  Raises
-    BlowUpError when the solution escapes BLOWUP_FACTOR * (1 + |terminal|).
+    `terminal` is stored exactly at node `steps`.  Raises BlowUpError when
+    the solution escapes BLOWUP_FACTOR * (1 + |terminal|).
     """
-    return _run_rk4(rhs, terminal, grid, forward=False, post_step=post_step)
+    return _run_rk4(rhs, terminal, grid, forward=False)
 
 
 def integrate_forward(rhs, initial, grid: TimeGrid) -> GridFunction:
     """Forward RK4 mirror of integrate_backward; `initial` stored at node 0."""
-    return _run_rk4(rhs, initial, grid, forward=True, post_step=None)
+    return _run_rk4(rhs, initial, grid, forward=True)
 
 
 def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: bool) -> GridFunction:
@@ -247,6 +257,58 @@ def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: boo
     return GridFunction(grid, out if forward else out[::-1])
 
 
+def riccati_flow(A: np.ndarray, G: np.ndarray, S: np.ndarray, grid: TimeGrid, post_step=None) -> GridFunction:
+    """Node values of P' + A'P + PA - PGP + S = 0, P(T) = 0, for constant
+    (d, d) coefficients, exact to rounding at any step size.
+
+    P = Y U^-1 where (U, Y) solves the linear system with the Hamiltonian
+    H = [[A, -G], [-S, -A']] (Radon's lemma).  One step back from a node,
+    where U = I, is therefore the linear-fractional map of F = e^(-dt H) - I
+    (the Davison-Maki step; Kenney & Leipnik, IEEE TAC 1985):
+
+        P <- P + (F21 + F22 P - P F11 - P F12 P) (I + F11 + F12 P)^-1.
+
+    F is built once by `expm_increment`.  `post_step`, when given, maps each
+    freshly computed node value (e.g. re-symmetrization); it is called for
+    nodes steps - 1 down to 0.  Raises BlowUpError at the first node, in
+    march order, to escape the threshold of integrate_backward, or to end a
+    step whose flow factor I + F11 + F12 P has det <= 0: U changed sign
+    inside the step, so P has a pole there.  (A pole that an even number of
+    directions cross in one step leaves the sign unchanged.)
+    """
+    d, K = A.shape[0], grid.steps
+    F = expm_increment(-grid.dt * np.block([[A, -G], [-S, -A.T]]))
+    left, right = F[:, :d], F[:, d:]
+    ident = np.eye(d)
+    out = np.empty((K + 1, d, d))
+    factors = np.empty((K, d, d))       # factors[k]: the flow factor of the step onto node k
+    P = out[K] = np.zeros((d, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k in range(K - 1, -1, -1):
+                W = left + right @ P    # [F11 + F12 P; F21 + F22 P]
+                U = factors[k] = ident + W[:d]
+                P = P + np.linalg.solve(U.T, (W[d:] - P @ W[:d]).T).T
+                if post_step is not None:
+                    P = post_step(P)
+                out[k] = P
+        except np.linalg.LinAlgError:   # a factor exactly singular: the step ends on a pole
+            raise BlowUpError(grid.nodes[k], math.inf,
+                              f"Riccati flow ends a step on a pole at t={grid.nodes[k]:.6g}") from None
+        flat = out[:K].reshape(K, -1)
+        norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))
+        dets = np.linalg.det(factors)
+    bad = np.flatnonzero(~(norms <= BLOWUP_FACTOR) | ~(dets > 0.0))      # NaN fails too
+    if bad.size:
+        k = bad[-1]
+        if norms[k] <= BLOWUP_FACTOR:
+            raise BlowUpError(grid.nodes[k], norms[k],
+                              f"Riccati flow crosses a pole between t={grid.nodes[k]:.6g} "
+                              f"and t={grid.nodes[k + 1]:.6g} (flow factor det {dets[k]:.3e})")
+        raise BlowUpError(grid.nodes[k], norms[k])
+    return GridFunction(grid, out)
+
+
 # --------------------------------------------------------------------------
 # matrix exponential: degree-13 diagonal rational approximant with scaling
 # and squaring (squarings chosen from the 1-norm).
@@ -270,8 +332,10 @@ _B13 = (
 _THETA13 = 5.371920351148152
 
 
-def expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square matrix; rejects non-finite input."""
+def _pade13(M) -> tuple[np.ndarray, np.ndarray, int]:
+    """Odd and even parts U, V of the degree-13 approximant of e^(M / 2^s),
+    and the squaring count s chosen from the 1-norm (Higham, SIAM J. Matrix
+    Anal. Appl. 2005); rejects non-square or non-finite input."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expm needs a square matrix, got shape {A.shape}")
@@ -297,7 +361,24 @@ def expm(M: np.ndarray) -> np.ndarray:
         A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident
     )
+    return U, V, squarings
+
+
+def expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square matrix; rejects non-finite input."""
+    U, V, squarings = _pade13(M)
     R = np.linalg.solve(V - U, V + U)
     for _ in range(squarings):
         R = R @ R
     return R
+
+
+def expm_increment(M: np.ndarray) -> np.ndarray:
+    """e^M - I without forming e^M, so a small increment keeps its relative
+    accuracy: (V - U)^-1 2U from the approximant of expm, squared as
+    F <- F F + 2F, which is (I + F)^2 - I."""
+    U, V, squarings = _pade13(M)
+    F = np.linalg.solve(V - U, 2.0 * U)
+    for _ in range(squarings):
+        F = F @ F + 2.0 * F
+    return F

@@ -239,7 +239,8 @@ def solve_leader_P(es: ExtendedSystem) -> GridFunction:
     zero = np.zeros((3 * es.n, 3 * es.n))
 
     def rhs(t, P):
-        return _dP(es, es.A.at(t), es.B1.at(t), P)
+        i = es.A.row(t)
+        return _dP(es, es.A.values[i], es.B1.values[i], P)
 
     return integrate_backward(rhs, zero, es.grid)
 
@@ -249,7 +250,8 @@ def solve_leader_M(es: ExtendedSystem) -> GridFunction:
     zero = np.zeros((3 * es.n, 3 * es.n))
 
     def rhs(t, M):
-        return _dM(es, es.A.at(t), es.B1.at(t), es.B2.at(t), M)
+        i = es.A.row(t)
+        return _dM(es, es.A.values[i], es.B1.values[i], es.B2.values[i], M)
 
     return integrate_backward(rhs, zero, es.grid)
 
@@ -261,10 +263,8 @@ def solve_leader_K(es: ExtendedSystem, P: GridFunction) -> GridFunction:
     P_st = stage_table(es.grid, P.values, _dP(es, es.A.nodes, es.B1.nodes, P.values))
 
     def rhs(t, K):
-        At = es.A.at(t)
-        B1t = es.B1.at(t)
-        B2t = es.B2.at(t)
-        Pt = P_st.at(t)
+        i = es.A.row(t)
+        At, B1t, B2t, Pt = es.A.values[i], es.B1.values[i], es.B2.values[i], P_st.values[i]
         return -(Pt @ es.B @ K + K @ At + K @ es.B @ (Pt + K) - B1t @ K - es.A2 - B2t @ (Pt + K))
 
     return integrate_backward(rhs, zero, es.grid)
@@ -409,11 +409,12 @@ def _solve_leader_coupled(es: ExtendedSystem):
 
     def rhs(t, y):
         Z = y.reshape(d, w)
-        Ah[:d, :d] = Ah[d:2 * d, d:2 * d] = es.A.at(t)
-        Ah[:d, 2 * d] = Ah[d:2 * d, 2 * d] = es.f_state.at(t)
-        C[:, 2 * d] = es.f_costate.at(t)
-        D[:, :d] = es.B1.at(t)
-        D[:, d:] = es.B2.at(t)
+        i = es.A.row(t)                 # every stage table of es shares the grid
+        Ah[:d, :d] = Ah[d:2 * d, d:2 * d] = es.A.values[i]
+        Ah[:d, 2 * d] = Ah[d:2 * d, 2 * d] = es.f_state.values[i]
+        C[:, 2 * d] = es.f_costate.values[i]
+        D[:, :d] = es.B1.values[i]
+        D[:, d:] = es.B2.values[i]
         gain[:d] = Z
         gain[d:, d:2 * d] = Z[:, :d] + Z[:, d:2 * d]
         gain[d:, 2 * d] = Z[:, 2 * d]

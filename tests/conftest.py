@@ -119,6 +119,12 @@ def team_gains_fine(team_scenario):
 
 
 @pytest.fixture(scope="session")
+def game_n4_gains():
+    """The game-n4 benchmark scenario (n = 4, generic couplings), solved."""
+    return solve_both(load_scenario((REPO / "perfbench" / "game_n4.cfg").read_text(encoding="utf-8")))
+
+
+@pytest.fixture(scope="session")
 def fast_scenario() -> Scenario:
     return load_scenario(FAST_CFG_TEXT)
 

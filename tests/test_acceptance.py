@@ -22,7 +22,7 @@ from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import lln_diagnostic, simulate
 from conftest import FAST_CFG_TEXT, random_scenario, replace_mode, solve_both
 
-SOLVE_TIME_BUDGET = 0.7          # seconds, benchmark solve
+SOLVE_TIME_BUDGET = 0.5          # seconds, benchmark solve
 DEVIATION_TIME_BUDGET = 35.0     # seconds, full certification battery
 
 TANH_CFG = """\

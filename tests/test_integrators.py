@@ -1,4 +1,5 @@
-"""Integrator layer: RK4 marches, blow-up detection, grid tables, expm."""
+"""Integrator layer: RK4 marches, the Riccati flow, blow-up detection, grid
+tables, expm."""
 from __future__ import annotations
 
 import csv
@@ -14,10 +15,12 @@ from stackmf.integrators import (
     GridFunction,
     StageTable,
     expm,
+    expm_increment,
     integrate_backward,
     integrate_forward,
     integrate_linear,
     read_grid_csv,
+    riccati_flow,
     sampled_stages,
     stage_table,
 )
@@ -72,12 +75,34 @@ def test_backward_is_time_reversal_of_forward():
 
 
 def test_post_step_hook_is_applied():
-    # y' = 1 backward from y(T) = 0 falls to -1 at t = 0; the hook clips it.
+    # P' + 1 = 0 backward from P(T) = 0 rises to 1 at t = 0; the hook, called
+    # once per node from steps - 1 down to 0, clips it.
     grid = TimeGrid(1.0, 50)
-    sol = integrate_backward(
-        lambda t, y: np.ones(1), np.zeros(1), grid, post_step=lambda y: np.maximum(y, -0.5)
-    )
-    assert sol.values[0, 0] == -0.5
+    zero = np.zeros((1, 1))
+    calls = []
+
+    def clip(P):
+        calls.append(float(P[0, 0]))
+        return np.minimum(P, 0.5)
+
+    sol = riccati_flow(zero, zero, np.ones((1, 1)), grid, post_step=clip)
+    assert sol.values[0, 0, 0] == 0.5 and sol.values[-1, 0, 0] == 0.0
+    assert len(calls) == 50 and abs(calls[0] - grid.dt) <= 1e-15
+
+
+def test_riccati_flow_fails_at_the_pole():
+    # P' = P^2 + 1 with P(T) = 0 is -tan(T - t), with a pole at T - pi/2.  A
+    # node on the pole escapes the norm threshold; a pole inside a step turns
+    # the determinant of the flow factor negative, reported at the step's end.
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    with pytest.raises(BlowUpError) as on_node:
+        riccati_flow(zero, one, -one, TimeGrid(math.pi, 4))
+    assert on_node.value.time == math.pi / 2 and on_node.value.norm > BLOWUP_FACTOR
+    grid = TimeGrid(2.0, 7)
+    with pytest.raises(BlowUpError) as inside:
+        riccati_flow(zero, one, -one, grid)
+    assert grid.nodes[1] < 2.0 - math.pi / 2 < grid.nodes[2]
+    assert inside.value.time == grid.nodes[1] and "crosses a pole" in str(inside.value)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +313,28 @@ def test_expm_inverse_identity():
         M *= 5.0 / np.linalg.norm(M, 1)
         resid = expm(M) @ expm(-M) - np.eye(5)
         assert np.max(np.abs(resid)) <= 1e-10
+
+
+def test_expm_increment_keeps_relative_accuracy():
+    # e^M - I from the increment form, against the reference M phi1(M), where
+    # phi1(M) = sum M^k / (k + 1)! is a block of scipy's exponential of
+    # [[M, I], [0, 0]] and has no cancellation.  Norms run from far below to
+    # above theta13 (5.37), where squarings start.  Forming e^M - I loses
+    # relative accuracy as |M| shrinks: about 1e-11 at |M| = 1e-4.
+    rng = np.random.default_rng(17)
+    d = 6
+    for scale in (1e-4, 1e-2, 1.0, 5.0, 20.0):
+        for _ in range(5):
+            M = rng.standard_normal((d, d))
+            M *= scale / np.linalg.norm(M, 1)
+            aug = np.zeros((2 * d, 2 * d))
+            aug[:d, :d], aug[:d, d:] = M, np.eye(d)
+            ref = M @ scipy.linalg.expm(aug)[:d, d:]
+            size = np.max(np.abs(ref))
+            tol = 4e-15 if scale <= 1.0 else 1e-12
+            assert np.max(np.abs(expm_increment(M) - ref)) <= tol * size, scale
+            if scale == 1e-4:
+                assert np.max(np.abs(expm(M) - np.eye(d) - ref)) > tol * size
 
 
 def test_expm_zero_is_identity():
