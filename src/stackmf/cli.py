@@ -259,6 +259,9 @@ def _cmd_solve(args) -> int:
                      ("leaderK", lg.K), ("leaderM", lg.M), ("leaderV", lg.V)):
         lines.append(f"max_abs.{name} = {float(np.max(np.abs(gf.values)))!r}")
     lines.append(f"symmetry_drift = {fg.sym_drift!r}")
+    for name, health in fg.health + lg.health:
+        lines.append(f"flow.{name}.min_factor_det = {health.min_det!r}")
+        lines.append(f"flow.{name}.blowup_margin = {health.margin!r}")
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs.append(report_path)
 

@@ -23,11 +23,12 @@ so P, the (P, K) pair and Pi step by their exact Hamiltonian flow
 (`integrators.riccati_flow`) and carry no discretization error; the
 standalone `solve_K`, which reads P from a stage table, is RK4.
 
-P is symmetric and is kept so.  Pi is symmetric in team mode; in game mode
-its source (I - Gamma/N)'Q(I - Gamma) is in general not symmetric, and
-neither is Pi, so the aggregate solve imposes no symmetry.  The mean
-follower state moves under the drift A - G Pi and the offset under
-A' - Pi G; `closed_loop` is the one place that forms those products.
+P is symmetric: the flow keeps it so to rounding, and the marched P is
+symmetrized once, its drift recorded.  Pi is symmetric in team mode; in
+game mode its source (I - Gamma/N)'Q(I - Gamma) is in general not
+symmetric, and neither is Pi, so the aggregate solve imposes no symmetry.
+The mean follower state moves under the drift A - G Pi and the offset
+under A' - Pi G; `closed_loop` is the one place that forms those products.
 
 Gains are identical across agents; there is deliberately no per-agent entry
 point.  `follower_gains` is the one constructor of `FollowerGains`.
@@ -41,6 +42,7 @@ import numpy as np
 
 from .integrators import (
     BlowUpError,
+    FlowHealth,
     GridFunction,
     StageTable,
     integrate_backward,
@@ -71,8 +73,8 @@ __all__ = [
     "solve_follower_gains",
 ]
 
-# Per-step symmetrization drift beyond this means the integrator itself is
-# producing asymmetric output, not just roundoff.
+# Symmetrization drift beyond this means the integrator itself is producing
+# asymmetric output, not just roundoff.
 _SYM_DRIFT_LIMIT = 1e-10
 
 
@@ -163,43 +165,28 @@ def _gain_matrix(s: Scenario) -> np.ndarray:
     return B @ np.linalg.solve(s.follower_cost.R, B.T)
 
 
-class _Symmetrizer:
-    """Post-step hook keeping Riccati iterates symmetric; records the drift.
+def _symmetrized(s: Scenario, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Symmetrize a marched Riccati gain once, after the march, and return
+    it with its largest symmetrization drift 0.5 max|P - P'| over the nodes.
 
-    Call i of a backward integration produces grid node steps - 1 - i, so
-    `worst_call` locates where the largest drift occurred.
+    The flow step is exact, so a drift beyond _SYM_DRIFT_LIMIT means a
+    step's linear solve lost accuracy: the flow factor is near singular, as
+    it is beside a pole -- the pathology of a norm escape, caught earlier --
+    so the solve is rejected through the same failure channel, located at
+    the worst node.
     """
-
-    def __init__(self):
-        self.max_drift = 0.0
-        self.calls = 0
-        self.worst_call = 0
-
-    def __call__(self, M: np.ndarray) -> np.ndarray:
-        drift = 0.5 * float(np.max(np.abs(M - M.T)))
-        if drift > self.max_drift:
-            self.max_drift = drift
-            self.worst_call = self.calls
-        self.calls += 1
-        return 0.5 * (M + M.T)
-
-
-def _check_drift(sym: _Symmetrizer, s: Scenario) -> None:
-    """Reject the solve when symmetrization drift says accuracy collapsed.
-
-    The flow step is exact, so drift this large means the step's linear
-    solve lost accuracy: the flow factor is near singular, as it is beside a
-    pole -- the pathology of a norm escape, caught earlier -- so it is
-    reported through the same failure channel, located at the worst node.
-    """
-    if sym.max_drift > _SYM_DRIFT_LIMIT:
-        t_bad = float(s.grid.nodes[s.grid.steps - 1 - sym.worst_call])
+    drift = 0.5 * np.max(np.abs(values - np.swapaxes(values, 1, 2)), axis=(1, 2))
+    worst = int(np.argmax(drift))
+    max_drift = float(drift[worst])
+    if max_drift > _SYM_DRIFT_LIMIT:
+        t_bad = float(s.grid.nodes[worst])
         raise BlowUpError(
             t_bad,
-            sym.max_drift,
-            f"Riccati symmetrization drift {sym.max_drift:.3e} at t={t_bad:.6g} "
+            max_drift,
+            f"Riccati symmetrization drift {max_drift:.3e} at t={t_bad:.6g} "
             f"exceeds limit {_SYM_DRIFT_LIMIT:g}: the Riccati flow is ill-conditioned there",
         )
+    return 0.5 * (values + np.swapaxes(values, 1, 2)), max_drift
 
 
 def _riccati_rhs(A: np.ndarray, G: np.ndarray, source: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -214,17 +201,16 @@ def riccati_stages(s: Scenario, gain: GridFunction, source: np.ndarray) -> Stage
     return stage_table(s.grid, gain.values, slopes)
 
 
-def _solve_riccati(s: Scenario, source: np.ndarray, post_step=None) -> GridFunction:
-    return riccati_flow(s.follower_dyn.A, _gain_matrix(s), source, s.grid, post_step)
-
-
 def solve_P(s: Scenario) -> GridFunction:
-    """Own-state Riccati gain, zero terminal value, kept symmetric."""
+    """Own-state Riccati gain, zero terminal value, symmetrized."""
     require_valid(s)
-    sym = _Symmetrizer()
-    P = _solve_riccati(s, state_weight(s), sym)
-    _check_drift(sym, s)
-    return P
+    values, _ = riccati_flow(s.follower_dyn.A, _gain_matrix(s), state_weight(s), s.grid)
+    return GridFunction(s.grid, _symmetrized(s, values)[0])
+
+
+def _solve_Pi(s: Scenario) -> tuple[GridFunction, FlowHealth]:
+    values, health = riccati_flow(s.follower_dyn.A, _gain_matrix(s), aggregate_weight(s), s.grid)
+    return GridFunction(s.grid, values), health
 
 
 def solve_Pi(s: Scenario) -> GridFunction:
@@ -232,7 +218,7 @@ def solve_Pi(s: Scenario) -> GridFunction:
     No symmetry is imposed: in game mode S2, and so Pi, is in general not
     symmetric."""
     require_valid(s)
-    return _solve_riccati(s, aggregate_weight(s))
+    return _solve_Pi(s)[0]
 
 
 def solve_K(s: Scenario, P: GridFunction) -> GridFunction:
@@ -287,7 +273,8 @@ class FollowerGains:
     """Follower-stage gain tables on the scenario grid, built by `follower_gains`.
 
     P, K, Pi are (steps+1, n, n); control_map = R^-1 B'; sym_drift is the
-    largest symmetrization drift of P.
+    largest symmetrization drift of P; health names each march of the solve
+    with its FlowHealth (empty for loaded tables).
     """
 
     P: GridFunction
@@ -295,6 +282,7 @@ class FollowerGains:
     Pi: GridFunction
     control_map: np.ndarray
     sym_drift: float
+    health: tuple[tuple[str, FlowHealth], ...] = ()
 
     @property
     def grid(self):
@@ -302,10 +290,11 @@ class FollowerGains:
 
 
 def follower_gains(s: Scenario, P: GridFunction, K: GridFunction, Pi: GridFunction,
-                   sym_drift: float) -> FollowerGains:
+                   sym_drift: float, health=()) -> FollowerGains:
     """The gain object of solved or loaded tables; derives the control map."""
     control_map = np.linalg.solve(s.follower_cost.R, s.follower_dyn.B.T)
-    return FollowerGains(P=P, K=K, Pi=Pi, control_map=control_map, sym_drift=sym_drift)
+    return FollowerGains(P=P, K=K, Pi=Pi, control_map=control_map, sym_drift=sym_drift,
+                         health=tuple(health))
 
 
 def _solve_coupled(s: Scenario):
@@ -315,9 +304,9 @@ def _solve_coupled(s: Scenario):
     coefficients diag(A, A), diag(G, G) and source [[S, -S1], [0, S - S1]]:
     its top row is the P and K equations term by term, its lower right block
     their sum.  The pair therefore steps by one exact flow, and P + K against
-    the separately solved Pi checks the sources alone.  A pole that P and
-    P + K cross in the same step keeps the flow factor's determinant
-    positive; the Pi solve still sees it.
+    the separately solved Pi checks the sources alone.  The flow factor is
+    block upper triangular, so each diagonal block -- P's factor and
+    P + K's -- is checked for a pole on its own.
     """
     n = s.dims.n
     A = s.follower_dyn.A
@@ -325,19 +314,14 @@ def _solve_coupled(s: Scenario):
     S, S1 = state_weight(s), mean_weight(s)
     zero = np.zeros((n, n))
     AA, GG = (np.block([[M, zero], [zero, M]]) for M in (A, G))
-    sym = _Symmetrizer()
-
-    def post(Z):
-        Z[:n, :n] = sym(Z[:n, :n])
-        return Z
-
-    vals = riccati_flow(AA, GG, np.block([[S, -S1], [zero, S - S1]]), s.grid, post).values
-    _check_drift(sym, s)
-    return GridFunction(s.grid, vals[:, :n, :n]), GridFunction(s.grid, vals[:, :n, n:]), sym.max_drift
+    vals, health = riccati_flow(AA, GG, np.block([[S, -S1], [zero, S - S1]]), s.grid, (n, n))
+    P, drift = _symmetrized(s, vals[:, :n, :n])
+    return GridFunction(s.grid, P), GridFunction(s.grid, vals[:, :n, n:]), drift, health
 
 
 def solve_follower_gains(s: Scenario) -> FollowerGains:
     """Solve P, K and, independently, Pi."""
     require_valid(s)
-    P, K, drift = _solve_coupled(s)
-    return follower_gains(s, P, K, _solve_riccati(s, aggregate_weight(s)), drift)
+    P, K, drift, pair_health = _solve_coupled(s)
+    Pi, Pi_health = _solve_Pi(s)
+    return follower_gains(s, P, K, Pi, drift, (("follower_pair", pair_health), ("Pi", Pi_health)))

@@ -6,12 +6,17 @@ produced table lines up node for node.  Adaptive steppers are deliberately
 not used: a shared fixed grid keeps cross-module identities exact to the
 scheme's order instead of to interpolation error.
 
-Constant-coefficient Riccati equations of the follower family step by their
-exact Hamiltonian flow (`riccati_flow`): one matrix exponential, then one
-linear-fractional update per step, so their node values carry rounding
-error only.  Everything else is classical RK4: nonlinear equations with
-time-varying coefficients through a closure (`integrate_backward`), linear
-equations through each step's precomputed affine map (`integrate_linear`).
+Every Riccati equation, follower and leader, marches by one kernel
+(`riccati_march`): the equation is Y U^-1 of a linear system (Radon's
+lemma), and each step is one linear-fractional update by the increment
+T - I of that system's step map T.  Constant-coefficient equations of the
+follower family take the exact map e^(-dt H) (`riccati_flow`), so their
+node values carry rounding error only; the leader stage's time-varying
+systems take each step's classical RK4 map, built from the stage tables in
+blocks of steps (`rk4_increments`).  Linear equations step through each
+step's precomputed RK4 affine map (`integrate_linear`).  The closure RK4
+marches (`integrate_backward`, `integrate_forward`) remain for independent
+cross-checks.
 
 Coefficients that vary in time are read from stage tables: values at every
 node and every step midpoint, the only times an RK4 step evaluates
@@ -21,7 +26,7 @@ the consuming RK4 pass at 4th order; sampled data gets the linear
 midpoint.  Stage tables depend on node values only.
 
 The scaling-and-squaring matrix exponential (degree-13 rational core) backs
-the Riccati flow, through the increment form `expm_increment`, and the
+the follower flow, through the increment form `expm_increment`, and the
 constant-coefficient flow oracle of the leader stage.
 """
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,10 +46,15 @@ __all__ = [
     "GridFunction",
     "StageTable",
     "stage_table",
+    "stage_rows",
     "sampled_stages",
     "integrate_backward",
     "integrate_forward",
     "integrate_linear",
+    "linear_march",
+    "rk4_increments",
+    "FlowHealth",
+    "riccati_march",
     "riccati_flow",
     "expm",
     "expm_increment",
@@ -53,6 +64,10 @@ __all__ = [
 # Escape threshold relative to the terminal/initial data; beyond this the
 # equation is declared to have no solution on the horizon.
 BLOWUP_FACTOR = 1e12
+
+# Steps per block: the step maps built at once, and the steps a Riccati
+# march takes between checks of its node norms and flow factors.
+STEP_BLOCK = 64
 
 
 class BlowUpError(RuntimeError):
@@ -149,14 +164,20 @@ def stage_table(grid: TimeGrid, values, slopes=None) -> StageTable:
     solve) the midpoint is the cubic-Hermite value
     (y_k + y_{k+1}) / 2 + (dt / 8) (y'_k - y'_{k+1}); without, the linear mean.
     """
+    return StageTable(grid, stage_rows(values, slopes, grid.dt))
+
+
+def stage_rows(values, slopes, dt: float) -> np.ndarray:
+    """The rows of `stage_table` for consecutive nodes of a grid of step dt:
+    any run of nodes gives the same rows as the whole grid there."""
     y = np.asarray(values, dtype=float)
     out = np.empty((2 * y.shape[0] - 1,) + y.shape[1:])
     out[::2] = y
     mid = 0.5 * (y[:-1] + y[1:])
     if slopes is not None:
-        mid += (grid.dt / 8.0) * (slopes[:-1] - slopes[1:])
+        mid += (dt / 8.0) * (slopes[:-1] - slopes[1:])
     out[1::2] = mid
-    return StageTable(grid, out)
+    return out
 
 
 def sampled_stages(value, grid: TimeGrid) -> StageTable:
@@ -219,35 +240,67 @@ def integrate_forward(rhs, initial, grid: TimeGrid) -> GridFunction:
     return _run_rk4(rhs, initial, grid, forward=True)
 
 
+def _rk4_increment(L0, L1, L2, h):
+    """The increment T - I of the RK4 map T of y' = L y over steps whose stage
+    values are L0, L1, L2 (start, midpoint, end), and (h / 2) L1, which the
+    forcing of an affine step reuses."""
+    hL1 = (0.5 * h) * L1                # stage i of every step is M_i y + m_i
+    M2 = L1 + hL1 @ L0
+    M3 = L1 + hL1 @ M2
+    return (h / 6.0) * (L0 + 2.0 * (M2 + M3) + L2 + h * (L2 @ M3)), hL1
+
+
+def _step_blocks(K: int, forward: bool):
+    """Blocks of at most STEP_BLOCK steps of a march over K steps, in march
+    order, each as (first, last): the range of stage rows it reads."""
+    for m in range(0, K, STEP_BLOCK):
+        n = min(STEP_BLOCK, K - m)
+        yield (2 * m, 2 * (m + n)) if forward else (2 * (K - m - n), 2 * (K - m))
+
+
 def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: bool) -> GridFunction:
     """Classical RK4 for the linear equation dy/dt = L(t) y + c(t), no closure.
 
     `drift` holds L, (d, d), and `forcing` c, (d,) or (d, p), at every stage
     time; `start` is stored at node 0 (forward) or node `steps` (backward).
-    An RK4 step of a linear equation is an affine map y -> T y + s (Hairer &
-    Wanner, Solving ODEs II, IV.2); the maps of all steps are built at once,
-    so the march is one product and one add per step.  Raises BlowUpError at
-    the first node to escape the threshold of integrate_backward.
+    See `linear_march`.
     """
-    grid, K = drift.grid, drift.grid.steps
+    return linear_march(lambda lo, hi: (drift.values[lo:hi + 1], forcing.values[lo:hi + 1]),
+                        drift.grid, start, forward)
+
+
+def linear_march(coefficients, grid: TimeGrid, start, forward: bool) -> GridFunction:
+    """`integrate_linear` with the coefficients built a block at a time:
+    `coefficients(lo, hi)` returns L and c at the stage rows lo..hi
+    (inclusive), so memory stays bounded by the block, not by the grid.
+
+    An RK4 step of a linear equation is an affine map y -> T y + s (Hairer &
+    Wanner, Solving ODEs II, IV.2); the maps of a block of STEP_BLOCK steps
+    are built at once, so the march is one product and one add per step.
+    Raises BlowUpError at the first node to escape the threshold of
+    integrate_backward.
+    """
+    K = grid.steps
     y = np.array(start, dtype=float)
-    L, c = drift.values, forcing.values.reshape(forcing.values.shape[:2] + (-1,))
-    if not forward:                     # a backward march reads the stage rows reversed
-        L, c = L[::-1], c[::-1]
     h = grid.dt if forward else -grid.dt
-    L0, L1, L2, c0, c1, c2 = L[:-1:2], L[1::2], L[2::2], c[:-1:2], c[1::2], c[2::2]
     out = np.empty((K + 1,) + y.shape)
     out[0] = y
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        hL1 = (0.5 * h) * L1            # stage i of every step is M_i y + m_i
-        M2 = L1 + hL1 @ L0
-        M3 = L1 + hL1 @ M2
-        T = np.eye(L.shape[-1]) + (h / 6.0) * (L0 + 2.0 * (M2 + M3) + L2 + h * (L2 @ M3))
-        m2 = hL1 @ c0 + c1
-        m3 = hL1 @ m2 + c1
-        s = ((h / 6.0) * (c0 + 2.0 * (m2 + m3) + c2 + h * (L2 @ m3))).reshape((K,) + y.shape)
-        for k in range(K):
-            out[k + 1] = T[k] @ out[k] + s[k]
+        for first, last in _step_blocks(K, forward):
+            L, c = coefficients(first, last)
+            c = c.reshape(c.shape[:2] + (-1,))
+            if not forward:             # a backward march reads the stage rows reversed
+                L, c = L[::-1], c[::-1]
+            L2, c0, c1, c2 = L[2::2], c[:-1:2], c[1::2], c[2::2]
+            increment, hL1 = _rk4_increment(L[:-1:2], L[1::2], L2, h)
+            T = np.eye(L.shape[-1]) + increment
+            m2 = hL1 @ c0 + c1
+            m3 = hL1 @ m2 + c1
+            s = ((h / 6.0) * (c0 + 2.0 * (m2 + m3) + c2 + h * (L2 @ m3))).reshape((len(T),) + y.shape)
+            for Tk, sk in zip(T, s):
+                out[k + 1] = Tk @ out[k] + sk
+                k += 1
         flat = out.reshape(K + 1, -1)
         norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))
     escaped = np.flatnonzero(~(norms <= BLOWUP_FACTOR * (1.0 + _frob(y))))      # NaN escapes too
@@ -257,56 +310,110 @@ def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: boo
     return GridFunction(grid, out if forward else out[::-1])
 
 
-def riccati_flow(A: np.ndarray, G: np.ndarray, S: np.ndarray, grid: TimeGrid, post_step=None) -> GridFunction:
-    """Node values of P' + A'P + PA - PGP + S = 0, P(T) = 0, for constant
-    (d, d) coefficients, exact to rounding at any step size.
+def rk4_increments(drift, grid: TimeGrid):
+    """Increments T_k - I of the backward RK4 step maps of y' = L(t) y, in
+    march order (the step onto node steps - 1 first), in blocks of at most
+    STEP_BLOCK steps: arrays (steps in block, ..., D, D).
 
-    P = Y U^-1 where (U, Y) solves the linear system with the Hamiltonian
-    H = [[A, -G], [-S, -A']] (Radon's lemma).  One step back from a node,
-    where U = I, is therefore the linear-fractional map of F = e^(-dt H) - I
+    `drift(lo, hi)` returns L at the stage rows lo..hi (inclusive, rows of a
+    StageTable on `grid`), (hi - lo + 1, ..., D, D); one block reads only its
+    own rows, so memory stays bounded by the block, not by the grid.
+    """
+    for first, last in _step_blocks(grid.steps, forward=False):
+        L = drift(first, last)[::-1]
+        yield _rk4_increment(L[:-1:2], L[1::2], L[2::2], -grid.dt)[0]
+
+
+class FlowHealth(NamedTuple):
+    """Numerical health of one Riccati march."""
+
+    min_det: float          # smallest determinant of a flow factor's diagonal block
+    margin: float           # largest node norm over the blow-up threshold
+
+
+def riccati_march(increments, grid: TimeGrid, shape, factor_blocks=None) -> tuple[np.ndarray, FlowHealth]:
+    """Node values of the Riccati equation Z' = C + D Z - Z A - Z B Z, Z(T) = 0,
+    from the step maps T of its linear system y' = [[A, B], [C, D]] y.
+
+    Z = Y U^-1 where (U, Y) solves the linear system (Radon's lemma; Reid,
+    Riccati Differential Equations, 1972).  One step back from a node, where
+    U = I, is the linear-fractional map of the step's increment F = T - I
     (the Davison-Maki step; Kenney & Leipnik, IEEE TAC 1985):
 
-        P <- P + (F21 + F22 P - P F11 - P F12 P) (I + F11 + F12 P)^-1.
+        Z <- Z + (F21 + F22 Z - Z F11 - Z F12 Z) (I + F11 + F12 Z)^-1.
 
-    F is built once by `expm_increment`.  `post_step`, when given, maps each
-    freshly computed node value (e.g. re-symmetrization); it is called for
-    nodes steps - 1 down to 0.  Raises BlowUpError at the first node, in
-    march order, to escape the threshold of integrate_backward, or to end a
-    step whose flow factor I + F11 + F12 P has det <= 0: U changed sign
-    inside the step, so P has a pole there.  (A pole that an even number of
-    directions cross in one step leaves the sign unchanged.)
+    Written in F, not T, a step that moves Z little keeps the relative
+    accuracy of its increment, so the march keeps the order of its maps.
+
+    `shape` is Z's shape (..., p, r); leading axes are a batch of
+    independent systems.  `increments` yields blocks (steps, ..., r + p,
+    r + p) of the steps' increments in march order, at most STEP_BLOCK steps
+    each (see `rk4_increments`).  `factor_blocks` lists the sizes of the
+    diagonal blocks of a block upper triangular flow factor I + F11 + F12 Z
+    (default: one block).
+
+    Returns the node values (steps + 1, ...) and the march's FlowHealth.
+    Raises BlowUpError at the first node, in march order, to escape the
+    threshold of integrate_backward, or to end a step on which a diagonal
+    block of the flow factor has det <= 0: U changed sign inside the step, so
+    Z has a pole there.  (A pole that an even number of directions of one
+    block cross in one step leaves its sign unchanged.)
     """
-    d, K = A.shape[0], grid.steps
-    F = expm_increment(-grid.dt * np.block([[A, -G], [-S, -A.T]]))
-    left, right = F[:, :d], F[:, d:]
-    ident = np.eye(d)
-    out = np.empty((K + 1, d, d))
-    factors = np.empty((K, d, d))       # factors[k]: the flow factor of the step onto node k
-    P = out[K] = np.zeros((d, d))
+    K = grid.steps
+    r = shape[-1]
+    out = np.empty((K + 1,) + tuple(shape))
+    Z = out[K] = np.zeros(shape)
+    ident = np.eye(r)
+    edges = np.cumsum((0,) + tuple(factor_blocks or (r,)))
+    factors = np.empty((STEP_BLOCK,) + tuple(shape[:-2]) + (r, r))     # one block of steps
+    norms, dets = np.empty(K), np.empty(K)      # [k]: the node k, the step onto it
+    k = K
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for k in range(K - 1, -1, -1):
-                W = left + right @ P    # [F11 + F12 P; F21 + F22 P]
-                U = factors[k] = ident + W[:d]
-                P = P + np.linalg.solve(U.T, (W[d:] - P @ W[:d]).T).T
-                if post_step is not None:
-                    P = post_step(P)
-                out[k] = P
-        except np.linalg.LinAlgError:   # a factor exactly singular: the step ends on a pole
-            raise BlowUpError(grid.nodes[k], math.inf,
-                              f"Riccati flow ends a step on a pole at t={grid.nodes[k]:.6g}") from None
-        flat = out[:K].reshape(K, -1)
-        norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))
-        dets = np.linalg.det(factors)
-    bad = np.flatnonzero(~(norms <= BLOWUP_FACTOR) | ~(dets > 0.0))      # NaN fails too
-    if bad.size:
-        k = bad[-1]
-        if norms[k] <= BLOWUP_FACTOR:
-            raise BlowUpError(grid.nodes[k], norms[k],
-                              f"Riccati flow crosses a pole between t={grid.nodes[k]:.6g} "
-                              f"and t={grid.nodes[k + 1]:.6g} (flow factor det {dets[k]:.3e})")
-        raise BlowUpError(grid.nodes[k], norms[k])
-    return GridFunction(grid, out)
+        for F in increments:
+            top = k
+            try:
+                for j, (left, right) in enumerate(zip(F[..., :r], F[..., r:])):
+                    k -= 1
+                    W = left + right @ Z    # [F11 + F12 Z; F21 + F22 Z]
+                    W1 = W[..., :r, :]
+                    U = factors[j] = ident + W1
+                    X = np.linalg.solve(U.swapaxes(-1, -2), (W[..., r:, :] - Z @ W1).swapaxes(-1, -2))
+                    Z = Z + X.swapaxes(-1, -2)
+                    out[k] = Z
+            except np.linalg.LinAlgError:   # a factor exactly singular: the step ends on a pole
+                raise BlowUpError(grid.nodes[k], math.inf,
+                                  f"Riccati flow ends a step on a pole at t={grid.nodes[k]:.6g}") from None
+            flat = out[k:top].reshape(top - k, -1, out.shape[-2] * r)
+            norms[k:top] = np.sqrt(np.einsum("kbi,kbi->kb", flat, flat)).max(axis=1)
+            U = factors[:top - k][::-1]
+            block_dets = [np.linalg.det(U[..., a:b, a:b]) for a, b in zip(edges[:-1], edges[1:])]
+            dets[k:top] = np.stack(block_dets, axis=-1).reshape(top - k, -1).min(axis=1)
+            bad = np.flatnonzero(~(norms[k:top] <= BLOWUP_FACTOR) | ~(dets[k:top] > 0.0))      # NaN fails too
+            if bad.size:
+                b = k + bad[-1]
+                if norms[b] <= BLOWUP_FACTOR:
+                    raise BlowUpError(grid.nodes[b], norms[b],
+                                      f"Riccati flow crosses a pole between t={grid.nodes[b]:.6g} "
+                                      f"and t={grid.nodes[b + 1]:.6g} (flow factor det {dets[b]:.3e})")
+                raise BlowUpError(grid.nodes[b], norms[b])
+    return out, FlowHealth(float(dets.min()), float(norms.max()) / BLOWUP_FACTOR)
+
+
+def riccati_flow(A: np.ndarray, G: np.ndarray, S: np.ndarray, grid: TimeGrid,
+                 factor_blocks=None) -> tuple[np.ndarray, FlowHealth]:
+    """Node values of P' + A'P + PA - PGP + S = 0, P(T) = 0, for constant
+    (d, d) coefficients, exact to rounding at any step size, and the march's
+    health.
+
+    The linear system of P is the Hamiltonian H = [[A, -G], [-S, -A']], so
+    every step's map is e^(-dt H), and its increment, built once by
+    `expm_increment`, drives `riccati_march` (which see for `factor_blocks`
+    and the failures raised).
+    """
+    F = expm_increment(-grid.dt * np.block([[A, -G], [-S, -A.T]]))
+    K = grid.steps
+    steps = (np.broadcast_to(F, (min(STEP_BLOCK, K - lo),) + F.shape) for lo in range(0, K, STEP_BLOCK))
+    return riccati_march(steps, grid, A.shape, factor_blocks)
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,19 @@ offset equation for V:
     drift fixes every sign; each equation is also pinned numerically by an
     independent discrete-adjoint oracle in the tests.)
 
+Each Riccati equation here is Y U^-1 of a linear system (Radon's lemma):
+P of [[A, B], [A1, B1]] and M of [[A, B], [A1 + A2, B1 + B2]].
+`solve_leader_gains` marches P and M together, as one batch of the two
+systems, by linear-fractional steps with each step's RK4 map
+(`integrators.riccati_march`); K = M - P, so the sum identity holds by
+construction, and V solves its linear equation with M read from M's
+Hermite stage table.  `solve_leader_coupled` marches the same
+discretization under a different coding -- (P, K, V) as the top row of one
+rectangular equation -- and `verify` checks its P + K against M.  The
+closures `solve_leader_P`, `solve_leader_K` and `solve_leader_M` step the
+Riccati equations themselves by RK4: an independent discretization that
+agrees to its 4th-order error.
+
 No symmetrization is applied: these solutions are not symmetric.  The
 leader's control reads the first block of the reconstructed costate:
 
@@ -42,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import FollowerGains, closed_loop, offset_terms, riccati_stages, state_weight
-from .integrators import (GridFunction, StageTable, expm, integrate_backward, integrate_linear,
-                          sampled_stages, stage_table)
+from .integrators import (FlowHealth, GridFunction, StageTable, expm, integrate_backward, linear_march,
+                          riccati_march, rk4_increments, sampled_stages, stage_rows, stage_table)
 from .model import Scenario, require_valid
 
 __all__ = [
@@ -59,6 +72,7 @@ __all__ = [
     "leader_V_stages",
     "flow_oracle_P",
     "leader_gains",
+    "solve_leader_coupled",
     "solve_leader_gains",
 ]
 
@@ -223,9 +237,15 @@ def _dV(es: ExtendedSystem, B1, B2, f_state, f_costate, M, V):
              + np.einsum("...ij,...j->...i", M, f_state) - f_costate)
 
 
+def _M_stage_rows(es: ExtendedSystem, M: GridFunction, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi (even) of M's stage table."""
+    y, rows = M.values[lo // 2:hi // 2 + 1], slice(lo, hi + 1, 2)
+    return stage_rows(y, _dM(es, es.A.values[rows], es.B1.values[rows], es.B2.values[rows], y), es.grid.dt)
+
+
 def leader_M_stages(es: ExtendedSystem, M: GridFunction) -> StageTable:
     """Stage table of the mean costate gain: Hermite midpoints from its own equation."""
-    return stage_table(es.grid, M.values, _dM(es, es.A.nodes, es.B1.nodes, es.B2.nodes, M.values))
+    return StageTable(es.grid, _M_stage_rows(es, M, 0, 2 * es.grid.steps))
 
 
 def leader_V_stages(es: ExtendedSystem, M: GridFunction, V: GridFunction) -> StageTable:
@@ -271,11 +291,17 @@ def solve_leader_K(es: ExtendedSystem, P: GridFunction) -> GridFunction:
 
 
 def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
-    """Offset vector of the costate reconstruction."""
-    M_st = leader_M_stages(es, M).values
-    drift = StageTable(es.grid, es.B1.values + es.B2.values - M_st @ es.B)
-    forcing = StageTable(es.grid, es.f_costate.values - np.einsum("kij,kj->ki", M_st, es.f_state.values))
-    return integrate_linear(drift, forcing, np.zeros(3 * es.n), forward=False)
+    """Offset vector of the costate reconstruction: V' = L V + c with
+    L = B1 + B2 - M B and c = f_costate - M f_state, M read from its Hermite
+    stage table, built a block of steps at a time."""
+
+    def coefficients(lo, hi):
+        rows = slice(lo, hi + 1)
+        M_st = _M_stage_rows(es, M, lo, hi)
+        drift = es.B1.values[rows] + es.B2.values[rows] - M_st @ es.B
+        return drift, es.f_costate.values[rows] - np.einsum("kij,kj->ki", M_st, es.f_state.values[rows])
+
+    return linear_march(coefficients, es.grid, np.zeros(3 * es.n), forward=False)
 
 
 _CONST_TOL = 1e-12
@@ -355,7 +381,8 @@ def flow_oracle_P(es: ExtendedSystem) -> GridFunction:
 class LeaderGains:
     """Leader-stage gain tables: Y = P X + K E[X] + V, M = P + K; built by
     `leader_gains`.  control_map = R0^-1 B0' e1, with e1 the selector of
-    block 1, turns a reconstructed costate into -u0.
+    block 1, turns a reconstructed costate into -u0.  health names the
+    solve's march with its FlowHealth (empty for loaded tables).
     """
 
     P: GridFunction
@@ -363,6 +390,7 @@ class LeaderGains:
     M: GridFunction
     V: GridFunction
     control_map: np.ndarray
+    health: tuple[tuple[str, FlowHealth], ...] = ()
 
     @property
     def grid(self):
@@ -370,65 +398,87 @@ class LeaderGains:
 
 
 def leader_gains(s: Scenario, P: GridFunction, K: GridFunction, M: GridFunction,
-                 V: GridFunction) -> LeaderGains:
+                 V: GridFunction, health=()) -> LeaderGains:
     """The gain object of solved or loaded tables; derives the control map."""
     e1 = np.eye(s.dims.n, 3 * s.dims.n)
     control_map = np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T) @ e1
-    return LeaderGains(P=P, K=K, M=M, V=V, control_map=control_map)
+    return LeaderGains(P=P, K=K, M=M, V=V, control_map=control_map, health=tuple(health))
 
 
-def _solve_leader_coupled(es: ExtendedSystem):
-    """Backward-integrate (P, K, V) as one system.
+def _riccati_march(es: ExtendedSystem, drift, shape, factor_blocks=None):
+    """March a Riccati equation of the leader stage backward from zero by the
+    RK4 step maps of its linear system; `drift(A, B1, B2, f_state,
+    f_costate)` builds the system's generator from rows of the stage tables."""
+    tables = (es.A, es.B1, es.B2, es.f_state, es.f_costate)
+    rows = rk4_increments(lambda lo, hi: drift(*(t.values[lo:hi + 1] for t in tables)), es.grid)
+    return riccati_march(rows, es.grid, shape, factor_blocks)
 
-    Joint integration lets each Runge-Kutta stage combine the exact current
-    P and K (and M = P + K inside the offset equation) instead of values
-    read from a previously solved table, so M - (P + K) is rounding-level
-    when M is re-solved on its own from the same stage tables.
 
-    The three equations are the top block row of one rectangular Riccati
-    equation: the gain [[P, K, V], [0, M, V]] maps the doubled state
-    (X, E[X], 1) to the costates (Y, E[Y]).  With Z = [P | K | V],
+def solve_leader_coupled(es: ExtendedSystem):
+    """(P, K, V) as the top block row of one rectangular Riccati equation:
+    the same discretization as `solve_leader_gains` under a different
+    coding, so P + K must match its M to rounding.
 
-        Z' = C + (D - Z Bh) [[Z], [0, P + K, V]] - Z Ah,
+    The gain G = [[P, K, V], [0, M, V]] maps the doubled state (X, E[X], 1)
+    to the costates (Y, E[Y]) and solves
+
+        G' = C + D G - G Ah - G Bh G,
 
     Ah = [[A, 0, f_state], [0, A, f_state], [0, 0, 0]],
-    Bh = [[B, 0], [0, B], [0, 0]], C = [A1, A2, f_costate], D = [B1, B2];
-    expanding the blocks gives the P, K and V equations term by term.
+    Bh = [[B, 0], [0, B], [0, 0]], C = [[A1, A2, f_costate], [0, A1 + A2,
+    f_costate]], D = [[B1, B2], [0, B1 + B2]]; expanding the blocks gives
+    the P, K, M and V equations term by term.  Its linear system has
+    dimension 4d + 1 (d = 3n) and its flow factor is block upper triangular
+    with the factors of P and M on the diagonal.
     """
     d = 3 * es.n
     w = 2 * d + 1
-    # Scratch blocks, refilled from the stage tables at every call: Ah, C, D
-    # per stage would multiply the tables' memory by about four.
-    Ah = np.zeros((w, w))
-    Bh = np.zeros((w, 2 * d))
-    Bh[:d, :d] = Bh[d:2 * d, d:] = es.B
-    C = np.zeros((d, w))
-    C[:, :d], C[:, d:2 * d] = es.A1, es.A2
-    D = np.zeros((d, 2 * d))
-    gain = np.zeros((2 * d, w))
 
-    def rhs(t, y):
-        Z = y.reshape(d, w)
-        i = es.A.row(t)                 # every stage table of es shares the grid
-        Ah[:d, :d] = Ah[d:2 * d, d:2 * d] = es.A.values[i]
-        Ah[:d, 2 * d] = Ah[d:2 * d, 2 * d] = es.f_state.values[i]
-        C[:, 2 * d] = es.f_costate.values[i]
-        D[:, :d] = es.B1.values[i]
-        D[:, d:] = es.B2.values[i]
-        gain[:d] = Z
-        gain[d:, d:2 * d] = Z[:, :d] + Z[:, d:2 * d]
-        gain[d:, 2 * d] = Z[:, 2 * d]
-        return (C + (D - Z @ Bh) @ gain - Z @ Ah).ravel()
+    def drift(A, B1, B2, f_state, f_costate):
+        L = np.zeros((len(A), w + 2 * d, w + 2 * d))
+        u, y = slice(0, w), slice(w, w + 2 * d)      # the rows of U and of Y
+        Ah, Bh, C, D = L[:, u, u], L[:, u, y], L[:, y, u], L[:, y, y]
+        Ah[:, :d, :d] = Ah[:, d:2 * d, d:2 * d] = A
+        Ah[:, :d, 2 * d] = Ah[:, d:2 * d, 2 * d] = f_state
+        Bh[:, :d, :d] = Bh[:, d:2 * d, d:] = es.B
+        C[:, :d, :d] = es.A1
+        C[:, :d, d:2 * d] = es.A2
+        C[:, d:, d:2 * d] = es.A1 + es.A2
+        C[:, :, 2 * d] = np.concatenate([f_costate, f_costate], axis=1)
+        D[:, :d, :d] = B1
+        D[:, :d, d:] = B2
+        D[:, d:, d:] = B1 + B2
+        return L
 
-    vals = integrate_backward(rhs, np.zeros(d * w), es.grid).values.reshape(-1, d, w)
-    P = GridFunction(es.grid, vals[:, :, :d])
-    K = GridFunction(es.grid, vals[:, :, d:2 * d])
-    V = GridFunction(es.grid, vals[:, :, 2 * d])
-    return P, K, V
+    vals, _ = _riccati_march(es, drift, (2 * d, w), (d, d, 1))
+    return (GridFunction(es.grid, vals[:, :d, :d]), GridFunction(es.grid, vals[:, :d, d:2 * d]),
+            GridFunction(es.grid, vals[:, :d, 2 * d]))
+
+
+def _march_P_and_M(es: ExtendedSystem):
+    """P and M marched as one batch of their two linear systems
+    [[A, B], [A1, B1]] and [[A, B], [A1 + A2, B1 + B2]]."""
+    d = 3 * es.n
+
+    def drift(A, B1, B2, f_state, f_costate):
+        L = np.empty((len(A), 2, 2 * d, 2 * d))
+        L[:, :, :d, :d] = A[:, None]
+        L[:, :, :d, d:] = es.B
+        L[:, 0, d:, :d] = es.A1
+        L[:, 1, d:, :d] = es.A1 + es.A2
+        L[:, 0, d:, d:] = B1
+        L[:, 1, d:, d:] = B1 + B2
+        return L
+
+    vals, health = _riccati_march(es, drift, (2, d, d))
+    return GridFunction(es.grid, vals[:, 0]), GridFunction(es.grid, vals[:, 1]), health
 
 
 def solve_leader_gains(s: Scenario, fg: FollowerGains) -> LeaderGains:
-    """Solve the leader-stage equations on the scenario grid."""
+    """Solve the leader-stage equations on the scenario grid: P and M march
+    together, K = M - P, and V solves its linear equation with M read from
+    M's Hermite stage table."""
     es = assemble_extended(s, fg)
-    P, K, V = _solve_leader_coupled(es)
-    return leader_gains(s, P, K, GridFunction(es.grid, P.values + K.values), V)
+    P, M, health = _march_P_and_M(es)
+    V = solve_leader_V(es, M)
+    return leader_gains(s, P, GridFunction(es.grid, M.values - P.values), M, V, (("leader", health),))

@@ -6,11 +6,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stackmf.cli import _load_gains, main
 from stackmf.follower import solve_follower_gains
-from stackmf.integrators import read_grid_csv
+from stackmf.integrators import BLOWUP_FACTOR, read_grid_csv
 from stackmf.leader import assemble_extended, solve_leader_gains
 from stackmf.model import load_scenario_file, scenario_to_text
 from stackmf.simulation import NOISE_SCHEME, mean_state_stages, simulate, solve_mean_state
@@ -67,6 +68,25 @@ def test_solve_writes_all_artifacts(gains_dir):
     report = (gains_dir / "solve_report.txt").read_text(encoding="utf-8")
     assert report.startswith("status = ok")
     assert "symmetry_drift = " in report
+
+
+def test_solve_report_carries_each_marchs_health(gains_dir, config):
+    # Each Riccati march reports its smallest flow-factor determinant (the
+    # pole check's closest call) and its largest node norm over the blow-up
+    # threshold, exactly as the solve computed them.
+    report = dict(line.split(" = ") for line in
+                  (gains_dir / "solve_report.txt").read_text(encoding="utf-8").splitlines())
+    s = load_scenario_file(config)
+    fg = solve_follower_gains(s)
+    lg = solve_leader_gains(s, fg)
+    names = [name for name, _ in fg.health + lg.health]
+    assert names == ["follower_pair", "Pi", "leader"]
+    for name, health in fg.health + lg.health:
+        assert float(report[f"flow.{name}.min_factor_det"]) == health.min_det > 0.0
+        assert float(report[f"flow.{name}.blowup_margin"]) == health.margin < 1.0
+    # The leader batch's margin is its largest node norm of P or M.
+    norms = [np.linalg.norm(table.values, axis=(1, 2)).max() for table in (lg.P, lg.M)]
+    assert float(report["flow.leader.blowup_margin"]) == pytest.approx(max(norms) / BLOWUP_FACTOR, rel=1e-14)
 
 
 def test_solve_manifest_inventory(gains_dir, config):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from stackmf import follower
 from stackmf.follower import (
     FollowerGains,
     mean_weight,
@@ -114,6 +115,19 @@ def test_conjugate_point_raises_within_one_step():
         with pytest.raises(BlowUpError) as exc:
             solve(s)
         assert abs(exc.value.time - (2.0 - math.pi / 2)) <= s.grid.dt
+
+
+def test_coupled_pair_sees_a_pole_that_both_blocks_cross():
+    # With Gamma = 0 the mean-coupling source vanishes, so K = 0 and P and
+    # P + K cross the pole of -tan(T - t) in the same step: the determinant
+    # of the pair's whole flow factor stays positive there, and only its
+    # diagonal blocks show the crossing.
+    s = load_scenario(TANH_CFG.replace("[cost.follower]\nQ = 1.0", "[cost.follower]\nQ = -1.0")
+                      .replace("T = 1.0", "T = 2.0"))
+    with pytest.raises(BlowUpError) as exc:
+        follower._solve_coupled(s)
+    assert abs(exc.value.time - (2.0 - math.pi / 2)) <= s.grid.dt
+    assert "crosses a pole" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +300,7 @@ def test_gains_are_shared_by_all_followers():
     assert "agent" not in inspect.signature(solve_follower_gains).parameters
     assert "i" not in inspect.signature(solve_follower_gains).parameters
     field_names = set(FollowerGains.__dataclass_fields__)
-    assert field_names == {"P", "K", "Pi", "control_map", "sym_drift"}
+    assert field_names == {"P", "K", "Pi", "control_map", "sym_drift", "health"}
 
 
 def test_drift_guard_reports_through_failure_channel(make_random_scenario, monkeypatch):

@@ -21,6 +21,8 @@ from stackmf.integrators import (
     integrate_linear,
     read_grid_csv,
     riccati_flow,
+    riccati_march,
+    rk4_increments,
     sampled_stages,
     stage_table,
 )
@@ -74,22 +76,6 @@ def test_backward_is_time_reversal_of_forward():
     assert np.max(np.abs(back.values[::-1] - fwd.values)) <= 1e-10
 
 
-def test_post_step_hook_is_applied():
-    # P' + 1 = 0 backward from P(T) = 0 rises to 1 at t = 0; the hook, called
-    # once per node from steps - 1 down to 0, clips it.
-    grid = TimeGrid(1.0, 50)
-    zero = np.zeros((1, 1))
-    calls = []
-
-    def clip(P):
-        calls.append(float(P[0, 0]))
-        return np.minimum(P, 0.5)
-
-    sol = riccati_flow(zero, zero, np.ones((1, 1)), grid, post_step=clip)
-    assert sol.values[0, 0, 0] == 0.5 and sol.values[-1, 0, 0] == 0.0
-    assert len(calls) == 50 and abs(calls[0] - grid.dt) <= 1e-15
-
-
 def test_riccati_flow_fails_at_the_pole():
     # P' = P^2 + 1 with P(T) = 0 is -tan(T - t), with a pole at T - pi/2.  A
     # node on the pole escapes the norm threshold; a pole inside a step turns
@@ -103,6 +89,92 @@ def test_riccati_flow_fails_at_the_pole():
         riccati_flow(zero, one, -one, grid)
     assert grid.nodes[1] < 2.0 - math.pi / 2 < grid.nodes[2]
     assert inside.value.time == grid.nodes[1] and "crosses a pole" in str(inside.value)
+
+
+def test_riccati_flow_checks_each_diagonal_block_for_a_pole():
+    # Two copies of P' = P^2 + 1 on the diagonal cross their pole in the same
+    # step: the whole flow factor's determinant is the product of two
+    # negative ones, so only the blocks' own determinants see the pole.
+    zero, one = np.zeros((2, 2)), np.eye(2)
+    grid = TimeGrid(2.0, 7)
+    values, health = riccati_flow(zero, one, -one, grid)
+    assert health.min_det > 0.0 and np.max(np.abs(values)) > 1.0
+    with pytest.raises(BlowUpError) as exc:
+        riccati_flow(zero, one, -one, grid, (1, 1))
+    assert exc.value.time == grid.nodes[1] and "crosses a pole" in str(exc.value)
+
+
+def test_riccati_flow_reports_its_health():
+    # p' = p^2 - 1 from p(T) = 0 is tanh(T - t): the largest node norm is
+    # tanh(T), and each step's flow factor cosh(dt) + sinh(dt) p grows with
+    # p >= 0, so the smallest is the first step's, cosh(dt).
+    grid = TimeGrid(1.0, 20)
+    one = np.ones((1, 1))
+    values, health = riccati_flow(np.zeros((1, 1)), one, one, grid)
+    assert health.margin == float(np.max(np.abs(values))) / BLOWUP_FACTOR
+    assert abs(health.margin * BLOWUP_FACTOR - math.tanh(1.0)) <= 1e-15
+    assert abs(health.min_det - math.cosh(grid.dt)) <= 1e-15
+
+
+def _random_riccati_drift(rng, d):
+    """Generator of y' = [[A, B], [C, D]](t) y for random time-varying blocks,
+    as a drift(lo, hi) over the stage rows of a grid, and as a function of t."""
+    base, wave = rng.standard_normal((2, 2 * d, 2 * d)) * 0.4
+
+    def at(t):
+        return base + np.sin(2.0 * t)[..., None, None] * wave
+
+    def on_rows(grid):
+        t = np.linspace(0.0, grid.horizon, 2 * grid.steps + 1)
+        return lambda lo, hi: at(t[lo:hi + 1])
+
+    return at, on_rows
+
+
+def test_riccati_march_is_fourth_order_on_time_varying_maps():
+    # Z' = C + D Z - Z A - Z B Z from the RK4 maps of its linear system: the
+    # error at t = 0 against a 256-step closure RK4 solve falls 12x-20x per
+    # halving of the step, and the march agrees with the closure route to
+    # that order.
+    rng = np.random.default_rng(12)
+    d = 2
+    at, on_rows = _random_riccati_drift(rng, d)
+
+    def rhs(t, Z):
+        L = at(np.float64(t))
+        A, B, C, D = L[:d, :d], L[:d, d:], L[d:, :d], L[d:, d:]
+        return C + D @ Z - Z @ A - Z @ B @ Z
+
+    def march(steps):
+        grid = TimeGrid(1.0, steps)
+        return riccati_march(rk4_increments(on_rows(grid), grid), grid, (d, d))[0]
+
+    ref = integrate_backward(rhs, np.zeros((d, d)), TimeGrid(1.0, 256)).values[0]
+    errors = [np.max(np.abs(march(steps)[0] - ref)) for steps in (8, 16, 32)]
+    assert all(12.0 <= coarse / fine <= 20.0 for coarse, fine in zip(errors, errors[1:])), errors
+    grid = TimeGrid(1.0, 200)       # several blocks of step maps
+    closure = integrate_backward(rhs, np.zeros((d, d)), grid).values
+    assert np.max(np.abs(march(200) - closure)) <= 1e-8
+
+
+def test_riccati_march_batch_matches_its_members():
+    # A batch marches each member as if alone, and checks each for a pole.
+    rng = np.random.default_rng(5)
+    grid = TimeGrid(1.0, 100)
+    rows = [_random_riccati_drift(rng, 2)[1](grid) for _ in range(2)]
+    batch, health = riccati_march(
+        rk4_increments(lambda lo, hi: np.stack([f(lo, hi) for f in rows], axis=1), grid), grid, (2, 2, 2))
+    for i, f in enumerate(rows):
+        alone, own = riccati_march(rk4_increments(f, grid), grid, (2, 2))
+        assert np.max(np.abs(batch[:, i] - alone)) <= 1e-15 * np.max(np.abs(alone))
+        assert health.min_det <= own.min_det and health.margin >= own.margin
+    pole = np.array([[0.0, -1.0], [1.0, 0.0]])      # z' = 1 + z^2 from z(2) = 0: -tan(2 - t)
+    grid = TimeGrid(2.0, 7)
+    calm = np.stack([np.zeros((2, 2)), pole])
+    with pytest.raises(BlowUpError) as exc:
+        riccati_march(rk4_increments(lambda lo, hi: np.broadcast_to(calm, (hi - lo + 1, 2, 2, 2)), grid),
+                      grid, (2, 1, 1))
+    assert exc.value.time == grid.nodes[1] and "crosses a pole" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
