@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import FOLLOWER_SUM_TOL, LEADER_SUM_TOL, SYMMETRY_TOL, run_verification
-from .follower import FollowerGains, follower_gains, solve_follower_gains
+from .equilibrium import run_verification, table_identities
+from .follower import FollowerGains, follower_gains, solve_follower_gains, symmetry_drift
 from .integrators import BlowUpError, GridFunction, read_grid_csv
 from .leader import LeaderGains, assemble_extended, leader_gains, solve_leader_gains
 from .model import (
@@ -191,8 +191,9 @@ def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGain
 
     All eight tables are read and validated; phi.csv is not needed to build
     the gains (`simulate` recomputes the offset) but is outside input too.
-    The tables must satisfy the identities `verify` gates: P + K = Pi with
-    P symmetric, and the leader's P + K = M.
+    The tables must satisfy the identities `verify` gates
+    (`table_identities`): P + K = Pi with P symmetric, and the leader's
+    P + K = M.
     """
     n = s.dims.n
     d = 3 * n
@@ -204,18 +205,13 @@ def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGain
     lK = _read_table(s, gains_dir, "leaderK", (d, d))
     lM = _read_table(s, gains_dir, "leaderM", (d, d))
     lV = _read_table(s, gains_dir, "leaderV", (d,))
-    sym_drift = float(np.max(np.abs(P.values - np.swapaxes(P.values, 1, 2))))
-    for name, gap, tol in (
-        ("P + K - Pi", np.max(np.abs(P.values + K.values - Pi.values)),
-         FOLLOWER_SUM_TOL * (1.0 + np.max(np.abs(Pi.values)))),
-        ("P - P'", sym_drift, SYMMETRY_TOL),
-        ("leaderP + leaderK - leaderM", np.max(np.abs(lP.values + lK.values - lM.values)),
-         LEADER_SUM_TOL * (1.0 + np.max(np.abs(lM.values)))),
-    ):
-        if not gap <= tol:
+    fg = follower_gains(s, P, K, Pi, float(symmetry_drift(P.values).max()))
+    lg = leader_gains(s, lP, lK, lM, lV)
+    for row in table_identities(fg, lg):
+        if not row.passed:
             raise GridMismatchError(f"{gains_dir}: gains tables contradict each other: "
-                                    f"max |{name}| = {gap:.3e} exceeds {tol:.3e}")
-    return follower_gains(s, P, K, Pi, sym_drift), leader_gains(s, lP, lK, lM, lV)
+                                    f"{row.name} = {row.value:.3e} exceeds {row.threshold:.3e}")
+    return fg, lg
 
 
 # --------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .follower import (
     state_weight,
 )
 from .integrators import StageTable, expm, integrate_linear, sampled_stages, stage_table
-from .leader import LeaderGains, assemble_extended, solve_leader_coupled, solve_leader_gains
+from .leader import LeaderGains, assemble_extended, solve_leader_gains
 from .model import Mode, Scenario, TimeGrid, time_sampled
 from .simulation import Deviations, mean_state_stages, simulate
 
@@ -54,12 +54,13 @@ __all__ = [
     "deviation_battery",
     "stationarity_residuals",
     "dp_gain_oracle",
+    "table_identities",
     "run_verification",
 ]
 
 PASS_FLOOR = 1e-9
-# Gates on the gain tables, relative to 1 + max |Pi| and 1 + max |M|; the
-# symmetry drift of P is absolute.
+# Gates on the gain tables (`table_identities`), relative to 1 + max |Pi|
+# and 1 + max |M|; the symmetry drift of P, max |P - P'|, is absolute.
 FOLLOWER_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
 LEADER_SUM_TOL = 1e-12
@@ -333,10 +334,21 @@ class VerificationReport:
                 fh.write(f"deviation,{d.target}/{d.label},,,{d.c1!r},{d.c1_se!r},{d.c2!r},{int(d.passed)}\n")
 
 
-def _leader_sum_gap(es, lg: LeaderGains) -> float:
-    """max |P + K - M|: P and K of the coupled march against the gains' M."""
-    P, K, _ = solve_leader_coupled(es)
-    return float(np.max(np.abs(P.values + K.values - lg.M.values)))
+def _check(name, value, threshold, detail="") -> CheckRow:
+    return CheckRow(name, float(value), float(threshold), bool(value <= threshold), detail)
+
+
+def table_identities(fg: FollowerGains, lg: LeaderGains) -> list[CheckRow]:
+    """Check rows of the identities that gain tables, solved or loaded, must
+    satisfy: follower P + K = Pi with P symmetric, and leader P + K = M."""
+
+    def sum_row(name, P, K, total, tol):
+        gap = np.max(np.abs(P.values + K.values - total.values))
+        return _check(name, gap, tol * (1.0 + np.max(np.abs(total.values))))
+
+    return [sum_row("follower_sum_identity", fg.P, fg.K, fg.Pi, FOLLOWER_SUM_TOL),
+            _check("follower_symmetry_drift", fg.sym_drift, SYMMETRY_TOL),
+            sum_row("leader_sum_identity", lg.P, lg.K, lg.M, LEADER_SUM_TOL)]
 
 
 def run_verification(
@@ -349,7 +361,8 @@ def run_verification(
     directions: int = 3,
     workers: int = 1,
 ) -> VerificationReport:
-    """Full verification battery: solver invariants, oracles, deviation tests.
+    """Full verification battery: the table identities of the gains it is
+    given (`table_identities`), oracles, deviation tests.
 
     The reported ensemble and every deviation direction share one pass over
     the same paths; only the exchangeability check runs a second, permuted
@@ -360,22 +373,10 @@ def run_verification(
     if lg is None:
         lg = solve_leader_gains(s, fg)
 
-    checks = []
+    checks = table_identities(fg, lg)
 
     def add(name, value, threshold, detail=""):
-        checks.append(CheckRow(name, float(value), float(threshold), bool(value <= threshold), detail))
-
-    sum_gap = float(np.max(np.abs(fg.P.values + fg.K.values - fg.Pi.values)))
-    add("follower_sum_identity", sum_gap, FOLLOWER_SUM_TOL * (1.0 + float(np.max(np.abs(fg.Pi.values)))))
-    add("follower_symmetry_drift", fg.sym_drift, SYMMETRY_TOL)
-
-    es = assemble_extended(s, fg)
-    add(
-        "leader_sum_identity",
-        _leader_sum_gap(es, lg),
-        LEADER_SUM_TOL * (1.0 + float(np.max(np.abs(lg.M.values)))),
-        "coupled (P, K, V) march against the mean gain M",
-    )
+        checks.append(_check(name, value, threshold, detail))
 
     devs, er = _battery(
         s, fg, lg,
@@ -384,6 +385,7 @@ def run_verification(
         n_paths, seed, workers=workers, store_paths=min(4, n_paths),
     )
 
+    es = assemble_extended(s, fg)
     mean0 = StageTable(s.grid, mean_state_stages(es, lg, er.mean_state).values[:, : s.dims.n])
     dp = dp_gain_oracle(s, fg, mean_leader=mean0)
     phi_gap = float(np.max(np.abs(dp.phi - er.offset.values)))

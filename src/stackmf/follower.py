@@ -69,6 +69,7 @@ __all__ = [
     "phi_stages",
     "riccati_stages",
     "closed_loop",
+    "symmetry_drift",
     "follower_gains",
     "solve_follower_gains",
 ]
@@ -165,9 +166,14 @@ def _gain_matrix(s: Scenario) -> np.ndarray:
     return B @ np.linalg.solve(s.follower_cost.R, B.T)
 
 
+def symmetry_drift(values: np.ndarray) -> np.ndarray:
+    """max |P - P'| at each node of a stack of square tables."""
+    return np.max(np.abs(values - np.swapaxes(values, -1, -2)), axis=(-2, -1))
+
+
 def _symmetrized(s: Scenario, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Symmetrize a marched Riccati gain once, after the march, and return
-    it with its largest symmetrization drift 0.5 max|P - P'| over the nodes.
+    it with its largest symmetry drift over the nodes.
 
     The flow step is exact, so a drift beyond _SYM_DRIFT_LIMIT means a
     step's linear solve lost accuracy: the flow factor is near singular, as
@@ -175,7 +181,7 @@ def _symmetrized(s: Scenario, values: np.ndarray) -> tuple[np.ndarray, float]:
     so the solve is rejected through the same failure channel, located at
     the worst node.
     """
-    drift = 0.5 * np.max(np.abs(values - np.swapaxes(values, 1, 2)), axis=(1, 2))
+    drift = symmetry_drift(values)
     worst = int(np.argmax(drift))
     max_drift = float(drift[worst])
     if max_drift > _SYM_DRIFT_LIMIT:

@@ -22,18 +22,14 @@ offset equation for V:
     drift fixes every sign; each equation is also pinned numerically by an
     independent discrete-adjoint oracle in the tests.)
 
-Each Riccati equation here is Y U^-1 of a linear system (Radon's lemma):
-P of [[A, B], [A1, B1]] and M of [[A, B], [A1 + A2, B1 + B2]].
-`solve_leader_gains` marches P and M together, as one batch of the two
-systems, by linear-fractional steps with each step's RK4 map
-(`integrators.riccati_march`); K = M - P, so the sum identity holds by
-construction, and V solves its linear equation with M read from M's
-Hermite stage table.  `solve_leader_coupled` marches the same
-discretization under a different coding -- (P, K, V) as the top row of one
-rectangular equation -- and `verify` checks its P + K against M.  The
-closures `solve_leader_P`, `solve_leader_K` and `solve_leader_M` step the
-Riccati equations themselves by RK4: an independent discretization that
-agrees to its 4th-order error.
+Each Riccati equation here is Y U^-1 of a linear system (Radon's lemma).
+`solve_leader_pair` marches P, K and M as one square equation in
+G = [[P, K], [0, M]], so `verify`'s check of P + K against M tests the K
+equation against the M equation; V solves its linear equation with M read
+from M's Hermite stage table.  The closures `solve_leader_P`,
+`solve_leader_K` and `solve_leader_M` step the Riccati equations
+themselves by RK4: an independent discretization that agrees to its
+4th-order error.
 
 No symmetrization is applied: these solutions are not symmetric.  The
 leader's control reads the first block of the reconstructed costate:
@@ -72,7 +68,7 @@ __all__ = [
     "leader_V_stages",
     "flow_oracle_P",
     "leader_gains",
-    "solve_leader_coupled",
+    "solve_leader_pair",
     "solve_leader_gains",
 ]
 
@@ -405,80 +401,44 @@ def leader_gains(s: Scenario, P: GridFunction, K: GridFunction, M: GridFunction,
     return LeaderGains(P=P, K=K, M=M, V=V, control_map=control_map, health=tuple(health))
 
 
-def _riccati_march(es: ExtendedSystem, drift, shape, factor_blocks=None):
-    """March a Riccati equation of the leader stage backward from zero by the
-    RK4 step maps of its linear system; `drift(A, B1, B2, f_state,
-    f_costate)` builds the system's generator from rows of the stage tables."""
-    tables = (es.A, es.B1, es.B2, es.f_state, es.f_costate)
-    rows = rk4_increments(lambda lo, hi: drift(*(t.values[lo:hi + 1] for t in tables)), es.grid)
-    return riccati_march(rows, es.grid, shape, factor_blocks)
+def solve_leader_pair(es: ExtendedSystem):
+    """P, K and M as one square Riccati equation, and its march's FlowHealth.
 
-
-def solve_leader_coupled(es: ExtendedSystem):
-    """(P, K, V) as the top block row of one rectangular Riccati equation:
-    the same discretization as `solve_leader_gains` under a different
-    coding, so P + K must match its M to rounding.
-
-    The gain G = [[P, K, V], [0, M, V]] maps the doubled state (X, E[X], 1)
-    to the costates (Y, E[Y]) and solves
-
-        G' = C + D G - G Ah - G Bh G,
-
-    Ah = [[A, 0, f_state], [0, A, f_state], [0, 0, 0]],
-    Bh = [[B, 0], [0, B], [0, 0]], C = [[A1, A2, f_costate], [0, A1 + A2,
-    f_costate]], D = [[B1, B2], [0, B1 + B2]]; expanding the blocks gives
-    the P, K, M and V equations term by term.  Its linear system has
-    dimension 4d + 1 (d = 3n) and its flow factor is block upper triangular
-    with the factors of P and M on the diagonal.
+    G = [[P, K], [0, M]] maps the doubled state (X, E[X]) to the costates
+    (Y, E[Y]) and solves G' = C + D G - G Ah - G Bh G, G(T) = 0, with
+    Ah = diag(A, A), Bh = diag(B, B), C = [[A1, A2], [0, A1 + A2]] and
+    D = [[B1, B2], [0, B1 + B2]]: its blocks are the P, K and M equations
+    term by term.  Each step is the linear-fractional update of the RK4 map
+    of its linear system (`integrators.riccati_march`); the flow factor is
+    block upper triangular, and P's and M's diagonal blocks are checked for
+    a pole apart.
     """
     d = 3 * es.n
-    w = 2 * d + 1
 
-    def drift(A, B1, B2, f_state, f_costate):
-        L = np.zeros((len(A), w + 2 * d, w + 2 * d))
-        u, y = slice(0, w), slice(w, w + 2 * d)      # the rows of U and of Y
+    def drift(lo, hi):
+        A, B1, B2 = (t.values[lo:hi + 1] for t in (es.A, es.B1, es.B2))
+        L = np.zeros((len(A), 4 * d, 4 * d))
+        u, y = slice(0, 2 * d), slice(2 * d, 4 * d)      # the rows of U and of Y
         Ah, Bh, C, D = L[:, u, u], L[:, u, y], L[:, y, u], L[:, y, y]
-        Ah[:, :d, :d] = Ah[:, d:2 * d, d:2 * d] = A
-        Ah[:, :d, 2 * d] = Ah[:, d:2 * d, 2 * d] = f_state
-        Bh[:, :d, :d] = Bh[:, d:2 * d, d:] = es.B
+        Ah[:, :d, :d] = Ah[:, d:, d:] = A
+        Bh[:, :d, :d] = Bh[:, d:, d:] = es.B
         C[:, :d, :d] = es.A1
-        C[:, :d, d:2 * d] = es.A2
-        C[:, d:, d:2 * d] = es.A1 + es.A2
-        C[:, :, 2 * d] = np.concatenate([f_costate, f_costate], axis=1)
+        C[:, :d, d:] = es.A2
+        C[:, d:, d:] = es.A1 + es.A2
         D[:, :d, :d] = B1
         D[:, :d, d:] = B2
         D[:, d:, d:] = B1 + B2
         return L
 
-    vals, _ = _riccati_march(es, drift, (2 * d, w), (d, d, 1))
-    return (GridFunction(es.grid, vals[:, :d, :d]), GridFunction(es.grid, vals[:, :d, d:2 * d]),
-            GridFunction(es.grid, vals[:, :d, 2 * d]))
-
-
-def _march_P_and_M(es: ExtendedSystem):
-    """P and M marched as one batch of their two linear systems
-    [[A, B], [A1, B1]] and [[A, B], [A1 + A2, B1 + B2]]."""
-    d = 3 * es.n
-
-    def drift(A, B1, B2, f_state, f_costate):
-        L = np.empty((len(A), 2, 2 * d, 2 * d))
-        L[:, :, :d, :d] = A[:, None]
-        L[:, :, :d, d:] = es.B
-        L[:, 0, d:, :d] = es.A1
-        L[:, 1, d:, :d] = es.A1 + es.A2
-        L[:, 0, d:, d:] = B1
-        L[:, 1, d:, d:] = B1 + B2
-        return L
-
-    vals, health = _riccati_march(es, drift, (2, d, d))
-    return GridFunction(es.grid, vals[:, 0]), GridFunction(es.grid, vals[:, 1]), health
+    G, health = riccati_march(rk4_increments(drift, es.grid), es.grid, (2 * d, 2 * d), (d, d))
+    P, K, M = (GridFunction(es.grid, g) for g in (G[:, :d, :d], G[:, :d, d:], G[:, d:, d:]))
+    return P, K, M, health
 
 
 def solve_leader_gains(s: Scenario, fg: FollowerGains) -> LeaderGains:
-    """Solve the leader-stage equations on the scenario grid: P and M march
-    together, K = M - P, and V solves its linear equation with M read from
-    M's Hermite stage table."""
+    """Solve the leader-stage equations on the scenario grid: P, K and M as
+    one pair (`solve_leader_pair`), then V by its linear equation with M
+    read from M's Hermite stage table."""
     es = assemble_extended(s, fg)
-    P, M, health = _march_P_and_M(es)
-    V = solve_leader_V(es, M)
-    return leader_gains(s, P, GridFunction(es.grid, M.values - P.values), M, V, (("leader", health),))
+    P, K, M, health = solve_leader_pair(es)
+    return leader_gains(s, P, K, M, solve_leader_V(es, M), (("leader", health),))

@@ -84,9 +84,13 @@ def test_solve_report_carries_each_marchs_health(gains_dir, config):
     for name, health in fg.health + lg.health:
         assert float(report[f"flow.{name}.min_factor_det"]) == health.min_det > 0.0
         assert float(report[f"flow.{name}.blowup_margin"]) == health.margin < 1.0
-    # The leader batch's margin is its largest node norm of P or M.
-    norms = [np.linalg.norm(table.values, axis=(1, 2)).max() for table in (lg.P, lg.M)]
-    assert float(report["flow.leader.blowup_margin"]) == pytest.approx(max(norms) / BLOWUP_FACTOR, rel=1e-14)
+    # The leader margin is the largest Frobenius norm of the pair
+    # [[P, K], [0, M]] over the nodes; the margins are about 1e-12, so the
+    # comparison is relative only.
+    pair = np.concatenate([np.concatenate([lg.P.values, lg.K.values], axis=2),
+                           np.concatenate([np.zeros_like(lg.M.values), lg.M.values], axis=2)], axis=1)
+    margin = np.linalg.norm(pair, axis=(1, 2)).max() / BLOWUP_FACTOR
+    assert float(report["flow.leader.blowup_margin"]) == pytest.approx(margin, rel=1e-14, abs=0.0)
 
 
 def test_solve_manifest_inventory(gains_dir, config):

@@ -9,7 +9,7 @@ import pytest
 
 from stackmf.follower import solve_Pi, solve_follower_gains
 from stackmf.integrators import GridFunction
-from stackmf.leader import assemble_extended, solve_leader_coupled
+from stackmf.leader import assemble_extended
 from stackmf.model import Distribution, InitialLaw, Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
 from stackmf.equilibrium import (
@@ -177,8 +177,7 @@ def test_generic_vector_game_has_a_nonsymmetric_aggregate_gain_and_verifies():
     assert np.max(np.abs(skew)) > 1e-3
     Pi = solve_Pi(s)
     assert np.max(np.abs(fg.P.values + fg.K.values - Pi.values)) <= 1e-8 * (1.0 + np.max(np.abs(Pi.values)))
-    P_c, K_c, _ = solve_leader_coupled(assemble_extended(s, fg))
-    assert np.max(np.abs(P_c.values + K_c.values - lg.M.values)) <= 1e-12 * (1.0 + np.max(np.abs(lg.M.values)))
+    assert np.max(np.abs(lg.P.values + lg.K.values - lg.M.values)) <= 1e-12 * (1.0 + np.max(np.abs(lg.M.values)))
     rep = run_verification(s, fg, lg, n_paths=128, seed=0, directions=2)
     assert rep.passed, rep.summary_lines()
 
@@ -299,6 +298,21 @@ def test_verification_csv_schema(fast_report, tmp_path):
     # Floats are written with repr, so the report round-trips losslessly.
     c0 = fast_report.checks[0]
     assert float(rows[1][2]) == c0.value
+
+
+def test_verification_flags_a_leader_K_off_its_mean_gain(fast_gains):
+    # The sum identity reads the tables it is handed: a leader K whose first
+    # block row is off by 1e-10 (1 + max |M|) breaks P + K = M past its gate.
+    s, fg, lg = fast_gains
+    n = s.dims.n
+    bump = 1e-10 * (1.0 + np.max(np.abs(lg.M.values)))
+    K = lg.K.values.copy()
+    K[:, :n, :] += bump
+    rep = run_verification(s, fg, dataclasses.replace(lg, K=GridFunction(s.grid, K)),
+                           n_paths=32, seed=0, directions=1)
+    row, = (c for c in rep.checks if c.name == "leader_sum_identity")
+    assert not row.passed and not rep.passed
+    assert row.value == pytest.approx(bump, rel=1e-3)
 
 
 def test_verification_solves_gains_when_not_supplied(fast_scenario):

@@ -15,12 +15,12 @@ from stackmf.leader import (
     assemble_extended,
     flow_oracle_P,
     leader_gains,
-    solve_leader_coupled,
     solve_leader_K,
     solve_leader_M,
     solve_leader_P,
     solve_leader_V,
     solve_leader_gains,
+    solve_leader_pair,
 )
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import mean_state_stages, simulate, solve_mean_state
@@ -225,9 +225,6 @@ def test_third_block_row_annihilates(which, team_gains, game_gains):
 def test_standalone_gain_solvers_are_consistent(fast_gains):
     s, fg, lg = fast_gains
     es = assemble_extended(s, fg)
-    # The coupled march steps by the same RK4 maps under another coding.
-    P_coupled = solve_leader_coupled(es)[0]
-    assert np.max(np.abs(P_coupled.values - lg.P.values)) <= 1e-12 * (1.0 + max_abs(P_coupled))
     # The closures step the Riccati equations themselves by RK4, and K and V
     # read their partner tables through Hermite stage tables, so they agree
     # with the marches to the 4th-order integration error.
@@ -241,13 +238,12 @@ def test_standalone_gain_solvers_are_consistent(fast_gains):
 
 def test_coupled_march_sum_matches_the_mean_gain(team_gains, game_gains, game_n4_gains, fast_gains,
                                                  fast_game_gains, random_battery):
-    # P + K of the coupled (P, K, V) march -- one rectangular equation in
-    # 4d + 1 dimensions -- against the M that marches on its own beside P:
-    # the same RK4 discretization under two codings agrees to rounding.
+    # P + K of the pair march [[P, K], [0, M]] against the M that marches as
+    # its own block: the K and M equations of one discretization agree to
+    # rounding.
     for s, fg, lg in [team_gains, game_gains, game_n4_gains, fast_gains, fast_game_gains, *random_battery]:
-        P, K, V = solve_leader_coupled(assemble_extended(s, fg))
-        assert np.max(np.abs(P.values + K.values - lg.M.values)) <= 1e-12 * (1.0 + max_abs(lg.M))
-        assert np.all(V.values[s.grid.steps] == 0.0)
+        assert np.max(np.abs(lg.P.values + lg.K.values - lg.M.values)) <= 1e-12 * (1.0 + max_abs(lg.M))
+        assert np.all(lg.V.values[s.grid.steps] == 0.0)
 
 
 @pytest.mark.parametrize("config", ["baseline", "game_n4"])
@@ -362,10 +358,10 @@ def test_conjugate_point_raises_in_both_routes():
 
 def test_coupled_march_raises_at_the_conjugate_point():
     # P and M = P + K (K = 0 here) reach the pole in the same step; each
-    # diagonal block of the rectangular equation's flow factor shows it.
+    # diagonal block of the pair equation's flow factor shows it.
     es = tan_instance(2.0, 400)
     with pytest.raises(BlowUpError) as exc:
-        solve_leader_coupled(es)
+        solve_leader_pair(es)
     assert abs(exc.value.time - (2.0 - np.pi / 2.0)) <= 0.02
 
 
