@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import (
+    SYMMETRY_TOL,
     FollowerGains,
     closed_loop,
     mean_weight,
@@ -60,9 +61,9 @@ __all__ = [
 
 PASS_FLOOR = 1e-9
 # Gates on the gain tables (`table_identities`), relative to 1 + max |Pi|
-# and 1 + max |M|; the symmetry drift of P, max |P - P'|, is absolute.
+# and 1 + max |M|; the symmetry drift of P, max |P - P'|, is gated
+# absolutely by the solver's own `follower.SYMMETRY_TOL`.
 FOLLOWER_SUM_TOL = 1e-12
-SYMMETRY_TOL = 1e-9
 LEADER_SUM_TOL = 1e-12
 
 

@@ -19,9 +19,8 @@ per-capita cost.  The feedback law for agent i is
     u_i = -R^-1 B' (P x_i + K E[x_i] + phi).
 
 The coefficients A, G, S, S1, S2 are constant in time (only f and eta vary),
-so P, the (P, K) pair and Pi step by their exact Hamiltonian flow
-(`integrators.riccati_flow`) and carry no discretization error; the
-standalone `solve_K`, which reads P from a stage table, is RK4.
+so the (P, K) pair and Pi step by their exact Hamiltonian flow
+(`integrators.riccati_flow`) and carry no discretization error.
 
 P is symmetric: the flow keeps it so to rounding, and the marched P is
 symmetrized once, its drift recorded.  Pi is symmetric in team mode; in
@@ -45,7 +44,6 @@ from .integrators import (
     FlowHealth,
     GridFunction,
     StageTable,
-    integrate_backward,
     integrate_linear,
     riccati_flow,
     sampled_stages,
@@ -62,9 +60,6 @@ __all__ = [
     "aggregate_weight",
     "offset_terms",
     "offset_source",
-    "solve_P",
-    "solve_K",
-    "solve_Pi",
     "solve_phi",
     "phi_stages",
     "riccati_stages",
@@ -74,9 +69,10 @@ __all__ = [
     "solve_follower_gains",
 ]
 
-# Symmetrization drift beyond this means the integrator itself is producing
-# asymmetric output, not just roundoff.
-_SYM_DRIFT_LIMIT = 1e-10
+# The largest symmetry drift max |P - P'| of P that is still roundoff: beyond
+# it the solver rejects its march and `verify` and the gains loader reject
+# the tables.
+SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ def _symmetrized(s: Scenario, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Symmetrize a marched Riccati gain once, after the march, and return
     it with its largest symmetry drift over the nodes.
 
-    The flow step is exact, so a drift beyond _SYM_DRIFT_LIMIT means a
+    The flow step is exact, so a drift beyond SYMMETRY_TOL means a
     step's linear solve lost accuracy: the flow factor is near singular, as
     it is beside a pole -- the pathology of a norm escape, caught earlier --
     so the solve is rejected through the same failure channel, located at
@@ -184,13 +180,13 @@ def _symmetrized(s: Scenario, values: np.ndarray) -> tuple[np.ndarray, float]:
     drift = symmetry_drift(values)
     worst = int(np.argmax(drift))
     max_drift = float(drift[worst])
-    if max_drift > _SYM_DRIFT_LIMIT:
+    if max_drift > SYMMETRY_TOL:
         t_bad = float(s.grid.nodes[worst])
         raise BlowUpError(
             t_bad,
             max_drift,
             f"Riccati symmetrization drift {max_drift:.3e} at t={t_bad:.6g} "
-            f"exceeds limit {_SYM_DRIFT_LIMIT:g}: the Riccati flow is ill-conditioned there",
+            f"exceeds limit {SYMMETRY_TOL:g}: the Riccati flow is ill-conditioned there",
         )
     return 0.5 * (values + np.swapaxes(values, 1, 2)), max_drift
 
@@ -205,40 +201,6 @@ def riccati_stages(s: Scenario, gain: GridFunction, source: np.ndarray) -> Stage
     `aggregate_weight`): Hermite midpoints from the gain's own equation."""
     slopes = _riccati_rhs(s.follower_dyn.A, _gain_matrix(s), source, gain.values)
     return stage_table(s.grid, gain.values, slopes)
-
-
-def solve_P(s: Scenario) -> GridFunction:
-    """Own-state Riccati gain, zero terminal value, symmetrized."""
-    require_valid(s)
-    values, _ = riccati_flow(s.follower_dyn.A, _gain_matrix(s), state_weight(s), s.grid)
-    return GridFunction(s.grid, _symmetrized(s, values)[0])
-
-
-def _solve_Pi(s: Scenario) -> tuple[GridFunction, FlowHealth]:
-    values, health = riccati_flow(s.follower_dyn.A, _gain_matrix(s), aggregate_weight(s), s.grid)
-    return GridFunction(s.grid, values), health
-
-
-def solve_Pi(s: Scenario) -> GridFunction:
-    """Aggregate gain; same Riccati family with source S2, solved on its own.
-    No symmetry is imposed: in game mode S2, and so Pi, is in general not
-    symmetric."""
-    require_valid(s)
-    return _solve_Pi(s)[0]
-
-
-def solve_K(s: Scenario, P: GridFunction) -> GridFunction:
-    """Mean-coupling gain; a matrix ODE quadratic in K, fed by the own-state gain."""
-    A = s.follower_dyn.A
-    G = _gain_matrix(s)
-    S1 = mean_weight(s)
-    P_st = riccati_stages(s, P, state_weight(s))
-
-    def rhs(t, K):
-        Pt = P_st.at(t)
-        return -(A.T @ K + K @ A - Pt @ G @ K - K @ G @ (Pt + K) - S1)
-
-    return integrate_backward(rhs, np.zeros_like(A), s.grid)
 
 
 def solve_phi(s: Scenario, Pi: GridFunction, mean_leader: StageTable) -> GridFunction:
@@ -329,5 +291,6 @@ def solve_follower_gains(s: Scenario) -> FollowerGains:
     """Solve P, K and, independently, Pi."""
     require_valid(s)
     P, K, drift, pair_health = _solve_coupled(s)
-    Pi, Pi_health = _solve_Pi(s)
-    return follower_gains(s, P, K, Pi, drift, (("follower_pair", pair_health), ("Pi", Pi_health)))
+    Pi, Pi_health = riccati_flow(s.follower_dyn.A, _gain_matrix(s), aggregate_weight(s), s.grid)
+    return follower_gains(s, P, K, GridFunction(s.grid, Pi), drift,
+                          (("follower_pair", pair_health), ("Pi", Pi_health)))

@@ -27,7 +27,8 @@ midpoint.  Stage tables depend on node values only.
 
 The scaling-and-squaring matrix exponential (degree-13 rational core) backs
 the follower flow, through the increment form `expm_increment`, and the
-constant-coefficient flow oracle of the leader stage.
+exact one-step discretization of the dynamic-programming oracle
+(`equilibrium.dp_gain_oracle`).
 """
 
 from __future__ import annotations
@@ -313,10 +314,10 @@ def linear_march(coefficients, grid: TimeGrid, start, forward: bool) -> GridFunc
 def rk4_increments(drift, grid: TimeGrid):
     """Increments T_k - I of the backward RK4 step maps of y' = L(t) y, in
     march order (the step onto node steps - 1 first), in blocks of at most
-    STEP_BLOCK steps: arrays (steps in block, ..., D, D).
+    STEP_BLOCK steps: arrays (steps in block, D, D).
 
     `drift(lo, hi)` returns L at the stage rows lo..hi (inclusive, rows of a
-    StageTable on `grid`), (hi - lo + 1, ..., D, D); one block reads only its
+    StageTable on `grid`), (hi - lo + 1, D, D); one block reads only its
     own rows, so memory stays bounded by the block, not by the grid.
     """
     for first, last in _step_blocks(grid.steps, forward=False):
@@ -345,12 +346,11 @@ def riccati_march(increments, grid: TimeGrid, shape, factor_blocks=None) -> tupl
     Written in F, not T, a step that moves Z little keeps the relative
     accuracy of its increment, so the march keeps the order of its maps.
 
-    `shape` is Z's shape (..., p, r); leading axes are a batch of
-    independent systems.  `increments` yields blocks (steps, ..., r + p,
-    r + p) of the steps' increments in march order, at most STEP_BLOCK steps
-    each (see `rk4_increments`).  `factor_blocks` lists the sizes of the
-    diagonal blocks of a block upper triangular flow factor I + F11 + F12 Z
-    (default: one block).
+    `shape` is Z's shape (p, r).  `increments` yields blocks
+    (steps, r + p, r + p) of the steps' increments in march order, at most
+    STEP_BLOCK steps each (see `rk4_increments`).  `factor_blocks` lists
+    the sizes of the diagonal blocks of a block upper triangular flow factor
+    I + F11 + F12 Z (default: one block).
 
     Returns the node values (steps + 1, ...) and the march's FlowHealth.
     Raises BlowUpError at the first node, in march order, to escape the
@@ -360,34 +360,32 @@ def riccati_march(increments, grid: TimeGrid, shape, factor_blocks=None) -> tupl
     block cross in one step leaves its sign unchanged.)
     """
     K = grid.steps
-    r = shape[-1]
-    out = np.empty((K + 1,) + tuple(shape))
-    Z = out[K] = np.zeros(shape)
+    p, r = shape
+    out = np.empty((K + 1, p, r))
+    Z = out[K] = np.zeros((p, r))
     ident = np.eye(r)
     edges = np.cumsum((0,) + tuple(factor_blocks or (r,)))
-    factors = np.empty((STEP_BLOCK,) + tuple(shape[:-2]) + (r, r))     # one block of steps
+    factors = np.empty((STEP_BLOCK, r, r))      # one block of steps
     norms, dets = np.empty(K), np.empty(K)      # [k]: the node k, the step onto it
     k = K
     with np.errstate(over="ignore", invalid="ignore"):
         for F in increments:
             top = k
             try:
-                for j, (left, right) in enumerate(zip(F[..., :r], F[..., r:])):
+                for j, (left, right) in enumerate(zip(F[:, :, :r], F[:, :, r:])):
                     k -= 1
                     W = left + right @ Z    # [F11 + F12 Z; F21 + F22 Z]
-                    W1 = W[..., :r, :]
+                    W1 = W[:r]
                     U = factors[j] = ident + W1
-                    X = np.linalg.solve(U.swapaxes(-1, -2), (W[..., r:, :] - Z @ W1).swapaxes(-1, -2))
-                    Z = Z + X.swapaxes(-1, -2)
+                    Z = Z + np.linalg.solve(U.T, (W[r:] - Z @ W1).T).T
                     out[k] = Z
             except np.linalg.LinAlgError:   # a factor exactly singular: the step ends on a pole
                 raise BlowUpError(grid.nodes[k], math.inf,
                                   f"Riccati flow ends a step on a pole at t={grid.nodes[k]:.6g}") from None
-            flat = out[k:top].reshape(top - k, -1, out.shape[-2] * r)
-            norms[k:top] = np.sqrt(np.einsum("kbi,kbi->kb", flat, flat)).max(axis=1)
+            flat = out[k:top].reshape(top - k, p * r)
+            norms[k:top] = np.sqrt(np.einsum("ki,ki->k", flat, flat))
             U = factors[:top - k][::-1]
-            block_dets = [np.linalg.det(U[..., a:b, a:b]) for a, b in zip(edges[:-1], edges[1:])]
-            dets[k:top] = np.stack(block_dets, axis=-1).reshape(top - k, -1).min(axis=1)
+            dets[k:top] = np.min([np.linalg.det(U[:, a:b, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=0)
             bad = np.flatnonzero(~(norms[k:top] <= BLOWUP_FACTOR) | ~(dets[k:top] > 0.0))      # NaN fails too
             if bad.size:
                 b = k + bad[-1]

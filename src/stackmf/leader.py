@@ -19,8 +19,10 @@ offset equation for V:
     V' + M B V + M f_state - B1 V - B2 V - f_costate        = 0,  V(T) = 0
 
     (Matching the Ito expansion of d(P X + K E[X] + V) against the costate
-    drift fixes every sign; each equation is also pinned numerically by an
-    independent discrete-adjoint oracle in the tests.)
+    drift fixes every sign.  The tests pin them numerically: the closure
+    references below against the pair march, and the offset block of the
+    reconstructed costate against the follower stage's own offset equation
+    in `test_offset_routes_agree`.)
 
 Each Riccati equation here is Y U^-1 of a linear system (Radon's lemma).
 `solve_leader_pair` marches P, K and M as one square equation in
@@ -37,11 +39,6 @@ leader's control reads the first block of the reconstructed costate:
     u0 = -R0^-1 B0' e1 (P X + K E[X] + V).
 
 `leader_gains` is the one constructor of `LeaderGains`.
-
-For constant coefficients, P also has a flow representation
-P(t) = V(t) U(t)^-1 with (U, V) propagated by the exponential of the stacked
-Hamiltonian-like matrix [[A, B], [A1, B1]]; `flow_oracle_P` implements it as
-an independent cross-check.
 """
 
 from __future__ import annotations
@@ -51,14 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import FollowerGains, closed_loop, offset_terms, riccati_stages, state_weight
-from .integrators import (FlowHealth, GridFunction, StageTable, expm, integrate_backward, linear_march,
+from .integrators import (FlowHealth, GridFunction, StageTable, integrate_backward, linear_march,
                           riccati_march, rk4_increments, sampled_stages, stage_rows, stage_table)
 from .model import Scenario, require_valid
 
 __all__ = [
     "ExtendedSystem",
     "LeaderGains",
-    "SingularFlowError",
     "assemble_extended",
     "solve_leader_P",
     "solve_leader_K",
@@ -66,19 +62,10 @@ __all__ = [
     "solve_leader_V",
     "leader_M_stages",
     "leader_V_stages",
-    "flow_oracle_P",
     "leader_gains",
     "solve_leader_pair",
     "solve_leader_gains",
 ]
-
-
-class SingularFlowError(RuntimeError):
-    """The flow factor U(t) is numerically singular: no Riccati solution there."""
-
-    def __init__(self, time: float):
-        super().__init__(f"flow factor singular at t={time:.6g}")
-        self.time = float(time)
 
 
 @dataclass(frozen=True)
@@ -298,79 +285,6 @@ def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
         return drift, es.f_costate.values[rows] - np.einsum("kij,kj->ki", M_st, es.f_state.values[rows])
 
     return linear_march(coefficients, es.grid, np.zeros(3 * es.n), forward=False)
-
-
-_CONST_TOL = 1e-12
-
-
-def _constant_block(table: StageTable, name: str) -> np.ndarray:
-    ref = table.values[0]
-    dev = float(np.max(np.abs(table.values - ref)))
-    if dev > _CONST_TOL * (1.0 + float(np.max(np.abs(ref)))):
-        raise ValueError(f"flow oracle needs constant coefficients; {name} varies by {dev:.3e}")
-    return ref
-
-
-def flow_oracle_P(es: ExtendedSystem) -> GridFunction:
-    """Flow-map route to P: the stacked linear flow, inverted node-wise.
-
-    Propagates (U, V)(t) = Phi(t, T) (I, 0) for the linear system with
-    generator H(t) = [[A, B], [A1, B1]] (differentiating V U^-1 reproduces
-    the P equation) and returns P(t) = V(t) U(t)^-1.
-
-    Constant blocks use one exact matrix exponential per node.  Blocks that
-    vary in time (through the follower gains) are frozen at each step
-    midpoint and the per-step exponentials chained -- second-order accurate,
-    good enough for a cross-check of the production RK4 route.
-
-    A conjugate point (U singular somewhere, so no P exists there) raises
-    SingularFlowError.  Detection scans from the terminal side and fires on
-    a collapsed condition number at a node or on a determinant sign change
-    between nodes; a regular instance keeps det U away from zero on the
-    whole horizon, so neither trigger can fire spuriously.
-    """
-    d = 3 * es.n
-
-    def generator(A: np.ndarray, B1: np.ndarray) -> np.ndarray:
-        H = np.zeros((2 * d, 2 * d))
-        H[:d, :d] = A
-        H[:d, d:] = es.B
-        H[d:, :d] = es.A1
-        H[d:, d:] = B1
-        return H
-
-    K = es.grid.steps
-    T = es.grid.horizon
-    nodes = es.grid.nodes
-    W = np.zeros((K + 1, 2 * d, d))
-    try:
-        H = generator(_constant_block(es.A, "A"), _constant_block(es.B1, "B1"))
-    except ValueError:
-        H = None
-    if H is not None:
-        for k in range(K + 1):
-            W[k] = expm(H * (nodes[k] - T))[:, :d]
-    else:
-        dt = es.grid.dt
-        W[K, :d] = np.eye(d)
-        for k in range(K - 1, -1, -1):
-            mid = 2 * k + 1
-            W[k] = expm(-dt * generator(es.A.values[mid], es.B1.values[mid])) @ W[k + 1]
-
-    out = np.empty((K + 1, d, d))
-    prev_sign = 0.0
-    for k in range(K, -1, -1):
-        U = W[k, :d]
-        V = W[k, d:]
-        sign = np.linalg.slogdet(U)[0]
-        sv = np.linalg.svd(U, compute_uv=False)
-        # U(T) = I, so a regular flow keeps sigma_min well above roundoff on
-        # both the identity scale and the current flow scale.
-        if sign == 0.0 or sv[-1] <= 1e-12 * max(1.0, sv[0]) or (prev_sign != 0.0 and sign != prev_sign):
-            raise SingularFlowError(nodes[k])
-        prev_sign = sign
-        out[k] = np.linalg.solve(U.T, V.T).T
-    return GridFunction(es.grid, out)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Shared fixtures: benchmark scenario, fast test scenario, random instances.
+"""Shared fixtures: benchmark scenario, fast test scenario, random instances,
+and the chained-exponential flow representation of the leader P.
 
 Session-scoped fixtures cache solved gain sets so the expensive backward
 solves run once per session.  The random-scenario factory draws well-posed
@@ -12,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stackmf.follower import solve_follower_gains
-from stackmf.integrators import BlowUpError
-from stackmf.leader import SingularFlowError, solve_leader_gains
+from stackmf.integrators import BlowUpError, StageTable
+from stackmf.leader import ExtendedSystem, solve_leader_gains
 from stackmf.model import (
     Dims,
     Distribution,
@@ -195,7 +197,7 @@ def random_scenario(seed: int, *, mode: str | None = None, gamma_zero: bool = Fa
             continue
         try:
             solve_both(s)
-        except (BlowUpError, SingularFlowError):
+        except BlowUpError:
             continue
         return s
     raise RuntimeError(f"no well-posed scenario found for seed {seed}")
@@ -214,3 +216,14 @@ def random_battery():
 
 def replace_mode(s: Scenario, mode: Mode) -> Scenario:
     return dataclasses.replace(s, mode=mode)
+
+
+def midpoint_flow(es: ExtendedSystem, lower_right: StageTable) -> np.ndarray:
+    """V U^-1 of the chained midpoint flow of [[A, B], [A1, lower_right]]."""
+    d, K, dt = 3 * es.n, es.grid.steps, es.grid.dt
+    W = np.zeros((K + 1, 2 * d, d))
+    W[K, :d] = np.eye(d)
+    for k in range(K - 1, -1, -1):
+        H = np.block([[es.A.values[2 * k + 1], es.B], [es.A1, lower_right.values[2 * k + 1]]])
+        W[k] = scipy.linalg.expm(-dt * H) @ W[k + 1]
+    return np.linalg.solve(np.swapaxes(W[:, :d], 1, 2), np.swapaxes(W[:, d:], 1, 2)).swapaxes(1, 2)

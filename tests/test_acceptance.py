@@ -16,11 +16,11 @@ import pytest
 
 from stackmf.cli import main as cli_main
 from stackmf.equilibrium import deviation_battery, direction_library, dp_gain_oracle
-from stackmf.follower import solve_Pi, solve_follower_gains
-from stackmf.leader import assemble_extended, flow_oracle_P, solve_leader_M
+from stackmf.follower import solve_follower_gains
+from stackmf.leader import assemble_extended, solve_leader_M
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import lln_diagnostic, simulate
-from conftest import FAST_CFG_TEXT, random_scenario, replace_mode, solve_both
+from conftest import FAST_CFG_TEXT, midpoint_flow, random_scenario, replace_mode, solve_both
 
 SOLVE_TIME_BUDGET = 0.5          # seconds, benchmark solve
 DEVIATION_TIME_BUDGET = 35.0     # seconds, full certification battery
@@ -105,7 +105,7 @@ def test_accept_02_sum_identities(team_gains, game_gains, random_battery):
     worst_f = worst_l = 0.0
     battery = [team_gains, game_gains, *random_battery]
     for s, fg, lg in battery:
-        Pi_star = solve_Pi(s)
+        Pi_star = solve_follower_gains(s).Pi
         gap_f = float(np.max(np.abs(fg.P.values + fg.K.values - Pi_star.values)))
         tol_f = 1e-8 * (1.0 + float(np.max(np.abs(Pi_star.values))))
         worst_f = max(worst_f, gap_f / tol_f)
@@ -164,8 +164,8 @@ def test_accept_04_closed_form_oracles(baseline_text):
 
     const_text = baseline_text.replace("Q = 1.0\nR = 0.1", "Q = 0.0\nR = 0.1")
     s_const, fg_c, lg_c = solve_both(load_scenario(const_text))
-    oracle = flow_oracle_P(assemble_extended(s_const, fg_c))
-    gap_flow = float(np.max(np.abs(oracle.values - lg_c.P.values)))
+    es_c = assemble_extended(s_const, fg_c)
+    gap_flow = float(np.max(np.abs(midpoint_flow(es_c, es_c.B1) - lg_c.P.values)))
 
     ok = gap_tanh <= 1e-6 and gap_flow <= 1e-8
     report(

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stackmf.follower import solve_Pi, solve_follower_gains
+from stackmf.follower import solve_follower_gains
 from stackmf.integrators import GridFunction
 from stackmf.leader import assemble_extended
 from stackmf.model import Distribution, InitialLaw, Mode, TimeGrid, load_scenario
@@ -175,7 +175,7 @@ def test_generic_vector_game_has_a_nonsymmetric_aggregate_gain_and_verifies():
     s, fg, lg = solve_both(random_scenario(3, n=2, m=2, N=4, mode="game"))
     skew = fg.Pi.values - np.swapaxes(fg.Pi.values, 1, 2)
     assert np.max(np.abs(skew)) > 1e-3
-    Pi = solve_Pi(s)
+    Pi = solve_follower_gains(s).Pi
     assert np.max(np.abs(fg.P.values + fg.K.values - Pi.values)) <= 1e-8 * (1.0 + np.max(np.abs(Pi.values)))
     assert np.max(np.abs(lg.P.values + lg.K.values - lg.M.values)) <= 1e-12 * (1.0 + np.max(np.abs(lg.M.values)))
     rep = run_verification(s, fg, lg, n_paths=128, seed=0, directions=2)

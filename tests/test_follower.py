@@ -12,9 +12,6 @@ from stackmf import follower
 from stackmf.follower import (
     FollowerGains,
     mean_weight,
-    solve_K,
-    solve_P,
-    solve_Pi,
     solve_follower_gains,
     solve_phi,
     state_weight,
@@ -76,7 +73,7 @@ def test_scalar_instance_matches_tanh_closed_form():
     # With A=0, B=1, Q=1, R=1 and no couplings, the own-state gain solves
     # p' = p^2 - 1, p(T)=0, whose solution is tanh(T - t).
     s = load_scenario(TANH_CFG)
-    P = solve_P(s)
+    P = solve_follower_gains(s).P
     assert abs(P.values[0, 0, 0] - math.tanh(1.0)) <= 1e-6
     nodes = s.grid.nodes
     exact = np.tanh(1.0 - nodes)
@@ -88,7 +85,7 @@ def test_gain_is_exact_at_any_step_count():
     # exactly: no discretization error, however coarse the grid.
     for steps in (5, 10, 1000):
         s = load_scenario(TANH_CFG.replace("steps = 1000", f"steps = {steps}"))
-        P = solve_P(s).values[:, 0, 0]
+        P = solve_follower_gains(s).P.values[:, 0, 0]
         assert np.max(np.abs(P - np.tanh(1.0 - s.grid.nodes))) <= 1e-14, steps
 
 
@@ -111,10 +108,9 @@ def test_conjugate_point_raises_within_one_step():
     s = load_scenario(TANH_CFG.replace("[cost.follower]\nQ = 1.0", "[cost.follower]\nQ = -1.0")
                       .replace("T = 1.0", "T = 2.0"))
     assert s.follower_cost.Q[0, 0] == -1.0
-    for solve in (solve_P, solve_follower_gains):
-        with pytest.raises(BlowUpError) as exc:
-            solve(s)
-        assert abs(exc.value.time - (2.0 - math.pi / 2)) <= s.grid.dt
+    with pytest.raises(BlowUpError) as exc:
+        solve_follower_gains(s)
+    assert abs(exc.value.time - (2.0 - math.pi / 2)) <= s.grid.dt
 
 
 def test_coupled_pair_sees_a_pole_that_both_blocks_cross():
@@ -146,10 +142,10 @@ def test_terminal_conditions_exact(which, team_gains, game_gains):
 
 @pytest.mark.parametrize("which", ["team", "game"])
 def test_sum_identity_against_independent_solve(which, team_gains, game_gains):
+    # Pi solves its own equation, apart from the (P, K) pair.
     s, fg, _ = team_gains if which == "team" else game_gains
-    Pi_direct = solve_Pi(s)
-    gap = np.max(np.abs(fg.P.values + fg.K.values - Pi_direct.values))
-    assert gap <= 1e-12 * (1.0 + max_abs(Pi_direct))
+    gap = np.max(np.abs(fg.P.values + fg.K.values - fg.Pi.values))
+    assert gap <= 1e-12 * (1.0 + max_abs(fg.Pi))
 
 
 def asymmetry(gf) -> np.ndarray:
@@ -165,16 +161,6 @@ def test_symmetric_gains_stay_symmetric(which, team_gains, game_gains):
     skew_gap = asymmetry(fg.Pi) if s.mode is Mode.TEAM else asymmetry(fg.Pi) - asymmetry(fg.K)
     assert np.max(np.abs(skew_gap)) <= 1e-8
     assert fg.sym_drift <= 1e-9
-
-
-def test_standalone_solvers_agree_with_coupled_route(fast_gains, team_gains, game_n4_gains, random_battery):
-    for s, fg, _ in [fast_gains, team_gains, game_n4_gains, *random_battery]:
-        P = solve_P(s)
-        assert np.max(np.abs(P.values - fg.P.values)) <= 1e-12 * (1.0 + max_abs(P))
-        # The standalone K solver is RK4 and reads P through a Hermite stage
-        # table, so it agrees to its 4th-order integration error, not bitwise.
-        K = solve_K(s, P)
-        assert np.max(np.abs(K.values - fg.K.values)) <= 1e-9 * (1.0 + max_abs(K))
 
 
 def _pair_by_blocks(s):
@@ -198,16 +184,15 @@ def _pair_by_blocks(s):
     return 0.5 * (P + np.swapaxes(P, 1, 2)), vals[:, n * n:].reshape(-1, n, n)
 
 
-def test_rectangular_pair_matches_the_block_equations(team_gains, game_gains, game_n4_gains, random_battery):
+def test_rectangular_pair_matches_the_block_equations(team_gains, game_gains, game_n4_gains, fast_gains,
+                                                      fast_game_gains, random_battery):
     # The coupled solve steps [[P, K], [0, P + K]] as one square equation by
     # its exact flow; it must reproduce the two block equations stepped by
-    # RK4 on a 16x-finer grid (where RK4's error is below rounding), and P
-    # the standalone solve_P.
-    for s, fg, _ in [team_gains, game_gains, game_n4_gains, *random_battery]:
+    # RK4 on a 16x-finer grid (where RK4's error is below rounding).
+    for s, fg, _ in [team_gains, game_gains, game_n4_gains, fast_gains, fast_game_gains, *random_battery]:
         fine = dataclasses.replace(s, grid=TimeGrid(s.grid.horizon, 16 * s.grid.steps))
         P_ref, K_ref = (table[::16] for table in _pair_by_blocks(fine))
         scale = 1.0 + max_abs(fg.P) + max_abs(fg.K)
-        assert np.max(np.abs(fg.P.values - solve_P(s).values)) <= 1e-13 * scale
         assert np.max(np.abs(fg.P.values - P_ref)) <= 1e-13 * scale
         assert np.max(np.abs(fg.K.values - K_ref)) <= 1e-13 * scale
 
@@ -239,7 +224,7 @@ def test_team_aggregate_gain_is_population_size_free(fast_scenario):
     s = fast_scenario
     small = dataclasses.replace(s, dims=Dims(s.dims.n, s.dims.m, 2))
     large = dataclasses.replace(s, dims=Dims(s.dims.n, s.dims.m, 1000))
-    gap = np.max(np.abs(solve_Pi(small).values - solve_Pi(large).values))
+    gap = np.max(np.abs(solve_follower_gains(small).Pi.values - solve_follower_gains(large).Pi.values))
     assert gap <= 1e-12
 
 
@@ -247,7 +232,7 @@ def test_game_aggregate_gain_depends_on_population_size(fast_scenario):
     s = replace_mode(fast_scenario, Mode.GAME)
     small = dataclasses.replace(s, dims=Dims(s.dims.n, s.dims.m, 2))
     large = dataclasses.replace(s, dims=Dims(s.dims.n, s.dims.m, 1000))
-    gap = np.max(np.abs(solve_Pi(small).values - solve_Pi(large).values))
+    gap = np.max(np.abs(solve_follower_gains(small).Pi.values - solve_follower_gains(large).Pi.values))
     assert gap > 1e-4
 
 
@@ -311,7 +296,7 @@ def test_drift_guard_reports_through_failure_channel(make_random_scenario, monke
     import stackmf.follower as fol
 
     s = make_random_scenario(9200, n=3)
-    monkeypatch.setattr(fol, "_SYM_DRIFT_LIMIT", 1e-18)
+    monkeypatch.setattr(fol, "SYMMETRY_TOL", 1e-18)
     with pytest.raises(BlowUpError) as exc:
         solve_follower_gains(s)
     assert 0.0 <= exc.value.time <= s.grid.horizon

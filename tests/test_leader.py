@@ -1,4 +1,4 @@
-"""Leader-stage block system, nonsymmetric Riccati solves, flow oracle."""
+"""Leader-stage block system, nonsymmetric Riccati solves, the flow representation."""
 from __future__ import annotations
 
 import dataclasses
@@ -11,9 +11,7 @@ from stackmf.follower import solve_follower_gains, solve_phi
 from stackmf.integrators import BlowUpError, GridFunction, StageTable
 from stackmf.leader import (
     ExtendedSystem,
-    SingularFlowError,
     assemble_extended,
-    flow_oracle_P,
     leader_gains,
     solve_leader_K,
     solve_leader_M,
@@ -24,7 +22,7 @@ from stackmf.leader import (
 )
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import mean_state_stages, simulate, solve_mean_state
-from conftest import REPO, replace_mode, solve_both
+from conftest import REPO, midpoint_flow, replace_mode, solve_both
 
 GAME_N4_CFG = REPO / "perfbench" / "game_n4.cfg"
 
@@ -236,7 +234,7 @@ def test_standalone_gain_solvers_are_consistent(fast_gains):
     assert np.max(np.abs(V.values - lg.V.values)) <= 1e-9 * (1.0 + max_abs(V))
 
 
-def test_coupled_march_sum_matches_the_mean_gain(team_gains, game_gains, game_n4_gains, fast_gains,
+def test_pair_march_sum_matches_the_mean_gain(team_gains, game_gains, game_n4_gains, fast_gains,
                                                  fast_game_gains, random_battery):
     # P + K of the pair march [[P, K], [0, M]] against the M that marches as
     # its own block: the K and M equations of one discretization agree to
@@ -277,11 +275,11 @@ def test_zero_tracking_weight_zeroes_costate_gain(baseline_text):
     assert max_abs(lg.P) == 0.0
     es = assemble_extended(s, fg)
     assert np.max(np.abs(es.A1)) == 0.0
-    assert max_abs(flow_oracle_P(es)) == 0.0
+    assert np.max(np.abs(midpoint_flow(es, es.B1))) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# Flow oracle
+# Flow representation P = V U^-1
 # ---------------------------------------------------------------------------
 
 
@@ -294,8 +292,7 @@ def test_flow_oracle_on_synthetic_constant_instance():
         B1=0.3 * rng.standard_normal((3, 3)),
     )
     P_ode = solve_leader_P(es)
-    P_flow = flow_oracle_P(es)
-    assert np.max(np.abs(P_ode.values - P_flow.values)) <= 1e-8
+    assert np.max(np.abs(P_ode.values - midpoint_flow(es, es.B1))) <= 1e-8
 
 
 def test_flow_oracle_on_constant_coefficient_scenario(baseline_text):
@@ -305,7 +302,7 @@ def test_flow_oracle_on_constant_coefficient_scenario(baseline_text):
     s = load_scenario(text)
     fg = solve_follower_gains(s)
     es = assemble_extended(s, fg)
-    gap = np.max(np.abs(solve_leader_P(es).values - flow_oracle_P(es).values))
+    gap = np.max(np.abs(solve_leader_P(es).values - midpoint_flow(es, es.B1)))
     assert gap <= 1e-8
 
 
@@ -315,27 +312,15 @@ def test_flow_oracle_tracks_time_varying_blocks(which, team_gains, game_gains):
     # even though the benchmark blocks move with the follower gains.
     s, fg, lg = team_gains if which == "team" else game_gains
     es = assemble_extended(s, fg)
-    assert np.max(np.abs(lg.P.values - flow_oracle_P(es).values)) <= 1e-6
-
-
-def midpoint_flow(es: ExtendedSystem, lower_right: StageTable) -> np.ndarray:
-    """V U^-1 of the chained midpoint flow of [[A, B], [A1, lower_right]]."""
-    d, K, dt = 3 * es.n, es.grid.steps, es.grid.dt
-    W = np.zeros((K + 1, 2 * d, d))
-    W[K, :d] = np.eye(d)
-    for k in range(K - 1, -1, -1):
-        H = np.block([[es.A.values[2 * k + 1], es.B], [es.A1, lower_right.values[2 * k + 1]]])
-        W[k] = scipy.linalg.expm(-dt * H) @ W[k + 1]
-    return np.linalg.solve(np.swapaxes(W[:, :d], 1, 2), np.swapaxes(W[:, d:], 1, 2)).swapaxes(1, 2)
+    assert np.max(np.abs(lg.P.values - midpoint_flow(es, es.B1))) <= 1e-6
 
 
 def test_flow_oracle_variant_is_distinguishable(team_gains):
     # B2 in place of B1 in the generator's lower right corner misses the
     # production P by orders of magnitude on the benchmark, which pins the
-    # choice; the same construction with B1 is the flow oracle.
+    # choice; the same construction with B1 is the flow representation.
     s, fg, lg = team_gains
     es = assemble_extended(s, fg)
-    assert np.max(np.abs(midpoint_flow(es, es.B1) - flow_oracle_P(es).values)) <= 1e-10
     assert np.max(np.abs(lg.P.values - midpoint_flow(es, es.B2))) > 1.0
 
 
@@ -345,18 +330,14 @@ def tan_instance(T: float, steps: int) -> ExtendedSystem:
     return constant_system(T=T, steps=steps, B=np.eye(3), A1=-np.eye(3))
 
 
-def test_conjugate_point_raises_in_both_routes():
+def test_closure_route_raises_at_the_conjugate_point():
     es = tan_instance(2.0, 400)
-    t_star = 2.0 - np.pi / 2.0
-    with pytest.raises(SingularFlowError) as flow_exc:
-        flow_oracle_P(es)
-    assert abs(flow_exc.value.time - t_star) <= 0.02
-    with pytest.raises(BlowUpError) as ode_exc:
+    with pytest.raises(BlowUpError) as exc:
         solve_leader_P(es)
-    assert abs(ode_exc.value.time - t_star) <= 0.02
+    assert abs(exc.value.time - (2.0 - np.pi / 2.0)) <= 0.02
 
 
-def test_coupled_march_raises_at_the_conjugate_point():
+def test_pair_march_raises_at_the_conjugate_point():
     # P and M = P + K (K = 0 here) reach the pole in the same step; each
     # diagonal block of the pair equation's flow factor shows it.
     es = tan_instance(2.0, 400)
@@ -365,18 +346,11 @@ def test_coupled_march_raises_at_the_conjugate_point():
     assert abs(exc.value.time - (2.0 - np.pi / 2.0)) <= 0.02
 
 
-def test_conjugate_point_exactly_at_a_node():
-    es = tan_instance(float(np.pi / 2.0), 100)
-    with pytest.raises(SingularFlowError) as exc:
-        flow_oracle_P(es)
-    assert exc.value.time == 0.0
-
-
 def test_tan_instance_regular_below_conjugate_horizon():
     es = tan_instance(1.0, 400)
     P = solve_leader_P(es)
     assert abs(P.values[0, 0, 0] - np.tan(1.0)) <= 1e-9
-    assert np.max(np.abs(P.values - flow_oracle_P(es).values)) <= 1e-10
+    assert np.max(np.abs(P.values - midpoint_flow(es, es.B1))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
