@@ -1,7 +1,7 @@
 """Optimality verification for the solved feedback laws.
 
-Three independent lines of evidence, none of which reuse the solver route
-they are checking:
+`run_verification` gates nine check rows and the deviation tests.  Three
+lines of evidence reuse none of the solver route they are checking:
 
 * **Deviation tests** -- Monte Carlo first-order conditions.  One agent's
   realized control is perturbed open-loop by ``eps * v(t)``; in a linear
@@ -10,8 +10,8 @@ they are checking:
   ``eps * a_p + eps**2 * b`` with a curvature b shared by all paths.  At
   an optimum the mean pathwise slope a_p is statistically zero and the
   curvature positive.  A leader deviation shifts the mean leader path, so
-  the follower reaction (offset and mean response) is recomputed for the
-  shifted mean and the follower population shifts accordingly; a follower
+  the follower reaction to the shift (`follower.follower_response`) moves
+  the follower population accordingly; a follower
   deviation leaves every other agent untouched but moves the population
   average by 1/N.  Every direction's slopes are read off the same baseline
   paths in one ensemble pass (`simulation.Deviations`).
@@ -21,6 +21,18 @@ they are checking:
   follower's best-response problem solved by backward recursion, converging
   at O(dt) to the Riccati-based gains.  It shares no code with the
   continuous-time solvers.
+
+The other rows check that the pieces fit together:
+
+* **Table identities** (`table_identities`) -- the gain tables given,
+  solved or loaded, satisfy follower P + K = Pi and leader P + K = M, each
+  sum solved by its own equation, and P's symmetry drift stays roundoff.
+* **Offset consistency** -- the follower offset the leader layer
+  reconstructs along the mean path (block 3 of K E[X] + V) equals the
+  follower-route offset along the same leader mean, and every simulated
+  path reads that one deterministic offset (`offset_path_spread`).
+* **Exchangeability** -- relabeling which noise row drives which follower
+  permutes the per-path follower costs, path by path.
 """
 
 from __future__ import annotations
@@ -33,15 +45,13 @@ import numpy as np
 from .follower import (
     SYMMETRY_TOL,
     FollowerGains,
-    closed_loop,
+    follower_response,
     mean_weight,
-    offset_source,
-    phi_stages,
+    offset_drive,
     solve_follower_gains,
-    solve_phi,
     state_weight,
 )
-from .integrators import StageTable, expm, integrate_linear, sampled_stages, stage_table
+from .integrators import StageTable, expm, integrate_linear, sampled_stages
 from .leader import LeaderGains, assemble_extended, solve_leader_gains
 from .model import Mode, Scenario, TimeGrid, time_sampled
 from .simulation import Deviations, mean_state_stages, simulate
@@ -227,9 +237,10 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
     none of the continuous-time solver code; its value-function curvature
     and slope converge at O(dt) to the Riccati solution fg.P and to
     K m + phi along the equilibrium mean path, with K and Pi from `fg` and
-    phi solved here for `mean_leader`, the stage table of E[x0]; by default
-    the uncontrolled leader mean.  That phi is returned too, so a caller
-    that needs the follower-route offset along the same mean solves it once.
+    phi and m the `follower_response` to `mean_leader`, the stage table of
+    E[x0]; by default the uncontrolled leader mean.  That phi is returned
+    too, so a caller that needs the follower-route offset along the same
+    mean solves it once.
     """
     grid = s.grid
     Ksteps, dt, n = grid.steps, grid.dt, s.dims.n
@@ -239,24 +250,19 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
 
     if mean_leader is None:
         A0 = s.leader_dyn.A
-        f0 = sampled_stages(s.leader_dyn.f, grid)
         drift0 = StageTable(grid, np.broadcast_to(A0, (2 * Ksteps + 1,) + A0.shape))
-        lead = integrate_linear(drift0, f0, s.leader_mean0, forward=True).values
-        mean_leader = stage_table(grid, lead, lead @ A0.T + f0.nodes)
+        f0 = sampled_stages(s.leader_dyn.f, grid)
+        mean_leader = integrate_linear(drift0, f0, s.leader_mean0, forward=True)
 
     S = state_weight(s)
     S1 = mean_weight(s)
-    g = offset_source(s, mean_leader.nodes)
+    drive = offset_drive(s, mean_leader)
+    g = drive.nodes
 
     # ODE-route quantities the oracle is compared against.
-    phi = solve_phi(s, fg.Pi, mean_leader)
-    G = s.follower_dyn.B @ fg.control_map
-    closed = closed_loop(s, fg.Pi)[1]
-    phi_st = phi_stages(s, fg.Pi, phi, mean_leader)
     f_st = sampled_stages(s.follower_dyn.f, grid)
-    forcing = StageTable(grid, f_st.values - phi_st.values @ G.T)
-    mean = integrate_linear(closed, forcing, s.init.follower.mean, forward=True).values
-    ode_offset = np.einsum("kij,kj->ki", fg.K.values, mean) + phi.values
+    phi, mean = (r.nodes for r in follower_response(s, fg.Pi, drive, f_st, s.init.follower.mean))
+    ode_offset = np.einsum("kij,kj->ki", fg.K.values, mean) + phi
 
     Ad, Bd = _exact_discretization(A, B, dt)
     # A forcing held over a step enters through the integral of e^{As} over the step.
@@ -280,7 +286,7 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
 
     delta_P = float(np.max(np.abs(Pdp - fg.P.values)))
     delta_offset = float(np.max(np.abs(h - ode_offset)))
-    return DpOracleResult(P=Pdp, offset=h, phi=phi.values, delta_P=delta_P, delta_offset=delta_offset)
+    return DpOracleResult(P=Pdp, offset=h, phi=phi, delta_P=delta_P, delta_offset=delta_offset)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ game mode its source (I - Gamma/N)'Q(I - Gamma) is in general not
 symmetric, and neither is Pi, so the aggregate solve imposes no symmetry.
 The mean follower state moves under the drift A - G Pi and the offset
 under A' - Pi G; `closed_loop` is the one place that forms those products.
+`follower_response` marches the offset backward and then the mean forward:
+the DP oracle reads it along a leader mean path, a leader deviation along
+a shift of that path.
 
 Gains are identical across agents; there is deliberately no per-agent entry
 point.  `follower_gains` is the one constructor of `FollowerGains`.
@@ -45,8 +48,8 @@ from .integrators import (
     GridFunction,
     StageTable,
     integrate_linear,
+    matvec,
     riccati_flow,
-    sampled_stages,
     stage_table,
 )
 from .model import Mode, Scenario, require_valid, time_sampled
@@ -59,11 +62,10 @@ __all__ = [
     "mean_weight",
     "aggregate_weight",
     "offset_terms",
-    "offset_source",
-    "solve_phi",
-    "phi_stages",
+    "offset_drive",
     "riccati_stages",
     "closed_loop",
+    "follower_response",
     "symmetry_drift",
     "follower_gains",
     "solve_follower_gains",
@@ -143,17 +145,12 @@ def offset_terms(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return tw.leader, tw.target
 
 
-def offset_source(s: Scenario, mean_leader: np.ndarray) -> np.ndarray:
-    """Drive g of the offset equation, per node; mean_leader is (steps + 1, n)."""
+def offset_drive(s: Scenario, mean_leader: StageTable) -> StageTable:
+    """Drive g of the offset equation along the leader mean path E[x0], at
+    every RK4 stage time; the tracking target is sampled data and has linear
+    midpoints."""
     W, target = offset_terms(s)
-    return mean_leader @ W.T + target
-
-
-def _offset_source_stages(s: Scenario, mean_leader: StageTable) -> np.ndarray:
-    """Drive g at every RK4 stage time, (2 steps + 1, n); the tracking target
-    is sampled data and has linear midpoints."""
-    W, target = offset_terms(s)
-    return mean_leader.values @ W.T + stage_table(s.grid, target).values
+    return StageTable(s.grid, mean_leader.values @ W.T + stage_table(s.grid, target).values)
 
 
 def _gain_matrix(s: Scenario) -> np.ndarray:
@@ -203,15 +200,6 @@ def riccati_stages(s: Scenario, gain: GridFunction, source: np.ndarray) -> Stage
     return stage_table(s.grid, gain.values, slopes)
 
 
-def solve_phi(s: Scenario, Pi: GridFunction, mean_leader: StageTable) -> GridFunction:
-    """Offset vector given the aggregate gain and the leader's mean path E[x0].
-
-    Exposed for follower-stage-only workflows; in the full pipeline the same
-    quantity is reconstructed from the leader layer, and the two must agree.
-    """
-    return integrate_linear(*_phi_coefficients(s, Pi, mean_leader), np.zeros(s.dims.n), forward=False)
-
-
 def closed_loop(s: Scenario, Pi: GridFunction) -> tuple[StageTable, StageTable, StageTable]:
     """The follower closed loop on the stage grid: the aggregate gain (Hermite
     midpoints from its own equation), the mean drift A - G Pi and the offset
@@ -221,19 +209,25 @@ def closed_loop(s: Scenario, Pi: GridFunction) -> tuple[StageTable, StageTable, 
     return Pi_st, StageTable(s.grid, A - G @ Pi_st.values), StageTable(s.grid, A.T - Pi_st.values @ G)
 
 
-def _phi_coefficients(s: Scenario, Pi: GridFunction, mean_leader: StageTable) -> tuple[StageTable, StageTable]:
-    """phi' = L phi + c: L = -(A' - Pi G) and c = g - Pi f on the stage grid."""
-    Pi_st, _, drift = closed_loop(s, Pi)
-    Pi_f = np.einsum("kij,kj->ki", Pi_st.values, sampled_stages(s.follower_dyn.f, s.grid).values)
-    return StageTable(s.grid, -drift.values), StageTable(s.grid, _offset_source_stages(s, mean_leader) - Pi_f)
+def follower_response(s: Scenario, Pi: GridFunction, drive: StageTable, forcing: StageTable,
+                      start) -> tuple[StageTable, StageTable]:
+    """The followers' offset phi and mean x under the aggregate gain Pi, as
+    stage tables: phi solves
 
+        phi' = -(A' - Pi G) phi + drive - Pi forcing,   phi(T) = 0,
 
-def phi_stages(s: Scenario, Pi: GridFunction, phi: GridFunction, mean_leader: StageTable) -> StageTable:
-    """Stage table of an offset solved for (Pi, mean_leader): Hermite midpoints
-    from the offset equation."""
-    L, c = _phi_coefficients(s, Pi, mean_leader)
-    slopes = np.einsum("kij,kj->ki", L.nodes, phi.values) + c.nodes
-    return stage_table(s.grid, phi.values, slopes)
+    backward, and x solves x' = (A - G Pi) x + forcing - G phi, x(0) = start,
+    forward.  Both are linear in (drive, forcing, start): (n, D) columns
+    answer D drives at once.
+    """
+    Pi_st, mean_drift, offset_drift = closed_loop(s, Pi)
+    G = _gain_matrix(s)
+    phi = integrate_linear(StageTable(s.grid, -offset_drift.values),
+                           StageTable(s.grid, drive.values - matvec(Pi_st.values, forcing.values)),
+                           np.zeros(drive.values.shape[1:]), forward=False)
+    mean = integrate_linear(mean_drift, StageTable(s.grid, forcing.values - matvec(G, phi.values)),
+                            start, forward=True)
+    return phi, mean
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,20 @@ T - I of that system's step map T.  Constant-coefficient equations of the
 follower family take the exact map e^(-dt H) (`riccati_flow`), so their
 node values carry rounding error only; the leader stage's time-varying
 systems take each step's classical RK4 map, built from the stage tables in
-blocks of steps (`rk4_increments`).  Linear equations step through each
-step's precomputed RK4 affine map (`integrate_linear`).  The closure RK4
-marches (`integrate_backward`, `integrate_forward`) remain for independent
-cross-checks.
+blocks of steps (`rk4_increments`).  Every linear equation y' = L y + c
+marches by one routine, `integrate_linear`, through each step's
+precomputed RK4 affine map, and returns its solution as a stage table.
+The closure RK4 marches (`integrate_backward`, `integrate_forward`) remain
+for independent cross-checks.
 
 Coefficients that vary in time are read from stage tables: values at every
 node and every step midpoint, the only times an RK4 step evaluates
 anything.  A table solved from an ODE gets cubic-Hermite midpoints from its
 own slopes (Hairer, Norsett & Wanner, Solving ODEs I, II.6), which keeps
-the consuming RK4 pass at 4th order; sampled data gets the linear
-midpoint.  Stage tables depend on node values only.
+the consuming RK4 pass at 4th order: a linear table from `linear_stages`,
+whose slopes are L y + c at the nodes, a Riccati table from its caller's
+slopes; sampled data gets the linear midpoint.  Stage tables depend on
+node values only.
 
 The scaling-and-squaring matrix exponential (degree-13 rational core) backs
 the follower flow, through the increment form `expm_increment`, and the
@@ -47,12 +50,12 @@ __all__ = [
     "GridFunction",
     "StageTable",
     "stage_table",
-    "stage_rows",
     "sampled_stages",
+    "matvec",
+    "linear_stages",
     "integrate_backward",
     "integrate_forward",
     "integrate_linear",
-    "linear_march",
     "rk4_increments",
     "FlowHealth",
     "riccati_march",
@@ -165,20 +168,29 @@ def stage_table(grid: TimeGrid, values, slopes=None) -> StageTable:
     solve) the midpoint is the cubic-Hermite value
     (y_k + y_{k+1}) / 2 + (dt / 8) (y'_k - y'_{k+1}); without, the linear mean.
     """
-    return StageTable(grid, stage_rows(values, slopes, grid.dt))
-
-
-def stage_rows(values, slopes, dt: float) -> np.ndarray:
-    """The rows of `stage_table` for consecutive nodes of a grid of step dt:
-    any run of nodes gives the same rows as the whole grid there."""
     y = np.asarray(values, dtype=float)
     out = np.empty((2 * y.shape[0] - 1,) + y.shape[1:])
     out[::2] = y
     mid = 0.5 * (y[:-1] + y[1:])
     if slopes is not None:
-        mid += (dt / 8.0) * (slopes[:-1] - slopes[1:])
+        mid += (grid.dt / 8.0) * (slopes[:-1] - slopes[1:])
     out[1::2] = mid
-    return out
+    return StageTable(grid, out)
+
+
+def matvec(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L y at every row: L is a stack (rows, d, d) or one (d, d) matrix, y
+    holds vectors (rows, d) or column blocks (rows, d, p)."""
+    if y.ndim == 3:
+        return L @ y
+    return y @ L.T if L.ndim == 2 else np.einsum("kij,kj->ki", L, y)
+
+
+def linear_stages(drift: StageTable, forcing: StageTable, y) -> StageTable:
+    """Stage table of node values y of dy/dt = L y + c (`drift` holds L,
+    `forcing` c): Hermite midpoints from the slopes L y + c at the nodes."""
+    y = np.asarray(y, dtype=float)
+    return stage_table(drift.grid, y, matvec(drift.nodes, y) + forcing.nodes)
 
 
 def sampled_stages(value, grid: TimeGrid) -> StageTable:
@@ -259,21 +271,14 @@ def _step_blocks(K: int, forward: bool):
         yield (2 * m, 2 * (m + n)) if forward else (2 * (K - m - n), 2 * (K - m))
 
 
-def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: bool) -> GridFunction:
-    """Classical RK4 for the linear equation dy/dt = L(t) y + c(t), no closure.
+def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: bool) -> StageTable:
+    """Classical RK4 for the linear equation dy/dt = L(t) y + c(t), no closure,
+    and the solution's stage table (`linear_stages`).
 
     `drift` holds L, (d, d), and `forcing` c, (d,) or (d, p), at every stage
     time; `start` is stored at node 0 (forward) or node `steps` (backward).
-    See `linear_march`.
-    """
-    return linear_march(lambda lo, hi: (drift.values[lo:hi + 1], forcing.values[lo:hi + 1]),
-                        drift.grid, start, forward)
-
-
-def linear_march(coefficients, grid: TimeGrid, start, forward: bool) -> GridFunction:
-    """`integrate_linear` with the coefficients built a block at a time:
-    `coefficients(lo, hi)` returns L and c at the stage rows lo..hi
-    (inclusive), so memory stays bounded by the block, not by the grid.
+    The equation is linear in (c, start), so p columns solve p equations at
+    once.
 
     An RK4 step of a linear equation is an affine map y -> T y + s (Hairer &
     Wanner, Solving ODEs II, IV.2); the maps of a block of STEP_BLOCK steps
@@ -281,6 +286,7 @@ def linear_march(coefficients, grid: TimeGrid, start, forward: bool) -> GridFunc
     Raises BlowUpError at the first node to escape the threshold of
     integrate_backward.
     """
+    grid = drift.grid
     K = grid.steps
     y = np.array(start, dtype=float)
     h = grid.dt if forward else -grid.dt
@@ -289,7 +295,7 @@ def linear_march(coefficients, grid: TimeGrid, start, forward: bool) -> GridFunc
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for first, last in _step_blocks(K, forward):
-            L, c = coefficients(first, last)
+            L, c = drift.values[first:last + 1], forcing.values[first:last + 1]
             c = c.reshape(c.shape[:2] + (-1,))
             if not forward:             # a backward march reads the stage rows reversed
                 L, c = L[::-1], c[::-1]
@@ -308,7 +314,7 @@ def linear_march(coefficients, grid: TimeGrid, start, forward: bool) -> GridFunc
     if escaped.size:
         k = escaped[0]
         raise BlowUpError(grid.nodes[k if forward else K - k], norms[k])
-    return GridFunction(grid, out if forward else out[::-1])
+    return linear_stages(drift, forcing, out if forward else out[::-1].copy())
 
 
 def rk4_increments(drift, grid: TimeGrid):

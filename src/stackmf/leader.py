@@ -27,8 +27,11 @@ offset equation for V:
 Each Riccati equation here is Y U^-1 of a linear system (Radon's lemma).
 `solve_leader_pair` marches P, K and M as one square equation in
 G = [[P, K], [0, M]], so `verify`'s check of P + K against M tests the K
-equation against the M equation; V solves its linear equation with M read
-from M's Hermite stage table.  The closures `solve_leader_P`,
+equation against the M equation.  V solves its linear equation by
+`integrators.integrate_linear`, with M read from M's Hermite stage table;
+`solve_leader_V` and `leader_V_stages` read the same coefficients, so a
+solved V and a loaded one get their midpoints from one rule
+(`integrators.linear_stages`).  The closures `solve_leader_P`,
 `solve_leader_K` and `solve_leader_M` step the Riccati equations
 themselves by RK4: an independent discretization that agrees to its
 4th-order error.
@@ -48,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import FollowerGains, closed_loop, offset_terms, riccati_stages, state_weight
-from .integrators import (FlowHealth, GridFunction, StageTable, integrate_backward, linear_march,
-                          riccati_march, rk4_increments, sampled_stages, stage_rows, stage_table)
+from .integrators import (FlowHealth, GridFunction, StageTable, integrate_backward, integrate_linear,
+                          linear_stages, riccati_march, rk4_increments, sampled_stages, stage_table)
 from .model import Scenario, require_valid
 
 __all__ = [
@@ -214,27 +217,23 @@ def _dM(es: ExtendedSystem, A, B1, B2, M):
     return -(M @ A + M @ es.B @ M - B1 @ M - B2 @ M - es.A1 - es.A2)
 
 
-def _dV(es: ExtendedSystem, B1, B2, f_state, f_costate, M, V):
-    """dV/dt given the blocks; V and the blocks may be stacks of nodes."""
-    return -(np.einsum("...ij,...j->...i", M @ es.B - B1 - B2, V)
-             + np.einsum("...ij,...j->...i", M, f_state) - f_costate)
-
-
-def _M_stage_rows(es: ExtendedSystem, M: GridFunction, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi (even) of M's stage table."""
-    y, rows = M.values[lo // 2:hi // 2 + 1], slice(lo, hi + 1, 2)
-    return stage_rows(y, _dM(es, es.A.values[rows], es.B1.values[rows], es.B2.values[rows], y), es.grid.dt)
-
-
 def leader_M_stages(es: ExtendedSystem, M: GridFunction) -> StageTable:
     """Stage table of the mean costate gain: Hermite midpoints from its own equation."""
-    return StageTable(es.grid, _M_stage_rows(es, M, 0, 2 * es.grid.steps))
+    return stage_table(es.grid, M.values, _dM(es, es.A.nodes, es.B1.nodes, es.B2.nodes, M.values))
 
 
-def leader_V_stages(es: ExtendedSystem, M: GridFunction, V: GridFunction) -> StageTable:
-    """Stage table of the costate offset: Hermite midpoints from its own equation."""
-    slopes = _dV(es, es.B1.nodes, es.B2.nodes, es.f_state.nodes, es.f_costate.nodes, M.values, V.values)
-    return stage_table(es.grid, V.values, slopes)
+def _V_coefficients(es: ExtendedSystem, M_st: StageTable) -> tuple[StageTable, StageTable]:
+    """V' = L V + c: L = B1 + B2 - M B and c = f_costate - M f_state on the
+    stage grid, M read from its stage table `M_st` (`leader_M_stages`)."""
+    M = M_st.values
+    return (StageTable(es.grid, es.B1.values + es.B2.values - M @ es.B),
+            StageTable(es.grid, es.f_costate.values - np.einsum("kij,kj->ki", M, es.f_state.values)))
+
+
+def leader_V_stages(es: ExtendedSystem, M_st: StageTable, V: GridFunction) -> StageTable:
+    """Stage table of the costate offset, given M's stage table: Hermite
+    midpoints from its own equation."""
+    return linear_stages(*_V_coefficients(es, M_st), V.values)
 
 
 def solve_leader_P(es: ExtendedSystem) -> GridFunction:
@@ -276,15 +275,9 @@ def solve_leader_K(es: ExtendedSystem, P: GridFunction) -> GridFunction:
 def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
     """Offset vector of the costate reconstruction: V' = L V + c with
     L = B1 + B2 - M B and c = f_costate - M f_state, M read from its Hermite
-    stage table, built a block of steps at a time."""
-
-    def coefficients(lo, hi):
-        rows = slice(lo, hi + 1)
-        M_st = _M_stage_rows(es, M, lo, hi)
-        drift = es.B1.values[rows] + es.B2.values[rows] - M_st @ es.B
-        return drift, es.f_costate.values[rows] - np.einsum("kij,kj->ki", M_st, es.f_state.values[rows])
-
-    return linear_march(coefficients, es.grid, np.zeros(3 * es.n), forward=False)
+    stage table."""
+    V = integrate_linear(*_V_coefficients(es, leader_M_stages(es, M)), np.zeros(3 * es.n), forward=False)
+    return GridFunction(es.grid, V.nodes)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 The deterministic layer (the mean of the extended leader state, and the
 follower offset reconstructed from it) is integrated once per run with RK4
-and shared across paths.  Each path then marches the extended leader state
-and all N followers with Euler-Maruyama on the same grid, evaluates both
-feedback laws node by node, and accumulates the quadratic costs with the
-trapezoid rule.  The same march optionally costs open-loop control
-deviations of one follower and of the leader (`Deviations`): the dynamics
-are linear, so a deviated path is the baseline path plus a deterministic
-shift, and each direction's pathwise cost slope is accumulated along the
-baseline paths in the same pass.  Stored paths (`SimPath`) hold every agent's
+(`integrators.integrate_linear`) and shared across paths.  Each path then
+marches the extended leader state and all N followers with Euler-Maruyama
+on the same grid, evaluates both feedback laws node by node, and
+accumulates the quadratic costs with the trapezoid rule.  The same march
+optionally costs open-loop control deviations of one follower and of the
+leader (`Deviations`): the dynamics are linear, so a deviated path is the
+baseline path plus a deterministic shift, and each direction's pathwise
+cost slope is accumulated along the baseline paths in the same pass.  The
+followers' answer to a leader shift is `follower.follower_response`, one
+column per direction.  Stored paths (`SimPath`) hold every agent's
 trajectory and control, and the leader's extended state X.
 
 Paths run in chunks.  Within a chunk the followers form one follower-major
@@ -35,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .follower import FollowerGains, closed_loop, offset_terms, solve_follower_gains
-from .integrators import GridFunction, StageTable, integrate_linear, stage_table
+from .follower import FollowerGains, follower_response, offset_terms, solve_follower_gains
+from .integrators import GridFunction, StageTable, integrate_linear, linear_stages, stage_table
 from .leader import (
     ExtendedSystem,
     LeaderGains,
@@ -224,9 +226,9 @@ class _Tables:
 
 def _mean_coefficients(es: ExtendedSystem, lg: LeaderGains) -> tuple[StageTable, StageTable]:
     """Drift A + B M and forcing B V + f_state of the mean equation, on the stage grid."""
-    M = leader_M_stages(es, lg.M).values
-    V = leader_V_stages(es, lg.M, lg.V).values
-    drift = StageTable(es.grid, es.A.values + es.B @ M)
+    M = leader_M_stages(es, lg.M)
+    V = leader_V_stages(es, M, lg.V).values
+    drift = StageTable(es.grid, es.A.values + es.B @ M.values)
     return drift, StageTable(es.grid, V @ es.B.T + es.f_state.values)
 
 
@@ -236,15 +238,12 @@ def solve_mean_state(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> GridFu
     init = np.zeros(3 * n)
     init[:n] = s.leader_mean0
     init[n:2 * n] = s.follower_mean0
-    drift, forcing = _mean_coefficients(es, lg)
-    return integrate_linear(drift, forcing, init, forward=True)
+    return GridFunction(es.grid, integrate_linear(*_mean_coefficients(es, lg), init, forward=True).nodes)
 
 
 def mean_state_stages(es: ExtendedSystem, lg: LeaderGains, mean: GridFunction) -> StageTable:
     """The mean path at every RK4 stage time: Hermite midpoints from its own equation."""
-    drift, forcing = _mean_coefficients(es, lg)
-    slopes = np.einsum("kij,kj->ki", drift.nodes, mean.values) + forcing.nodes
-    return stage_table(es.grid, mean.values, slopes)
+    return linear_stages(*_mean_coefficients(es, lg), mean.values)
 
 
 def deterministic_layer(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> tuple:
@@ -379,21 +378,15 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
     column of chi0, (K+1, D, n).
 
     Offset and mean response are linear in the leader shift, so every column
-    rides along one backward solve of the offset shift and one forward solve
-    of the mean response; the shift is then marched with the same one-step
-    scheme the paths use.
+    rides along one `follower_response` to the drive shift, with no forcing;
+    the shift is then marched with the same one-step scheme the paths use.
     """
-    grid = s.grid
     # Column form: each column of the (n, D) states is one direction.
-    dg = stage_table(grid, offset_terms(s)[0] @ np.swapaxes(chi0, 1, 2))   # drive shift; chi0 is Euler-marched
-    G = s.follower_dyn.B @ fg.control_map
-    P, Kf = fg.P.values, fg.K.values
-    _, mean_drift, offset_drift = closed_loop(s, fg.Pi)
+    dg = stage_table(s.grid, offset_terms(s)[0] @ np.swapaxes(chi0, 1, 2))   # drive shift; chi0 is Euler-marched
     zero = np.zeros(dg.values.shape[1:])
-    dphi = integrate_linear(StageTable(grid, -offset_drift.values), dg, zero, forward=False).values
-    dphi_st = stage_table(grid, dphi, dg.nodes - offset_drift.nodes @ dphi)
-    dEbar = integrate_linear(mean_drift, StageTable(grid, -G @ dphi_st.values), zero, forward=True).values
-    dphi, dEbar = np.swapaxes(dphi, 1, 2), np.swapaxes(dEbar, 1, 2)
+    response = follower_response(s, fg.Pi, dg, StageTable(s.grid, np.zeros_like(dg.values)), zero)
+    dphi, dEbar = (np.swapaxes(r.nodes, 1, 2) for r in response)
+    P, Kf = fg.P.values, fg.K.values
     A_step, dtBT = tab.step_f[:2]
     shift = np.zeros_like(chi0)
     for k in range(tab.steps):

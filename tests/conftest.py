@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stackmf.follower import solve_follower_gains
-from stackmf.integrators import BlowUpError, StageTable
+from stackmf.follower import follower_response, offset_drive, solve_follower_gains
+from stackmf.integrators import BlowUpError, StageTable, sampled_stages
 from stackmf.leader import ExtendedSystem, solve_leader_gains
 from stackmf.model import (
     Dims,
@@ -212,6 +212,14 @@ def make_random_scenario():
 def random_battery():
     """Twenty solved random instances shared by the identity/symmetry tests."""
     return [solve_both(random_scenario(1000 + i)) for i in range(20)]
+
+
+def follower_offset(s: Scenario, Pi, mean_leader: StageTable) -> StageTable:
+    """The follower offset phi along a leader mean path, given as a stage
+    table: the offset half of `follower_response` to the scenario's drive
+    and forcing."""
+    forcing = sampled_stages(s.follower_dyn.f, s.grid)
+    return follower_response(s, Pi, offset_drive(s, mean_leader), forcing, s.follower_mean0)[0]
 
 
 def replace_mode(s: Scenario, mode: Mode) -> Scenario:

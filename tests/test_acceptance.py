@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from stackmf.cli import main as cli_main
-from stackmf.equilibrium import deviation_battery, direction_library, dp_gain_oracle
+from stackmf.equilibrium import FOLLOWER_SUM_TOL, deviation_battery, direction_library, dp_gain_oracle
 from stackmf.follower import solve_follower_gains
 from stackmf.leader import assemble_extended, solve_leader_M
 from stackmf.model import Mode, TimeGrid, load_scenario
@@ -107,7 +107,7 @@ def test_accept_02_sum_identities(team_gains, game_gains, random_battery):
     for s, fg, lg in battery:
         Pi_star = solve_follower_gains(s).Pi
         gap_f = float(np.max(np.abs(fg.P.values + fg.K.values - Pi_star.values)))
-        tol_f = 1e-8 * (1.0 + float(np.max(np.abs(Pi_star.values))))
+        tol_f = FOLLOWER_SUM_TOL * (1.0 + float(np.max(np.abs(Pi_star.values))))
         worst_f = max(worst_f, gap_f / tol_f)
 
         M_star = solve_leader_M(assemble_extended(s, fg))
@@ -118,8 +118,8 @@ def test_accept_02_sum_identities(team_gains, game_gains, random_battery):
     report(
         2, ok,
         f"{len(battery)} scenarios; worst follower sum-identity at "
-        f"{worst_f:.3f}x tolerance, worst leader at {worst_l:.3f}x "
-        "(tolerance 1e-8 * (1 + max table norm), both sides solved independently)",
+        f"{worst_f:.3f}x tolerance, worst leader at {worst_l:.3f}x (tolerance "
+        f"{FOLLOWER_SUM_TOL:g} and 1e-8 * (1 + max table norm), both sides solved independently)",
     )
 
 

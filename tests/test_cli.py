@@ -12,7 +12,7 @@ import pytest
 from stackmf.cli import _load_gains, main
 from stackmf.follower import solve_follower_gains
 from stackmf.integrators import BLOWUP_FACTOR, read_grid_csv
-from stackmf.leader import assemble_extended, solve_leader_gains
+from stackmf.leader import assemble_extended, leader_M_stages, leader_V_stages, solve_leader_gains
 from stackmf.model import load_scenario_file, scenario_to_text
 from stackmf.simulation import NOISE_SCHEME, mean_state_stages, simulate, solve_mean_state
 from conftest import BASELINE_CFG, FAST_CFG_TEXT, random_scenario
@@ -208,6 +208,9 @@ def test_stage_tables_from_csv_gains_are_bit_identical(config, gains_dir):
     assert mean.values.tobytes() == mean_csv.values.tobytes()
     stages, stages_csv = mean_state_stages(es, lg, mean), mean_state_stages(es_csv, lg_csv, mean_csv)
     assert stages.values.tobytes() == stages_csv.values.tobytes()
+    V_stages = leader_V_stages(es, leader_M_stages(es, lg.M), lg.V)
+    V_stages_csv = leader_V_stages(es_csv, leader_M_stages(es_csv, lg_csv.M), lg_csv.V)
+    assert V_stages.values.tobytes() == V_stages_csv.values.tobytes()
 
 
 def test_simulate_worker_count_is_invisible_in_outputs(workdir, config, gains_dir, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stackmf.follower import solve_follower_gains, solve_phi
+from stackmf.follower import solve_follower_gains
 from stackmf.integrators import BlowUpError, GridFunction, StageTable
 from stackmf.leader import (
     ExtendedSystem,
@@ -22,7 +22,7 @@ from stackmf.leader import (
 )
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import mean_state_stages, simulate, solve_mean_state
-from conftest import REPO, midpoint_flow, replace_mode, solve_both
+from conftest import REPO, follower_offset, midpoint_flow, replace_mode, solve_both
 
 GAME_N4_CFG = REPO / "perfbench" / "game_n4.cfg"
 
@@ -260,10 +260,10 @@ def test_offset_routes_agree(config, team_gains):
     )
     offset_leader_route = costate[:, 2 * n:]
     lead = StageTable(s.grid, mean_state_stages(es, lg, mean).values[:, :n])
-    phi = solve_phi(s, fg.Pi, lead)
-    gap = np.max(np.abs(offset_leader_route - phi.values))
-    assert gap <= 1e-9 * (1.0 + np.max(np.abs(phi.values)))
-    assert np.all(phi.values[Kn] == 0.0)
+    phi = follower_offset(s, fg.Pi, lead).nodes
+    gap = np.max(np.abs(offset_leader_route - phi))
+    assert gap <= 1e-9 * (1.0 + np.max(np.abs(phi)))
+    assert np.all(phi[Kn] == 0.0)
 
 
 def test_zero_tracking_weight_zeroes_costate_gain(baseline_text):

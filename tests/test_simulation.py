@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from stackmf.equilibrium import direction_library
-from stackmf.follower import aggregate_weight, phi_stages, riccati_stages, solve_phi
+from stackmf.follower import aggregate_weight, riccati_stages
 from stackmf.integrators import StageTable, integrate_forward, stage_table
 from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario, time_sampled
@@ -26,7 +26,7 @@ from stackmf.simulation import (
     simulate,
     solve_mean_state,
 )
-from conftest import FAST_CFG_TEXT, random_scenario, solve_both
+from conftest import FAST_CFG_TEXT, follower_offset, random_scenario, solve_both
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +365,10 @@ def _population_shift_reference(s, fg, mean_state, v):
     chi0 = np.zeros((K + 1, n))
     for k in range(K):
         chi0[k + 1] = chi0[k] + dt * (lead.A @ chi0[k] + lead.B @ v[k])
-    leads = [stage_table(s.grid, lead) for lead in (mean_state[:, :n] + chi0, mean_state[:, :n])]
-    phis = [solve_phi(s, fg.Pi, lead) for lead in leads]
-    dphi = phis[0].values - phis[1].values
-    dphi_st = StageTable(s.grid, np.subtract(*(phi_stages(s, fg.Pi, p, lead).values
-                                               for p, lead in zip(phis, leads))))
+    leads = (mean_state[:, :n] + chi0, mean_state[:, :n])
+    phis = [follower_offset(s, fg.Pi, stage_table(s.grid, lead)) for lead in leads]
+    dphi = phis[0].nodes - phis[1].nodes
+    dphi_st = StageTable(s.grid, phis[0].values - phis[1].values)
     G = s.follower_dyn.B @ fg.control_map
     A, Pi = s.follower_dyn.A, riccati_stages(s, fg.Pi, aggregate_weight(s))
     dEbar = integrate_forward(lambda t, E: (A - G @ Pi.at(t)) @ E - G @ dphi_st.at(t),
