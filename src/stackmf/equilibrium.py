@@ -275,14 +275,13 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
         Pn = Pdp[k + 1]
         hn = h[k + 1]
         PB = Pn @ Bd
-        gain_den = Rd + Bd.T @ PB
-        closed = Ad - Bd @ np.linalg.solve(gain_den, PB.T @ Ad)
+        w = Pn @ fd[k] + hn
+        # the feedback gain and the offset's control share one factorization
+        gain = np.linalg.solve(Rd + Bd.T @ PB, np.column_stack([PB.T @ Ad, Bd.T @ w]))
+        closed = Ad - Bd @ gain[:, :n]
         Pdp[k] = dt * S + Ad.T @ Pn @ closed
         Pdp[k] = 0.5 * (Pdp[k] + Pdp[k].T)
-        w = Pn @ fd[k] + hn
-        h[k] = -dt * (S1 @ mean[k] + g[k]) + Ad.T @ (
-            w - PB @ np.linalg.solve(gain_den, Bd.T @ w)
-        )
+        h[k] = -dt * (S1 @ mean[k] + g[k]) + Ad.T @ (w - PB @ gain[:, n])
 
     delta_P = float(np.max(np.abs(Pdp - fg.P.values)))
     delta_offset = float(np.max(np.abs(h - ode_offset)))

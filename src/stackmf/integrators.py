@@ -8,14 +8,16 @@ scheme's order instead of to interpolation error.
 
 Every Riccati equation, follower and leader, marches by one kernel
 (`riccati_march`): the equation is Y U^-1 of a linear system (Radon's
-lemma), and each step is one linear-fractional update by the increment
-T - I of that system's step map T.  Constant-coefficient equations of the
-follower family take the exact map e^(-dt H) (`riccati_flow`), so their
-node values carry rounding error only; the leader stage's time-varying
-systems take each step's classical RK4 map, built from the stage tables in
-blocks of steps (`rk4_increments`).  Every linear equation y' = L y + c
-marches by one routine, `integrate_linear`, through each step's
-precomputed RK4 affine map, and returns its solution as a stage table.
+lemma), and each node of a block of steps is one linear-fractional update
+of the block's first node by the increment Phi - I of the system's map
+Phi between them.  Constant-coefficient equations of the follower family
+step by the exact map e^(-dt H), one block of whose powers serves every
+block (`riccati_flow`), so their node values carry rounding error only;
+the leader stage's time-varying systems compose each step's classical RK4
+map, built from the stage tables a block at a time (`rk4_increments`).
+Every linear equation y' = L y + c marches by one routine,
+`integrate_linear`, through each step's precomputed RK4 affine map, and
+returns its solution as a stage table.
 The closure RK4 marches (`integrate_backward`, `integrate_forward`) remain
 for independent cross-checks.
 
@@ -69,8 +71,8 @@ __all__ = [
 # equation is declared to have no solution on the horizon.
 BLOWUP_FACTOR = 1e12
 
-# Steps per block: the step maps built at once, and the steps a Riccati
-# march takes between checks of its node norms and flow factors.
+# Steps per block: the step maps built at once, and the steps of a Riccati
+# march solved at once from one anchor, the block's first node.
 STEP_BLOCK = 64
 
 
@@ -317,10 +319,25 @@ def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: boo
     return linear_stages(drift, forcing, out if forward else out[::-1].copy())
 
 
+def _block_maps(F: np.ndarray) -> np.ndarray:
+    """Increments G_j = Phi_j - I of the maps Phi_j from a block's first node
+    onto each of its nodes, from the block's step increments F_j in march
+    order: G_j = G_{j-1} + (F_j + F_j G_{j-1}), the increment of
+    (I + F_j)(I + G_{j-1}).  The step's share F_j + F_j G_{j-1} is summed
+    first and added to G_{j-1} last: summed in another order, the follower
+    tables drift about 3x further from those of a finer grid."""
+    G = np.array(F)
+    for f, g, previous in zip(F[1:], G[1:], G):
+        g += f @ previous
+        g += previous
+    return G
+
+
 def rk4_increments(drift, grid: TimeGrid):
-    """Increments T_k - I of the backward RK4 step maps of y' = L(t) y, in
-    march order (the step onto node steps - 1 first), in blocks of at most
-    STEP_BLOCK steps: arrays (steps in block, D, D).
+    """Block maps (`_block_maps`) of the backward RK4 steps of y' = L(t) y, in
+    march order (the block ending at node steps first), in blocks of at most
+    STEP_BLOCK steps: arrays (steps in block, D, D) whose row j is the
+    increment of the map from the block's first node onto its (j + 1)-th.
 
     `drift(lo, hi)` returns L at the stage rows lo..hi (inclusive, rows of a
     StageTable on `grid`), (hi - lo + 1, D, D); one block reads only its
@@ -328,78 +345,73 @@ def rk4_increments(drift, grid: TimeGrid):
     """
     for first, last in _step_blocks(grid.steps, forward=False):
         L = drift(first, last)[::-1]
-        yield _rk4_increment(L[:-1:2], L[1::2], L[2::2], -grid.dt)[0]
+        yield _block_maps(_rk4_increment(L[:-1:2], L[1::2], L[2::2], -grid.dt)[0])
 
 
 class FlowHealth(NamedTuple):
     """Numerical health of one Riccati march."""
 
-    min_det: float          # smallest determinant of a flow factor's diagonal block
+    min_det: float          # smallest det of a flow factor's diagonal block, from a block's first node
     margin: float           # largest node norm over the blow-up threshold
 
 
 def riccati_march(increments, grid: TimeGrid, shape, factor_blocks=None) -> tuple[np.ndarray, FlowHealth]:
     """Node values of the Riccati equation Z' = C + D Z - Z A - Z B Z, Z(T) = 0,
-    from the step maps T of its linear system y' = [[A, B], [C, D]] y.
+    from the maps of its linear system y' = [[A, B], [C, D]] y.
 
     Z = Y U^-1 where (U, Y) solves the linear system (Radon's lemma; Reid,
-    Riccati Differential Equations, 1972).  One step back from a node, where
-    U = I, is the linear-fractional map of the step's increment F = T - I
-    (the Davison-Maki step; Kenney & Leipnik, IEEE TAC 1985):
+    Riccati Differential Equations, 1972).  The march re-anchors at U = I on
+    the first node of each block of at most STEP_BLOCK steps, where Z is
+    known (the Davison-Maki method; Kenney & Leipnik, IEEE TAC 1985, allow
+    the anchor anywhere along the flow).  With G the increment Phi - I of
+    the map from the anchor onto a node of the block, every node is
 
-        Z <- Z + (F21 + F22 Z - Z F11 - Z F12 Z) (I + F11 + F12 Z)^-1.
+        Z + (G21 + G22 Z - Z G11 - Z G12 Z) (I + G11 + G12 Z)^-1,
 
-    Written in F, not T, a step that moves Z little keeps the relative
-    accuracy of its increment, so the march keeps the order of its maps.
+    one batched solve per block.  Written in G, not Phi, a node that Z
+    moves little from keeps the relative accuracy of its increment, so the
+    march keeps the order of its maps.
 
-    `shape` is Z's shape (p, r).  `increments` yields blocks
-    (steps, r + p, r + p) of the steps' increments in march order, at most
-    STEP_BLOCK steps each (see `rk4_increments`).  `factor_blocks` lists
-    the sizes of the diagonal blocks of a block upper triangular flow factor
-    I + F11 + F12 Z (default: one block).
+    `shape` is Z's shape (p, r).  `increments` yields, block by block in
+    march order, the arrays (steps in block, r + p, r + p) of G onto each
+    node of the block (see `rk4_increments`).  `factor_blocks` lists the
+    sizes of the diagonal blocks of a block upper triangular flow factor
+    I + G11 + G12 Z (default: one block).
 
     Returns the node values (steps + 1, ...) and the march's FlowHealth.
     Raises BlowUpError at the first node, in march order, to escape the
-    threshold of integrate_backward, or to end a step on which a diagonal
-    block of the flow factor has det <= 0: U changed sign inside the step, so
-    Z has a pole there.  (A pole that an even number of directions of one
-    block cross in one step leaves its sign unchanged.)
+    threshold of integrate_backward, or on which a diagonal block of the
+    flow factor has det <= 0: U changed sign since the node before, so Z
+    has a pole between the two.  The determinants are checked before the
+    block is solved.  (A pole that an even number of directions of one
+    block cross between two nodes leaves its sign unchanged.)
     """
     K = grid.steps
     p, r = shape
     out = np.empty((K + 1, p, r))
-    Z = out[K] = np.zeros((p, r))
-    ident = np.eye(r)
+    out[K] = 0.0
     edges = np.cumsum((0,) + tuple(factor_blocks or (r,)))
-    factors = np.empty((STEP_BLOCK, r, r))      # one block of steps
-    norms, dets = np.empty(K), np.empty(K)      # [k]: the node k, the step onto it
+    norms, dets = np.empty(K), np.empty(K)      # [k]: node k and its flow factor
     k = K
     with np.errstate(over="ignore", invalid="ignore"):
-        for F in increments:
-            top = k
-            try:
-                for j, (left, right) in enumerate(zip(F[:, :, :r], F[:, :, r:])):
-                    k -= 1
-                    W = left + right @ Z    # [F11 + F12 Z; F21 + F22 Z]
-                    W1 = W[:r]
-                    U = factors[j] = ident + W1
-                    Z = Z + np.linalg.solve(U.T, (W[r:] - Z @ W1).T).T
-                    out[k] = Z
-            except np.linalg.LinAlgError:   # a factor exactly singular: the step ends on a pole
-                raise BlowUpError(grid.nodes[k], math.inf,
-                                  f"Riccati flow ends a step on a pole at t={grid.nodes[k]:.6g}") from None
-            flat = out[k:top].reshape(top - k, p * r)
-            norms[k:top] = np.sqrt(np.einsum("ki,ki->k", flat, flat))
-            U = factors[:top - k][::-1]
-            dets[k:top] = np.min([np.linalg.det(U[:, a:b, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=0)
-            bad = np.flatnonzero(~(norms[k:top] <= BLOWUP_FACTOR) | ~(dets[k:top] > 0.0))      # NaN fails too
-            if bad.size:
-                b = k + bad[-1]
-                if norms[b] <= BLOWUP_FACTOR:
-                    raise BlowUpError(grid.nodes[b], norms[b],
-                                      f"Riccati flow crosses a pole between t={grid.nodes[b]:.6g} "
-                                      f"and t={grid.nodes[b + 1]:.6g} (flow factor det {dets[b]:.3e})")
-                raise BlowUpError(grid.nodes[b], norms[b])
+        for G in increments:
+            n, Z = len(G), out[k]
+            W = G[:, :, :r] + G[:, :, r:] @ Z       # [G11 + G12 Z; G21 + G22 Z] onto each node
+            U = np.eye(r) + W[:, :r]
+            det = np.min([np.linalg.det(U[:, a:b, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=0)
+            pole = np.flatnonzero(~(det > 0.0))     # NaN fails too
+            m = pole[0] if pole.size else n
+            node = Z + np.linalg.solve(U[:m].mT, (W[:m, r:] - Z @ W[:m, :r]).mT).mT
+            norm = np.sqrt(np.einsum("ki,ki->k", node.reshape(m, -1), node.reshape(m, -1)))
+            out[k - m:k], norms[k - m:k], dets[k - n:k] = node[::-1], norm[::-1], det[::-1]
+            escaped = np.flatnonzero(~(norm <= BLOWUP_FACTOR))
+            if escaped.size:
+                raise BlowUpError(grid.nodes[k - 1 - escaped[0]], norm[escaped[0]])
+            if m < n:
+                t = grid.nodes[k - 1 - m]
+                raise BlowUpError(t, math.inf, f"Riccati flow crosses a pole between t={t:.6g} and "
+                                               f"t={grid.nodes[k - m]:.6g} (flow factor det {det[m]:.3e})")
+            k -= n
     return out, FlowHealth(float(dets.min()), float(norms.max()) / BLOWUP_FACTOR)
 
 
@@ -410,14 +422,15 @@ def riccati_flow(A: np.ndarray, G: np.ndarray, S: np.ndarray, grid: TimeGrid,
     health.
 
     The linear system of P is the Hamiltonian H = [[A, -G], [-S, -A']], so
-    every step's map is e^(-dt H), and its increment, built once by
-    `expm_increment`, drives `riccati_march` (which see for `factor_blocks`
-    and the failures raised).
+    every step's map is e^(-dt H): its increment, built once by
+    `expm_increment`, gives one block of maps e^(-j dt H) - I
+    (`_block_maps`), which every block of `riccati_march` reuses (which
+    see for `factor_blocks` and the failures raised).
     """
     F = expm_increment(-grid.dt * np.block([[A, -G], [-S, -A.T]]))
     K = grid.steps
-    steps = (np.broadcast_to(F, (min(STEP_BLOCK, K - lo),) + F.shape) for lo in range(0, K, STEP_BLOCK))
-    return riccati_march(steps, grid, A.shape, factor_blocks)
+    block = _block_maps(np.broadcast_to(F, (min(STEP_BLOCK, K),) + F.shape))
+    return riccati_march((block[:K - lo] for lo in range(0, K, STEP_BLOCK)), grid, A.shape, factor_blocks)
 
 
 # --------------------------------------------------------------------------

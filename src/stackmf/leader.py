@@ -127,7 +127,7 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     A, B = s.follower_dyn.A, s.follower_dyn.B
     Q0, R0, Gamma0 = s.leader_cost.Q, s.leader_cost.R, s.leader_cost.Gamma
 
-    G = B @ np.linalg.solve(s.follower_cost.R, B.T)
+    G = B @ fg.control_map
     G0 = B0 @ np.linalg.solve(R0, B0.T)
 
     P = riccati_stages(s, fg.P, state_weight(s)).values          # (rows, n, n)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from stackmf import solve_follower_gains, solve_leader_gains
 from stackmf.integrators import (
     BLOWUP_FACTOR,
+    STEP_BLOCK,
     BlowUpError,
     GridFunction,
     StageTable,
@@ -27,6 +29,7 @@ from stackmf.integrators import (
     sampled_stages,
     stage_table,
 )
+from stackmf.integrators import _rk4_increment
 from stackmf.model import TimeGrid
 
 
@@ -168,6 +171,93 @@ def test_riccati_march_raises_between_the_nodes_of_a_pole():
         riccati_march(rk4_increments(lambda lo, hi: np.broadcast_to(pole, (hi - lo + 1, 2, 2)), grid),
                       grid, (1, 1))
     assert exc.value.time == grid.nodes[1] and "crosses a pole" in str(exc.value)
+
+
+def test_riccati_march_raises_at_a_pole_in_a_later_block():
+    # On 150 steps the pole of -tan(2 - t) lies inside the step onto node
+    # 32, in the second block of the march; the step maps (RK4 or exact)
+    # and the block anchor must not move the reported node.
+    pole = np.array([[0.0, -1.0], [1.0, 0.0]])
+    grid = TimeGrid(2.0, 150)
+    assert grid.nodes[32] < 2.0 - math.pi / 2 < grid.nodes[33]
+    assert 150 - 2 * STEP_BLOCK <= 32 < 150 - STEP_BLOCK
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+
+    def drift(lo, hi):
+        return np.broadcast_to(pole, (hi - lo + 1, 2, 2))
+
+    for march in (lambda: riccati_march(rk4_increments(drift, grid), grid, (1, 1)),
+                  lambda: riccati_flow(zero, one, -one, grid)):
+        with pytest.raises(BlowUpError) as exc:
+            march()
+        assert exc.value.time == grid.nodes[32] and "crosses a pole" in str(exc.value)
+
+
+def test_riccati_march_names_the_node_of_a_singular_factor():
+    # One exactly singular flow factor inside the second block, regular ones
+    # after it in the same block: the march names that node, not the
+    # block's last.
+    grid = TimeGrid(1.0, 100)
+    blocks = [np.zeros((STEP_BLOCK, 2, 2)), np.zeros((100 - STEP_BLOCK, 2, 2))]
+    blocks[1][5, 0, 0] = -1.0                   # 1 + G11 + G12 Z = 0 with Z = 0
+    with pytest.raises(BlowUpError) as exc:
+        riccati_march(iter(blocks), grid, (1, 1))
+    assert exc.value.time == grid.nodes[100 - STEP_BLOCK - 6] and "pole" in str(exc.value)
+
+
+def _stepwise_march(steps, r):
+    """The Davison-Maki march re-anchored at U = I on every node, one solve
+    per step, from each step's increment F = T - I in march order: the
+    reference for the block anchor of `riccati_march`."""
+    Z = np.zeros((steps.shape[1] - r, r))
+    out = [Z]
+    for F in steps:
+        W = F[:, :r] + F[:, r:] @ Z
+        Z = Z + np.linalg.solve((np.eye(r) + W[:r]).T, (W[r:] - Z @ W[:r]).T).T
+        out.append(Z)
+    return np.array(out[::-1])
+
+
+def test_block_anchor_matches_the_stepwise_march():
+    # Three full blocks and a partial one: time-varying RK4 maps, and the
+    # exact flow of a pair with 2x2 diagonal blocks in its flow factor.
+    rng = np.random.default_rng(31)
+    grid = TimeGrid(1.0, 200)
+    d = 2
+    _, on_rows = _random_riccati_drift(rng, d)
+    L = on_rows(grid)(0, 2 * grid.steps)[::-1]
+    steps = _rk4_increment(L[:-1:2], L[1::2], L[2::2], -grid.dt)[0]
+    ref = _stepwise_march(steps, d)
+    got = riccati_march(rk4_increments(on_rows(grid), grid), grid, (d, d))[0]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    A = 0.5 * rng.standard_normal((d, d))
+    G, S = (M @ M.T for M in rng.standard_normal((2, d, d)))
+    S1 = 0.5 * S
+    zero = np.zeros((d, d))
+    AA, GG = (np.block([[M, zero], [zero, M]]) for M in (A, G))
+    SS = np.block([[S, -S1], [zero, S - S1]])
+    H = np.block([[AA, -GG], [-SS, -AA.T]])
+    ref = _stepwise_march(np.broadcast_to(expm_increment(-grid.dt * H), (grid.steps,) + H.shape), 2 * d)
+    got, health = riccati_flow(AA, GG, SS, grid, (d, d))
+    assert health.min_det > 0.0
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_leader_and_follower_solves_take_one_solve_per_block(team_scenario, monkeypatch):
+    # Guard against a per-step solve creeping back into the march: three
+    # marches (follower pair, Pi, leader pair) of one solve per block, and a
+    # few for the exponentials and control maps.
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    solve_leader_gains(team_scenario, solve_follower_gains(team_scenario))
+    assert len(calls) <= 3 * math.ceil(team_scenario.grid.steps / STEP_BLOCK) + 10
 
 
 # ---------------------------------------------------------------------------
