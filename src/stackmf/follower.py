@@ -204,8 +204,8 @@ def closed_loop(s: Scenario, Pi: GridFunction) -> tuple[StageTable, StageTable, 
     """The follower closed loop on the stage grid: the aggregate gain (Hermite
     midpoints from its own equation), the mean drift A - G Pi and the offset
     drift A' - Pi G."""
+    Pi_st = riccati_stages(s, Pi, aggregate_weight(s))
     A, G = s.follower_dyn.A, _gain_matrix(s)
-    Pi_st = stage_table(s.grid, Pi.values, _riccati_rhs(A, G, aggregate_weight(s), Pi.values))
     return Pi_st, StageTable(s.grid, A - G @ Pi_st.values), StageTable(s.grid, A.T - Pi_st.values @ G)
 
 

@@ -9,15 +9,14 @@ scheme's order instead of to interpolation error.
 Every Riccati equation, follower and leader, marches by one kernel
 (`riccati_march`): the equation is Y U^-1 of a linear system (Radon's
 lemma), and each node of a block of steps is one linear-fractional update
-of the block's first node by the increment Phi - I of the system's map
-Phi between them.  Constant-coefficient equations of the follower family
-step by the exact map e^(-dt H), one block of whose powers serves every
-block (`riccati_flow`), so their node values carry rounding error only;
-the leader stage's time-varying systems compose each step's classical RK4
-map, built from the stage tables a block at a time (`rk4_increments`).
-Every linear equation y' = L y + c marches by one routine,
-`integrate_linear`, through each step's precomputed RK4 affine map, and
-returns its solution as a stage table.
+of the block's first node by the increment of the system's map between
+them.  Constant-coefficient equations of the follower family step by the
+exact map e^(-dt H) (`riccati_flow`), so their node values carry rounding
+error only; the leader stage's time-varying systems compose each step's
+classical RK4 map, built from the stage tables (`rk4_increments`).  Every
+linear equation y' = L y + c marches by one routine, `integrate_linear`,
+through each step's precomputed RK4 affine map, and returns its solution
+as a stage table.
 The closure RK4 marches (`integrate_backward`, `integrate_forward`) remain
 for independent cross-checks.
 
@@ -74,6 +73,7 @@ BLOWUP_FACTOR = 1e12
 # Steps per block: the step maps built at once, and the steps of a Riccati
 # march solved at once from one anchor, the block's first node.
 STEP_BLOCK = 64
+MAP_CONDITION = 1e4     # a Riccati march's block ends earlier past this (`_block_maps`)
 
 
 class BlowUpError(RuntimeError):
@@ -319,25 +319,32 @@ def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: boo
     return linear_stages(drift, forcing, out if forward else out[::-1].copy())
 
 
-def _block_maps(F: np.ndarray) -> np.ndarray:
-    """Increments G_j = Phi_j - I of the maps Phi_j from a block's first node
-    onto each of its nodes, from the block's step increments F_j in march
-    order: G_j = G_{j-1} + (F_j + F_j G_{j-1}), the increment of
-    (I + F_j)(I + G_{j-1}).  The step's share F_j + F_j G_{j-1} is summed
-    first and added to G_{j-1} last: summed in another order, the follower
-    tables drift about 3x further from those of a finer grid."""
-    G = np.array(F)
-    for f, g, previous in zip(F[1:], G[1:], G):
-        g += f @ previous
-        g += previous
-    return G
+def _block_maps(F: np.ndarray):
+    """Yields, block by block, the increments G_j = Phi_j - I of the maps
+    Phi_j from a block's first node onto each of its nodes, from the step
+    increments F_j in march order: G_j = G_{j-1} + (F_j + F_j G_{j-1});
+    summed in another order, the follower tables drift about 3x further
+    from those of a finer grid.  A block ends before the product over its
+    steps of (1 + |F_j|) / (1 - |F_j|) (Frobenius norms), a bound on the
+    condition number of Phi_j, passes MAP_CONDITION, but keeps one step; a
+    full block of 64 reaches 39 on the baseline and 1.2e3 on game-n4."""
+    f = np.sqrt(np.einsum("kij,kij->k", F, F))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.log1p(f) - np.log1p(-f)         # NaN past |F_j| = 1 sorts above any bound
+    while len(F):
+        n = max(1, int(np.searchsorted(np.cumsum(spread), math.log(MAP_CONDITION), side="right")))
+        G = np.array(F[:n])
+        for step, g, previous in zip(F[1:n], G[1:], G):
+            g += step @ previous
+            g += previous
+        yield G
+        F, spread = F[n:], spread[n:]
 
 
 def rk4_increments(drift, grid: TimeGrid):
     """Block maps (`_block_maps`) of the backward RK4 steps of y' = L(t) y, in
-    march order (the block ending at node steps first), in blocks of at most
-    STEP_BLOCK steps: arrays (steps in block, D, D) whose row j is the
-    increment of the map from the block's first node onto its (j + 1)-th.
+    march order (the block ending at node steps first), at most STEP_BLOCK
+    steps each: arrays (steps in block, D, D).
 
     `drift(lo, hi)` returns L at the stage rows lo..hi (inclusive, rows of a
     StageTable on `grid`), (hi - lo + 1, D, D); one block reads only its
@@ -345,7 +352,7 @@ def rk4_increments(drift, grid: TimeGrid):
     """
     for first, last in _step_blocks(grid.steps, forward=False):
         L = drift(first, last)[::-1]
-        yield _block_maps(_rk4_increment(L[:-1:2], L[1::2], L[2::2], -grid.dt)[0])
+        yield from _block_maps(_rk4_increment(L[:-1:2], L[1::2], L[2::2], -grid.dt)[0])
 
 
 class FlowHealth(NamedTuple):
@@ -360,31 +367,30 @@ def riccati_march(increments, grid: TimeGrid, shape, factor_blocks=None) -> tupl
     from the maps of its linear system y' = [[A, B], [C, D]] y.
 
     Z = Y U^-1 where (U, Y) solves the linear system (Radon's lemma; Reid,
-    Riccati Differential Equations, 1972).  The march re-anchors at U = I on
-    the first node of each block of at most STEP_BLOCK steps, where Z is
-    known (the Davison-Maki method; Kenney & Leipnik, IEEE TAC 1985, allow
-    the anchor anywhere along the flow).  With G the increment Phi - I of
-    the map from the anchor onto a node of the block, every node is
+    Riccati Differential Equations, 1972).  The march anchors U = I on the
+    first node of each block, where Z is known (the Davison-Maki method;
+    Kenney & Leipnik, IEEE TAC 1985); with G = Phi - I of the map from
+    there onto a node of the block, every node is
 
         Z + (G21 + G22 Z - Z G11 - Z G12 Z) (I + G11 + G12 Z)^-1,
 
-    one batched solve per block.  Written in G, not Phi, a node that Z
-    moves little from keeps the relative accuracy of its increment, so the
-    march keeps the order of its maps.
+    one batched solve per block.  Its rounding grows with the condition of
+    Phi, which `_block_maps` bounds.  Written in G, a node that Z moves
+    little from keeps the relative accuracy of its increment, so the march
+    keeps the order of its maps.
 
-    `shape` is Z's shape (p, r).  `increments` yields, block by block in
-    march order, the arrays (steps in block, r + p, r + p) of G onto each
-    node of the block (see `rk4_increments`).  `factor_blocks` lists the
-    sizes of the diagonal blocks of a block upper triangular flow factor
-    I + G11 + G12 Z (default: one block).
+    `shape` is Z's shape (p, r).  `increments` yields, in march order, each
+    block's arrays (steps in block, r + p, r + p) of G (`_block_maps`).
+    `factor_blocks` lists the sizes of the diagonal blocks of a block upper
+    triangular flow factor I + G11 + G12 Z (default: one block).
 
     Returns the node values (steps + 1, ...) and the march's FlowHealth.
     Raises BlowUpError at the first node, in march order, to escape the
     threshold of integrate_backward, or on which a diagonal block of the
-    flow factor has det <= 0: U changed sign since the node before, so Z
-    has a pole between the two.  The determinants are checked before the
-    block is solved.  (A pole that an even number of directions of one
-    block cross between two nodes leaves its sign unchanged.)
+    flow factor has det <= 0 (checked before the block is solved): U
+    changed sign since the node before, so Z has a pole between the two.
+    (A pole that an even number of directions of one block cross between
+    two nodes leaves its sign unchanged.)
     """
     K = grid.steps
     p, r = shape
@@ -399,10 +405,9 @@ def riccati_march(increments, grid: TimeGrid, shape, factor_blocks=None) -> tupl
             W = G[:, :, :r] + G[:, :, r:] @ Z       # [G11 + G12 Z; G21 + G22 Z] onto each node
             U = np.eye(r) + W[:, :r]
             det = np.min([np.linalg.det(U[:, a:b, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=0)
-            pole = np.flatnonzero(~(det > 0.0))     # NaN fails too
-            m = pole[0] if pole.size else n
+            m = np.append(np.flatnonzero(~(det > 0.0)), n)[0]     # the first pole; NaN fails too
             node = Z + np.linalg.solve(U[:m].mT, (W[:m, r:] - Z @ W[:m, :r]).mT).mT
-            norm = np.sqrt(np.einsum("ki,ki->k", node.reshape(m, -1), node.reshape(m, -1)))
+            norm = np.sqrt(np.einsum("ki,ki->k", node.reshape(m, p * r), node.reshape(m, p * r)))
             out[k - m:k], norms[k - m:k], dets[k - n:k] = node[::-1], norm[::-1], det[::-1]
             escaped = np.flatnonzero(~(norm <= BLOWUP_FACTOR))
             if escaped.size:
@@ -422,15 +427,13 @@ def riccati_flow(A: np.ndarray, G: np.ndarray, S: np.ndarray, grid: TimeGrid,
     health.
 
     The linear system of P is the Hamiltonian H = [[A, -G], [-S, -A']], so
-    every step's map is e^(-dt H): its increment, built once by
-    `expm_increment`, gives one block of maps e^(-j dt H) - I
-    (`_block_maps`), which every block of `riccati_march` reuses (which
-    see for `factor_blocks` and the failures raised).
+    every step's map is e^(-dt H): one block of its powers, less I
+    (`_block_maps` of `expm_increment`), serves every block of
+    `riccati_march` (which see for `factor_blocks` and the failures raised).
     """
-    F = expm_increment(-grid.dt * np.block([[A, -G], [-S, -A.T]]))
-    K = grid.steps
-    block = _block_maps(np.broadcast_to(F, (min(STEP_BLOCK, K),) + F.shape))
-    return riccati_march((block[:K - lo] for lo in range(0, K, STEP_BLOCK)), grid, A.shape, factor_blocks)
+    F, K = expm_increment(-grid.dt * np.block([[A, -G], [-S, -A.T]])), grid.steps
+    block = next(_block_maps(np.broadcast_to(F, (min(STEP_BLOCK, K),) + F.shape)))
+    return riccati_march((block[:K - lo] for lo in range(0, K, len(block))), grid, A.shape, factor_blocks)
 
 
 # --------------------------------------------------------------------------

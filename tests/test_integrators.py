@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stackmf import solve_follower_gains, solve_leader_gains
+from stackmf import integrators, leader, solve_follower_gains, solve_leader_gains
 from stackmf.integrators import (
     BLOWUP_FACTOR,
     STEP_BLOCK,
@@ -173,14 +173,18 @@ def test_riccati_march_raises_between_the_nodes_of_a_pole():
     assert exc.value.time == grid.nodes[1] and "crosses a pole" in str(exc.value)
 
 
-def test_riccati_march_raises_at_a_pole_in_a_later_block():
-    # On 150 steps the pole of -tan(2 - t) lies inside the step onto node
-    # 32, in the second block of the march; the step maps (RK4 or exact)
-    # and the block anchor must not move the reported node.
+@pytest.mark.parametrize("horizon, steps, node", [
+    (2.0, 150, 32),             # inside the second block
+    (2.0, 82, 17),              # the first step of the second block
+    (4.0, 2, 1),                # the first step of the march, a one-step block
+])
+def test_riccati_march_raises_at_a_pole_in_a_later_block(horizon, steps, node):
+    # The pole of -tan(horizon - t) lies inside the step onto `node`; the
+    # step maps (RK4 or exact) and the block anchor must not move the
+    # reported node, wherever in its block the pole falls.
     pole = np.array([[0.0, -1.0], [1.0, 0.0]])
-    grid = TimeGrid(2.0, 150)
-    assert grid.nodes[32] < 2.0 - math.pi / 2 < grid.nodes[33]
-    assert 150 - 2 * STEP_BLOCK <= 32 < 150 - STEP_BLOCK
+    grid = TimeGrid(horizon, steps)
+    assert grid.nodes[node] < horizon - math.pi / 2 < grid.nodes[node + 1]
     one, zero = np.ones((1, 1)), np.zeros((1, 1))
 
     def drift(lo, hi):
@@ -190,7 +194,7 @@ def test_riccati_march_raises_at_a_pole_in_a_later_block():
                   lambda: riccati_flow(zero, one, -one, grid)):
         with pytest.raises(BlowUpError) as exc:
             march()
-        assert exc.value.time == grid.nodes[32] and "crosses a pole" in str(exc.value)
+        assert exc.value.time == grid.nodes[node] and "crosses a pole" in str(exc.value)
 
 
 def test_riccati_march_names_the_node_of_a_singular_factor():
@@ -244,20 +248,54 @@ def test_block_anchor_matches_the_stepwise_march():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_block_anchor_stays_accurate_on_stiff_maps():
+    # The anchor's rounding grows with the condition number of a block's
+    # map.  A multi-rate pair (rates 30 and 0.1; 64 steps of its maps have
+    # condition about e^25, and e^64 on the coarser grid, where a full block
+    # reported a false pole) and an RK4 system whose maps decay at rate 60
+    # in march order (no growing direction) must still match the stepwise
+    # march, which re-anchors on every node.
+    A = np.array([[-30.0, 1.0], [0.5, -0.1]])
+    G, S = np.array([[1.0, 0.3], [0.3, 0.5]]), np.array([[2.0, -0.4], [-0.4, 1.0]])
+    H = np.block([[A, -G], [-S, -A.T]])
+    for grid in (TimeGrid(10.0, 300), TimeGrid(4.0, 300)):
+        ref = _stepwise_march(np.broadcast_to(expm_increment(-grid.dt * H), (grid.steps,) + H.shape), 2)
+        got = riccati_flow(A, G, S, grid)[0]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    L = np.array([[30.0, 0.3], [1.0, 30.0]])
+
+    def drift(lo, hi):
+        return np.broadcast_to(L, (hi - lo + 1, 2, 2))
+
+    rows = drift(0, 2 * grid.steps)
+    ref = _stepwise_march(_rk4_increment(rows[:-1:2], rows[1::2], rows[2::2], -grid.dt)[0], 1)
+    got = riccati_march(rk4_increments(drift, grid), grid, (1, 1))[0]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_leader_and_follower_solves_take_one_solve_per_block(team_scenario, monkeypatch):
-    # Guard against a per-step solve creeping back into the march: three
-    # marches (follower pair, Pi, leader pair) of one solve per block, and a
-    # few for the exponentials and control maps.
-    calls = []
-    solve = np.linalg.solve
+    # Guard against a per-step solve creeping back into the march: the three
+    # marches (follower pair, Pi, leader pair) take one LAPACK solve per block.
+    calls, marching = [], []
+    solve, march = np.linalg.solve, integrators.riccati_march
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(bool(marching))
         return solve(*args, **kwargs)
 
+    def marked(*args, **kwargs):
+        marching.append(1)
+        try:
+            return march(*args, **kwargs)
+        finally:
+            marching.pop()
+
     monkeypatch.setattr(np.linalg, "solve", counted)
+    for module in (integrators, leader):
+        monkeypatch.setattr(module, "riccati_march", marked)
     solve_leader_gains(team_scenario, solve_follower_gains(team_scenario))
-    assert len(calls) <= 3 * math.ceil(team_scenario.grid.steps / STEP_BLOCK) + 10
+    assert sum(calls) == 3 * math.ceil(team_scenario.grid.steps / STEP_BLOCK)
 
 
 # ---------------------------------------------------------------------------
