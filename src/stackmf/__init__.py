@@ -14,7 +14,7 @@ from .model import (
     scenario_to_text,
     validate,
 )
-from .integrators import BlowUpError, GridFunction, StageTable, expm, integrate_backward, integrate_forward
+from .integrators import BlowUpError, GridFunction, StageTable, expm
 from .follower import FollowerGains, follower_gains, solve_follower_gains
 from .leader import ExtendedSystem, LeaderGains, assemble_extended, leader_gains, solve_leader_gains
 from .simulation import Deviations, EnsembleResult, NoiseModel, estimate_costs, lln_diagnostic, simulate
@@ -39,8 +39,6 @@ __all__ = [
     "GridFunction",
     "StageTable",
     "expm",
-    "integrate_backward",
-    "integrate_forward",
     "FollowerGains",
     "follower_gains",
     "solve_follower_gains",

@@ -13,8 +13,8 @@ Every command ingests a scenario config, writes CSV artifacts plus a
         P + K against Pi, leader P + K against M, or P not symmetric, past
         the gates of `verify`)
     5   verification found a violated invariant
-    64  usage error (bad flags, empty value lists, zero paths, seed or path
-        count outside the noise-stream range)
+    64  usage error (bad flags, empty value lists, zero paths, a negative
+        --store, seed or path count outside the noise-stream range)
 
 Manifests record the config hash, grid, seed-level inputs, package versions,
 and a content hash per output file — and deliberately nothing that is allowed
@@ -270,6 +270,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.store < 0:
+        return _fail(EXIT_USAGE, "simulate: --store must be a nonnegative integer")
     s, config_bytes = _load_config(args.config)
     require_valid(s)
     gains_dir = Path(args.gains)

@@ -17,8 +17,6 @@ classical RK4 map, built from the stage tables (`rk4_increments`).  Every
 linear equation y' = L y + c marches by one routine, `integrate_linear`,
 through each step's precomputed RK4 affine map, and returns its solution
 as a stage table.
-The closure RK4 marches (`integrate_backward`, `integrate_forward`) remain
-for independent cross-checks.
 
 Coefficients that vary in time are read from stage tables: values at every
 node and every step midpoint, the only times an RK4 step evaluates
@@ -54,8 +52,6 @@ __all__ = [
     "sampled_stages",
     "matvec",
     "linear_stages",
-    "integrate_backward",
-    "integrate_forward",
     "integrate_linear",
     "rk4_increments",
     "FlowHealth",
@@ -147,20 +143,10 @@ class StageTable:
         rows = 2 * self.grid.steps + 1
         if np.shape(self.values)[0] != rows:
             raise ValueError(f"stage table needs {rows} rows, got {np.shape(self.values)[0]}")
-        object.__setattr__(self, "_rows_per_time", 2.0 / self.grid.dt)
 
     @property
     def nodes(self) -> np.ndarray:
         return self.values[::2]
-
-    def row(self, t: float) -> int:
-        """Row of the stage time t (a node or a step midpoint); tables on one
-        grid share it."""
-        return int(t * self._rows_per_time + 0.5)
-
-    def at(self, t: float) -> np.ndarray:
-        """Value at the stage time t (a node or a step midpoint)."""
-        return self.values[self.row(t)]
 
 
 def stage_table(grid: TimeGrid, values, slopes=None) -> StageTable:
@@ -216,45 +202,6 @@ def _frob(y: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _run_rk4(rhs, start_value, grid: TimeGrid, forward: bool):
-    y = np.array(start_value, dtype=float)
-    K = grid.steps
-    out = np.empty((K + 1,) + y.shape)
-    nodes = grid.nodes
-    h = grid.dt if forward else -grid.dt
-    threshold = BLOWUP_FACTOR * (1.0 + _frob(y))
-    ks = range(K) if forward else range(K, 0, -1)
-    out[0 if forward else K] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in ks:
-            t = nodes[k]
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-            k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            target = k + 1 if forward else k - 1
-            norm = _frob(y)
-            if not norm <= threshold:       # NaN fails too
-                raise BlowUpError(nodes[target], norm)
-            out[target] = y
-    return GridFunction(grid, out)
-
-
-def integrate_backward(rhs, terminal, grid: TimeGrid) -> GridFunction:
-    """Integrate dy/dt = rhs(t, y) from t = T down to 0 with classical RK4.
-
-    `terminal` is stored exactly at node `steps`.  Raises BlowUpError when
-    the solution escapes BLOWUP_FACTOR * (1 + |terminal|).
-    """
-    return _run_rk4(rhs, terminal, grid, forward=False)
-
-
-def integrate_forward(rhs, initial, grid: TimeGrid) -> GridFunction:
-    """Forward RK4 mirror of integrate_backward; `initial` stored at node 0."""
-    return _run_rk4(rhs, initial, grid, forward=True)
-
-
 def _rk4_increment(L0, L1, L2, h):
     """The increment T - I of the RK4 map T of y' = L y over steps whose stage
     values are L0, L1, L2 (start, midpoint, end), and (h / 2) L1, which the
@@ -285,8 +232,8 @@ def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: boo
     An RK4 step of a linear equation is an affine map y -> T y + s (Hairer &
     Wanner, Solving ODEs II, IV.2); the maps of a block of STEP_BLOCK steps
     are built at once, so the march is one product and one add per step.
-    Raises BlowUpError at the first node to escape the threshold of
-    integrate_backward.
+    Raises BlowUpError at the first node whose norm passes
+    BLOWUP_FACTOR * (1 + |start|).
     """
     grid = drift.grid
     K = grid.steps
@@ -385,10 +332,10 @@ def riccati_march(increments, grid: TimeGrid, shape, factor_blocks=None) -> tupl
     triangular flow factor I + G11 + G12 Z (default: one block).
 
     Returns the node values (steps + 1, ...) and the march's FlowHealth.
-    Raises BlowUpError at the first node, in march order, to escape the
-    threshold of integrate_backward, or on which a diagonal block of the
-    flow factor has det <= 0 (checked before the block is solved): U
-    changed sign since the node before, so Z has a pole between the two.
+    Raises BlowUpError at the first node, in march order, whose norm passes
+    BLOWUP_FACTOR, or on which a diagonal block of the flow factor has
+    det <= 0 (checked before the block is solved): U changed sign since the
+    node before, so Z has a pole between the two.
     (A pole that an even number of directions of one block cross between
     two nodes leaves its sign unchanged.)
     """

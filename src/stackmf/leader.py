@@ -19,10 +19,10 @@ offset equation for V:
     V' + M B V + M f_state - B1 V - B2 V - f_costate        = 0,  V(T) = 0
 
     (Matching the Ito expansion of d(P X + K E[X] + V) against the costate
-    drift fixes every sign.  The tests pin them numerically: the closure
-    references below against the pair march, and the offset block of the
-    reconstructed costate against the follower stage's own offset equation
-    in `test_offset_routes_agree`.)
+    drift fixes every sign.  The tests pin them numerically: closure RK4
+    references of P, K and M (`tests/conftest.py`) against the pair march,
+    and the offset block of the reconstructed costate against the follower
+    stage's own offset equation in `test_offset_routes_agree`.)
 
 Each Riccati equation here is Y U^-1 of a linear system (Radon's lemma).
 `solve_leader_pair` marches P, K and M as one square equation in
@@ -31,10 +31,7 @@ equation against the M equation.  V solves its linear equation by
 `integrators.integrate_linear`, with M read from M's Hermite stage table;
 `solve_leader_V` and `leader_V_stages` read the same coefficients, so a
 solved V and a loaded one get their midpoints from one rule
-(`integrators.linear_stages`).  The closures `solve_leader_P`,
-`solve_leader_K` and `solve_leader_M` step the Riccati equations
-themselves by RK4: an independent discretization that agrees to its
-4th-order error.
+(`integrators.linear_stages`).
 
 No symmetrization is applied: these solutions are not symmetric.  The
 leader's control reads the first block of the reconstructed costate:
@@ -51,17 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import FollowerGains, closed_loop, offset_terms, riccati_stages, state_weight
-from .integrators import (FlowHealth, GridFunction, StageTable, integrate_backward, integrate_linear,
-                          linear_stages, riccati_march, rk4_increments, sampled_stages, stage_table)
+from .integrators import (FlowHealth, GridFunction, StageTable, integrate_linear, linear_stages,
+                          riccati_march, rk4_increments, sampled_stages, stage_table)
 from .model import Scenario, require_valid
 
 __all__ = [
     "ExtendedSystem",
     "LeaderGains",
     "assemble_extended",
-    "solve_leader_P",
-    "solve_leader_K",
-    "solve_leader_M",
     "solve_leader_V",
     "leader_M_stages",
     "leader_V_stages",
@@ -207,11 +201,6 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     )
 
 
-def _dP(es: ExtendedSystem, A, B1, P):
-    """dP/dt given the blocks A, B1; P and the blocks may be stacks of nodes."""
-    return -(P @ A + P @ es.B @ P - es.A1 - B1 @ P)
-
-
 def _dM(es: ExtendedSystem, A, B1, B2, M):
     """dM/dt given the blocks A, B1, B2; M and the blocks may be stacks of nodes."""
     return -(M @ A + M @ es.B @ M - B1 @ M - B2 @ M - es.A1 - es.A2)
@@ -234,42 +223,6 @@ def leader_V_stages(es: ExtendedSystem, M_st: StageTable, V: GridFunction) -> St
     """Stage table of the costate offset, given M's stage table: Hermite
     midpoints from its own equation."""
     return linear_stages(*_V_coefficients(es, M_st), V.values)
-
-
-def solve_leader_P(es: ExtendedSystem) -> GridFunction:
-    """Nonsymmetric Riccati equation for the per-path costate gain."""
-    zero = np.zeros((3 * es.n, 3 * es.n))
-
-    def rhs(t, P):
-        i = es.A.row(t)
-        return _dP(es, es.A.values[i], es.B1.values[i], P)
-
-    return integrate_backward(rhs, zero, es.grid)
-
-
-def solve_leader_M(es: ExtendedSystem) -> GridFunction:
-    """Equation for the mean costate gain M; independent of P and K."""
-    zero = np.zeros((3 * es.n, 3 * es.n))
-
-    def rhs(t, M):
-        i = es.A.row(t)
-        return _dM(es, es.A.values[i], es.B1.values[i], es.B2.values[i], M)
-
-    return integrate_backward(rhs, zero, es.grid)
-
-
-def solve_leader_K(es: ExtendedSystem, P: GridFunction) -> GridFunction:
-    """Mean-coupling gain K, fed by P; its source is the one consistent with
-    M = P + K (the same constant A2 in both modes)."""
-    zero = np.zeros((3 * es.n, 3 * es.n))
-    P_st = stage_table(es.grid, P.values, _dP(es, es.A.nodes, es.B1.nodes, P.values))
-
-    def rhs(t, K):
-        i = es.A.row(t)
-        At, B1t, B2t, Pt = es.A.values[i], es.B1.values[i], es.B2.values[i], P_st.values[i]
-        return -(Pt @ es.B @ K + K @ At + K @ es.B @ (Pt + K) - B1t @ K - es.A2 - B2t @ (Pt + K))
-
-    return integrate_backward(rhs, zero, es.grid)
 
 
 def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:

@@ -1,5 +1,7 @@
 """Shared fixtures: benchmark scenario, fast test scenario, random instances,
-and the chained-exponential flow representation of the leader P.
+the chained-exponential flow representation of the leader P, and the
+closure RK4 routes: an independent discretization of every Riccati and
+linear equation the package marches by step maps.
 
 Session-scoped fixtures cache solved gain sets so the expensive backward
 solves run once per session.  The random-scenario factory draws well-posed
@@ -16,8 +18,9 @@ import pytest
 import scipy.linalg
 
 from stackmf.follower import follower_response, offset_drive, solve_follower_gains
-from stackmf.integrators import BlowUpError, StageTable, sampled_stages
-from stackmf.leader import ExtendedSystem, solve_leader_gains
+from stackmf.integrators import (BLOWUP_FACTOR, BlowUpError, GridFunction, StageTable, _frob,
+                                 sampled_stages, stage_table)
+from stackmf.leader import ExtendedSystem, _dM, solve_leader_gains
 from stackmf.model import (
     Dims,
     Distribution,
@@ -235,3 +238,85 @@ def midpoint_flow(es: ExtendedSystem, lower_right: StageTable) -> np.ndarray:
         H = np.block([[es.A.values[2 * k + 1], es.B], [es.A1, lower_right.values[2 * k + 1]]])
         W[k] = scipy.linalg.expm(-dt * H) @ W[k + 1]
     return np.linalg.solve(np.swapaxes(W[:, :d], 1, 2), np.swapaxes(W[:, d:], 1, 2)).swapaxes(1, 2)
+
+
+def stage_at(table: StageTable, t: float) -> np.ndarray:
+    """Value of a stage table at the stage time t (a node or a step midpoint)."""
+    return table.values[int(t * (2.0 / table.grid.dt) + 0.5)]
+
+
+def _run_rk4(rhs, start_value, grid: TimeGrid, forward: bool):
+    y = np.array(start_value, dtype=float)
+    K = grid.steps
+    out = np.empty((K + 1,) + y.shape)
+    nodes = grid.nodes
+    h = grid.dt if forward else -grid.dt
+    threshold = BLOWUP_FACTOR * (1.0 + _frob(y))
+    ks = range(K) if forward else range(K, 0, -1)
+    out[0 if forward else K] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in ks:
+            t = nodes[k]
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
+            k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            target = k + 1 if forward else k - 1
+            norm = _frob(y)
+            if not norm <= threshold:       # NaN fails too
+                raise BlowUpError(nodes[target], norm)
+            out[target] = y
+    return GridFunction(grid, out)
+
+
+def integrate_backward(rhs, terminal, grid: TimeGrid) -> GridFunction:
+    """Integrate dy/dt = rhs(t, y) from t = T down to 0 with classical RK4.
+
+    `terminal` is stored exactly at node `steps`.  Raises BlowUpError when
+    the solution escapes BLOWUP_FACTOR * (1 + |terminal|).
+    """
+    return _run_rk4(rhs, terminal, grid, forward=False)
+
+
+def integrate_forward(rhs, initial, grid: TimeGrid) -> GridFunction:
+    """Forward RK4 mirror of integrate_backward; `initial` stored at node 0."""
+    return _run_rk4(rhs, initial, grid, forward=True)
+
+
+def _dP(es: ExtendedSystem, A, B1, P):
+    """dP/dt given the blocks A, B1; P and the blocks may be stacks of nodes."""
+    return -(P @ A + P @ es.B @ P - es.A1 - B1 @ P)
+
+
+def solve_leader_P(es: ExtendedSystem) -> GridFunction:
+    """Nonsymmetric Riccati equation for the per-path costate gain."""
+    zero = np.zeros((3 * es.n, 3 * es.n))
+
+    def rhs(t, P):
+        return _dP(es, stage_at(es.A, t), stage_at(es.B1, t), P)
+
+    return integrate_backward(rhs, zero, es.grid)
+
+
+def solve_leader_M(es: ExtendedSystem) -> GridFunction:
+    """Equation for the mean costate gain M; independent of P and K."""
+    zero = np.zeros((3 * es.n, 3 * es.n))
+
+    def rhs(t, M):
+        return _dM(es, stage_at(es.A, t), stage_at(es.B1, t), stage_at(es.B2, t), M)
+
+    return integrate_backward(rhs, zero, es.grid)
+
+
+def solve_leader_K(es: ExtendedSystem, P: GridFunction) -> GridFunction:
+    """Mean-coupling gain K, fed by P; its source is the one consistent with
+    M = P + K (the same constant A2 in both modes)."""
+    zero = np.zeros((3 * es.n, 3 * es.n))
+    P_st = stage_table(es.grid, P.values, _dP(es, es.A.nodes, es.B1.nodes, P.values))
+
+    def rhs(t, K):
+        At, B1t, B2t, Pt = (stage_at(table, t) for table in (es.A, es.B1, es.B2, P_st))
+        return -(Pt @ es.B @ K + K @ At + K @ es.B @ (Pt + K) - B1t @ K - es.A2 - B2t @ (Pt + K))
+
+    return integrate_backward(rhs, zero, es.grid)

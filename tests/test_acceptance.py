@@ -17,10 +17,10 @@ import pytest
 from stackmf.cli import main as cli_main
 from stackmf.equilibrium import FOLLOWER_SUM_TOL, deviation_battery, direction_library, dp_gain_oracle
 from stackmf.follower import solve_follower_gains
-from stackmf.leader import assemble_extended, solve_leader_M
+from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import lln_diagnostic, simulate
-from conftest import FAST_CFG_TEXT, midpoint_flow, random_scenario, replace_mode, solve_both
+from conftest import FAST_CFG_TEXT, midpoint_flow, random_scenario, replace_mode, solve_both, solve_leader_M
 
 SOLVE_TIME_BUDGET = 0.5          # seconds, benchmark solve
 DEVIATION_TIME_BUDGET = 35.0     # seconds, full certification battery

@@ -322,6 +322,15 @@ def test_simulate_zero_paths_is_usage_error(config, gains_dir, tmp_path):
     assert code == 64
 
 
+def test_simulate_negative_store_is_usage_error(tmp_path):
+    # The manifest records --store, so a negative count, which would dump the
+    # same trajectories as 0, is refused before the config is read.
+    code = run_cli("simulate", "--config", str(tmp_path / "missing.cfg"), "--gains", str(tmp_path / "gains"),
+                   "--out", str(tmp_path / "o"), "--store", "-3")
+    assert code == 64
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
 @pytest.mark.parametrize("flag, value", [
     ("--seed", "-1"), ("--seed", str(1 << 64)), ("--paths", str(1 << 32)),

@@ -15,10 +15,10 @@ from stackmf.follower import (
     solve_follower_gains,
     state_weight,
 )
-from stackmf.integrators import BlowUpError, integrate_backward, stage_table
+from stackmf.integrators import BlowUpError, stage_table
 from stackmf.model import Dims, Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
-from conftest import follower_offset, replace_mode
+from conftest import follower_offset, integrate_backward, replace_mode
 
 TANH_CFG = """\
 mode = "team"

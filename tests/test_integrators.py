@@ -18,8 +18,6 @@ from stackmf.integrators import (
     StageTable,
     expm,
     expm_increment,
-    integrate_backward,
-    integrate_forward,
     integrate_linear,
     linear_stages,
     read_grid_csv,
@@ -31,6 +29,7 @@ from stackmf.integrators import (
 )
 from stackmf.integrators import _rk4_increment
 from stackmf.model import TimeGrid
+from conftest import integrate_backward, integrate_forward, stage_at
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,7 @@ def test_linear_march_matches_closure_march(forward, columns):
     closure_march = integrate_forward if forward else integrate_backward
     for d in (1, 2, 5):
         drift, forcing, start = _random_linear_system(rng, grid, d, columns)
-        ref = closure_march(lambda t, y: drift.at(t) @ y + forcing.at(t), start, grid).values
+        ref = closure_march(lambda t, y: stage_at(drift, t) @ y + stage_at(forcing, t), start, grid).values
         table = integrate_linear(drift, forcing, start, forward=forward)
         assert table.values.tobytes() == linear_stages(drift, forcing, table.nodes).values.tobytes()
         got = table.nodes
@@ -369,7 +368,7 @@ def test_linear_march_fails_at_the_closure_march_node(case, forward):
     start = np.ones((2, 3))
     closure_march = integrate_forward if forward else integrate_backward
     with pytest.raises(BlowUpError) as ref:
-        closure_march(lambda t, y: drift.at(t) @ y + forcing.at(t), start, grid)
+        closure_march(lambda t, y: stage_at(drift, t) @ y + stage_at(forcing, t), start, grid)
     with pytest.raises(BlowUpError) as got:
         integrate_linear(drift, forcing, start, forward=forward)
     assert got.value.time == ref.value.time
@@ -407,7 +406,7 @@ def test_no_blowup_on_bounded_solution():
 
 def test_stage_table_reads_nodes_and_midpoints():
     # Hermite midpoints are exact for a cubic, linear ones for sampled data;
-    # at(t) reads the row of every stage time of a forward or backward step.
+    # stage_at reads the row of every stage time of a forward or backward step.
     grid = TimeGrid(1.0, 4)
     t, dt = grid.nodes, grid.dt
     cubic = stage_table(grid, (t ** 3)[:, None], (3.0 * t ** 2)[:, None])
@@ -421,9 +420,9 @@ def test_stage_table_reads_nodes_and_midpoints():
         for h in (dt, -dt):
             start = t[k] if h > 0 else t[k + 1]
             row = 2 * k if h > 0 else 2 * k + 2
-            assert cubic.at(start)[0] == cubic.values[row, 0]
-            assert cubic.at(start + 0.5 * h)[0] == cubic.values[2 * k + 1, 0]
-            assert cubic.at(start + h)[0] == cubic.values[2 * k + (2 if h > 0 else 0), 0]
+            assert stage_at(cubic, start)[0] == cubic.values[row, 0]
+            assert stage_at(cubic, start + 0.5 * h)[0] == cubic.values[2 * k + 1, 0]
+            assert stage_at(cubic, start + h)[0] == cubic.values[2 * k + (2 if h > 0 else 0), 0]
     with pytest.raises(ValueError):
         StageTable(grid, np.zeros((5, 1)))
 

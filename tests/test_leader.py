@@ -13,16 +13,14 @@ from stackmf.leader import (
     ExtendedSystem,
     assemble_extended,
     leader_gains,
-    solve_leader_K,
-    solve_leader_M,
-    solve_leader_P,
     solve_leader_V,
     solve_leader_gains,
     solve_leader_pair,
 )
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import mean_state_stages, simulate, solve_mean_state
-from conftest import REPO, follower_offset, midpoint_flow, replace_mode, solve_both
+from conftest import (REPO, follower_offset, midpoint_flow, replace_mode, solve_both, solve_leader_K, solve_leader_M,
+                      solve_leader_P)
 
 GAME_N4_CFG = REPO / "perfbench" / "game_n4.cfg"
 

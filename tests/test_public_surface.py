@@ -1,5 +1,6 @@
 """The public surface: every name the package and its modules export
-resolves, and every private module-level helper is still in use."""
+resolves, every private module-level helper is still in use, and every
+public one is read by the package or exported by its root."""
 from __future__ import annotations
 
 import ast
@@ -38,13 +39,21 @@ def _names_used(node: ast.AST) -> set:
     return used
 
 
+def _package_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(stackmf.__file__).parent.glob("*.py"))}
+
+
+def _is_all(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets)
+
+
 def test_every_private_helper_is_referenced():
     # A module-level private function or class that nothing in the package
     # reads, outside its own definition, is dead code a refactor left behind.
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(stackmf.__file__).parent.glob("*.py"))}
     helpers, used = [], set()
-    for fname, tree in trees.items():
+    for fname, tree in _package_trees().items():
         for stmt in tree.body:
             names = _names_used(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -54,3 +63,25 @@ def test_every_private_helper_is_referenced():
             used |= names
     assert helpers
     assert [(fname, name) for fname, name in helpers if name not in used] == []
+
+
+def test_every_public_definition_is_read_or_exported_by_the_root():
+    # A public function or class that no package code reads, outside its own
+    # definition and the `__all__` lists, serves the package only if the
+    # package root exports it; otherwise it is a route kept for the tests,
+    # and those live in tests/conftest.py.  The root's own imports re-export
+    # and so do not count as reads.
+    public, used = [], set()
+    for fname, tree in _package_trees().items():
+        for stmt in tree.body:
+            if fname == "__init__.py" or _is_all(stmt):
+                continue
+            names = _names_used(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("_"):
+                    public.append((fname, stmt.name))
+                names.discard(stmt.name)
+            used |= names
+    assert public
+    assert [(fname, name) for fname, name in public
+            if name not in used and name not in stackmf.__all__] == []

@@ -9,7 +9,7 @@ import scipy.stats
 
 from stackmf.equilibrium import direction_library
 from stackmf.follower import aggregate_weight, riccati_stages
-from stackmf.integrators import StageTable, integrate_forward, stage_table
+from stackmf.integrators import StageTable, stage_table
 from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario, time_sampled
 from stackmf.simulation import (
@@ -26,7 +26,7 @@ from stackmf.simulation import (
     simulate,
     solve_mean_state,
 )
-from conftest import FAST_CFG_TEXT, follower_offset, random_scenario, solve_both
+from conftest import FAST_CFG_TEXT, follower_offset, integrate_forward, random_scenario, solve_both, stage_at
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def _population_shift_reference(s, fg, mean_state, v):
     dphi_st = StageTable(s.grid, phis[0].values - phis[1].values)
     G = s.follower_dyn.B @ fg.control_map
     A, Pi = s.follower_dyn.A, riccati_stages(s, fg.Pi, aggregate_weight(s))
-    dEbar = integrate_forward(lambda t, E: (A - G @ Pi.at(t)) @ E - G @ dphi_st.at(t),
+    dEbar = integrate_forward(lambda t, E: (A - G @ stage_at(Pi, t)) @ E - G @ stage_at(dphi_st, t),
                               np.zeros(n), s.grid).values
     shift = np.zeros((K + 1, n))
     for k in range(K):
