@@ -562,12 +562,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # Seeds and path indices must fit the 64- and 32-bit noise-stream key
-    # fields; checked before any config is read or anything is allocated.
+    # fields; these and --workers are checked before any config is read.
     if getattr(args, "paths", None) is not None:
         if not 1 <= args.paths < 1 << 32:
             return _fail(EXIT_USAGE, f"{args.command}: --paths must lie in [1, 2**32)")
         if not 0 <= args.seed < 1 << 64:
             return _fail(EXIT_USAGE, f"{args.command}: --seed must lie in [0, 2**64)")
+    if getattr(args, "workers", 1) < 1:
+        return _fail(EXIT_USAGE, f"{args.command}: --workers must be at least 1")
     if getattr(args, "values", None) is not None:
         args.values = _parse_values(parser, args.vary, args.values)
     try:

@@ -51,7 +51,7 @@ from .follower import (
     solve_follower_gains,
     state_weight,
 )
-from .integrators import StageTable, expm, integrate_linear, sampled_stages
+from .integrators import StageTable, expm, integrate_linear, linear_stages, sampled_stages
 from .leader import LeaderGains, assemble_extended, solve_leader_gains
 from .model import Mode, Scenario, TimeGrid, time_sampled
 from .simulation import Deviations, mean_state_stages, simulate
@@ -252,7 +252,8 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
         A0 = s.leader_dyn.A
         drift0 = StageTable(grid, np.broadcast_to(A0, (2 * Ksteps + 1,) + A0.shape))
         f0 = sampled_stages(s.leader_dyn.f, grid)
-        mean_leader = integrate_linear(drift0, f0, s.leader_mean0, forward=True)
+        mean_leader = linear_stages(grid, drift0.nodes, f0.nodes,
+                                    integrate_linear(drift0, f0, s.leader_mean0, forward=True))
 
     S = state_weight(s)
     S1 = mean_weight(s)
@@ -261,31 +262,33 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
 
     # ODE-route quantities the oracle is compared against.
     f_st = sampled_stages(s.follower_dyn.f, grid)
-    phi, mean = (r.nodes for r in follower_response(s, fg.Pi, drive, f_st, s.init.follower.mean))
-    ode_offset = np.einsum("kij,kj->ki", fg.K.values, mean) + phi
+    phi, mean = follower_response(s, fg.Pi, drive, f_st, s.init.follower.mean)
+    ode_offset = np.einsum("kij,kj->ki", fg.K.values, mean) + phi.nodes
 
     Ad, Bd = _exact_discretization(A, B, dt)
     # A forcing held over a step enters through the integral of e^{As} over the step.
     fd = f @ _exact_discretization(A, np.eye(n), dt)[1].T
     Rd = dt * R
 
+    dtS = dt * S
     Pdp = np.zeros((Ksteps + 1, n, n))
     h = np.zeros((Ksteps + 1, n))
+    rhs = np.empty((Bd.shape[1], n + 1))     # the feedback gain and the offset's control share one factorization
     for k in range(Ksteps - 1, -1, -1):
         Pn = Pdp[k + 1]
         hn = h[k + 1]
         PB = Pn @ Bd
         w = Pn @ fd[k] + hn
-        # the feedback gain and the offset's control share one factorization
-        gain = np.linalg.solve(Rd + Bd.T @ PB, np.column_stack([PB.T @ Ad, Bd.T @ w]))
+        rhs[:, :n], rhs[:, n] = PB.T @ Ad, Bd.T @ w
+        gain = np.linalg.solve(Rd + Bd.T @ PB, rhs)
         closed = Ad - Bd @ gain[:, :n]
-        Pdp[k] = dt * S + Ad.T @ Pn @ closed
+        Pdp[k] = dtS + Ad.T @ Pn @ closed
         Pdp[k] = 0.5 * (Pdp[k] + Pdp[k].T)
         h[k] = -dt * (S1 @ mean[k] + g[k]) + Ad.T @ (w - PB @ gain[:, n])
 
     delta_P = float(np.max(np.abs(Pdp - fg.P.values)))
     delta_offset = float(np.max(np.abs(h - ode_offset)))
-    return DpOracleResult(P=Pdp, offset=h, phi=phi, delta_P=delta_P, delta_offset=delta_offset)
+    return DpOracleResult(P=Pdp, offset=h, phi=phi.nodes, delta_P=delta_P, delta_offset=delta_offset)
 
 
 # ---------------------------------------------------------------------------

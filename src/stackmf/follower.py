@@ -48,6 +48,7 @@ from .integrators import (
     GridFunction,
     StageTable,
     integrate_linear,
+    linear_stages,
     matvec,
     riccati_flow,
     stage_table,
@@ -210,9 +211,9 @@ def closed_loop(s: Scenario, Pi: GridFunction) -> tuple[StageTable, StageTable, 
 
 
 def follower_response(s: Scenario, Pi: GridFunction, drive: StageTable, forcing: StageTable,
-                      start) -> tuple[StageTable, StageTable]:
-    """The followers' offset phi and mean x under the aggregate gain Pi, as
-    stage tables: phi solves
+                      start) -> tuple[StageTable, np.ndarray]:
+    """The followers' offset phi under the aggregate gain Pi, as a stage
+    table, and their mean x at the nodes: phi solves
 
         phi' = -(A' - Pi G) phi + drive - Pi forcing,   phi(T) = 0,
 
@@ -222,9 +223,10 @@ def follower_response(s: Scenario, Pi: GridFunction, drive: StageTable, forcing:
     """
     Pi_st, mean_drift, offset_drift = closed_loop(s, Pi)
     G = _gain_matrix(s)
-    phi = integrate_linear(StageTable(s.grid, -offset_drift.values),
-                           StageTable(s.grid, drive.values - matvec(Pi_st.values, forcing.values)),
-                           np.zeros(drive.values.shape[1:]), forward=False)
+    L = StageTable(s.grid, -offset_drift.values)
+    c = StageTable(s.grid, drive.values - matvec(Pi_st.values, forcing.values))
+    phi = linear_stages(s.grid, L.nodes, c.nodes,
+                        integrate_linear(L, c, np.zeros(drive.values.shape[1:]), forward=False))
     mean = integrate_linear(mean_drift, StageTable(s.grid, forcing.values - matvec(G, phi.values)),
                             start, forward=True)
     return phi, mean

@@ -15,8 +15,8 @@ exact map e^(-dt H) (`riccati_flow`), so their node values carry rounding
 error only; the leader stage's time-varying systems compose each step's
 classical RK4 map, built from the stage tables (`rk4_increments`).  Every
 linear equation y' = L y + c marches by one routine, `integrate_linear`,
-through each step's precomputed RK4 affine map, and returns its solution
-as a stage table.
+through each step's precomputed RK4 affine map, and returns its node
+values.
 
 Coefficients that vary in time are read from stage tables: values at every
 node and every step midpoint, the only times an RK4 step evaluates
@@ -174,11 +174,11 @@ def matvec(L: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y @ L.T if L.ndim == 2 else np.einsum("kij,kj->ki", L, y)
 
 
-def linear_stages(drift: StageTable, forcing: StageTable, y) -> StageTable:
-    """Stage table of node values y of dy/dt = L y + c (`drift` holds L,
-    `forcing` c): Hermite midpoints from the slopes L y + c at the nodes."""
+def linear_stages(grid: TimeGrid, L: np.ndarray, c: np.ndarray, y) -> StageTable:
+    """Stage table of node values y of dy/dt = L y + c, given L and c at the
+    nodes: Hermite midpoints from the slopes L y + c."""
     y = np.asarray(y, dtype=float)
-    return stage_table(drift.grid, y, matvec(drift.nodes, y) + forcing.nodes)
+    return stage_table(grid, y, matvec(L, y) + c)
 
 
 def sampled_stages(value, grid: TimeGrid) -> StageTable:
@@ -220,9 +220,9 @@ def _step_blocks(K: int, forward: bool):
         yield (2 * m, 2 * (m + n)) if forward else (2 * (K - m - n), 2 * (K - m))
 
 
-def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: bool) -> StageTable:
-    """Classical RK4 for the linear equation dy/dt = L(t) y + c(t), no closure,
-    and the solution's stage table (`linear_stages`).
+def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: bool) -> np.ndarray:
+    """Classical RK4 for the linear equation dy/dt = L(t) y + c(t), no closure:
+    the node values; `linear_stages` adds the midpoints a caller reads.
 
     `drift` holds L, (d, d), and `forcing` c, (d,) or (d, p), at every stage
     time; `start` is stored at node 0 (forward) or node `steps` (backward).
@@ -263,7 +263,7 @@ def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: boo
     if escaped.size:
         k = escaped[0]
         raise BlowUpError(grid.nodes[k if forward else K - k], norms[k])
-    return linear_stages(drift, forcing, out if forward else out[::-1].copy())
+    return out if forward else out[::-1].copy()
 
 
 def _block_maps(F: np.ndarray):

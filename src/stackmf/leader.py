@@ -211,26 +211,26 @@ def leader_M_stages(es: ExtendedSystem, M: GridFunction) -> StageTable:
     return stage_table(es.grid, M.values, _dM(es, es.A.nodes, es.B1.nodes, es.B2.nodes, M.values))
 
 
-def _V_coefficients(es: ExtendedSystem, M_st: StageTable) -> tuple[StageTable, StageTable]:
-    """V' = L V + c: L = B1 + B2 - M B and c = f_costate - M f_state on the
-    stage grid, M read from its stage table `M_st` (`leader_M_stages`)."""
-    M = M_st.values
-    return (StageTable(es.grid, es.B1.values + es.B2.values - M @ es.B),
-            StageTable(es.grid, es.f_costate.values - np.einsum("kij,kj->ki", M, es.f_state.values)))
+def _V_coefficients(es: ExtendedSystem, M_st: StageTable, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """V' = L V + c: L = B1 + B2 - M B and c = f_costate - M f_state at the
+    stage rows `rows`, M read from its stage table `M_st` (`leader_M_stages`)."""
+    M = M_st.values[rows]
+    return (es.B1.values[rows] + es.B2.values[rows] - M @ es.B,
+            es.f_costate.values[rows] - np.einsum("kij,kj->ki", M, es.f_state.values[rows]))
 
 
 def leader_V_stages(es: ExtendedSystem, M_st: StageTable, V: GridFunction) -> StageTable:
     """Stage table of the costate offset, given M's stage table: Hermite
-    midpoints from its own equation."""
-    return linear_stages(*_V_coefficients(es, M_st), V.values)
+    midpoints from its own equation, coefficients read at the nodes only."""
+    return linear_stages(es.grid, *_V_coefficients(es, M_st, slice(None, None, 2)), V.values)
 
 
 def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
     """Offset vector of the costate reconstruction: V' = L V + c with
     L = B1 + B2 - M B and c = f_costate - M f_state, M read from its Hermite
     stage table."""
-    V = integrate_linear(*_V_coefficients(es, leader_M_stages(es, M)), np.zeros(3 * es.n), forward=False)
-    return GridFunction(es.grid, V.nodes)
+    L, c = (StageTable(es.grid, a) for a in _V_coefficients(es, leader_M_stages(es, M)))
+    return GridFunction(es.grid, integrate_linear(L, c, np.zeros(3 * es.n), forward=False))
 
 
 @dataclass(frozen=True)

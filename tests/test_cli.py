@@ -4,11 +4,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stackmf
 from stackmf.cli import _load_gains, main
 from stackmf.follower import solve_follower_gains
 from stackmf.integrators import BLOWUP_FACTOR, read_grid_csv
@@ -145,6 +149,14 @@ def test_malformed_config_exits_validation(tmp_path):
 def test_missing_config_exits_io(tmp_path):
     missing = tmp_path / "nope.cfg"
     assert run_cli("solve", "--config", str(missing), "--out", str(tmp_path / "o")) == 1
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only a pooled simulate imports the process pool, so a CLI run does not
+    # pay for multiprocessing at set-up.
+    env = {**os.environ, "PYTHONPATH": str(Path(stackmf.__file__).resolve().parents[1])}
+    code = "import sys, stackmf.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +356,20 @@ def test_stream_range_is_checked_before_any_work(command, flag, value, tmp_path)
     if command == "sweep":
         args += ["--vary", "N", "--values", "4"]
     assert run_cli(*args, flag, value) == 64
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_usage_error(command, workers, tmp_path):
+    # As above: a missing config would exit 1, so 64 shows the worker count
+    # is refused first.
+    args = [command, "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")]
+    if command == "simulate":
+        args += ["--gains", str(tmp_path / "gains")]
+    if command == "sweep":
+        args += ["--vary", "N", "--values", "4"]
+    assert run_cli(*args, "--workers", workers) == 64
     assert not (tmp_path / "o").exists()
 
 

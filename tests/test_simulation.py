@@ -18,6 +18,7 @@ from stackmf.simulation import (
     Deviations,
     GridMismatchError,
     NoiseModel,
+    _add_steps,
     _build_tables,
     _control_shift,
     _population_shift,
@@ -66,29 +67,62 @@ def test_worker_count_does_not_change_results(fast_gains):
     assert np.array_equal(base.deviation_slopes, multi.deviation_slopes)
 
 
-def test_chunk_size_changes_nothing_per_path(fast_gains):
+def _check_chunking_is_invisible(s, fg, lg) -> None:
     # Per-path quantities are computed row-wise and must be bitwise stable
     # under re-chunking; cross-path reductions may reassociate by one ulp.
     # A chunk of one path is included: numpy sums a lone column pairwise.
-    s, fg, lg = fast_gains
     dev = _two_directions(s)
-    base = simulate(s, fg, lg, 24, seed=7, deviations=dev)
+    base = simulate(s, fg, lg, 24, seed=7, store_paths=9, deviations=dev)
     for chunk in (7, 1):
-        odd = simulate(s, fg, lg, 24, seed=7, chunk_size=chunk, deviations=dev)
+        odd = simulate(s, fg, lg, 24, seed=7, store_paths=9, chunk_size=chunk, deviations=dev)
         assert np.array_equal(base.leader_cost_paths, odd.leader_cost_paths)
         assert np.array_equal(base.social_cost_paths, odd.social_cost_paths)
         assert np.array_equal(base.follower_cost_paths, odd.follower_cost_paths)
         assert np.array_equal(base.deviation_slopes, odd.deviation_slopes)
         assert np.array_equal(base.deviation_curvature, odd.deviation_curvature)
+        assert len(base.paths) == len(odd.paths) == 9
         for pa, pb in zip(base.paths, odd.paths):
-            assert np.array_equal(pa.x0, pb.x0)
-            assert np.array_equal(pa.followers, pb.followers)
-            assert np.array_equal(pa.u0, pb.u0)
+            for field in dataclasses.fields(pa):
+                assert np.array_equal(getattr(pa, field.name), getattr(pb, field.name)), field.name
         assert np.allclose(base.lln_gap.values, odd.lln_gap.values, rtol=1e-12, atol=1e-14)
         for key in base.node_summary:
             assert np.allclose(
                 base.node_summary[key], odd.node_summary[key], rtol=1e-12, atol=1e-14
             ), key
+
+
+def test_chunk_size_changes_nothing_per_path(fast_gains):
+    _check_chunking_is_invisible(*fast_gains)
+
+
+@pytest.mark.parametrize("case", ["steps_127", "steps_128", "vector_game"])
+def test_chunk_size_changes_nothing_per_path_on_every_block_shape(case, fast_scenario):
+    # The kernel works in blocks of 64 nodes.  At 127 steps the nodes fill
+    # whole blocks; at 128 the last block is one node and takes no step.
+    # The vector game (n = m = 2) has no scaled increments; its follower
+    # products use BLAS, whose rows numpy's bundled OpenBLAS rounds alike for
+    # any row count (README, "Determinism and reproducibility").
+    if case == "vector_game":
+        _check_chunking_is_invisible(*_vector_game())
+    else:
+        grid = TimeGrid(fast_scenario.grid.horizon, int(case[-3:]))
+        _check_chunking_is_invisible(*solve_both(dataclasses.replace(fast_scenario, grid=grid)))
+
+
+def test_block_sums_add_in_step_order():
+    # Slope sums add a block of steps at once; the result must carry the
+    # bits of adding each step's terms in turn.  Magnitudes spread over 16
+    # decades, so another order rounds differently.
+    rng = np.random.default_rng(5)
+    acc = rng.standard_normal((4, 3))
+    terms = [rng.standard_normal((9, 4, 3)) * 10.0 ** rng.uniform(-8, 8, (9, 4, 3)) for _ in range(3)]
+    loop = acc.copy()
+    for k in range(9):
+        for term in terms:
+            loop += term[k]
+    assert np.array_equal(_add_steps(acc, *terms), loop)
+    assert not np.array_equal(_add_steps(acc, *terms[::-1]), loop)
+    assert _add_steps(acc[:, :0], *(term[..., :0] for term in terms)).shape == (4, 0)     # no directions
 
 
 def test_noise_streams_are_counter_based(fast_gains):
