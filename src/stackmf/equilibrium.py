@@ -32,7 +32,8 @@ The other rows check that the pieces fit together:
   follower-route offset along the same leader mean, and every simulated
   path reads that one deterministic offset (`offset_path_spread`).
 * **Exchangeability** -- relabeling which noise row drives which follower
-  permutes the per-path follower costs, path by path.
+  permutes the per-path follower costs, path by path; the relabeled paths
+  ride in the same ensemble pass on the same draws (`simulate`'s `relabel`).
 """
 
 from __future__ import annotations
@@ -139,14 +140,14 @@ def _first_order(er, col: int, label: str, target: str) -> DeviationResult:
 
 
 def _battery(s: Scenario, fg: FollowerGains, lg: LeaderGains, follower_dirs, leader_dirs,
-             n_paths: int, seed: int, *, workers: int, store_paths: int):
+             n_paths: int, seed: int, *, workers: int, store_paths: int, relabel=None):
     """Deviation results plus the ensemble they were costed on (None when nothing had to run)."""
     plan = [(label, target, _normalize_direction(d, s.grid, s.dims.m))
             for target, dirs in (("follower", follower_dirs), ("leader", leader_dirs)) for label, d in dirs]
     live = {t: tuple(v for _, tt, v in plan if tt == t and np.any(v)) for t in ("follower", "leader")}
     er = None
     if store_paths or live["follower"] or live["leader"]:
-        er = simulate(s, fg, lg, n_paths, seed, workers=workers, store_paths=store_paths,
+        er = simulate(s, fg, lg, n_paths, seed, workers=workers, store_paths=store_paths, relabel=relabel,
                       deviations=Deviations(live["follower"], live["leader"]))
     results, col = [], 0
     for label, target, v in plan:
@@ -373,9 +374,9 @@ def run_verification(
     """Full verification battery: the table identities of the gains it is
     given (`table_identities`), oracles, deviation tests.
 
-    The reported ensemble and every deviation direction share one pass over
-    the same paths; only the exchangeability check runs a second, permuted
-    ensemble.
+    The reported ensemble, every deviation direction and the exchangeability
+    check share one pass, which re-marches the first min(n_paths, 64) paths
+    as relabeled lanes (follower rows reversed): each stream is drawn once.
     """
     if fg is None:
         fg = solve_follower_gains(s)
@@ -387,11 +388,13 @@ def run_verification(
     def add(name, value, threshold, detail=""):
         checks.append(_check(name, value, threshold, detail))
 
+    n_small = min(n_paths, 64)
+    perm = np.arange(s.dims.N, 0, -1)
     devs, er = _battery(
         s, fg, lg,
         direction_library(s.grid, s.dims.m, directions, seed + 17),
         direction_library(s.grid, s.dims.m, directions, seed + 29),
-        n_paths, seed, workers=workers, store_paths=min(4, n_paths),
+        n_paths, seed, workers=workers, store_paths=min(4, n_paths), relabel=(perm, n_small),
     )
 
     es = assemble_extended(s, fg)
@@ -410,11 +413,8 @@ def run_verification(
     u_scale = float(np.max(np.abs(er.node_summary["u0_mean"]))) + 1.0
     add("stationarity_residual", stationarity_residuals(s, er, fg), 1e-9 * u_scale)
 
-    n_small = min(n_paths, 64)
-    perm = np.arange(s.dims.N, 0, -1)
-    er_perm = simulate(s, fg, lg, n_small, seed, store_paths=0, agent_permutation=perm)
     relabeled = er.follower_cost_paths[:n_small][:, perm - 1]
-    exch_gap = float(np.max(np.abs(er_perm.follower_cost_paths - relabeled)))
+    exch_gap = float(np.max(np.abs(er.relabeled_cost_paths - relabeled)))
     add(
         "exchangeability",
         exch_gap,

@@ -15,10 +15,12 @@ column per direction.  Stored paths (`SimPath`) hold every agent's
 trajectory and control, and the leader's extended state X.
 
 Paths run in chunks; without a pool they share one draw buffer.  Within a
-chunk the followers form one follower-major array (follower j of path i is
-row j c + i), so each step is a handful of flat array operations.  The
-leader does not see the followers: it marches a block of steps ahead, and
-its reads, the slope sums and the cross-path reductions run per block (`_chunk`).
+chunk the followers form one follower-major array, so each step is a
+handful of flat array operations.  Exchangeability checks (`simulate`'s
+`relabel`) march paths a second time, follower rows relabeled, as extra
+lanes of the same arrays on the same draws.  The leader does not see the
+followers: it marches a block of steps ahead, and its reads, the slope sums
+and the cross-path reductions run per block (`_chunk`).
 
 Noise streams are counter-derived: path p draws from one SFC64 stream per
 purpose (initial states, increments), seeded purely by (seed, p, purpose),
@@ -177,6 +179,7 @@ class EnsembleResult:
     paths: tuple
     deviation_slopes: np.ndarray | None = None     # (n_paths, directions of `Deviations`)
     deviation_curvature: np.ndarray | None = None  # (directions,)
+    relabeled_cost_paths: np.ndarray | None = None  # (count, N), follower costs of the lanes of `relabel`
 
 
 @dataclass(frozen=True)
@@ -459,48 +462,49 @@ def _add_steps(acc: np.ndarray, *terms: np.ndarray) -> np.ndarray:
 def _chunk(args, dW: np.ndarray | None = None) -> dict:
     """March one chunk of paths: the package's one Euler-Maruyama kernel.
 
-    Follower states are one (N c, n) array, follower-major: row j c + i is
-    follower j of path i, so the population mean is a sum over the leading
-    axis and every per-path term broadcasts along contiguous rows.  The
-    leader never sees the followers, so its march, everything read off it
-    and every reduction across paths run one time block at a time; each
-    block first moves its increments from the path-major draw buffer into a
-    time-major one.  The leader marches as (3n, c) columns.  A follower
-    step only files follower 1's errors; the block forms their deviation
-    slopes (`_add_steps`).  `dW`, when given, is a draw buffer of at least
-    c paths, reused across chunks.
+    The c paths run as lanes, followed by r relabeled lanes: copies of the
+    chunk's paths below the relabel count on the same draws, slot j reading
+    agent row rows[j].  Follower states are one (N L, n) array, follower-major:
+    row j L + i is follower j of lane i, so the population mean is a sum over
+    the leading axis and every per-path term broadcasts along contiguous rows.
+    The leader never sees the followers, so its march (as (3n, L) columns),
+    everything read off it and every reduction, over the first c lanes only,
+    run one time block at a time; each block first moves its increments from
+    the path-major draw buffer into a time-major one.  A follower step only
+    files follower 1's errors; the block forms their deviation slopes
+    (`_add_steps`).  `dW`, when given, is a draw buffer of at least c paths,
+    reused across chunks.
     """
-    (tab, law, seed, start, stop, substeps, rows, store_upto, slopes) = args
+    (tab, law, seed, start, stop, substeps, (rows, count), store_upto, slopes) = args
     nm = NoiseModel(seed)
     c = stop - start
+    r = max(0, min(count, stop) - start)      # relabeled lanes
+    L = c + r
     K, n, m, N = tab.steps, tab.n, tab.m, tab.N
-    Nc = N * c
+    NL = N * L
 
     # One stream per (path, purpose), drawn straight into its slot of the
-    # path-major buffer; agent slot j reads row rows[j].
+    # path-major buffer.
     init = np.empty((c, N + 1, n))
     dW = np.empty((c, N + 1, K)) if dW is None else dW[:c]
     for i, p in enumerate(range(start, stop)):
         init[i] = nm.initial(p, law, N)
-        if rows is None:
-            nm.wiener(p, N + 1, K, tab.dt, substeps, out=dW[i])
-        else:
-            init[i] = init[i, rows]
-            dW[i] = nm.wiener(p, N + 1, K, tab.dt, substeps)[rows]
+        nm.wiener(p, N + 1, K, tab.dt, substeps, out=dW[i])
+    init = np.concatenate([init, init[:r, rows]])
 
-    # The leader's extended state X, one (3n, c) block per node: one step is
+    # The leader's extended state X, one (3n, L) block per node: one step is
     # X_step[k]' X + X_const[k] + noise_vec dW0, `_dot`'s products in its order
-    # summed from one (3n, 3n, c) temporary: 1.5 to 1.7 times faster than `_dot`.
+    # summed from one (3n, 3n, L) temporary: 1.5 to 1.7 times faster than `_dot`.
     B = min(_BLOCK, K + 1)
-    leads = np.zeros((B + 1, 3 * n, c))
+    leads = np.zeros((B + 1, 3 * n, L))
     leads[0, :n] = init[:, 0].T
     leads[0, n:2 * n] = tab.xi_bar[:, None]
-    x = np.ascontiguousarray(init[:, 1:].transpose(1, 0, 2)).reshape(Nc, n)
+    x = np.ascontiguousarray(init[:, 1:].transpose(1, 0, 2)).reshape(NL, n)
     A_step, dtBT, dtf, D = tab.step_f
 
     J0 = np.zeros(c)
-    acc_x = np.zeros((Nc, n))      # per follower and state component: sum_k w_k/2 y (Q y)
-    acc_u = np.zeros((Nc, m))
+    acc_x = np.zeros((NL, n))      # per follower and state component: sum_k w_k/2 y (Q y)
+    acc_u = np.zeros((NL, m))
     if slopes is not None:
         Fy, Fu, Fz, Ly, Lu = slopes
         Sf = np.zeros((Fy.shape[1], c))     # per direction and path: sum_k w_k (y Q dy + u R du)
@@ -519,36 +523,35 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
                 "X": (3 * n,)}
         store = {key: np.empty((n_store,) + d[:-1] + (K + 1, d[-1])) for key, d in dims.items()}
 
-    inc = np.empty((B, N + 1, c))       # one block of increments, time-major
-    xbars, zs = np.empty((B, c, n)), np.empty((B, c, n))
+    inc = np.empty((B, N + 1, L))       # one block of increments, time-major
+    xbars, zs = np.empty((B, L, n)), np.empty((B, L, n))
     for k0 in range(0, K + 1, B):
         nb = min(B, K + 1 - k0)
         ks = slice(k0, k0 + nb)
         steps = min(nb, K - k0)
         for j in range(N + 1):
-            np.copyto(inc[:steps, j], dW[:, j, k0:k0 + steps].T)
+            np.copyto(inc[:steps, j, :c], dW[:, j, k0:k0 + steps].T)
+            np.copyto(inc[:steps, j, c:], dW[:r, rows[j], k0:k0 + steps].T)
 
         if k0:
             leads[0] = leads[B]
         drive = inc[:steps, 0, None] * tab.noise_vec[:, None] + tab.X_const[k0:k0 + steps, :, None]
         for b in range(steps):
             np.add(_ordered_sum(tab.X_step[k0 + b, :, :, None] * leads[b, :, None]), drive[b], out=leads[b + 1])
-        lead = leads[:nb].transpose(0, 2, 1)      # (nb, c, 3n)
-        x0 = lead[:, :, :n]
+        lead = leads[:nb].transpose(0, 2, 1)      # (nb, L, 3n)
         phi = tab.offset[ks, None] + _dot(lead, tab.e3PT[ks])
-        u0 = tab.u0_const[ks, None] - _dot(lead, tab.u0_PT[ks])
-        u_const = -(tab.F_mean[ks, None] + _dot(phi, tab.RinvBtT))    # follower feedback constant, (nb, c, m)
-        target = _dot(x0, tab.Gamma1T) + tab.eta[ks, None]              # leader part of the follower target
+        u_const = -(tab.F_mean[ks, None] + _dot(phi, tab.RinvBtT))    # follower feedback constant, (nb, L, m)
+        target = _dot(lead[:, :, :n], tab.Gamma1T) + tab.eta[ks, None]  # leader part of the follower target
 
         for b in range(nb):
             k = k0 + b
-            x3 = x.reshape(N, c, n)
+            x3 = x.reshape(N, L, n)
             xbar = np.divide(_ordered_sum(x3), N, out=xbars[b])
-            u3 = np.dot(x, tab.F_xT[k]).reshape(N, c, m)
+            u3 = np.dot(x, tab.F_xT[k]).reshape(N, L, m)
             np.subtract(u_const[b], u3, out=u3)
-            u = u3.reshape(Nc, m)
+            u = u3.reshape(NL, m)
             z = np.add(_dot(xbar, tab.GammaT), target[b], out=zs[b])
-            y = (x3 - z).reshape(Nc, n)
+            y = (x3 - z).reshape(NL, n)
             acc_x += np.dot(y, tab.Qw[k]) * y
             acc_u += np.dot(u, tab.Rw[k]) * u
             if slopes is not None:
@@ -560,14 +563,17 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
                 x = np.dot(x, A_step)
                 x += np.dot(u, dtBT)
                 x += dtf[k]
-                x += inc[b, 1:].reshape(Nc, 1) * D
+                x += inc[b, 1:].reshape(NL, 1) * D
 
-        xbar = xbars[:nb]
+        # From here on only the chunk's own paths, the first c lanes.
+        lead, phi, xbar, z = lead[:, :c], phi[:, :c], xbars[:nb, :c], zs[:nb, :c]
+        x0 = lead[:, :, :n]
+        u0 = tab.u0_const[ks, None] - _dot(lead, tab.u0_PT[ks])
         y0 = x0 - _dot(xbar, tab.Gamma0T) - tab.eta0[ks, None]
         J0 += _ordered_sum(0.5 * tab.weights[ks, None] * (_quad(y0, tab.Q0) + _quad(u0, tab.R0)))
         if slopes is not None:
             Sf = _add_steps(Sf, _dot(Fy[ks], y1s[:nb]), _dot(Fu[ks], u1s[:nb]),
-                            *([] if Fz is None else [_dot(Fz[ks], (xbar - zs[:nb]).transpose(0, 2, 1))]))
+                            *([] if Fz is None else [_dot(Fz[ks], (xbar - z).transpose(0, 2, 1))]))
             Sl += _ordered_sum(_dot(Ly[ks], y0.transpose(0, 2, 1)) + _dot(Lu[ks], u0.transpose(0, 2, 1)))
         # Node sums and centred second moments, each summed pairwise along its paths.
         stats = np.concatenate([x0, xbar, u0], axis=2).transpose(0, 2, 1).copy()
@@ -580,10 +586,12 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
             for key, value in (("x0", x0), ("xbar", xbar), ("u0", u0), ("phi", phi), ("X", lead)):
                 store[key][:, ks] = value[:, :n_store].swapaxes(0, 1)
 
+    Ji = (acc_x.sum(axis=1) + acc_u.sum(axis=1)).reshape(N, L)
     return {
         "start": start,
         "J0": J0,
-        "Ji": (acc_x.sum(axis=1) + acc_u.sum(axis=1)).reshape(N, c).T,
+        "Ji": Ji[:, :c].copy().T,       # column-major (c, N), also through a pool: the means add in its order
+        "relabeled": Ji[:, c:].copy().T,
         "slopes": None if slopes is None else np.concatenate([Sf, Sl]).T,
         "node_sum": node_sum,
         "node_m2": node_m2,
@@ -603,33 +611,38 @@ def simulate(
     workers: int = 1,
     store_paths: int = 2,
     substeps: int = 1,
-    agent_permutation=None,
+    relabel=None,
     chunk_size: int | None = None,
     deviations: Deviations | None = None,
 ) -> EnsembleResult:
     """Simulate the closed-loop ensemble and estimate all costs.
 
     Identical (scenario, seed, n_paths) produce bit-identical results for any
-    `workers`.  `agent_permutation` relabels follower slots onto the agent
-    rows of the noise streams (exchangeability checks): slot j reads row
-    agent_permutation[j - 1].  `deviations` additionally costs open-loop
-    deviations along the same paths; see `Deviations`.
+    `workers`.  `relabel=(perm, count)` marches paths 0..count-1 a second
+    time in the same pass, on the same draws, with follower slot j on agent
+    row perm[j - 1] (exchangeability checks); their follower costs come back
+    as `relabeled_cost_paths` and nothing else changes.  `deviations`
+    additionally costs open-loop deviations along the same paths; see
+    `Deviations`.
     """
     if not 1 <= n_paths < 1 << 32:
         raise ValueError("n_paths must lie in [1, 2**32)")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must lie in [0, 2**64)")
+    for name, value in (("chunk_size", 1 if chunk_size is None else chunk_size), ("substeps", substeps)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+    perm, count = relabel or (range(1, s.dims.N + 1), 0)
+    rows = np.concatenate(([0], np.asarray(perm, dtype=int)))
+    if sorted(rows.tolist()) != list(range(s.dims.N + 1)):
+        raise ValueError("relabel's permutation must permute 1..N")
+    if not 0 <= count <= n_paths:
+        raise ValueError("relabel's count must lie in [0, n_paths]")
     require_valid(s)
     _check_grids(s, fg, lg)
     es = assemble_extended(s, fg)
     tab = _build_tables(s, fg, lg, es)
     K, n, N = tab.steps, tab.n, tab.N
-
-    rows = None
-    if agent_permutation is not None:
-        rows = np.concatenate(([0], np.asarray(agent_permutation, dtype=int)))
-        if sorted(rows.tolist()) != list(range(N + 1)):
-            raise ValueError("agent_permutation must permute 1..N")
 
     slopes = curvature = None
     if deviations is not None:
@@ -637,7 +650,7 @@ def simulate(
     store_paths = max(0, min(store_paths, n_paths))
     chunk = chunk_size or default_chunk_size(N, K, n_paths)
     argses = [
-        (tab, s.init, seed, start, min(start + chunk, n_paths), substeps, rows, store_paths, slopes)
+        (tab, s.init, seed, start, min(start + chunk, n_paths), substeps, (rows, count), store_paths, slopes)
         for start in range(0, n_paths, chunk)
     ]
     if workers > 1 and len(argses) > 1:
@@ -705,6 +718,7 @@ def simulate(
         paths=tuple(paths),
         deviation_slopes=None if slopes is None else np.concatenate([p["slopes"] for p in partials]),
         deviation_curvature=curvature,
+        relabeled_cost_paths=None if relabel is None else np.concatenate([p["relabeled"] for p in partials]),
     )
 
 

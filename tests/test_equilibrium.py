@@ -352,6 +352,28 @@ def test_verification_deviations_match_pinned_values(fast_report):
         np.testing.assert_allclose(g[1:], p[1:], rtol=1e-10, atol=0.0, err_msg=p[0])
 
 
+def test_verification_draws_each_stream_once(fast_gains, monkeypatch):
+    # One ensemble pass serves the deviations, the stored paths and the
+    # exchangeability row: one simulate call, two generators per path.
+    import stackmf.equilibrium as equilibrium
+    from stackmf.simulation import NoiseModel
+
+    s, fg, lg = fast_gains
+    calls = {"simulate": 0, "generator": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(equilibrium, "simulate", counted(equilibrium.simulate, "simulate"))
+    monkeypatch.setattr(NoiseModel, "generator", counted(NoiseModel.generator, "generator"))
+    rep = run_verification(s, fg, lg, n_paths=24, seed=0, directions=1)
+    assert rep.passed
+    assert calls == {"simulate": 1, "generator": 2 * 24}
+
+
 def test_verification_csv_is_worker_invariant(fast_gains, tmp_path):
     # 1030 paths make two chunks, so two workers really split the pass.
     s, fg, lg = fast_gains

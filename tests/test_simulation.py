@@ -140,12 +140,51 @@ def test_noise_streams_are_counter_based(fast_gains):
 
 def test_relabeling_streams_permutes_costs(fast_gains):
     s, fg, lg = fast_gains
-    base = simulate(s, fg, lg, 16, seed=11, store_paths=0)
     perm = np.arange(s.dims.N, 0, -1)
-    permuted = simulate(s, fg, lg, 16, seed=11, store_paths=0, agent_permutation=perm)
-    relabeled = base.follower_cost_paths[:, perm - 1]
-    gap = np.max(np.abs(permuted.follower_cost_paths - relabeled))
+    er = simulate(s, fg, lg, 16, seed=11, store_paths=0, relabel=(perm, 16))
+    relabeled = er.follower_cost_paths[:, perm - 1]
+    gap = np.max(np.abs(er.relabeled_cost_paths - relabeled))
     assert gap <= 1e-8 * (1.0 + np.max(np.abs(relabeled)))
+
+
+def _ensemble_fields_equal(a, b) -> None:
+    for field in dataclasses.fields(a):
+        if field.name in ("relabeled_cost_paths", "node_summary", "paths"):
+            continue
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if hasattr(x, "values"):
+            x, y = x.values, y.values
+        assert np.array_equal(x, y), field.name
+    assert a.node_summary.keys() == b.node_summary.keys()
+    for key in a.node_summary:
+        assert np.array_equal(a.node_summary[key], b.node_summary[key]), key
+    assert len(a.paths) == len(b.paths)
+    for pa, pb in zip(a.paths, b.paths):
+        for field in dataclasses.fields(pa):
+            assert np.array_equal(getattr(pa, field.name), getattr(pb, field.name)), field.name
+
+
+@pytest.mark.parametrize("count", [0, 10, 24])
+def test_relabeled_lanes_change_nothing_else(count, fast_gains):
+    # Relabeled lanes ride along in the chunks of the paths they copy; every
+    # other output keeps its bits, and theirs do not depend on the chunking
+    # or the worker count.  At chunk size 7, count 10 ends inside chunk 1.
+    s, fg, lg = fast_gains
+    perm = np.array([3, 1, 5, 2, 4])
+    dev = _two_directions(s)
+    runs = [dict(chunk_size=None), dict(chunk_size=7), dict(chunk_size=1), dict(chunk_size=7, workers=2)]
+    first = None
+    for kw in runs:
+        plain = simulate(s, fg, lg, 24, seed=7, store_paths=9, deviations=dev, **kw)
+        er = simulate(s, fg, lg, 24, seed=7, store_paths=9, deviations=dev, relabel=(perm, count), **kw)
+        assert plain.relabeled_cost_paths is None
+        assert len(er.paths) == 9
+        _ensemble_fields_equal(er, plain)
+        assert er.relabeled_cost_paths.shape == (count, s.dims.N)
+        first = er.relabeled_cost_paths if first is None else first
+        assert np.array_equal(er.relabeled_cost_paths, first), kw
+    if count:
+        assert not np.array_equal(first, plain.follower_cost_paths[:count])
 
 
 def test_reseeded_cost_samples_are_indistinguishable(fast_gains):
@@ -160,7 +199,33 @@ def test_reseeded_cost_samples_are_indistinguishable(fast_gains):
 def test_bad_permutation_rejected(fast_gains):
     s, fg, lg = fast_gains
     with pytest.raises(ValueError):
-        simulate(s, fg, lg, 2, seed=0, agent_permutation=np.ones(s.dims.N, dtype=int))
+        simulate(s, fg, lg, 2, seed=0, relabel=(np.ones(s.dims.N, dtype=int), 2))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(chunk_size=0), "chunk_size"),
+    (dict(chunk_size=-3), "chunk_size"),
+    (dict(substeps=0), "substeps"),
+    (dict(substeps=-1), "substeps"),
+    (dict(relabel=([1, 2, 3, 4, 4], 2)), "permutation"),
+    (dict(relabel=([1, 2, 3, 4], 2)), "permutation"),
+    (dict(relabel=([0, 1, 2, 3, 4], 2)), "permutation"),
+    (dict(relabel=([5, 4, 3, 2, 1], -1)), "count"),
+    (dict(relabel=([5, 4, 3, 2, 1], 5)), "count"),
+])
+def test_bad_arguments_rejected_before_any_work(kwargs, name, fast_gains, monkeypatch):
+    # Nothing is solved or drawn before the arguments are checked.
+    import stackmf.simulation as simulation
+
+    def no_work(*args, **kw):
+        raise AssertionError("work started before the arguments were checked")
+
+    s, fg, lg = fast_gains
+    assert s.dims.N == 5
+    monkeypatch.setattr(simulation, "assemble_extended", no_work)
+    monkeypatch.setattr(simulation.NoiseModel, "generator", no_work)
+    with pytest.raises(ValueError, match=name):
+        simulate(s, fg, lg, 4, seed=0, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +392,16 @@ def test_agent_rows_do_not_depend_on_the_follower_count(fast_scenario):
 
 
 def test_slot_relabelling_is_a_row_permutation(fast_gains):
-    # Slot j reads agent row perm[j]; the leader keeps row 0 and its whole path.
+    # Slot j of a relabeled lane reads agent row perm[j - 1] of the initial
+    # states and the increments; the leader keeps row 0.  Its costs match
+    # the plain per-agent loop driven by the permuted rows.
     s, fg, lg = fast_gains
     perm = np.array([3, 1, 5, 2, 4])
-    base = simulate(s, fg, lg, 5, seed=12, store_paths=5)
-    permuted = simulate(s, fg, lg, 5, seed=12, store_paths=5, agent_permutation=perm)
-    for a, b in zip(base.paths, permuted.paths):
-        assert np.array_equal(b.followers[:, 0], a.followers[perm - 1, 0])
-        assert np.array_equal(b.x0, a.x0)
+    er = simulate(s, fg, lg, 5, seed=12, store_paths=0, relabel=(perm, 5))
+    ref = _reference_ensemble(s, fg, lg, 5, 12, Deviations(), np.zeros(1), perm=perm)
+    np.testing.assert_allclose(er.relabeled_cost_paths, ref["Ji"], rtol=1e-11,
+                               atol=1e-11 * np.max(np.abs(ref["Ji"])))
+    assert not np.allclose(er.follower_cost_paths, ref["Ji"], rtol=1e-3)
 
 
 def test_multi_chunk_results_are_worker_invariant(fast_gains):
@@ -432,12 +499,13 @@ def _vector_game():
     return solve_both(random_scenario(3, n=2, m=2, N=4, mode="game"))
 
 
-def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps):
+def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps, perm=None):
     """Plain per-path, per-agent Euler-Maruyama on the draws `simulate` uses,
     built from the scenario matrices and the gain tables.  Returns per-path
     J0 (n_paths,), Ji (n_paths, N), the trajectories (x0, followers, u0,
     controls), and the cost of every deviated path, (n_paths, directions,
-    len(eps)), directions in the order of `Deviations`."""
+    len(eps)), directions in the order of `Deviations`.  With `perm`,
+    follower j reads agent row perm[j - 1] of every draw."""
     K, dt, n, N = s.grid.steps, s.grid.dt, s.dims.n, s.dims.N
     ld, fd, lc, fc = s.leader_dyn, s.follower_dyn, s.leader_cost, s.follower_cost
     es = assemble_extended(s, fg)
@@ -467,10 +535,11 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps):
     l_chi = [march(ld.A, ld.B, v) for v in dev.leader]
     l_shift = [_population_shift_reference(s, fg, mX, v) for v in dev.leader]
     nm = NoiseModel(seed)
+    rows = slice(None) if perm is None else np.concatenate(([0], perm))
     out = {"J0": [], "Ji": [], "x0": [], "followers": [], "u0": [], "controls": [], "dev": []}
     for p in range(n_paths):
-        init = nm.initial(p, s.init, N)
-        dW = nm.wiener(p, N + 1, K, dt)
+        init = nm.initial(p, s.init, N)[rows]
+        dW = nm.wiener(p, N + 1, K, dt)[rows]
         X = np.concatenate([init[0], s.follower_mean0, np.zeros(n)])
         x = init[1:].copy()
         x0s, u0s = np.empty((K + 1, n)), np.empty((K + 1, s.dims.m))
