@@ -47,10 +47,9 @@ from .follower import (
     SYMMETRY_TOL,
     FollowerGains,
     follower_response,
-    mean_weight,
     offset_drive,
     solve_follower_gains,
-    state_weight,
+    sources,
 )
 from .integrators import StageTable, expm, integrate_linear, linear_stages, sampled_stages
 from .leader import LeaderGains, assemble_extended, solve_leader_gains
@@ -256,8 +255,7 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
         mean_leader = linear_stages(grid, drift0.nodes, f0.nodes,
                                     integrate_linear(drift0, f0, s.leader_mean0, forward=True))
 
-    S = state_weight(s)
-    S1 = mean_weight(s)
+    src = sources(s)
     drive = offset_drive(s, mean_leader)
     g = drive.nodes
 
@@ -271,7 +269,7 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
     fd = f @ _exact_discretization(A, np.eye(n), dt)[1].T
     Rd = dt * R
 
-    dtS = dt * S
+    dtS = dt * src.S
     Pdp = np.zeros((Ksteps + 1, n, n))
     h = np.zeros((Ksteps + 1, n))
     rhs = np.empty((Bd.shape[1], n + 1))     # the feedback gain and the offset's control share one factorization
@@ -285,7 +283,7 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
         closed = Ad - Bd @ gain[:, :n]
         Pdp[k] = dtS + Ad.T @ Pn @ closed
         Pdp[k] = 0.5 * (Pdp[k] + Pdp[k].T)
-        h[k] = -dt * (S1 @ mean[k] + g[k]) + Ad.T @ (w - PB @ gain[:, n])
+        h[k] = -dt * (src.S1 @ mean[k] + g[k]) + Ad.T @ (w - PB @ gain[:, n])
 
     delta_P = float(np.max(np.abs(Pdp - fg.P.values)))
     delta_offset = float(np.max(np.abs(h - ode_offset)))

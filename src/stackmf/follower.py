@@ -12,9 +12,10 @@ offset vector phi driven by the leader's mean path:
     phi' + (A' - Pi G) phi + Pi f - g     = 0,   phi(T) = 0
 
 with G = B R^-1 B'.  The sources S, S1, S2, g are the only mode-dependent
-pieces: game mode carries the (I - Gamma/N) influence factors of a single
-agent on the population average, team mode the social re-weightings of the
-per-capita cost.  The feedback law for agent i is
+pieces, and `sources` is the one place that tests the mode: game mode
+carries the (I - Gamma/N) influence factors of a single agent on the
+population average, team mode the social re-weightings of the per-capita
+cost.  The feedback law for agent i is
 
     u_i = -R^-1 B' (P x_i + K E[x_i] + phi).
 
@@ -56,13 +57,9 @@ from .integrators import (
 from .model import Mode, Scenario, require_valid, time_sampled
 
 __all__ = [
-    "TeamWeights",
+    "Sources",
     "FollowerGains",
-    "team_weights",
-    "state_weight",
-    "mean_weight",
-    "aggregate_weight",
-    "offset_terms",
+    "sources",
     "offset_drive",
     "riccati_stages",
     "closed_loop",
@@ -79,79 +76,41 @@ SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class TeamWeights:
-    """Social re-weightings of the per-capita team cost.
+class Sources:
+    """The mode-dependent sources of the follower equations (module docstring):
+    S of P's, S1 of K's, S2 of Pi's, and the offset drive g = W E[x0] + target,
+    target (steps + 1, n) per node."""
 
-    coupling  = Gamma'Q + Q Gamma - Gamma'Q Gamma   (population average)
-    leader    = Q Gamma1 - Gamma'Q Gamma1           (leader state)
-    target(k) = Q eta_k - Gamma'Q eta_k             (tracking offset, per node)
-    """
-
-    coupling: np.ndarray
-    leader: np.ndarray
-    target: np.ndarray  # (steps + 1, n)
+    S: np.ndarray
+    S1: np.ndarray
+    S2: np.ndarray
+    W: np.ndarray
+    target: np.ndarray
 
 
-def team_weights(s: Scenario) -> TeamWeights:
-    Q = s.follower_cost.Q
-    G = s.follower_cost.Gamma
-    G1 = s.follower_cost.Gamma1
+def sources(s: Scenario) -> Sources:
+    """Game mode weighs Q by J = I - Gamma/N, one agent's marginal effect on its
+    own tracking error; team mode by the social re-weightings of the
+    per-capita cost, coupling = Gamma'Q + Q Gamma - Gamma'Q Gamma."""
+    Q, G, G1 = s.follower_cost.Q, s.follower_cost.Gamma, s.follower_cost.Gamma1
     eta = time_sampled(s.follower_cost.eta, s.grid)
+    N, eye = s.dims.N, np.eye(s.dims.n)
+    frac = (N - 1) / N
+    if s.mode is Mode.GAME:
+        J = eye - G / N
+        JQ = J.T @ Q
+        return Sources(JQ @ J, JQ @ (frac * G), JQ @ (eye - G), JQ @ G1, eta @ JQ.T)
     coupling = G.T @ Q + Q @ G - G.T @ Q @ G
-    leader = Q @ G1 - G.T @ (Q @ G1)
-    target = eta @ Q.T - (eta @ Q.T) @ G
-    return TeamWeights(coupling, leader, target)
-
-
-def _influence(s: Scenario) -> np.ndarray:
-    """I - Gamma/N: one agent's marginal effect on its own tracking error."""
-    return np.eye(s.dims.n) - s.follower_cost.Gamma / s.dims.N
-
-
-def state_weight(s: Scenario) -> np.ndarray:
-    """Source S of the own-state Riccati equation."""
-    Q = s.follower_cost.Q
-    if s.mode is Mode.GAME:
-        J = _influence(s)
-        return J.T @ Q @ J
-    return Q - team_weights(s).coupling / s.dims.N
-
-
-def mean_weight(s: Scenario) -> np.ndarray:
-    """Source S1 of the mean-coupling equation."""
-    Q = s.follower_cost.Q
-    frac = (s.dims.N - 1) / s.dims.N
-    if s.mode is Mode.GAME:
-        J = _influence(s)
-        return J.T @ Q @ (frac * s.follower_cost.Gamma)
-    return frac * team_weights(s).coupling
-
-
-def aggregate_weight(s: Scenario) -> np.ndarray:
-    """Source S2 of the aggregate Riccati equation (solved independently of P, K)."""
-    Q = s.follower_cost.Q
-    if s.mode is Mode.GAME:
-        J = _influence(s)
-        return J.T @ Q @ (np.eye(s.dims.n) - s.follower_cost.Gamma)
-    return Q - team_weights(s).coupling
-
-
-def offset_terms(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The offset drive is g = W E[x0] + target: the weight W of the leader
-    mean and the per-node tracking target, (steps + 1, n)."""
-    if s.mode is Mode.GAME:
-        JQ = _influence(s).T @ s.follower_cost.Q
-        return JQ @ s.follower_cost.Gamma1, time_sampled(s.follower_cost.eta, s.grid) @ JQ.T
-    tw = team_weights(s)
-    return tw.leader, tw.target
+    return Sources(Q - coupling / N, frac * coupling, Q - coupling, Q @ G1 - G.T @ (Q @ G1),
+                   eta @ Q.T - (eta @ Q.T) @ G)
 
 
 def offset_drive(s: Scenario, mean_leader: StageTable) -> StageTable:
     """Drive g of the offset equation along the leader mean path E[x0], at
     every RK4 stage time; the tracking target is sampled data and has linear
     midpoints."""
-    W, target = offset_terms(s)
-    return StageTable(s.grid, mean_leader.values @ W.T + stage_table(s.grid, target).values)
+    src = sources(s)
+    return StageTable(s.grid, mean_leader.values @ src.W.T + stage_table(s.grid, src.target).values)
 
 
 def _gain_matrix(s: Scenario) -> np.ndarray:
@@ -195,8 +154,8 @@ def _riccati_rhs(A: np.ndarray, G: np.ndarray, source: np.ndarray, P: np.ndarray
 
 
 def riccati_stages(s: Scenario, gain: GridFunction, source: np.ndarray) -> StageTable:
-    """Stage table of a follower Riccati gain (P with `state_weight`, Pi with
-    `aggregate_weight`): Hermite midpoints from the gain's own equation."""
+    """Stage table of a follower Riccati gain (P with source S, Pi with S2 of
+    `sources`): Hermite midpoints from the gain's own equation."""
     slopes = _riccati_rhs(s.follower_dyn.A, _gain_matrix(s), source, gain.values)
     return stage_table(s.grid, gain.values, slopes)
 
@@ -205,7 +164,7 @@ def closed_loop(s: Scenario, Pi: GridFunction) -> tuple[StageTable, StageTable, 
     """The follower closed loop on the stage grid: the aggregate gain (Hermite
     midpoints from its own equation), the mean drift A - G Pi and the offset
     drift A' - Pi G."""
-    Pi_st = riccati_stages(s, Pi, aggregate_weight(s))
+    Pi_st = riccati_stages(s, Pi, sources(s).S2)
     A, G = s.follower_dyn.A, _gain_matrix(s)
     return Pi_st, StageTable(s.grid, A - G @ Pi_st.values), StageTable(s.grid, A.T - Pi_st.values @ G)
 
@@ -275,7 +234,8 @@ def _solve_coupled(s: Scenario):
     n = s.dims.n
     A = s.follower_dyn.A
     G = _gain_matrix(s)
-    S, S1 = state_weight(s), mean_weight(s)
+    src = sources(s)
+    S, S1 = src.S, src.S1
     zero = np.zeros((n, n))
     AA, GG = (np.block([[M, zero], [zero, M]]) for M in (A, G))
     vals, health = riccati_flow(AA, GG, np.block([[S, -S1], [zero, S - S1]]), s.grid, (n, n))
@@ -287,6 +247,6 @@ def solve_follower_gains(s: Scenario) -> FollowerGains:
     """Solve P, K and, independently, Pi."""
     require_valid(s)
     P, K, drift, pair_health = _solve_coupled(s)
-    Pi, Pi_health = riccati_flow(s.follower_dyn.A, _gain_matrix(s), aggregate_weight(s), s.grid)
+    Pi, Pi_health = riccati_flow(s.follower_dyn.A, _gain_matrix(s), sources(s).S2, s.grid)
     return follower_gains(s, P, K, GridFunction(s.grid, Pi), drift,
                           (("follower_pair", pair_health), ("Pi", Pi_health)))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .follower import FollowerGains, follower_response, offset_terms, solve_follower_gains
+from .follower import FollowerGains, follower_response, solve_follower_gains, sources
 from .integrators import GridFunction, StageTable, integrate_linear, linear_stages, stage_table
 from .leader import (
     ExtendedSystem,
@@ -191,14 +191,7 @@ class _Tables:
     state z with control u is z @ (I + dt A') + u @ (dt B') + dt f + dW D.
     """
 
-    n: int
-    m: int
-    N: int
-    steps: int
-    dt: float
-    team: bool
     weights: np.ndarray       # trapezoid weights, (K+1,)
-    xi_bar: np.ndarray        # follower initial mean
     mean_state: np.ndarray    # (K+1, 3n)
     mean_follower: np.ndarray  # (K+1, n)
     offset: np.ndarray        # (K+1, n) deterministic part of phi
@@ -213,12 +206,8 @@ class _Tables:
     noise_vec: np.ndarray     # (3n,)
     step0: tuple              # leader (I + dt A0', dt B0', dt f0 per node, D0)
     step_f: tuple             # follower (I + dt A', dt B', dt f per node, D)
-    Q0: np.ndarray
-    R0: np.ndarray
     Gamma0T: np.ndarray
     eta0: np.ndarray          # (K+1, n)
-    Q: np.ndarray
-    R: np.ndarray
     GammaT: np.ndarray
     Gamma1T: np.ndarray
     eta: np.ndarray           # (K+1, n)
@@ -265,7 +254,7 @@ def _check_grids(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> None:
 def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedSystem) -> _Tables:
     K = s.grid.steps
     dt = s.grid.dt
-    n, m, N = s.dims.n, s.dims.m, s.dims.N
+    n = s.dims.n
     mX, KmV, offset = deterministic_layer(s, es, lg)
     P = lg.P.values
 
@@ -285,14 +274,7 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         return eye + dt * T(dyn.A), dt * T(dyn.B), dt * time_sampled(dyn.f, s.grid), dyn.D
 
     return _Tables(
-        n=n,
-        m=m,
-        N=N,
-        steps=K,
-        dt=dt,
-        team=s.mode is Mode.TEAM,
         weights=weights,
-        xi_bar=s.follower_mean0,
         mean_state=mX,
         mean_follower=mean_follower,
         offset=offset,
@@ -307,12 +289,8 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         noise_vec=es.noise,
         step0=step(s.leader_dyn),
         step_f=step(s.follower_dyn),
-        Q0=s.leader_cost.Q,
-        R0=s.leader_cost.R,
         Gamma0T=T(s.leader_cost.Gamma),
         eta0=time_sampled(s.leader_cost.eta, s.grid),
-        Q=s.follower_cost.Q,
-        R=s.follower_cost.R,
         GammaT=T(s.follower_cost.Gamma),
         Gamma1T=T(s.follower_cost.Gamma1),
         eta=time_sampled(s.follower_cost.eta, s.grid),
@@ -365,12 +343,12 @@ def _quad(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (_dot(y, M) * y).sum(-1)
 
 
-def _control_shift(tab: _Tables, v: np.ndarray, step: tuple) -> np.ndarray:
+def _control_shift(v: np.ndarray, step: tuple) -> np.ndarray:
     """Euler-Maruyama response of a single state (step tables `step`, as in
     `_Tables`) to unit control deviations v, (K+1, D, m); returns (K+1, D, n)."""
     A_step, dtBT = step[:2]
-    chi = np.zeros((tab.steps + 1, v.shape[1], A_step.shape[0]))
-    for k in range(tab.steps):
+    chi = np.zeros((len(v), v.shape[1], A_step.shape[0]))
+    for k in range(len(v) - 1):
         chi[k + 1] = chi[k] @ A_step + v[k] @ dtBT
     return chi
 
@@ -384,14 +362,14 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
     the shift is then marched with the same one-step scheme the paths use.
     """
     # Column form: each column of the (n, D) states is one direction.
-    dg = stage_table(s.grid, offset_terms(s)[0] @ np.swapaxes(chi0, 1, 2))   # drive shift; chi0 is Euler-marched
+    dg = stage_table(s.grid, sources(s).W @ np.swapaxes(chi0, 1, 2))   # drive shift; chi0 is Euler-marched
     zero = np.zeros(dg.values.shape[1:])
     phi, mean = follower_response(s, fg.Pi, dg, StageTable(s.grid, np.zeros_like(dg.values)), zero)
     dphi, dEbar = np.swapaxes(phi.nodes, 1, 2), np.swapaxes(mean, 1, 2)
     P, Kf = fg.P.values, fg.K.values
     A_step, dtBT = tab.step_f[:2]
     shift = np.zeros_like(chi0)
-    for k in range(tab.steps):
+    for k in range(s.grid.steps):
         du = -(shift[k] @ P[k].T + dEbar[k] @ Kf[k].T + dphi[k]) @ tab.RinvBtT
         shift[k + 1] = shift[k] @ A_step + du @ dtBT
     return shift
@@ -401,18 +379,18 @@ def _deviation_shifts(s: Scenario, fg: FollowerGains, tab: _Tables, dev: Deviati
     """Per-node shifts of the unit deviations, (K+1, directions, dim) each:
     follower-1 state and control, then leader state, population average and
     leader control."""
-    K, m = tab.steps, tab.m
+    K, m = s.grid.steps, s.dims.m
     for v in dev.follower + dev.leader:
         if np.shape(v) != (K + 1, m):
             raise ValueError(f"deviation directions must have shape ({K + 1}, {m})")
     v_f = np.stack(dev.follower, axis=1) if dev.follower else np.zeros((K + 1, 0, m))
     v_l = np.stack(dev.leader, axis=1) if dev.leader else np.zeros((K + 1, 0, m))
-    chi0 = _control_shift(tab, v_l, tab.step0)
+    chi0 = _control_shift(v_l, tab.step0)
     xi_shift = _population_shift(s, fg, tab, chi0) if dev.leader else chi0
-    return _control_shift(tab, v_f, tab.step_f), v_f, chi0, xi_shift, v_l
+    return _control_shift(v_f, tab.step_f), v_f, chi0, xi_shift, v_l
 
 
-def _slope_tables(tab: _Tables, shifts: tuple) -> tuple:
+def _slope_tables(s: Scenario, tab: _Tables, shifts: tuple) -> tuple:
     """What the kernel reads to cost the unit deviations, and their curvatures.
 
     A deviation by eps moves a cost's tracking errors y by eps dy and its
@@ -430,7 +408,8 @@ def _slope_tables(tab: _Tables, shifts: tuple) -> tuple:
     first two.
     """
     fx, fu, lx, lxbar, lu = shifts
-    N, w = tab.N, tab.weights
+    N, w = s.dims.N, tab.weights
+    Q, R, Q0, R0 = s.follower_cost.Q, s.follower_cost.R, s.leader_cost.Q, s.leader_cost.R
 
     def table(d, M):
         return w[:, None, None] * (d @ M)
@@ -441,14 +420,14 @@ def _slope_tables(tab: _Tables, shifts: tuple) -> tuple:
     g = fx @ tab.GammaT / N
     dy1 = fx - g
     dy0 = lx - lxbar @ tab.Gamma0T
-    if tab.team:
-        follower = (table(fx, tab.Q) / N, table(fu, tab.R) / N, -table(g, tab.Q))
-        curv_f = (curvature((dy1, tab.Q), (fu, tab.R)) + (N - 1) * curvature((g, tab.Q))) / N
+    if s.mode is Mode.TEAM:
+        follower = (table(fx, Q) / N, table(fu, R) / N, -table(g, Q))
+        curv_f = (curvature((dy1, Q), (fu, R)) + (N - 1) * curvature((g, Q))) / N
     else:
-        follower = (table(dy1, tab.Q), table(fu, tab.R), None)
-        curv_f = curvature((dy1, tab.Q), (fu, tab.R))
-    tables = follower + (table(dy0, tab.Q0), table(lu, tab.R0))
-    return tables, np.concatenate([curv_f, curvature((dy0, tab.Q0), (lu, tab.R0))])
+        follower = (table(dy1, Q), table(fu, R), None)
+        curv_f = curvature((dy1, Q), (fu, R))
+    tables = follower + (table(dy0, Q0), table(lu, R0))
+    return tables, np.concatenate([curv_f, curvature((dy0, Q0), (lu, R0))])
 
 
 def _add_steps(acc: np.ndarray, *terms: np.ndarray) -> np.ndarray:
@@ -475,21 +454,22 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     (`_add_steps`).  `dW`, when given, is a draw buffer of at least c paths,
     reused across chunks.
     """
-    (tab, law, seed, start, stop, substeps, (rows, count), store_upto, slopes) = args
+    (tab, s, seed, start, stop, substeps, (rows, count), store_upto, slopes) = args
     nm = NoiseModel(seed)
     c = stop - start
     r = max(0, min(count, stop) - start)      # relabeled lanes
     L = c + r
-    K, n, m, N = tab.steps, tab.n, tab.m, tab.N
+    K, n, m, N = s.grid.steps, s.dims.n, s.dims.m, s.dims.N
     NL = N * L
+    Q0, R0 = s.leader_cost.Q, s.leader_cost.R
 
     # One stream per (path, purpose), drawn straight into its slot of the
     # path-major buffer.
     init = np.empty((c, N + 1, n))
     dW = np.empty((c, N + 1, K)) if dW is None else dW[:c]
     for i, p in enumerate(range(start, stop)):
-        init[i] = nm.initial(p, law, N)
-        nm.wiener(p, N + 1, K, tab.dt, substeps, out=dW[i])
+        init[i] = nm.initial(p, s.init, N)
+        nm.wiener(p, N + 1, K, s.grid.dt, substeps, out=dW[i])
     init = np.concatenate([init, init[:r, rows]])
 
     # The leader's extended state X, one (3n, L) block per node: one step is
@@ -498,7 +478,7 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     B = min(_BLOCK, K + 1)
     leads = np.zeros((B + 1, 3 * n, L))
     leads[0, :n] = init[:, 0].T
-    leads[0, n:2 * n] = tab.xi_bar[:, None]
+    leads[0, n:2 * n] = s.follower_mean0[:, None]
     x = np.ascontiguousarray(init[:, 1:].transpose(1, 0, 2)).reshape(NL, n)
     A_step, dtBT, dtf, D = tab.step_f
 
@@ -570,7 +550,7 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         x0 = lead[:, :, :n]
         u0 = tab.u0_const[ks, None] - _dot(lead, tab.u0_PT[ks])
         y0 = x0 - _dot(xbar, tab.Gamma0T) - tab.eta0[ks, None]
-        J0 += _ordered_sum(0.5 * tab.weights[ks, None] * (_quad(y0, tab.Q0) + _quad(u0, tab.R0)))
+        J0 += _ordered_sum(0.5 * tab.weights[ks, None] * (_quad(y0, Q0) + _quad(u0, R0)))
         if slopes is not None:
             Sf = _add_steps(Sf, _dot(Fy[ks], y1s[:nb]), _dot(Fu[ks], u1s[:nb]),
                             *([] if Fz is None else [_dot(Fz[ks], (xbar - z).transpose(0, 2, 1))]))
@@ -590,8 +570,8 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     return {
         "start": start,
         "J0": J0,
-        "Ji": Ji[:, :c].copy().T,       # column-major (c, N), also through a pool: the means add in its order
-        "relabeled": Ji[:, c:].copy().T,
+        "Ji": Ji[:, :c],
+        "relabeled": Ji[:, c:],
         "slopes": None if slopes is None else np.concatenate([Sf, Sl]).T,
         "node_sum": node_sum,
         "node_m2": node_m2,
@@ -642,15 +622,15 @@ def simulate(
     _check_grids(s, fg, lg)
     es = assemble_extended(s, fg)
     tab = _build_tables(s, fg, lg, es)
-    K, n, N = tab.steps, tab.n, tab.N
+    K, n, N = s.grid.steps, s.dims.n, s.dims.N
 
     slopes = curvature = None
     if deviations is not None:
-        slopes, curvature = _slope_tables(tab, _deviation_shifts(s, fg, tab, deviations))
+        slopes, curvature = _slope_tables(s, tab, _deviation_shifts(s, fg, tab, deviations))
     store_paths = max(0, min(store_paths, n_paths))
     chunk = chunk_size or default_chunk_size(N, K, n_paths)
     argses = [
-        (tab, s.init, seed, start, min(start + chunk, n_paths), substeps, (rows, count), store_paths, slopes)
+        (tab, s, seed, start, min(start + chunk, n_paths), substeps, (rows, count), store_paths, slopes)
         for start in range(0, n_paths, chunk)
     ]
     if workers > 1 and len(argses) > 1:
@@ -662,7 +642,8 @@ def simulate(
         partials = [_chunk(a, dW) for a in argses]
 
     J0 = np.concatenate([p["J0"] for p in partials])
-    Ji = np.concatenate([p["Ji"] for p in partials])
+    # Follower costs, (N, paths): the cost means and sums add in one order for any chunking.
+    Ji, relabeled = (np.concatenate([p[key] for p in partials], axis=1) for key in ("Ji", "relabeled"))
 
     def total(key):
         acc = partials[0][key].copy()
@@ -696,7 +677,7 @@ def simulate(
         se = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
         return CostEstimate(mean, se)
 
-    Jsoc_paths = Ji.mean(axis=1)
+    Jsoc_paths = _ordered_sum(Ji) / N
     grid = s.grid
     return EnsembleResult(
         n_paths=n_paths,
@@ -704,11 +685,11 @@ def simulate(
         mode=s.mode,
         leader_cost=estimate(J0),
         social_cost=estimate(Jsoc_paths),
-        follower_costs=Ji.mean(axis=0),
-        follower_costs_se=Ji.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros(N),
+        follower_costs=Ji.mean(axis=1),
+        follower_costs_se=Ji.std(axis=1, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros(N),
         leader_cost_paths=J0,
         social_cost_paths=Jsoc_paths,
-        follower_cost_paths=Ji,
+        follower_cost_paths=Ji.T,
         lln_gap=GridFunction(grid, gap),
         mean_state=GridFunction(grid, tab.mean_state),
         mean_follower=GridFunction(grid, tab.mean_follower),
@@ -718,7 +699,7 @@ def simulate(
         paths=tuple(paths),
         deviation_slopes=None if slopes is None else np.concatenate([p["slopes"] for p in partials]),
         deviation_curvature=curvature,
-        relabeled_cost_paths=None if relabel is None else np.concatenate([p["relabeled"] for p in partials]),
+        relabeled_cost_paths=None if relabel is None else relabeled.T,
     )
 
 

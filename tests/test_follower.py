@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from stackmf import follower
-from stackmf.follower import (
-    FollowerGains,
-    mean_weight,
-    solve_follower_gains,
-    state_weight,
-)
+from stackmf.follower import FollowerGains, solve_follower_gains, sources
 from stackmf.integrators import BlowUpError, stage_table
 from stackmf.model import Dims, Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
@@ -172,7 +167,8 @@ def _pair_by_blocks(s):
     n = s.dims.n
     A, B = s.follower_dyn.A, s.follower_dyn.B
     G = B @ np.linalg.solve(s.follower_cost.R, B.T)
-    S, S1 = state_weight(s), mean_weight(s)
+    src = sources(s)
+    S, S1 = src.S, src.S1
 
     def rhs(t, y):
         P, K = y[:n * n].reshape(n, n), y[n * n:].reshape(n, n)

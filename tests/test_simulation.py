@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from stackmf.equilibrium import direction_library
-from stackmf.follower import aggregate_weight, riccati_stages
+from stackmf.follower import riccati_stages, sources
 from stackmf.integrators import StageTable, stage_table
 from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario, time_sampled
@@ -69,8 +69,9 @@ def test_worker_count_does_not_change_results(fast_gains):
 
 def _check_chunking_is_invisible(s, fg, lg) -> None:
     # Per-path quantities are computed row-wise and must be bitwise stable
-    # under re-chunking; cross-path reductions may reassociate by one ulp.
-    # A chunk of one path is included: numpy sums a lone column pairwise.
+    # under re-chunking, and so must the cost means and standard errors;
+    # node statistics may reassociate by one ulp.  A chunk of one path is
+    # included: numpy sums a lone column pairwise.
     dev = _two_directions(s)
     base = simulate(s, fg, lg, 24, seed=7, store_paths=9, deviations=dev)
     for chunk in (7, 1):
@@ -78,6 +79,9 @@ def _check_chunking_is_invisible(s, fg, lg) -> None:
         assert np.array_equal(base.leader_cost_paths, odd.leader_cost_paths)
         assert np.array_equal(base.social_cost_paths, odd.social_cost_paths)
         assert np.array_equal(base.follower_cost_paths, odd.follower_cost_paths)
+        assert base.social_cost == odd.social_cost
+        assert np.array_equal(base.follower_costs, odd.follower_costs)
+        assert np.array_equal(base.follower_costs_se, odd.follower_costs_se)
         assert np.array_equal(base.deviation_slopes, odd.deviation_slopes)
         assert np.array_equal(base.deviation_curvature, odd.deviation_curvature)
         assert len(base.paths) == len(odd.paths) == 9
@@ -95,8 +99,15 @@ def test_chunk_size_changes_nothing_per_path(fast_gains):
     _check_chunking_is_invisible(*fast_gains)
 
 
-@pytest.mark.parametrize("case", ["steps_127", "steps_128", "vector_game"])
-def test_chunk_size_changes_nothing_per_path_on_every_block_shape(case, fast_scenario):
+@pytest.fixture(scope="module")
+def fast_gains_30(fast_scenario):
+    """The fast scenario with 30 followers: numpy sums a contiguous row of 8
+    or more entries pairwise, so a sum over the followers can take either order."""
+    return solve_both(dataclasses.replace(fast_scenario, dims=dataclasses.replace(fast_scenario.dims, N=30)))
+
+
+@pytest.mark.parametrize("case", ["steps_127", "steps_128", "vector_game", "followers_30"])
+def test_chunk_size_changes_nothing_per_path_on_every_block_shape(case, fast_scenario, request):
     # The kernel works in blocks of 64 nodes.  At 127 steps the nodes fill
     # whole blocks; at 128 the last block is one node and takes no step.
     # The vector game (n = m = 2) has no scaled increments; its follower
@@ -104,9 +115,23 @@ def test_chunk_size_changes_nothing_per_path_on_every_block_shape(case, fast_sce
     # any row count (README, "Determinism and reproducibility").
     if case == "vector_game":
         _check_chunking_is_invisible(*_vector_game())
+    elif case == "followers_30":
+        _check_chunking_is_invisible(*request.getfixturevalue("fast_gains_30"))
     else:
         grid = TimeGrid(fast_scenario.grid.horizon, int(case[-3:]))
         _check_chunking_is_invisible(*solve_both(dataclasses.replace(fast_scenario, grid=grid)))
+
+
+def test_path_count_changes_nothing_per_path(fast_gains_30):
+    # Path 0 run alone is one chunk of one path; its costs must carry the
+    # bits it has among 12 paths.
+    s, fg, lg = fast_gains_30
+    for seed in range(8):
+        alone = simulate(s, fg, lg, 1, seed=seed, store_paths=0)
+        among = simulate(s, fg, lg, 12, seed=seed, store_paths=0)
+        assert alone.leader_cost_paths[0] == among.leader_cost_paths[0], seed
+        assert alone.social_cost_paths[0] == among.social_cost_paths[0], seed
+        assert np.array_equal(alone.follower_cost_paths[0], among.follower_cost_paths[0]), seed
 
 
 def test_block_sums_add_in_step_order():
@@ -471,7 +496,7 @@ def _population_shift_reference(s, fg, mean_state, v):
     dphi = phis[0].nodes - phis[1].nodes
     dphi_st = StageTable(s.grid, phis[0].values - phis[1].values)
     G = s.follower_dyn.B @ fg.control_map
-    A, Pi = s.follower_dyn.A, riccati_stages(s, fg.Pi, aggregate_weight(s))
+    A, Pi = s.follower_dyn.A, riccati_stages(s, fg.Pi, sources(s).S2)
     dEbar = integrate_forward(lambda t, E: (A - G @ stage_at(Pi, t)) @ E - G @ stage_at(dphi_st, t),
                               np.zeros(n), s.grid).values
     shift = np.zeros((K + 1, n))
@@ -488,7 +513,7 @@ def test_stacked_leader_shifts_match_one_direction_at_a_time(case, fast_gains, f
         random_scenario(7, n=2, m=2, N=4))
     tab = _build_tables(s, fg, lg, assemble_extended(s, fg))
     dirs = [v for _, v in direction_library(s.grid, s.dims.m, 3, seed=4)]
-    stacked = _population_shift(s, fg, tab, _control_shift(tab, np.stack(dirs, axis=1), tab.step0))
+    stacked = _population_shift(s, fg, tab, _control_shift(np.stack(dirs, axis=1), tab.step0))
     for d, v in enumerate(dirs):
         ref = _population_shift_reference(s, fg, tab.mean_state, v)
         assert np.max(np.abs(stacked[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref)), d
