@@ -1,7 +1,9 @@
 """Command-line front end: solve, simulate, verify, and sweep workflows.
 
 Every command ingests a scenario config, writes CSV artifacts plus a
-`manifest.json` into the output directory, and exits with a stable code:
+`manifest.json` into the output directory, and exits with a stable code.
+Every CSV but `verify`'s report, the gains tables included, goes through
+one writer, `_write_rows`.  Codes:
 
     0   success
     1   I/O failure (unreadable config, missing gains files, unwritable out)
@@ -65,9 +67,6 @@ EXIT_BLOWUP = 3
 EXIT_GRID = 4
 EXIT_VERIFY = 5
 EXIT_USAGE = 64
-
-_FOLLOWER_TABLES = ("P", "K", "Pi", "phi")
-_LEADER_TABLES = ("leaderP", "leaderK", "leaderM", "leaderV")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,25 +146,28 @@ def _out_dir(args) -> Path:
 # gains round trip
 
 
-def _write_gains(out: Path, s: Scenario, fg: FollowerGains, lg: LeaderGains) -> list[Path]:
+def _gain_tables(n: int) -> dict[str, tuple]:
+    """The solve tables in file order, each with its item shape."""
+    d = 3 * n
+    return {"P": (n, n), "K": (n, n), "Pi": (n, n), "phi": (n,),
+            "leaderP": (d, d), "leaderK": (d, d), "leaderM": (d, d), "leaderV": (d,)}
+
+
+def _write_table(path: Path, name: str, gf: GridFunction) -> None:
+    """One row per node: t, then the entries in row-major order as `name_i` or `name_i_j`."""
+    header = ["t"] + ["_".join(map(str, (name, *ix))) for ix in np.ndindex(gf.values.shape[1:])]
+    flat = gf.values.reshape(len(gf.values), -1)
+    _write_rows(path, header, _float_lines(np.column_stack([gf.grid.nodes, flat])))
+
+
+def _write_gains(out: Path, s: Scenario, fg: FollowerGains, lg: LeaderGains) -> dict[str, GridFunction]:
     # phi.csv is the offset `simulate` builds its tables from: the same function.
-    offset = deterministic_layer(s, assemble_extended(s, fg), lg)[2]
-    tables = {
-        "P": fg.P,
-        "K": fg.K,
-        "Pi": fg.Pi,
-        "phi": GridFunction(s.grid, offset),
-        "leaderP": lg.P,
-        "leaderK": lg.K,
-        "leaderM": lg.M,
-        "leaderV": lg.V,
-    }
-    written = []
+    offset = GridFunction(s.grid, deterministic_layer(s, assemble_extended(s, fg), lg)[2])
+    values = (fg.P, fg.K, fg.Pi, offset, lg.P, lg.K, lg.M, lg.V)
+    tables = dict(zip(_gain_tables(s.dims.n), values, strict=True))
     for name, gf in tables.items():
-        path = out / f"{name}.csv"
-        gf.to_csv(path, prefix=name)
-        written.append(path)
-    return written
+        _write_table(out / f"{name}.csv", name, gf)
+    return tables
 
 
 def _read_table(s: Scenario, gains_dir: Path, name: str, item_shape: tuple) -> GridFunction:
@@ -195,18 +197,9 @@ def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGain
     (`table_identities`): P + K = Pi with P symmetric, and the leader's
     P + K = M.
     """
-    n = s.dims.n
-    d = 3 * n
-    P = _read_table(s, gains_dir, "P", (n, n))
-    K = _read_table(s, gains_dir, "K", (n, n))
-    Pi = _read_table(s, gains_dir, "Pi", (n, n))
-    _read_table(s, gains_dir, "phi", (n,))
-    lP = _read_table(s, gains_dir, "leaderP", (d, d))
-    lK = _read_table(s, gains_dir, "leaderK", (d, d))
-    lM = _read_table(s, gains_dir, "leaderM", (d, d))
-    lV = _read_table(s, gains_dir, "leaderV", (d,))
-    fg = follower_gains(s, P, K, Pi, float(symmetry_drift(P.values).max()))
-    lg = leader_gains(s, lP, lK, lM, lV)
+    t = {name: _read_table(s, gains_dir, name, shape) for name, shape in _gain_tables(s.dims.n).items()}
+    fg = follower_gains(s, t["P"], t["K"], t["Pi"], float(symmetry_drift(t["P"].values).max()))
+    lg = leader_gains(s, t["leaderP"], t["leaderK"], t["leaderM"], t["leaderV"])
     for row in table_identities(fg, lg):
         if not row.passed:
             raise GridMismatchError(f"{gains_dir}: gains tables contradict each other: "
@@ -249,11 +242,11 @@ def _cmd_solve(args) -> int:
         _write_manifest(out, "solve", s, config_bytes, inputs, outputs)
         return _fail(EXIT_BLOWUP, f"{stage} gain equation blew up at t={e.time:.6g}")
 
-    outputs.extend(_write_gains(out, s, fg, lg))
+    tables = _write_gains(out, s, fg, lg)
+    outputs.extend(out / f"{name}.csv" for name in tables)
     lines = ["status = ok"]
-    for name, gf in (("P", fg.P), ("K", fg.K), ("Pi", fg.Pi), ("leaderP", lg.P),
-                     ("leaderK", lg.K), ("leaderM", lg.M), ("leaderV", lg.V)):
-        lines.append(f"max_abs.{name} = {float(np.max(np.abs(gf.values)))!r}")
+    lines += [f"max_abs.{name} = {float(np.max(np.abs(gf.values)))!r}"
+              for name, gf in tables.items() if name != "phi"]
     lines.append(f"symmetry_drift = {fg.sym_drift!r}")
     for name, health in fg.health + lg.health:
         lines.append(f"flow.{name}.min_factor_det = {health.min_det!r}")
@@ -326,10 +319,7 @@ def _cmd_simulate(args) -> int:
         "paths": args.paths,
         "seed": args.seed,
         "store": store,
-        "gains_sha256": {
-            f"{name}.csv": _sha256_file(gains_dir / f"{name}.csv")
-            for name in _FOLLOWER_TABLES + _LEADER_TABLES
-        },
+        "gains_sha256": {f"{name}.csv": _sha256_file(gains_dir / f"{name}.csv") for name in _gain_tables(n)},
     }
     _write_manifest(
         out, "simulate", s, config_bytes, inputs, [summary_path, costs_path, traj_path]
@@ -341,12 +331,6 @@ def _cmd_simulate(args) -> int:
 # verify
 
 
-def _corrupt(fg: FollowerGains) -> FollowerGains:
-    """Deliberately damage the mean-coupling gain (fault-injection fixture)."""
-    bump = 0.01 * (1.0 + float(np.max(np.abs(fg.K.values))))
-    return dataclasses.replace(fg, K=GridFunction(fg.grid, fg.K.values + bump))
-
-
 def _cmd_verify(args) -> int:
     if args.directions < 1:
         return _fail(EXIT_USAGE, "verify: --directions must be a positive integer")
@@ -355,9 +339,6 @@ def _cmd_verify(args) -> int:
 
     fg = solve_follower_gains(s)
     lg = solve_leader_gains(s, fg)
-    if args.inject_fault:
-        fg = _corrupt(fg)
-
     rep = run_verification(
         s,
         fg,
@@ -377,7 +358,6 @@ def _cmd_verify(args) -> int:
         "paths": args.paths,
         "seed": args.seed,
         "directions": args.directions,
-        "inject_fault": bool(args.inject_fault),
     }
     _write_manifest(out, "verify", s, config_bytes, inputs, [report_path])
 
@@ -543,7 +523,6 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--directions", type=int, default=3)
     p_ver.add_argument("--workers", type=int, default=1)
-    p_ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sweep = subs.add_parser("sweep", help="parameter sweeps with an aggregate table")

@@ -51,7 +51,7 @@ from .follower import (
     solve_follower_gains,
     sources,
 )
-from .integrators import StageTable, expm, integrate_linear, linear_stages, sampled_stages
+from .integrators import StageTable, expm, sampled_stages
 from .leader import LeaderGains, assemble_extended, solve_leader_gains
 from .model import Mode, Scenario, TimeGrid, time_sampled
 from .simulation import Deviations, mean_state_stages, simulate
@@ -228,7 +228,7 @@ def _exact_discretization(A: np.ndarray, B: np.ndarray, dt: float):
     return E[:n, :n], E[:n, n:]
 
 
-def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | None = None) -> DpOracleResult:
+def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable) -> DpOracleResult:
     """Independent finite-horizon check of the follower gain equations.
 
     Discretizes the follower's best-response problem exactly over each step
@@ -238,22 +238,14 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable | Non
     and slope converge at O(dt) to the Riccati solution fg.P and to
     K m + phi along the equilibrium mean path, with K and Pi from `fg` and
     phi and m the `follower_response` to `mean_leader`, the stage table of
-    E[x0]; by default the uncontrolled leader mean.  That phi is returned
-    too, so a caller that needs the follower-route offset along the same
-    mean solves it once.
+    E[x0].  That phi is returned too, so a caller that needs the
+    follower-route offset along the same mean solves it once.
     """
     grid = s.grid
     Ksteps, dt, n = grid.steps, grid.dt, s.dims.n
     A, B = s.follower_dyn.A, s.follower_dyn.B
     R = s.follower_cost.R
     f = time_sampled(s.follower_dyn.f, grid)
-
-    if mean_leader is None:
-        A0 = s.leader_dyn.A
-        drift0 = StageTable(grid, np.broadcast_to(A0, (2 * Ksteps + 1,) + A0.shape))
-        f0 = sampled_stages(s.leader_dyn.f, grid)
-        mean_leader = linear_stages(grid, drift0.nodes, f0.nodes,
-                                    integrate_linear(drift0, f0, s.leader_mean0, forward=True))
 
     src = sources(s)
     drive = offset_drive(s, mean_leader)

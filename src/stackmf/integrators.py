@@ -109,24 +109,6 @@ class GridFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def item_shape(self) -> tuple:
-        return self.values.shape[1:]
-
-    def to_csv(self, path, prefix: str = "v") -> None:
-        """Write one row per node: t, then the entries in row-major order."""
-        shape = self.item_shape
-        if len(shape) == 1:
-            header = [f"{prefix}_{i}" for i in range(shape[0])]
-        elif len(shape) == 2:
-            header = [f"{prefix}_{i}_{j}" for i in range(shape[0]) for j in range(shape[1])]
-        else:
-            header = [f"{prefix}_{i}" for i in range(int(np.prod(shape)) or 1)]
-        rows = np.column_stack([self.grid.nodes, self.values.reshape(self.grid.steps + 1, -1)]).tolist()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(["t"] + header) + "\n")
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
 
 @dataclass(frozen=True)
 class StageTable:
@@ -188,7 +170,8 @@ def sampled_stages(value, grid: TimeGrid) -> StageTable:
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a GridFunction CSV back as (t, flat_values); exact for repr-formatted floats."""
+    """Read a grid table (the CLI's gains CSV: `t`, then each node's entries in
+    row-major order) back as (t, flat_values); exact for repr-formatted floats."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:1] != ["t"]:

@@ -29,8 +29,7 @@ __all__ = [
     "Dims",
     "Distribution",
     "InitialLaw",
-    "LeaderDynamics",
-    "FollowerDynamics",
+    "Dynamics",
     "LeaderCost",
     "FollowerCost",
     "Scenario",
@@ -145,19 +144,11 @@ class InitialLaw:
 
 
 @dataclass(frozen=True)
-class LeaderDynamics:
+class Dynamics:
     A: np.ndarray          # (n, n)
     B: np.ndarray          # (n, m)
     f: np.ndarray          # (n,) or (steps + 1, n)
     D: np.ndarray          # (n,)
-
-
-@dataclass(frozen=True)
-class FollowerDynamics:
-    A: np.ndarray
-    B: np.ndarray
-    f: np.ndarray
-    D: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -180,8 +171,8 @@ class FollowerCost:
 @dataclass(frozen=True)
 class Scenario:
     dims: Dims
-    leader_dyn: LeaderDynamics
-    follower_dyn: FollowerDynamics
+    leader_dyn: Dynamics
+    follower_dyn: Dynamics
     leader_cost: LeaderCost
     follower_cost: FollowerCost
     init: InitialLaw
@@ -391,8 +382,8 @@ def load_scenario(text: str) -> Scenario:
     ro = _readonly
     return Scenario(
         dims=dims,
-        leader_dyn=LeaderDynamics(ro(A0), ro(B0), ro(f0), ro(D0)),
-        follower_dyn=FollowerDynamics(ro(A), ro(B), ro(f), ro(D)),
+        leader_dyn=Dynamics(ro(A0), ro(B0), ro(f0), ro(D0)),
+        follower_dyn=Dynamics(ro(A), ro(B), ro(f), ro(D)),
         leader_cost=LeaderCost(ro(Q0), ro(R0), ro(Gamma0), ro(eta0)),
         follower_cost=FollowerCost(ro(Q), ro(R), ro(Gamma), ro(Gamma1), ro(eta)),
         init=init,

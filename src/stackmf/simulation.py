@@ -430,14 +430,6 @@ def _slope_tables(s: Scenario, tab: _Tables, shifts: tuple) -> tuple:
     return tables, np.concatenate([curv_f, curvature((dy0, Q0), (lu, R0))])
 
 
-def _add_steps(acc: np.ndarray, *terms: np.ndarray) -> np.ndarray:
-    """acc plus each term, (steps,) + acc.shape, added one at a time by step,
-    then in argument order: the bits of a per-step loop `acc += t`."""
-    seq = np.stack(terms, axis=1).reshape((len(terms) * len(terms[0]),) + acc.shape)
-    seq[0] += acc       # t + acc is acc + t, bit for bit
-    return _ordered_sum(seq)
-
-
 def _chunk(args, dW: np.ndarray | None = None) -> dict:
     """March one chunk of paths: the package's one Euler-Maruyama kernel.
 
@@ -450,9 +442,9 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     everything read off it and every reduction, over the first c lanes only,
     run one time block at a time; each block first moves its increments from
     the path-major draw buffer into a time-major one.  A follower step only
-    files follower 1's errors; the block forms their deviation slopes
-    (`_add_steps`).  `dW`, when given, is a draw buffer of at least c paths,
-    reused across chunks.
+    files follower 1's errors; the block forms their deviation slopes and,
+    like the leader's, adds them in step order (`_ordered_sum`).  `dW`, when
+    given, is a draw buffer of at least c paths, reused across chunks.
     """
     (tab, s, seed, start, stop, substeps, (rows, count), store_upto, slopes) = args
     nm = NoiseModel(seed)
@@ -552,8 +544,10 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         y0 = x0 - _dot(xbar, tab.Gamma0T) - tab.eta0[ks, None]
         J0 += _ordered_sum(0.5 * tab.weights[ks, None] * (_quad(y0, Q0) + _quad(u0, R0)))
         if slopes is not None:
-            Sf = _add_steps(Sf, _dot(Fy[ks], y1s[:nb]), _dot(Fu[ks], u1s[:nb]),
-                            *([] if Fz is None else [_dot(Fz[ks], (xbar - z).transpose(0, 2, 1))]))
+            dSf = _dot(Fy[ks], y1s[:nb]) + _dot(Fu[ks], u1s[:nb])
+            if Fz is not None:
+                dSf += _dot(Fz[ks], (xbar - z).transpose(0, 2, 1))
+            Sf += _ordered_sum(dSf)
             Sl += _ordered_sum(_dot(Ly[ks], y0.transpose(0, 2, 1)) + _dot(Lu[ks], u0.transpose(0, 2, 1)))
         # Node sums and centred second moments, each summed pairwise along its paths.
         stats = np.concatenate([x0, xbar, u0], axis=2).transpose(0, 2, 1).copy()

@@ -19,16 +19,15 @@ import scipy.linalg
 
 from stackmf.follower import follower_response, offset_drive, solve_follower_gains
 from stackmf.integrators import (BLOWUP_FACTOR, BlowUpError, GridFunction, StageTable, _frob,
-                                 sampled_stages, stage_table)
+                                 integrate_linear, linear_stages, sampled_stages, stage_table)
 from stackmf.leader import ExtendedSystem, _dM, solve_leader_gains
 from stackmf.model import (
     Dims,
     Distribution,
+    Dynamics,
     FollowerCost,
-    FollowerDynamics,
     InitialLaw,
     LeaderCost,
-    LeaderDynamics,
     Mode,
     Scenario,
     TimeGrid,
@@ -173,11 +172,11 @@ def random_scenario(seed: int, *, mode: str | None = None, gamma_zero: bool = Fa
         gamma = np.zeros((nn, nn)) if gamma_zero else mat(-0.4, 0.4)
         s = Scenario(
             dims=Dims(nn, mm, NN),
-            leader_dyn=LeaderDynamics(
+            leader_dyn=Dynamics(
                 A=mat(-0.6, 0.6), B=mat(-1.0, 1.0, (None, mm)),
                 f=rng.uniform(-0.5, 0.5, nn), D=rng.uniform(0.1, 0.8, nn),
             ),
-            follower_dyn=FollowerDynamics(
+            follower_dyn=Dynamics(
                 A=mat(-0.6, 0.6), B=mat(-1.0, 1.0, (None, mm)),
                 f=rng.uniform(-0.5, 0.5, nn), D=rng.uniform(0.1, 0.8, nn),
             ),
@@ -223,6 +222,16 @@ def follower_offset(s: Scenario, Pi, mean_leader: StageTable) -> StageTable:
     and forcing."""
     forcing = sampled_stages(s.follower_dyn.f, s.grid)
     return follower_response(s, Pi, offset_drive(s, mean_leader), forcing, s.follower_mean0)[0]
+
+
+def uncontrolled_leader_mean(s: Scenario) -> StageTable:
+    """Stage table of E[x0] with the leader's control off, d/dt E[x0] =
+    A0 E[x0] + f0: a mean path for `dp_gain_oracle` that needs no leader solve."""
+    A0 = s.leader_dyn.A
+    drift0 = StageTable(s.grid, np.broadcast_to(A0, (2 * s.grid.steps + 1,) + A0.shape))
+    f0 = sampled_stages(s.leader_dyn.f, s.grid)
+    return linear_stages(s.grid, drift0.nodes, f0.nodes,
+                         integrate_linear(drift0, f0, s.leader_mean0, forward=True))
 
 
 def replace_mode(s: Scenario, mode: Mode) -> Scenario:

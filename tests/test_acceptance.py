@@ -20,7 +20,8 @@ from stackmf.follower import solve_follower_gains
 from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario
 from stackmf.simulation import lln_diagnostic, simulate
-from conftest import FAST_CFG_TEXT, midpoint_flow, random_scenario, replace_mode, solve_both, solve_leader_M
+from conftest import (FAST_CFG_TEXT, midpoint_flow, random_scenario, replace_mode, solve_both, solve_leader_M,
+                      uncontrolled_leader_mean)
 
 SOLVE_TIME_BUDGET = 0.5          # seconds, benchmark solve
 DEVIATION_TIME_BUDGET = 35.0     # seconds, full certification battery
@@ -252,7 +253,7 @@ def test_accept_08_dp_rate(team_scenario):
     deltas_P, deltas_h, dts = [], [], []
     for steps in steps_list:
         sv = dataclasses.replace(team_scenario, grid=TimeGrid(team_scenario.grid.horizon, steps))
-        d = dp_gain_oracle(sv, solve_follower_gains(sv))
+        d = dp_gain_oracle(sv, solve_follower_gains(sv), uncontrolled_leader_mean(sv))
         deltas_P.append(d.delta_P)
         deltas_h.append(d.delta_offset)
         dts.append(sv.grid.dt)

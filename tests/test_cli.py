@@ -1,7 +1,9 @@
 """End-to-end CLI contract: artifacts, exit codes, manifest determinism."""
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,9 +15,11 @@ import numpy as np
 import pytest
 
 import stackmf
-from stackmf.cli import _load_gains, main
+from stackmf import cli
+from stackmf.cli import _build_parser, _load_gains, main
+from stackmf.equilibrium import run_verification
 from stackmf.follower import solve_follower_gains
-from stackmf.integrators import BLOWUP_FACTOR, read_grid_csv
+from stackmf.integrators import BLOWUP_FACTOR, GridFunction, read_grid_csv
 from stackmf.leader import assemble_extended, leader_M_stages, leader_V_stages, solve_leader_gains
 from stackmf.model import load_scenario_file, scenario_to_text
 from stackmf.simulation import NOISE_SCHEME, mean_state_stages, simulate, solve_mean_state
@@ -256,6 +260,21 @@ def test_simulate_missing_gains_exits_io(config, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("missing", GAIN_TABLES)
+def test_simulate_missing_one_gains_table_exits_io(config, gains_dir, tmp_path, capsys, missing):
+    gains = tmp_path / "gains"
+    gains.mkdir()
+    for name in GAIN_TABLES:
+        if name != missing:
+            (gains / f"{name}.csv").write_bytes((gains_dir / f"{name}.csv").read_bytes())
+    capsys.readouterr()
+    code = run_cli("simulate", "--config", str(config), "--gains", str(gains),
+                   "--out", str(tmp_path / "o"), "--paths", "2")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and f"{missing}.csv" in err
+
+
 def _ragged(lines):
     lines[2] = lines[2].rsplit(",", 1)[0]
 
@@ -392,11 +411,19 @@ def test_verify_passes_on_solved_scenario(workdir, config, capsys):
     assert all(row[7] == "1" for row in rows[1:])
 
 
-def test_verify_detects_injected_fault(config, tmp_path, capsys):
+def test_verify_detects_injected_fault(config, tmp_path, capsys, monkeypatch):
+    # Damage the mean-coupling gain K after the leader solve, as a broken
+    # follower solver would; verify must name the identity it breaks.
+    def with_bumped_K(s, fg, lg, **kwargs):
+        bump = 0.01 * (1.0 + float(np.max(np.abs(fg.K.values))))
+        fg = dataclasses.replace(fg, K=GridFunction(fg.grid, fg.K.values + bump))
+        return run_verification(s, fg, lg, **kwargs)
+
+    monkeypatch.setattr(cli, "run_verification", with_bumped_K)
     out = tmp_path / "verify_bad"
     code = run_cli(
         "verify", "--config", str(config), "--out", str(out),
-        "--paths", "32", "--seed", "0", "--directions", "1", "--inject-fault",
+        "--paths", "32", "--seed", "0", "--directions", "1",
     )
     assert code == 5
     captured = capsys.readouterr()
@@ -488,3 +515,15 @@ def test_unknown_vary_key_is_usage_error(config, tmp_path):
 def test_missing_subcommand_is_usage_error():
     assert run_cli() == 64
     assert run_cli("solve", "--bogus", "x") == 64
+
+
+def test_every_option_is_in_its_help(capsys):
+    # No hidden flags: each subcommand's --help lists every option it parses.
+    subcommands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subcommands.choices.items():
+        capsys.readouterr()
+        assert run_cli(command, "--help") == 0
+        shown = capsys.readouterr().out
+        for action in sub._actions:
+            for option in action.option_strings:
+                assert option in shown, (command, option)

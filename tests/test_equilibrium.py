@@ -20,7 +20,7 @@ from stackmf.equilibrium import (
     run_verification,
     stationarity_residuals,
 )
-from conftest import FAST_CFG_TEXT, random_scenario, solve_both
+from conftest import FAST_CFG_TEXT, random_scenario, solve_both, uncontrolled_leader_mean
 
 def one_direction(target, s, fg, lg, direction, n_paths, seed, label="d"):
     """The battery's result for a single follower or leader direction."""
@@ -217,8 +217,8 @@ def test_noiseless_vector_game_leader_is_first_order_optimal():
 def test_dp_oracle_converges_first_order(fast_scenario):
     s = fast_scenario
     s2 = dataclasses.replace(s, grid=TimeGrid(s.grid.horizon, 2 * s.grid.steps))
-    d1 = dp_gain_oracle(s, solve_follower_gains(s))
-    d2 = dp_gain_oracle(s2, solve_follower_gains(s2))
+    d1 = dp_gain_oracle(s, solve_follower_gains(s), uncontrolled_leader_mean(s))
+    d2 = dp_gain_oracle(s2, solve_follower_gains(s2), uncontrolled_leader_mean(s2))
     assert d1.delta_P / d2.delta_P == pytest.approx(2.0, abs=0.3)
     assert d1.delta_offset / d2.delta_offset == pytest.approx(2.0, abs=0.3)
     assert d1.delta_P <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d1.P)))
@@ -226,7 +226,7 @@ def test_dp_oracle_converges_first_order(fast_scenario):
 
 def test_dp_oracle_shapes_and_terminal(fast_scenario):
     s = fast_scenario
-    d = dp_gain_oracle(s, solve_follower_gains(s))
+    d = dp_gain_oracle(s, solve_follower_gains(s), uncontrolled_leader_mean(s))
     K, n = s.grid.steps, s.dims.n
     assert d.P.shape == (K + 1, n, n)
     assert d.offset.shape == (K + 1, n)

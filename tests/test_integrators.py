@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from stackmf import integrators, leader, solve_follower_gains, solve_leader_gains
+from stackmf.cli import _write_table
 from stackmf.integrators import (
     BLOWUP_FACTOR,
     STEP_BLOCK,
@@ -440,7 +441,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(3)
     gf = GridFunction(grid, rng.standard_normal((8, 2, 2)))
     path = tmp_path / "table.csv"
-    gf.to_csv(path, prefix="g")
+    _write_table(path, "g", gf)
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "t,g_0_0,g_0_1,g_1_0,g_1_1"
     t, flat = read_grid_csv(path)
@@ -474,7 +475,7 @@ def test_csv_bytes_match_csv_writer(item_shape, tmp_path):
     flat[0, :4] = (-0.0, 5e-324, 1e300, -1e300)
     flat[1, :3] = (0.0, -5e-324, -2.5)
     gf = GridFunction(grid, vals)
-    gf.to_csv(tmp_path / "new.csv", prefix="g")
+    _write_table(tmp_path / "new.csv", "g", gf)
     _csv_writer_reference(gf, tmp_path / "ref.csv", "g")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     t, back = read_grid_csv(tmp_path / "new.csv")

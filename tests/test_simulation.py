@@ -18,7 +18,6 @@ from stackmf.simulation import (
     Deviations,
     GridMismatchError,
     NoiseModel,
-    _add_steps,
     _build_tables,
     _control_shift,
     _population_shift,
@@ -132,22 +131,6 @@ def test_path_count_changes_nothing_per_path(fast_gains_30):
         assert alone.leader_cost_paths[0] == among.leader_cost_paths[0], seed
         assert alone.social_cost_paths[0] == among.social_cost_paths[0], seed
         assert np.array_equal(alone.follower_cost_paths[0], among.follower_cost_paths[0]), seed
-
-
-def test_block_sums_add_in_step_order():
-    # Slope sums add a block of steps at once; the result must carry the
-    # bits of adding each step's terms in turn.  Magnitudes spread over 16
-    # decades, so another order rounds differently.
-    rng = np.random.default_rng(5)
-    acc = rng.standard_normal((4, 3))
-    terms = [rng.standard_normal((9, 4, 3)) * 10.0 ** rng.uniform(-8, 8, (9, 4, 3)) for _ in range(3)]
-    loop = acc.copy()
-    for k in range(9):
-        for term in terms:
-            loop += term[k]
-    assert np.array_equal(_add_steps(acc, *terms), loop)
-    assert not np.array_equal(_add_steps(acc, *terms[::-1]), loop)
-    assert _add_steps(acc[:, :0], *(term[..., :0] for term in terms)).shape == (4, 0)     # no directions
 
 
 def test_noise_streams_are_counter_based(fast_gains):
