@@ -2,8 +2,9 @@
 
 Every command ingests a scenario config, writes CSV artifacts plus a
 `manifest.json` into the output directory, and exits with a stable code.
-Every CSV but `verify`'s report, the gains tables included, goes through
-one writer, `_write_rows`.  Codes:
+This is the package's one module that writes files, and every CSV, the
+gains tables and `verify`'s report included, goes through one writer,
+`_write_rows`.  Codes:
 
     0   success
     1   I/O failure (unreadable config, missing gains files, unwritable out)
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import run_verification, table_identities
+from .equilibrium import VerificationReport, run_verification, table_identities
 from .follower import FollowerGains, follower_gains, solve_follower_gains, symmetry_drift
 from .integrators import BlowUpError, GridFunction, read_grid_csv
 from .leader import LeaderGains, assemble_extended, leader_gains, solve_leader_gains
@@ -134,6 +135,14 @@ def _float_lines(table: np.ndarray, lead: str = ""):
     """CSV lines of a float table, each prefixed by `lead`; the bytes `_line`
     writes for the same rows."""
     return (lead + ",".join(map(repr, row)) for row in table.tolist())
+
+
+def _write_verification(path: Path, rep: VerificationReport) -> None:
+    """One row per check, then one per deviation; floats in shortest round-trip form."""
+    rows = [("check", c.name, c.value, c.threshold, "", "", "", int(c.passed)) for c in rep.checks]
+    rows += [("deviation", f"{d.target}/{d.label}", "", "", d.c1, d.c1_se, d.c2, int(d.passed))
+             for d in rep.deviations]
+    _write_rows(path, ["kind", "name", "value", "threshold", "c1", "c1_se", "c2", "passed"], map(_line, rows))
 
 
 def _out_dir(args) -> Path:
@@ -352,7 +361,7 @@ def _cmd_verify(args) -> int:
         print(line)
 
     report_path = out / "verification.csv"
-    rep.to_csv(report_path)
+    _write_verification(report_path, rep)
     inputs = {
         "config": str(args.config),
         "paths": args.paths,

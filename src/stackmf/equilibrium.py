@@ -325,14 +325,6 @@ class VerificationReport:
         lines.append(f"overall: {verdict}")
         return lines
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("kind,name,value,threshold,c1,c1_se,c2,passed\n")
-            for c in self.checks:
-                fh.write(f"check,{c.name},{c.value!r},{c.threshold!r},,,,{int(c.passed)}\n")
-            for d in self.deviations:
-                fh.write(f"deviation,{d.target}/{d.label},,,{d.c1!r},{d.c1_se!r},{d.c2!r},{int(d.passed)}\n")
-
 
 def _check(name, value, threshold, detail="") -> CheckRow:
     return CheckRow(name, float(value), float(threshold), bool(value <= threshold), detail)

@@ -478,10 +478,6 @@ class ValidationReport:
     def hard_ok(self) -> bool:
         return all(c.passed for c in self.checks if c.severity == "hard")
 
-    @property
-    def all_ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 

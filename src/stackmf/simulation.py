@@ -17,10 +17,10 @@ trajectory and control, and the leader's extended state X.
 Paths run in chunks; without a pool they share one draw buffer.  Within a
 chunk the followers form one follower-major array, so each step is a
 handful of flat array operations.  Exchangeability checks (`simulate`'s
-`relabel`) march paths a second time, follower rows relabeled, as extra
-lanes of the same arrays on the same draws.  The leader does not see the
-followers: it marches a block of steps ahead, and its reads, the slope sums
-and the cross-path reductions run per block (`_chunk`).
+`relabel`) march paths' followers again, rows relabeled, as extra lanes of
+the same arrays on the same draws.  The leader does not see the followers:
+it is marched once per path, paths as columns, a block of steps ahead; its
+reads, the slope sums and the cross-path reductions run per block (`_chunk`).
 
 Noise streams are counter-derived: path p draws from one SFC64 stream per
 purpose (initial states, increments), seeded purely by (seed, p, purpose),
@@ -186,9 +186,10 @@ class EnsembleResult:
 class _Tables:
     """Per-node precomputations shared by every path.
 
-    States are rows, so every product is `row @ table`: matrices are stored
-    transposed (suffix T) and C-contiguous.  One Euler-Maruyama step of a
-    state z with control u is z @ (I + dt A') + u @ (dt B') + dt f + dW D.
+    Follower states are rows, so their products are `row @ table` with the
+    matrices stored transposed (suffix T): one Euler-Maruyama step of z with
+    control u is z @ (I + dt A') + u @ (dt B') + dt f + dW D.  The leader's
+    paths are columns, read by `_dot(table, columns)` off untransposed tables.
     """
 
     weights: np.ndarray       # trapezoid weights, (K+1,)
@@ -197,8 +198,8 @@ class _Tables:
     offset: np.ndarray        # (K+1, n) deterministic part of phi
     X_step: np.ndarray        # (K+1, 3n, 3n)  I + dt (A + B P)'
     X_const: np.ndarray       # (K+1, 3n)      dt (B (K meanX + V) + f_state)
-    e3PT: np.ndarray          # (K+1, 3n, n)   offset loading of X
-    u0_PT: np.ndarray         # (K+1, 3n, m)
+    e3P: np.ndarray           # (K+1, n, 3n)   offset loading of X
+    u0_P: np.ndarray          # (K+1, m, 3n)
     u0_const: np.ndarray      # (K+1, m)
     F_xT: np.ndarray          # (K+1, n, m)    follower feedback on the own state
     F_mean: np.ndarray        # (K+1, m)
@@ -209,7 +210,6 @@ class _Tables:
     Gamma0T: np.ndarray
     eta0: np.ndarray          # (K+1, n)
     GammaT: np.ndarray
-    Gamma1T: np.ndarray
     eta: np.ndarray           # (K+1, n)
     Qw: np.ndarray            # (K+1, n, n)  half the trapezoid weight times Q
     Rw: np.ndarray            # (K+1, m, m)
@@ -280,8 +280,8 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         offset=offset,
         X_step=np.eye(3 * n) + dt * T(X_drift),
         X_const=dt * (KmV @ es.B.T + es.f_state.nodes),
-        e3PT=T(np.einsum("ij,kjl->kil", es.e3, P)),
-        u0_PT=T(np.einsum("ij,kjl->kil", lg.control_map, P)),
+        e3P=np.einsum("ij,kjl->kil", es.e3, P),
+        u0_P=np.einsum("ij,kjl->kil", lg.control_map, P),
         u0_const=-np.einsum("ij,kj->ki", lg.control_map, KmV),
         F_xT=T(np.einsum("ij,kjl->kil", fg.control_map, fg.P.values)),
         F_mean=F_mean,
@@ -292,7 +292,6 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         Gamma0T=T(s.leader_cost.Gamma),
         eta0=time_sampled(s.leader_cost.eta, s.grid),
         GammaT=T(s.follower_cost.Gamma),
-        Gamma1T=T(s.follower_cost.Gamma1),
         eta=time_sampled(s.follower_cost.eta, s.grid),
         Qw=half_w * s.follower_cost.Q,
         Rw=half_w * s.follower_cost.R,
@@ -338,11 +337,6 @@ def _dot(a: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quad(y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Quadratic form along the last axis: y' M y."""
-    return (_dot(y, M) * y).sum(-1)
-
-
 def _control_shift(v: np.ndarray, step: tuple) -> np.ndarray:
     """Euler-Maruyama response of a single state (step tables `step`, as in
     `_Tables`) to unit control deviations v, (K+1, D, m); returns (K+1, D, n)."""
@@ -380,9 +374,6 @@ def _deviation_shifts(s: Scenario, fg: FollowerGains, tab: _Tables, dev: Deviati
     follower-1 state and control, then leader state, population average and
     leader control."""
     K, m = s.grid.steps, s.dims.m
-    for v in dev.follower + dev.leader:
-        if np.shape(v) != (K + 1, m):
-            raise ValueError(f"deviation directions must have shape ({K + 1}, {m})")
     v_f = np.stack(dev.follower, axis=1) if dev.follower else np.zeros((K + 1, 0, m))
     v_l = np.stack(dev.leader, axis=1) if dev.leader else np.zeros((K + 1, 0, m))
     chi0 = _control_shift(v_l, tab.step0)
@@ -433,27 +424,29 @@ def _slope_tables(s: Scenario, tab: _Tables, shifts: tuple) -> tuple:
 def _chunk(args, dW: np.ndarray | None = None) -> dict:
     """March one chunk of paths: the package's one Euler-Maruyama kernel.
 
-    The c paths run as lanes, followed by r relabeled lanes: copies of the
-    chunk's paths below the relabel count on the same draws, slot j reading
-    agent row rows[j].  Follower states are one (N L, n) array, follower-major:
-    row j L + i is follower j of lane i, so the population mean is a sum over
-    the leading axis and every per-path term broadcasts along contiguous rows.
-    The leader never sees the followers, so its march (as (3n, L) columns),
-    everything read off it and every reduction, over the first c lanes only,
-    run one time block at a time; each block first moves its increments from
-    the path-major draw buffer into a time-major one.  A follower step only
-    files follower 1's errors; the block forms their deviation slopes and,
-    like the leader's, adds them in step order (`_ordered_sum`).  `dW`, when
-    given, is a draw buffer of at least c paths, reused across chunks.
+    The followers of the c paths run as lanes, followed by r relabeled lanes:
+    copies of the chunk's paths below the relabel count on the same draws,
+    slot j reading agent row rows[j].  Follower states are one (N L, n) array,
+    follower-major: row j L + i is follower j of lane i, so the population mean
+    is a sum over the leading axis and every per-path term broadcasts along
+    contiguous rows.  The leader never sees the followers, so it is marched
+    once per path, as (3n, c) columns; lane i reads the leader of path lanes[i].
+    That march, everything read off it and every reduction run one time block
+    at a time; each block first moves its increments from the path-major draw
+    buffer into a time-major one.  A follower step only files follower 1's
+    errors; the block forms their deviation slopes and, like the leader's,
+    adds them in step order (`_ordered_sum`).  `dW`, when given, is a draw
+    buffer of at least c paths, reused across chunks.
     """
     (tab, s, seed, start, stop, substeps, (rows, count), store_upto, slopes) = args
     nm = NoiseModel(seed)
     c = stop - start
     r = max(0, min(count, stop) - start)      # relabeled lanes
+    lanes = np.r_[:c, :r]
     L = c + r
     K, n, m, N = s.grid.steps, s.dims.n, s.dims.m, s.dims.N
     NL = N * L
-    Q0, R0 = s.leader_cost.Q, s.leader_cost.R
+    Q0, R0, G0, G1 = s.leader_cost.Q, s.leader_cost.R, s.leader_cost.Gamma, s.follower_cost.Gamma1
 
     # One stream per (path, purpose), drawn straight into its slot of the
     # path-major buffer.
@@ -462,16 +455,16 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     for i, p in enumerate(range(start, stop)):
         init[i] = nm.initial(p, s.init, N)
         nm.wiener(p, N + 1, K, s.grid.dt, substeps, out=dW[i])
-    init = np.concatenate([init, init[:r, rows]])
 
-    # The leader's extended state X, one (3n, L) block per node: one step is
+    # The leader's extended state X, one (3n, c) block per node: one step is
     # X_step[k]' X + X_const[k] + noise_vec dW0, `_dot`'s products in its order
-    # summed from one (3n, 3n, L) temporary: 1.5 to 1.7 times faster than `_dot`.
+    # summed from one (3n, 3n, c) temporary: 1.5 to 1.7 times faster than `_dot`.
     B = min(_BLOCK, K + 1)
-    leads = np.zeros((B + 1, 3 * n, L))
+    leads = np.zeros((B + 1, 3 * n, c))
     leads[0, :n] = init[:, 0].T
     leads[0, n:2 * n] = s.follower_mean0[:, None]
-    x = np.ascontiguousarray(init[:, 1:].transpose(1, 0, 2)).reshape(NL, n)
+    followers = np.concatenate([init[:, 1:], init[:r, rows[1:]]])
+    x = np.ascontiguousarray(followers.transpose(1, 0, 2)).reshape(NL, n)
     A_step, dtBT, dtf, D = tab.step_f
 
     J0 = np.zeros(c)
@@ -503,17 +496,22 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         steps = min(nb, K - k0)
         for j in range(N + 1):
             np.copyto(inc[:steps, j, :c], dW[:, j, k0:k0 + steps].T)
-            np.copyto(inc[:steps, j, c:], dW[:r, rows[j], k0:k0 + steps].T)
+            if j:
+                np.copyto(inc[:steps, j, c:], dW[:r, rows[j], k0:k0 + steps].T)
 
         if k0:
             leads[0] = leads[B]
-        drive = inc[:steps, 0, None] * tab.noise_vec[:, None] + tab.X_const[k0:k0 + steps, :, None]
+        drive = inc[:steps, 0, None, :c] * tab.noise_vec[:, None] + tab.X_const[k0:k0 + steps, :, None]
         for b in range(steps):
             np.add(_ordered_sum(tab.X_step[k0 + b, :, :, None] * leads[b, :, None]), drive[b], out=leads[b + 1])
-        lead = leads[:nb].transpose(0, 2, 1)      # (nb, L, 3n)
-        phi = tab.offset[ks, None] + _dot(lead, tab.e3PT[ks])
-        u_const = -(tab.F_mean[ks, None] + _dot(phi, tab.RinvBtT))    # follower feedback constant, (nb, L, m)
-        target = _dot(lead[:, :, :n], tab.Gamma1T) + tab.eta[ks, None]  # leader part of the follower target
+        lead = leads[:nb]      # (nb, 3n, c)
+        x0 = lead[:, :n]
+        phi = tab.offset[ks, :, None] + _dot(tab.e3P[ks], lead)
+        # What the follower step reads off the leader, as (nb, L, dim) rows that
+        # `take`, unlike `[:, lanes]`, lays out contiguously: its feedback
+        # constant and the leader part of its target.
+        u_const = -(tab.F_mean[ks, :, None] + _dot(tab.RinvBtT.T, phi)).transpose(0, 2, 1).take(lanes, axis=1)
+        target = (_dot(G1, x0) + tab.eta[ks, :, None]).transpose(0, 2, 1).take(lanes, axis=1)
 
         for b in range(nb):
             k = k0 + b
@@ -537,28 +535,28 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
                 x += dtf[k]
                 x += inc[b, 1:].reshape(NL, 1) * D
 
-        # From here on only the chunk's own paths, the first c lanes.
-        lead, phi, xbar, z = lead[:, :c], phi[:, :c], xbars[:nb, :c], zs[:nb, :c]
-        x0 = lead[:, :, :n]
-        u0 = tab.u0_const[ks, None] - _dot(lead, tab.u0_PT[ks])
-        y0 = x0 - _dot(xbar, tab.Gamma0T) - tab.eta0[ks, None]
-        J0 += _ordered_sum(0.5 * tab.weights[ks, None] * (_quad(y0, Q0) + _quad(u0, R0)))
+        # From here on only the chunk's own paths, the first c lanes, as columns.
+        xbar, z = xbars[:nb, :c].transpose(0, 2, 1), zs[:nb, :c].transpose(0, 2, 1)
+        u0 = tab.u0_const[ks, :, None] - _dot(tab.u0_P[ks], lead)
+        y0 = x0 - _dot(G0, xbar) - tab.eta0[ks, :, None]
+        quad = (_dot(Q0.T, y0) * y0).sum(1) + (_dot(R0.T, u0) * u0).sum(1)
+        J0 += _ordered_sum(0.5 * tab.weights[ks, None] * quad)
         if slopes is not None:
             dSf = _dot(Fy[ks], y1s[:nb]) + _dot(Fu[ks], u1s[:nb])
             if Fz is not None:
-                dSf += _dot(Fz[ks], (xbar - z).transpose(0, 2, 1))
+                dSf += _dot(Fz[ks], xbar - z)
             Sf += _ordered_sum(dSf)
-            Sl += _ordered_sum(_dot(Ly[ks], y0.transpose(0, 2, 1)) + _dot(Lu[ks], u0.transpose(0, 2, 1)))
+            Sl += _ordered_sum(_dot(Ly[ks], y0) + _dot(Lu[ks], u0))
         # Node sums and centred second moments, each summed pairwise along its paths.
-        stats = np.concatenate([x0, xbar, u0], axis=2).transpose(0, 2, 1).copy()
+        stats = np.concatenate([x0, xbar, u0], axis=1)
         node_sum[ks] = stats.sum(axis=2)
         centred = stats - (node_sum[ks] / c)[:, :, None]
         node_m2[ks] = (centred * centred).sum(axis=2)
-        gap_sum[ks] = np.linalg.norm(xbar - tab.mean_follower[ks, None], axis=2).sum(axis=1)
-        phi_spread = max(phi_spread, float(np.max(np.abs(phi - tab.offset[ks, None]))))
+        gap_sum[ks] = np.linalg.norm(xbar - tab.mean_follower[ks, :, None], axis=1).sum(axis=1)
+        phi_spread = max(phi_spread, float(np.max(np.abs(phi - tab.offset[ks, :, None]))))
         if store is not None:
             for key, value in (("x0", x0), ("xbar", xbar), ("u0", u0), ("phi", phi), ("X", lead)):
-                store[key][:, ks] = value[:, :n_store].swapaxes(0, 1)
+                store[key][:, ks] = value[:, :, :n_store].transpose(2, 0, 1)
 
     Ji = (acc_x.sum(axis=1) + acc_u.sum(axis=1)).reshape(N, L)
     return {
@@ -586,7 +584,6 @@ def simulate(
     store_paths: int = 2,
     substeps: int = 1,
     relabel=None,
-    chunk_size: int | None = None,
     deviations: Deviations | None = None,
 ) -> EnsembleResult:
     """Simulate the closed-loop ensemble and estimate all costs.
@@ -603,26 +600,28 @@ def simulate(
         raise ValueError("n_paths must lie in [1, 2**32)")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must lie in [0, 2**64)")
-    for name, value in (("chunk_size", 1 if chunk_size is None else chunk_size), ("substeps", substeps)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1")
-    perm, count = relabel or (range(1, s.dims.N + 1), 0)
+    if substeps < 1:
+        raise ValueError("substeps must be at least 1")
+    K, n, N = s.grid.steps, s.dims.n, s.dims.N
+    perm, count = relabel or (range(1, N + 1), 0)
     rows = np.concatenate(([0], np.asarray(perm, dtype=int)))
-    if sorted(rows.tolist()) != list(range(s.dims.N + 1)):
+    if sorted(rows.tolist()) != list(range(N + 1)):
         raise ValueError("relabel's permutation must permute 1..N")
     if not 0 <= count <= n_paths:
         raise ValueError("relabel's count must lie in [0, n_paths]")
+    if deviations is not None and any(np.shape(v) != (K + 1, s.dims.m)
+                                      for v in deviations.follower + deviations.leader):
+        raise ValueError(f"deviation directions must have shape ({K + 1}, {s.dims.m})")
     require_valid(s)
     _check_grids(s, fg, lg)
     es = assemble_extended(s, fg)
     tab = _build_tables(s, fg, lg, es)
-    K, n, N = s.grid.steps, s.dims.n, s.dims.N
 
     slopes = curvature = None
     if deviations is not None:
         slopes, curvature = _slope_tables(s, tab, _deviation_shifts(s, fg, tab, deviations))
     store_paths = max(0, min(store_paths, n_paths))
-    chunk = chunk_size or default_chunk_size(N, K, n_paths)
+    chunk = default_chunk_size(N, K, n_paths)
     argses = [
         (tab, s, seed, start, min(start + chunk, n_paths), substeps, (rows, count), store_paths, slopes)
         for start in range(0, n_paths, chunk)

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stackmf.cli import _write_verification
 from stackmf.follower import solve_follower_gains
 from stackmf.integrators import GridFunction
 from stackmf.leader import assemble_extended
@@ -284,7 +285,7 @@ def test_verification_summary_lines(fast_report):
 
 def test_verification_csv_schema(fast_report, tmp_path):
     out = tmp_path / "report.csv"
-    fast_report.to_csv(out)
+    _write_verification(out, fast_report)
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
@@ -378,9 +379,8 @@ def test_verification_csv_is_worker_invariant(fast_gains, tmp_path):
     # 1030 paths make two chunks, so two workers really split the pass.
     s, fg, lg = fast_gains
     for workers in (1, 2):
-        run_verification(s, fg, lg, n_paths=1030, seed=4, directions=1, workers=workers).to_csv(
-            tmp_path / f"w{workers}.csv"
-        )
+        rep = run_verification(s, fg, lg, n_paths=1030, seed=4, directions=1, workers=workers)
+        _write_verification(tmp_path / f"w{workers}.csv", rep)
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 

@@ -167,7 +167,7 @@ def test_grid_rejects_bad_parameters():
 
 def test_baseline_passes_all_checks(team_scenario):
     report = validate(team_scenario)
-    assert report.hard_ok and report.all_ok
+    assert report.hard_ok and all(c.passed for c in report.checks)
     assert not report.failures()
     require_valid(team_scenario)  # must not raise
 
@@ -196,7 +196,7 @@ def test_indefinite_state_weight_is_soft(baseline_text):
     # A negative state weight is flagged but does not block the solvers.
     s = load_scenario(baseline_text.replace("Q = 1.0\nR = 0.1", "Q = -1.0\nR = 0.1"))
     report = validate(s)
-    assert report.hard_ok and not report.all_ok
+    assert report.hard_ok and not all(c.passed for c in report.checks)
     assert any(c.name == "psd.Q" for c in report.failures())
     require_valid(s)  # soft failures never raise
 

@@ -85,3 +85,27 @@ def test_every_public_definition_is_read_or_exported_by_the_root():
     assert public
     assert [(fname, name) for fname, name in public
             if name not in used and name not in stackmf.__all__] == []
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """`open(path, mode)` or `path.open(mode)` whose mode may write: one that
+    writes, appends, creates or updates, or one that is not a literal."""
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    modes = call.args[position:position + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+               or set(mode.value) & set("wax+") for mode in modes)
+
+
+def test_only_the_cli_writes_files():
+    # The library computes and returns values; `cli.py` is the one module
+    # that writes files, so every artifact goes through its writers.
+    writes = []
+    for fname, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("write_text", "write_bytes") or (name == "open" and _opens_for_writing(node)):
+                writes.append((fname, node.lineno, name))
+    assert any(fname == "cli.py" for fname, _, _ in writes)
+    assert [w for w in writes if w[0] != "cli.py"] == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import stackmf.simulation as simulation
 from stackmf.equilibrium import direction_library
 from stackmf.follower import riccati_stages, sources
 from stackmf.integrators import StageTable, stage_table
@@ -57,6 +58,13 @@ def _two_directions(s):
     return Deviations(dirs, dirs)
 
 
+def _chunks_of(monkeypatch, size) -> None:
+    """Make `simulate` run chunks of `size` paths; None restores its own choice.
+    The calling process reads the size before it builds any pool task."""
+    monkeypatch.setattr(simulation, "default_chunk_size",
+                        default_chunk_size if size is None else lambda N, steps, n_paths: size)
+
+
 def test_worker_count_does_not_change_results(fast_gains):
     s, fg, lg = fast_gains
     dev = _two_directions(s)
@@ -66,15 +74,16 @@ def test_worker_count_does_not_change_results(fast_gains):
     assert np.array_equal(base.deviation_slopes, multi.deviation_slopes)
 
 
-def _check_chunking_is_invisible(s, fg, lg) -> None:
-    # Per-path quantities are computed row-wise and must be bitwise stable
+def _check_chunking_is_invisible(s, fg, lg, monkeypatch) -> None:
+    # Per-path quantities are computed path by path and must be bitwise stable
     # under re-chunking, and so must the cost means and standard errors;
     # node statistics may reassociate by one ulp.  A chunk of one path is
     # included: numpy sums a lone column pairwise.
     dev = _two_directions(s)
     base = simulate(s, fg, lg, 24, seed=7, store_paths=9, deviations=dev)
     for chunk in (7, 1):
-        odd = simulate(s, fg, lg, 24, seed=7, store_paths=9, chunk_size=chunk, deviations=dev)
+        _chunks_of(monkeypatch, chunk)
+        odd = simulate(s, fg, lg, 24, seed=7, store_paths=9, deviations=dev)
         assert np.array_equal(base.leader_cost_paths, odd.leader_cost_paths)
         assert np.array_equal(base.social_cost_paths, odd.social_cost_paths)
         assert np.array_equal(base.follower_cost_paths, odd.follower_cost_paths)
@@ -94,8 +103,8 @@ def _check_chunking_is_invisible(s, fg, lg) -> None:
             ), key
 
 
-def test_chunk_size_changes_nothing_per_path(fast_gains):
-    _check_chunking_is_invisible(*fast_gains)
+def test_chunk_size_changes_nothing_per_path(fast_gains, monkeypatch):
+    _check_chunking_is_invisible(*fast_gains, monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -106,19 +115,19 @@ def fast_gains_30(fast_scenario):
 
 
 @pytest.mark.parametrize("case", ["steps_127", "steps_128", "vector_game", "followers_30"])
-def test_chunk_size_changes_nothing_per_path_on_every_block_shape(case, fast_scenario, request):
+def test_chunk_size_changes_nothing_per_path_on_every_block_shape(case, fast_scenario, request, monkeypatch):
     # The kernel works in blocks of 64 nodes.  At 127 steps the nodes fill
     # whole blocks; at 128 the last block is one node and takes no step.
     # The vector game (n = m = 2) has no scaled increments; its follower
     # products use BLAS, whose rows numpy's bundled OpenBLAS rounds alike for
     # any row count (README, "Determinism and reproducibility").
     if case == "vector_game":
-        _check_chunking_is_invisible(*_vector_game())
+        _check_chunking_is_invisible(*_vector_game(), monkeypatch)
     elif case == "followers_30":
-        _check_chunking_is_invisible(*request.getfixturevalue("fast_gains_30"))
+        _check_chunking_is_invisible(*request.getfixturevalue("fast_gains_30"), monkeypatch)
     else:
         grid = TimeGrid(fast_scenario.grid.horizon, int(case[-3:]))
-        _check_chunking_is_invisible(*solve_both(dataclasses.replace(fast_scenario, grid=grid)))
+        _check_chunking_is_invisible(*solve_both(dataclasses.replace(fast_scenario, grid=grid)), monkeypatch)
 
 
 def test_path_count_changes_nothing_per_path(fast_gains_30):
@@ -137,7 +146,7 @@ def test_noise_streams_are_counter_based(fast_gains):
     # Path 17 is the same stream whether or not paths 0..16 were simulated.
     s, fg, lg = fast_gains
     big = simulate(s, fg, lg, 18, seed=3, store_paths=18)
-    lone = simulate(s, fg, lg, 1, seed=3, store_paths=1, chunk_size=1)
+    lone = simulate(s, fg, lg, 1, seed=3, store_paths=1)
     assert np.array_equal(big.paths[0].followers, lone.paths[0].followers)
 
 
@@ -173,16 +182,17 @@ def _ensemble_fields_equal(a, b) -> None:
 
 
 @pytest.mark.parametrize("count", [0, 10, 24])
-def test_relabeled_lanes_change_nothing_else(count, fast_gains):
+def test_relabeled_lanes_change_nothing_else(count, fast_gains, monkeypatch):
     # Relabeled lanes ride along in the chunks of the paths they copy; every
     # other output keeps its bits, and theirs do not depend on the chunking
     # or the worker count.  At chunk size 7, count 10 ends inside chunk 1.
     s, fg, lg = fast_gains
     perm = np.array([3, 1, 5, 2, 4])
     dev = _two_directions(s)
-    runs = [dict(chunk_size=None), dict(chunk_size=7), dict(chunk_size=1), dict(chunk_size=7, workers=2)]
+    runs = [(None, {}), (7, {}), (1, {}), (7, dict(workers=2))]
     first = None
-    for kw in runs:
+    for chunk, kw in runs:
+        _chunks_of(monkeypatch, chunk)
         plain = simulate(s, fg, lg, 24, seed=7, store_paths=9, deviations=dev, **kw)
         er = simulate(s, fg, lg, 24, seed=7, store_paths=9, deviations=dev, relabel=(perm, count), **kw)
         assert plain.relabeled_cost_paths is None
@@ -190,7 +200,7 @@ def test_relabeled_lanes_change_nothing_else(count, fast_gains):
         _ensemble_fields_equal(er, plain)
         assert er.relabeled_cost_paths.shape == (count, s.dims.N)
         first = er.relabeled_cost_paths if first is None else first
-        assert np.array_equal(er.relabeled_cost_paths, first), kw
+        assert np.array_equal(er.relabeled_cost_paths, first), (chunk, kw)
     if count:
         assert not np.array_equal(first, plain.follower_cost_paths[:count])
 
@@ -211,8 +221,8 @@ def test_bad_permutation_rejected(fast_gains):
 
 
 @pytest.mark.parametrize("kwargs, name", [
-    (dict(chunk_size=0), "chunk_size"),
-    (dict(chunk_size=-3), "chunk_size"),
+    (dict(deviations=Deviations(follower=(np.ones(3),))), "shape"),
+    (dict(deviations=Deviations(leader=(np.ones((200, 1)),))), "shape"),
     (dict(substeps=0), "substeps"),
     (dict(substeps=-1), "substeps"),
     (dict(relabel=([1, 2, 3, 4, 4], 2)), "permutation"),
@@ -223,8 +233,6 @@ def test_bad_permutation_rejected(fast_gains):
 ])
 def test_bad_arguments_rejected_before_any_work(kwargs, name, fast_gains, monkeypatch):
     # Nothing is solved or drawn before the arguments are checked.
-    import stackmf.simulation as simulation
-
     def no_work(*args, **kw):
         raise AssertionError("work started before the arguments were checked")
 
@@ -412,22 +420,24 @@ def test_slot_relabelling_is_a_row_permutation(fast_gains):
     assert not np.allclose(er.follower_cost_paths, ref["Ji"], rtol=1e-3)
 
 
-def test_multi_chunk_results_are_worker_invariant(fast_gains):
+def test_multi_chunk_results_are_worker_invariant(fast_gains, monkeypatch):
     # Four chunks over two workers: costs, paths, the merged node moments and
     # the deviation slopes match the in-process run bit for bit.
     s, fg, lg = fast_gains
     dev = _two_directions(s)
-    base = simulate(s, fg, lg, 26, seed=6, chunk_size=7, deviations=dev)
-    multi = simulate(s, fg, lg, 26, seed=6, chunk_size=7, workers=2, deviations=dev)
+    _chunks_of(monkeypatch, 7)
+    base = simulate(s, fg, lg, 26, seed=6, deviations=dev)
+    multi = simulate(s, fg, lg, 26, seed=6, workers=2, deviations=dev)
     ensembles_equal(base, multi)
     assert np.array_equal(base.deviation_slopes, multi.deviation_slopes)
 
 
-def test_node_std_is_stable_far_from_zero():
+def test_node_std_is_stable_far_from_zero(monkeypatch):
     # |mean| ~ 1e6 * std: E[x^2] - E[x]^2 would lose about twelve digits.
     s = load_scenario(FAST_CFG_TEXT.replace('leader = "gaussian(1.0, 0.25)"', 'leader = "gaussian(1e6, 1.0)"'))
     s, fg, lg = solve_both(s)
-    er = simulate(s, fg, lg, 40, seed=21, store_paths=40, chunk_size=7)
+    _chunks_of(monkeypatch, 7)
+    er = simulate(s, fg, lg, 40, seed=21, store_paths=40)
     x0 = np.stack([p.x0 for p in er.paths])
     assert np.min(np.abs(x0.mean(axis=0))) > 1e5 * np.max(x0.std(axis=0))
     np.testing.assert_allclose(er.node_summary["x0_std"], x0.std(axis=0), rtol=1e-9, atol=0.0)
@@ -584,7 +594,7 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps, perm=None):
 
 
 @pytest.mark.parametrize("case", ["fast_team", "vector_game"])
-def test_kernel_matches_a_plain_per_agent_loop(case, fast_gains):
+def test_kernel_matches_a_plain_per_agent_loop(case, fast_gains, monkeypatch):
     # Costs, trajectories, node summaries and deviation slopes and curvatures
     # of the chunked, follower-major kernel against one agent at a time, on
     # the same draws.  The reference costs every deviated path at three
@@ -595,7 +605,8 @@ def test_kernel_matches_a_plain_per_agent_loop(case, fast_gains):
     dirs = tuple(v for _, v in direction_library(s.grid, m, 2, seed=3))
     dev = Deviations(dirs, dirs)
     n_paths = 6
-    er = simulate(s, fg, lg, n_paths, seed=19, store_paths=n_paths, chunk_size=4, deviations=dev)
+    _chunks_of(monkeypatch, 4)
+    er = simulate(s, fg, lg, n_paths, seed=19, store_paths=n_paths, deviations=dev)
     eps = np.array([0.0, -0.1, 0.2, 0.3])
     ref = _reference_ensemble(s, fg, lg, n_paths, 19, dev, eps)
 
