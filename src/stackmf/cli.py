@@ -46,7 +46,7 @@ from .model import (
     Scenario,
     ScenarioError,
     TimeGrid,
-    load_scenario_file,
+    load_scenario,
     require_valid,
     validate,
 )
@@ -88,8 +88,13 @@ def _fail(code: int, message: str) -> int:
 
 
 def _load_config(path_str: str) -> tuple[Scenario, bytes]:
+    """The scenario parsed from the config's bytes, and those bytes, read once."""
     raw = Path(path_str).read_bytes()
-    return load_scenario_file(path_str), raw
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"config is not UTF-8: {e}") from None
+    return load_scenario(text), raw
 
 
 def _sha256_bytes(data: bytes) -> str:

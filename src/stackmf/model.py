@@ -6,18 +6,22 @@ an initial law for the states, a uniform time grid on [0, T], and a mode
 switch: "game" (followers compete, Nash response) or "team" (followers
 cooperate, social optimum).
 
-Config format: UTF-8 text, `key = value` lines grouped under bracketed
-sections, `#` comments, one top-level key `mode`.  Matrices are row-major
-nested arrays; scalars are accepted wherever the target is 1x1 (or length-1).
-The offset coefficients f, eta may be time-sampled as `steps + 1` rows.
-See scenarios/baseline_team.cfg for the canonical example.
+Config format: TOML, read by the standard library's `tomllib`, with one
+top-level key `mode` and the sections of `_SECTIONS`, whose keys are the
+field names of the dataclasses they build; one schema drives both
+`load_scenario` and `scenario_to_text`.  Strings are quoted, matrices are
+row-major nested arrays, and scalars are accepted wherever the target is 1x1
+(or length-1).  Booleans are not numbers.  The offset coefficients f, eta may
+be omitted (zero) or time-sampled as `steps + 1` rows.  See
+scenarios/baseline_team.cfg for the canonical example.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+import tomllib
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -197,199 +201,147 @@ def time_sampled(value: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# config parsing
+# config files: one schema reads and writes them
 
-_SECTIONS = {
-    "dims": {"n", "m", "N"},
-    "leader": {"A", "B", "f", "D"},
-    "follower": {"A", "B", "f", "D"},
-    "cost.leader": {"Q", "R", "Gamma", "eta"},
-    "cost.follower": {"Q", "R", "Gamma", "Gamma1", "eta"},
-    "init": {"leader", "follower"},
-    "grid": {"T", "steps"},
-}
-
-_DIST_RE = re.compile(r"^(constant|uniform|gaussian)\s*\((.*)\)$")
-
-
-def _parse_number_list(text: str, where: str):
-    """Parse a scalar or (nested) numeric array literal."""
-    try:
-        import json
-
-        return json.loads(text)
-    except Exception:
-        raise ScenarioError(f"{where}: cannot parse value {text!r} as a number or array") from None
+# (section, Scenario field, the dataclass the section builds), in file order.
+# A section's keys are its dataclass's field names; [grid] names the horizon T.
+_SECTIONS = (
+    ("dims", "dims", Dims),
+    ("leader", "leader_dyn", Dynamics),
+    ("follower", "follower_dyn", Dynamics),
+    ("cost.leader", "leader_cost", LeaderCost),
+    ("cost.follower", "follower_cost", FollowerCost),
+    ("init", "init", InitialLaw),
+    ("grid", "grid", TimeGrid),
+)
+_OPTIONAL = ("f", "eta")   # zero when omitted; may be sampled per node as steps + 1 rows
+_DIST_RE = re.compile(r"(constant|uniform|gaussian)\s*\((.*)\)")
 
 
-def _parse_lines(text: str):
-    """Split config text into {section: {key: raw_value}} plus top-level keys."""
-    sections: dict[str, dict[str, str]] = {}
-    top: dict[str, str] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ScenarioError(f"line {lineno}: unknown section [{name}]")
-            if name in sections:
-                raise ScenarioError(f"line {lineno}: duplicate section [{name}]")
-            sections[name] = {}
-            current = name
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if current is None:
-            if key != "mode":
-                raise ScenarioError(f"line {lineno}: unknown top-level key {key!r} (only 'mode')")
-            if key in top:
-                raise ScenarioError(f"line {lineno}: duplicate key 'mode'")
-            top[key] = value
+def _keys(cls) -> dict:
+    """{config key: field of `cls`} of the section that builds `cls`."""
+    if cls is TimeGrid:
+        return {"T": "horizon", "steps": "steps"}
+    return {f.name: f.name for f in fields(cls)}
+
+
+def _shape(key: str, n: int, m: int) -> tuple:
+    """The one shape of an array key, in whichever section it appears."""
+    return {"B": (n, m), "R": (m, m), "f": (n,), "eta": (n,), "D": (n,)}.get(key, (n, n))
+
+
+def _scalar(value, where: str, kind=(int, float)):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ScenarioError(f"{where}: expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """A number or a nested array of numbers as a float array."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
         else:
-            if key not in _SECTIONS[current]:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r} in section [{current}]")
-            if key in sections[current]:
-                raise ScenarioError(f"line {lineno}: duplicate key {key!r} in section [{current}]")
-            sections[current][key] = value
-    return top, sections
+            _scalar(v, where)
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:
+        raise ScenarioError(f"{where}: rows of unequal length") from None
 
 
-def _shape_matrix(raw, shape, where: str) -> np.ndarray:
-    value = _parse_number_list(raw, where) if isinstance(raw, str) else raw
-    if isinstance(value, (int, float)):
-        if shape == (1, 1):
-            return np.array([[float(value)]])
-        raise ScenarioError(f"{where}: scalar given but a {shape[0]}x{shape[1]} matrix is required")
-    arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise ScenarioError(f"{where}: expected shape {shape[0]}x{shape[1]}, got {arr.shape}")
-    return arr
+def _array(value, shape: tuple, where: str, rows: int | None) -> np.ndarray:
+    """`value` as a read-only array of `shape`, or of (rows, n) when `rows` is
+    given; a scalar fills a 1x1 or length-1 entry."""
+    arr = _numbers(value, where)
+    if arr.ndim == 0 and math.prod(shape) == 1:
+        arr = arr.reshape(shape)
+    if arr.shape != shape and (rows is None or arr.shape != (rows, shape[0])):
+        sampled = "" if rows is None else f" or {(rows, shape[0])} sampled per node"
+        raise ScenarioError(f"{where}: expected shape {shape}{sampled}, got {arr.shape}")
+    return _readonly(arr)
 
 
-def _shape_vector(raw, n: int, grid: TimeGrid | None, where: str, allow_sampled: bool) -> np.ndarray:
-    value = _parse_number_list(raw, where) if isinstance(raw, str) else raw
-    if isinstance(value, (int, float)):
-        if n == 1:
-            return np.array([float(value)])
-        raise ScenarioError(f"{where}: scalar given but a length-{n} vector is required")
-    arr = np.array(value, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (n,):
-            raise ScenarioError(f"{where}: expected length {n}, got {arr.shape[0]}")
-        return arr
-    if arr.ndim == 2 and allow_sampled:
-        if grid is None or arr.shape != (grid.steps + 1, n):
-            expected = f"({grid.steps + 1}, {n})" if grid is not None else "(steps + 1, n)"
-            raise ScenarioError(f"{where}: time-sampled value must have shape {expected}, got {arr.shape}")
-        return arr
-    raise ScenarioError(f"{where}: cannot interpret value of shape {arr.shape}")
-
-
-def _parse_distribution(raw: str, n: int, where: str) -> Distribution:
-    m = _DIST_RE.match(raw.strip().strip('"').strip("'").strip())
-    if not m:
+def _distribution(text, n: int, where: str) -> Distribution:
+    match = _DIST_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    if not match:
         raise ScenarioError(
-            f"{where}: expected constant(c), uniform(a, b) or gaussian(mean, var), got {raw!r}"
+            f"{where}: expected constant(c), uniform(a, b) or gaussian(mean, var), got {text!r}"
         )
-    kind, args_text = m.group(1), m.group(2)
-    args = _parse_number_list(f"[{args_text}]", where)
+    kind = match.group(1)
+    try:
+        args = tomllib.loads(f"args = [{match.group(2)}]")["args"]
+    except tomllib.TOMLDecodeError:
+        raise ScenarioError(f"{where}: cannot parse the parameters {match.group(2)!r}") from None
     want = 1 if kind == "constant" else 2
-
-    def broadcast(v):
-        arr = np.atleast_1d(np.array(v, dtype=float))
-        if arr.shape == (1,) and n > 1:
-            arr = np.full(n, arr[0])
-        if arr.shape != (n,):
-            raise ScenarioError(f"{where}: distribution parameter must be scalar or length {n}")
-        return arr
-
     if len(args) != want:
         raise ScenarioError(f"{where}: {kind} takes {want} parameter(s), got {len(args)}")
-    if kind == "constant":
-        a = broadcast(args[0])
-        return Distribution(kind, a, a)
-    return Distribution(kind, broadcast(args[0]), broadcast(args[1]))
+    params = [_numbers(v, where) for v in args]
+    try:
+        params = [np.broadcast_to(p, (n,)) for p in params]
+    except ValueError:
+        raise ScenarioError(f"{where}: distribution parameter must be scalar or length {n}") from None
+    return Distribution(kind, params[0], params[-1])
+
+
+def _tables(doc: dict, prefix: str = "") -> dict:
+    """{section: its table} of a parsed document; a name outside the schema is refused."""
+    names = [section for section, _, _ in _SECTIONS]
+    found = {}
+    for key, value in doc.items():
+        name = prefix + key
+        if name in names and isinstance(value, dict):
+            found[name] = value
+        elif isinstance(value, dict) and any(s.startswith(name + ".") for s in names):
+            found.update(_tables(value, name + "."))
+        elif name != "mode":
+            raise ScenarioError(f"unexpected section or top-level key {name!r}")
+    return found
 
 
 def load_scenario(text: str) -> Scenario:
-    """Parse a scenario config; strict about unknown keys and shape conflicts."""
-    top, sections = _parse_lines(text)
-    if "mode" not in top:
-        raise ScenarioError("missing top-level key 'mode'")
-    mode_raw = top["mode"].strip().strip('"').strip("'").lower()
+    """Parse a scenario config; strict about unknown keys, types and shapes."""
     try:
-        mode = Mode(mode_raw)
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as e:
+        raise ScenarioError(f"invalid TOML: {e}") from None
+    tables = _tables(doc)
+    if "mode" not in doc:
+        raise ScenarioError("missing top-level key 'mode'")
+    try:
+        mode = Mode(str(doc["mode"]).lower())
     except ValueError:
-        raise ScenarioError(f"mode must be 'game' or 'team', got {top['mode']!r}") from None
+        raise ScenarioError(f"mode must be 'game' or 'team', got {doc['mode']!r}") from None
 
-    for name in _SECTIONS:
-        if name not in sections:
-            raise ScenarioError(f"missing section [{name}]")
+    def build(section: str, cls, dims: Dims | None = None, grid: TimeGrid | None = None):
+        if section not in tables:
+            raise ScenarioError(f"missing section [{section}]")
+        table, keys = tables[section], _keys(cls)
+        for key in table:
+            if key not in keys:
+                raise ScenarioError(f"unknown key {key!r} in section [{section}]")
+        values = {}
+        for key, name in keys.items():
+            where = f"[{section}] {key}"
+            value = table.get(key, [0.0] * dims.n if key in _OPTIONAL else None)
+            if value is None:
+                raise ScenarioError(f"missing key {key!r} in section [{section}]")
+            if cls is Dims or key == "steps":
+                values[name] = _scalar(value, where, int)
+            elif key == "T":
+                values[name] = float(_scalar(value, where))
+            elif cls is InitialLaw:
+                values[name] = _distribution(value, dims.n, where)
+            else:
+                rows = grid.steps + 1 if key in _OPTIONAL else None
+                values[name] = _array(value, _shape(key, dims.n, dims.m), where, rows)
+        return cls(**values)
 
-    def require(section: str, key: str) -> str:
-        if key not in sections[section]:
-            raise ScenarioError(f"missing key {key!r} in section [{section}]")
-        return sections[section][key]
-
-    def integer(section: str, key: str) -> int:
-        v = _parse_number_list(require(section, key), f"[{section}] {key}")
-        if not isinstance(v, int):
-            raise ScenarioError(f"[{section}] {key} must be an integer, got {v!r}")
-        return v
-
-    dims = Dims(integer("dims", "n"), integer("dims", "m"), integer("dims", "N"))
-    n, m = dims.n, dims.m
-
-    t_val = _parse_number_list(require("grid", "T"), "[grid] T")
-    grid = TimeGrid(float(t_val), integer("grid", "steps"))
-
-    zero_n = np.zeros(n)
-
-    def dyn(section: str):
-        A = _shape_matrix(require(section, "A"), (n, n), f"[{section}] A")
-        B = _shape_matrix(require(section, "B"), (n, m), f"[{section}] B")
-        f_raw = sections[section].get("f")
-        f = zero_n.copy() if f_raw is None else _shape_vector(f_raw, n, grid, f"[{section}] f", True)
-        D = _shape_vector(require(section, "D"), n, None, f"[{section}] D", False)
-        return A, B, f, D
-
-    A0, B0, f0, D0 = dyn("leader")
-    A, B, f, D = dyn("follower")
-
-    def cost(section: str, with_gamma1: bool):
-        Q = _shape_matrix(require(section, "Q"), (n, n), f"[{section}] Q")
-        R = _shape_matrix(require(section, "R"), (m, m), f"[{section}] R")
-        Gamma = _shape_matrix(require(section, "Gamma"), (n, n), f"[{section}] Gamma")
-        eta_raw = sections[section].get("eta")
-        eta = zero_n.copy() if eta_raw is None else _shape_vector(eta_raw, n, grid, f"[{section}] eta", True)
-        if with_gamma1:
-            Gamma1 = _shape_matrix(require(section, "Gamma1"), (n, n), f"[{section}] Gamma1")
-            return Q, R, Gamma, Gamma1, eta
-        return Q, R, Gamma, eta
-
-    Q0, R0, Gamma0, eta0 = cost("cost.leader", False)
-    Q, R, Gamma, Gamma1, eta = cost("cost.follower", True)
-
-    init = InitialLaw(
-        leader=_parse_distribution(require("init", "leader"), n, "[init] leader"),
-        follower=_parse_distribution(require("init", "follower"), n, "[init] follower"),
-    )
-
-    ro = _readonly
-    return Scenario(
-        dims=dims,
-        leader_dyn=Dynamics(ro(A0), ro(B0), ro(f0), ro(D0)),
-        follower_dyn=Dynamics(ro(A), ro(B), ro(f), ro(D)),
-        leader_cost=LeaderCost(ro(Q0), ro(R0), ro(Gamma0), ro(eta0)),
-        follower_cost=FollowerCost(ro(Q), ro(R), ro(Gamma), ro(Gamma1), ro(eta)),
-        init=init,
-        grid=grid,
-        mode=mode,
-    )
+    # [dims] and [grid], the first and last sections, set the other sections' shapes.
+    dims, grid = build("dims", Dims), build("grid", TimeGrid)
+    parts = {attr: build(section, cls, dims, grid) for section, attr, cls in _SECTIONS[1:-1]}
+    return Scenario(dims=dims, grid=grid, mode=mode, **parts)
 
 
 def load_scenario_file(path) -> Scenario:
@@ -397,65 +349,22 @@ def load_scenario_file(path) -> Scenario:
         return load_scenario(fh.read())
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_value(arr: np.ndarray) -> str:
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 0:
-        return _fmt(float(a))
-    if a.ndim == 1:
-        return "[" + ", ".join(_fmt(v) for v in a) + "]"
-    return "[" + ", ".join(_fmt_value(row) for row in a) + "]"
-
-
-def _fmt_dist(d: Distribution) -> str:
-    def one(v):
-        return _fmt(v[0]) if v.shape == (1,) else _fmt_value(v)
-
-    if d.kind == "constant":
-        return f"constant({one(d.a)})"
-    return f"{d.kind}({one(d.a)}, {one(d.b)})"
+def _toml(value) -> str:
+    """A schema value as a TOML value; floats in shortest round-trip form."""
+    if isinstance(value, Distribution):
+        params = (value.a,) if value.kind == "constant" else (value.a, value.b)
+        return f'"{value.kind}({", ".join(repr(p.tolist()) for p in params)})"'
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
 
 
 def scenario_to_text(s: Scenario) -> str:
-    """Serialize a scenario; load_scenario(scenario_to_text(s)) reproduces s bitwise."""
-    lines = [f"mode = {s.mode.value}", ""]
-    lines += ["[dims]", f"n = {s.dims.n}", f"m = {s.dims.m}", f"N = {s.dims.N}", ""]
-    for name, dyn in (("leader", s.leader_dyn), ("follower", s.follower_dyn)):
-        lines += [
-            f"[{name}]",
-            f"A = {_fmt_value(dyn.A)}",
-            f"B = {_fmt_value(dyn.B)}",
-            f"f = {_fmt_value(dyn.f)}",
-            f"D = {_fmt_value(dyn.D)}",
-            "",
-        ]
-    lines += [
-        "[cost.leader]",
-        f"Q = {_fmt_value(s.leader_cost.Q)}",
-        f"R = {_fmt_value(s.leader_cost.R)}",
-        f"Gamma = {_fmt_value(s.leader_cost.Gamma)}",
-        f"eta = {_fmt_value(s.leader_cost.eta)}",
-        "",
-        "[cost.follower]",
-        f"Q = {_fmt_value(s.follower_cost.Q)}",
-        f"R = {_fmt_value(s.follower_cost.R)}",
-        f"Gamma = {_fmt_value(s.follower_cost.Gamma)}",
-        f"Gamma1 = {_fmt_value(s.follower_cost.Gamma1)}",
-        f"eta = {_fmt_value(s.follower_cost.eta)}",
-        "",
-        "[init]",
-        f"leader = {_fmt_dist(s.init.leader)}",
-        f"follower = {_fmt_dist(s.init.follower)}",
-        "",
-        "[grid]",
-        f"T = {_fmt(s.grid.horizon)}",
-        f"steps = {s.grid.steps}",
-        "",
-    ]
-    return "\n".join(lines)
+    """Serialize a scenario as TOML; load_scenario(scenario_to_text(s)) reproduces s bitwise."""
+    lines = [f'mode = "{s.mode.value}"']
+    for section, attr, cls in _SECTIONS:
+        part = getattr(s, attr)
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_toml(getattr(part, name))}" for key, name in _keys(cls).items()]
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -148,6 +150,38 @@ def test_malformed_config_exits_validation(tmp_path):
     bad = tmp_path / "nonsense.cfg"
     bad.write_text(FAST_CFG_TEXT.replace('mode = "team"', 'mode = "duel"'), encoding="utf-8")
     assert run_cli("solve", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+
+
+def test_non_utf8_config_exits_validation(tmp_path):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(FAST_CFG_TEXT.encode("utf-8") + "# caf\xe9\n".encode("latin-1"))
+    assert run_cli("solve", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])
+def test_each_command_reads_the_config_once(command, config, gains_dir, tmp_path, monkeypatch):
+    # The manifest's config_sha256 must hash the bytes that were parsed, so
+    # the config is opened once and both come from that one read.
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == config.resolve():
+            opened.append(args[:1] or kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    extra = {
+        "solve": [],
+        "simulate": ["--gains", str(gains_dir), "--paths", "4"],
+        "verify": ["--paths", "8", "--directions", "1"],
+        "sweep": ["--vary", "N", "--values", "4,5", "--paths", "4"],
+    }[command]
+    assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "o"), *extra) == 0
+    assert len(opened) == 1, opened
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_sha256"] == sha256(config)
 
 
 def test_missing_config_exits_io(tmp_path):

@@ -1,6 +1,11 @@
 """Scenario schema: parsing, serialization round-trip, validation, sampling."""
 from __future__ import annotations
 
+import dataclasses
+import re
+import tomllib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ from stackmf.model import (
     ScenarioError,
     TimeGrid,
     load_scenario,
+    load_scenario_file,
     require_valid,
     scenario_to_text,
     time_sampled,
@@ -85,21 +91,57 @@ def test_matrix_config_parses():
     assert np.array_equal(s.init.leader.mean, [1.5, 1.5])
 
 
-@pytest.mark.parametrize("text_name", ["baseline", "matrix"])
-def test_round_trip_is_bitwise(text_name, baseline_text):
-    text = baseline_text if text_name == "baseline" else MATRIX_CFG
-    s1 = load_scenario(text)
-    s2 = load_scenario(scenario_to_text(s1))
-    assert s1.mode is s2.mode and s1.dims == s2.dims
-    assert s1.grid == s2.grid
+def _assert_same_scenario(s1, s2):
+    """Equal field for field, array dtypes included."""
+    assert s1.mode is s2.mode and s1.dims == s2.dims and s1.grid == s2.grid
+    pairs = []
     for grp in ("leader_dyn", "follower_dyn", "leader_cost", "follower_cost"):
         g1, g2 = getattr(s1, grp), getattr(s2, grp)
-        for field in g1.__dataclass_fields__:
-            assert np.array_equal(getattr(g1, field), getattr(g2, field)), (grp, field)
+        pairs += [(getattr(g1, f.name), getattr(g2, f.name)) for f in dataclasses.fields(g1)]
     for tier in ("leader", "follower"):
         d1, d2 = getattr(s1.init, tier), getattr(s2.init, tier)
         assert d1.kind == d2.kind
-        assert np.array_equal(d1.a, d2.a) and np.array_equal(d1.b, d2.b)
+        pairs += [(d1.a, d2.a), (d1.b, d2.b)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _sampled_text() -> str:
+    """MATRIX_CFG with the leader's f and the follower's eta sampled per node."""
+    rng = np.random.default_rng(7)
+    rows = [repr(rng.standard_normal((101, 2)).tolist()) for _ in range(2)]
+    text = MATRIX_CFG.replace("f = [0.25, -0.5]", f"f = {rows[0]}")
+    return text.replace("eta = [0.5, 0.25]", f"eta = {rows[1]}")
+
+
+@pytest.mark.parametrize("case", ["baseline", "matrix", "random_battery", "sampled"])
+def test_round_trip_is_bitwise(case, baseline_text, request):
+    if case == "random_battery":
+        # Vector Gaussian and uniform initial laws, n and m up to 2.
+        scenarios = [s for s, _, _ in request.getfixturevalue("random_battery")]
+    else:
+        text = {"baseline": baseline_text, "matrix": MATRIX_CFG, "sampled": _sampled_text()}[case]
+        scenarios = [load_scenario(text)]
+    for s1 in scenarios:
+        text = scenario_to_text(s1)
+        tomllib.loads(text)  # the serialized form is valid TOML
+        _assert_same_scenario(s1, load_scenario(text))
+    if case == "sampled":
+        assert scenarios[0].leader_dyn.f.shape == scenarios[0].follower_cost.eta.shape == (101, 2)
+
+
+def test_shipped_configs_load():
+    # Every config the repository ships, and the README's example block.
+    repo = Path(__file__).resolve().parents[1]
+    paths = sorted((repo / "scenarios").glob("*.cfg")) + [repo / "perfbench" / "game_n4.cfg"]
+    assert len(paths) >= 2
+    for path in paths:
+        load_scenario_file(path)
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```toml\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        load_scenario(block)
 
 
 def test_time_varying_forcing_parses(baseline_text):
@@ -133,6 +175,17 @@ def test_constant_forcing_tiles_over_grid(team_scenario):
         (lambda t: t + "\nwhatever = 1\n", "whatever"),
         (lambda t: t.replace('leader = "uniform(0, 10)"', 'leader = "uniform(10, 0)"'), "a <= b"),
         (lambda t: t.replace('follower = "uniform(0, 20)"', 'follower = "poisson(3)"'), "poisson"),
+        # Booleans are not numbers.
+        (lambda t: t.replace("n = 1", "n = true"), "[dims] n"),
+        (lambda t: t.replace("T = 10.0", "T = true"), "[grid] T"),
+        (lambda t: t.replace("Q = 1.0", "Q = true", 1), "[cost.leader] Q"),
+        (lambda t: t.replace('leader = "uniform(0, 10)"', 'leader = "uniform(true, 10)"'), "[init] leader"),
+        # TOML syntax errors carry the reader's line and column.
+        (lambda t: t.replace("m = 1", "m = 1\nm = 1"), "line 8, column"),
+        (lambda t: t + "\n[dims]\nn = 1\n", "twice (at line"),
+        (lambda t: t.replace('mode = "team"', "mode = team"), "line 3, column 8"),
+        (lambda t: t + "\n[cost.x]\nQ = 1.0\n", "cost.x"),
+        (lambda t: t.replace("Q = 1.0", "Q = [[1.0], [1.0, 2.0]]", 1), "unequal length"),
     ],
 )
 def test_malformed_configs_are_rejected(baseline_text, mutate, needle):
