@@ -13,8 +13,8 @@ gains tables and `verify`'s report included, goes through one writer,
     4   gains directory is not grid-compatible with the config, a gains
         table is malformed (non-numeric or non-finite cell, missing `t`
         header, ragged row), or the tables contradict each other (follower
-        P + K against Pi, leader P + K against M, or P not symmetric, past
-        the gates of `verify`)
+        P + K against Pi, leader P + K against M, P not symmetric, or leader
+        P nonzero on the offset block, past the gates of `verify`)
     5   verification found a violated invariant
     64  usage error (bad flags, empty value lists, zero paths, a negative
         --store, seed or path count outside the noise-stream range)
@@ -209,7 +209,7 @@ def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGain
     the gains (`simulate` recomputes the offset) but is outside input too.
     The tables must satisfy the identities `verify` gates
     (`table_identities`): P + K = Pi with P symmetric, and the leader's
-    P + K = M.
+    P + K = M with P zero on the third block, which `simulate` skips.
     """
     t = {name: _read_table(s, gains_dir, name, shape) for name, shape in _gain_tables(s.dims.n).items()}
     fg = follower_gains(s, t["P"], t["K"], t["Pi"], float(symmetry_drift(t["P"].values).max()))

@@ -26,11 +26,12 @@ The other rows check that the pieces fit together:
 
 * **Table identities** (`table_identities`) -- the gain tables given,
   solved or loaded, satisfy follower P + K = Pi and leader P + K = M, each
-  sum solved by its own equation, and P's symmetry drift stays roundoff.
+  sum solved by its own equation, P's symmetry drift stays roundoff, and
+  leader P is zero on X's third block, rows and columns: the offset does
+  not depend on the leader's path, and the path kernel skips that block.
 * **Offset consistency** -- the follower offset the leader layer
   reconstructs along the mean path (block 3 of K E[X] + V) equals the
-  follower-route offset along the same leader mean, and every simulated
-  path reads that one deterministic offset (`offset_path_spread`).
+  follower-route offset along the same leader mean.
 * **Exchangeability** -- relabeling which noise row drives which follower
   permutes the per-path follower costs, path by path; the relabeled paths
   ride in the same ensemble pass on the same draws (`simulate`'s `relabel`).
@@ -70,8 +71,8 @@ __all__ = [
 ]
 
 PASS_FLOOR = 1e-9
-# Gates on the gain tables (`table_identities`), relative to 1 + max |Pi|
-# and 1 + max |M|; the symmetry drift of P, max |P - P'|, is gated
+# Gates on the gain tables (`table_identities`), relative to 1 + max |Pi|,
+# |M| and leader |P|; the symmetry drift of P, max |P - P'|, is gated
 # absolutely by the solver's own `follower.SYMMETRY_TOL`.
 FOLLOWER_SUM_TOL = 1e-12
 LEADER_SUM_TOL = 1e-12
@@ -196,7 +197,7 @@ def stationarity_residuals(s: Scenario, er, fg: FollowerGains) -> float:
     mean_term = np.einsum("kij,kj->ki", Kv, er.mean_follower.values)
     worst = 0.0
     for path in er.paths:
-        p = np.einsum("kij,akj->aki", P, path.followers) + mean_term + path.phi
+        p = np.einsum("kij,akj->aki", P, path.followers) + mean_term + er.offset.values
         r = p @ B + path.controls @ R.T
         worst = max(worst, float(np.max(np.abs(r))))
     return worst
@@ -332,15 +333,20 @@ def _check(name, value, threshold, detail="") -> CheckRow:
 
 def table_identities(fg: FollowerGains, lg: LeaderGains) -> list[CheckRow]:
     """Check rows of the identities that gain tables, solved or loaded, must
-    satisfy: follower P + K = Pi with P symmetric, and leader P + K = M."""
+    satisfy: follower P + K = Pi with P symmetric, leader P + K = M, and
+    leader P zero on X's third block (rows and columns), which `simulate` skips."""
 
     def sum_row(name, P, K, total, tol):
         gap = np.max(np.abs(P.values + K.values - total.values))
         return _check(name, gap, tol * (1.0 + np.max(np.abs(total.values))))
 
+    P = lg.P.values
+    third = 2 * P.shape[1] // 3
+    block = max(np.max(np.abs(P[:, third:])), np.max(np.abs(P[:, :, third:])))
     return [sum_row("follower_sum_identity", fg.P, fg.K, fg.Pi, FOLLOWER_SUM_TOL),
             _check("follower_symmetry_drift", fg.sym_drift, SYMMETRY_TOL),
-            sum_row("leader_sum_identity", lg.P, lg.K, lg.M, LEADER_SUM_TOL)]
+            sum_row("leader_sum_identity", lg.P, lg.K, lg.M, LEADER_SUM_TOL),
+            _check("leader_offset_block", block, LEADER_SUM_TOL * (1.0 + np.max(np.abs(P))))]
 
 
 def run_verification(
@@ -389,8 +395,6 @@ def run_verification(
         1e-9 * (1.0 + float(np.max(np.abs(er.offset.values)))),
         "follower-route offset vs leader-route offset",
     )
-
-    add("offset_path_spread", er.phi_spread, 1e-10 * (1.0 + float(np.max(np.abs(er.offset.values)))))
 
     u_scale = float(np.max(np.abs(er.node_summary["u0_mean"]))) + 1.0
     add("stationarity_residual", stationarity_residuals(s, er, fg), 1e-9 * u_scale)

@@ -85,7 +85,6 @@ class ExtendedSystem:
     f_state: StageTable       # (3n,)
     f_costate: StageTable     # (3n,)
     noise: np.ndarray         # (3n,)
-    e3: np.ndarray            # (n, 3n) selector of block 3
 
 
 def _block(n: int, entries: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
@@ -162,9 +161,6 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     noise = np.zeros(3 * n)
     noise[:n] = s.leader_dyn.D
 
-    e3 = np.zeros((n, 3 * n))
-    e3[:, 2 * n:] = np.eye(n)
-
     return ExtendedSystem(
         n=n,
         grid=grid,
@@ -177,7 +173,6 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
         f_state=StageTable(grid, f_state),
         f_costate=StageTable(grid, f_costate),
         noise=noise,
-        e3=e3,
     )
 
 

@@ -12,7 +12,8 @@ baseline path plus a deterministic shift, and each direction's pathwise
 cost slope is accumulated along the baseline paths in the same pass.  The
 followers' answer to a leader shift is `follower.follower_response`, one
 column per direction.  Stored paths (`SimPath`) hold every agent's
-trajectory and control, and the leader's extended state X.
+trajectory and control, and the first two blocks of the leader's extended
+state X, the ones anything reads: leader `P` is zero on the third.
 
 Paths run in chunks; without a pool they share one draw buffer.  Within a
 chunk the followers form one follower-major array, so each step is a
@@ -148,8 +149,7 @@ class SimPath:
     xbar: np.ndarray         # (K+1, n) exact arithmetic follower mean
     u0: np.ndarray           # (K+1, m)
     controls: np.ndarray     # (N, K+1, m)
-    X: np.ndarray            # (K+1, 3n) extended leader state
-    phi: np.ndarray          # (K+1, n) offset used by the follower feedback
+    X: np.ndarray            # (K+1, 2n) blocks 1 and 2 of the extended leader state
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,6 @@ class EnsembleResult:
     mean_state: GridFunction          # (K+1, 3n) deterministic extended mean
     mean_follower: GridFunction       # (K+1, n) block 2 of the extended mean
     offset: GridFunction              # (K+1, n) deterministic follower offset
-    phi_spread: float                 # max cross-path deviation of the offset
     node_summary: dict
     paths: tuple
     deviation_slopes: np.ndarray | None = None     # (n_paths, directions of `Deviations`)
@@ -195,16 +194,15 @@ class _Tables:
     weights: np.ndarray       # trapezoid weights, (K+1,)
     mean_state: np.ndarray    # (K+1, 3n)
     mean_follower: np.ndarray  # (K+1, n)
-    offset: np.ndarray        # (K+1, n) deterministic part of phi
-    X_step: np.ndarray        # (K+1, 3n, 3n)  I + dt (A + B P)'
-    X_const: np.ndarray       # (K+1, 3n)      dt (B (K meanX + V) + f_state)
-    e3P: np.ndarray           # (K+1, n, 3n)   offset loading of X
-    u0_P: np.ndarray          # (K+1, m, 3n)
+    offset: np.ndarray        # (K+1, n) follower offset
+    X_step: np.ndarray        # (K+1, 2n, 2n)  I + dt (A + B P)'
+    X_const: np.ndarray       # (K+1, 2n)      dt (B (K meanX + V) + f_state)
+    u0_P: np.ndarray          # (K+1, m, 2n)
     u0_const: np.ndarray      # (K+1, m)
     F_xT: np.ndarray          # (K+1, n, m)    follower feedback on the own state
-    F_mean: np.ndarray        # (K+1, m)
+    u_const: np.ndarray       # (K+1, m)       follower feedback constant
     RinvBtT: np.ndarray       # (n, m)
-    noise_vec: np.ndarray     # (3n,)
+    noise_vec: np.ndarray     # (2n,)
     step0: tuple              # leader (I + dt A0', dt B0', dt f0 per node, D0)
     step_f: tuple             # follower (I + dt A', dt B', dt f per node, D)
     Gamma0T: np.ndarray
@@ -257,6 +255,7 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
     n = s.dims.n
     mX, KmV, offset = deterministic_layer(s, es, lg)
     P = lg.P.values
+    two = slice(2 * n)      # the blocks of X anything reads; tables are sliced from 3n, bits kept
 
     def T(a):
         return np.ascontiguousarray(np.swapaxes(a, -1, -2))
@@ -278,15 +277,14 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         mean_state=mX,
         mean_follower=mean_follower,
         offset=offset,
-        X_step=np.eye(3 * n) + dt * T(X_drift),
-        X_const=dt * (KmV @ es.B.T + es.f_state.nodes),
-        e3P=np.einsum("ij,kjl->kil", es.e3, P),
-        u0_P=np.einsum("ij,kjl->kil", lg.control_map, P),
+        X_step=np.ascontiguousarray((np.eye(3 * n) + dt * T(X_drift))[:, two, two]),
+        X_const=dt * (KmV @ es.B.T + es.f_state.nodes)[:, two],
+        u0_P=np.ascontiguousarray(np.einsum("ij,kjl->kil", lg.control_map, P)[:, :, two]),
         u0_const=-np.einsum("ij,kj->ki", lg.control_map, KmV),
         F_xT=T(np.einsum("ij,kjl->kil", fg.control_map, fg.P.values)),
-        F_mean=F_mean,
+        u_const=-(F_mean + _dot(offset, T(fg.control_map))),
         RinvBtT=T(fg.control_map),
-        noise_vec=es.noise,
+        noise_vec=es.noise[two],
         step0=step(s.leader_dyn),
         step_f=step(s.follower_dyn),
         Gamma0T=T(s.leader_cost.Gamma),
@@ -429,8 +427,9 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     slot j reading agent row rows[j].  Follower states are one (N L, n) array,
     follower-major: row j L + i is follower j of lane i, so the population mean
     is a sum over the leading axis and every per-path term broadcasts along
-    contiguous rows.  The leader never sees the followers, so it is marched
-    once per path, as (3n, c) columns; lane i reads the leader of path lanes[i].
+    contiguous rows; their feedback constant is one table.  The leader never
+    sees the followers, so it is marched once per path, as (2n, c) columns of
+    X's first two blocks; lane i reads the leader of path lanes[i].
     That march, everything read off it and every reduction run one time block
     at a time; each block first moves its increments from the path-major draw
     buffer into a time-major one.  A follower step only files follower 1's
@@ -456,11 +455,11 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         init[i] = nm.initial(p, s.init, N)
         nm.wiener(p, N + 1, K, s.grid.dt, substeps, out=dW[i])
 
-    # The leader's extended state X, one (3n, c) block per node: one step is
+    # Blocks 1 and 2 of the leader's X, one (2n, c) block per node: one step is
     # X_step[k]' X + X_const[k] + noise_vec dW0, `_dot`'s products in its order
-    # summed from one (3n, 3n, c) temporary: 1.5 to 1.7 times faster than `_dot`.
+    # summed from one (2n, 2n, c) temporary: 1.5 to 1.7 times faster than `_dot`.
     B = min(_BLOCK, K + 1)
-    leads = np.zeros((B + 1, 3 * n, c))
+    leads = np.zeros((B + 1, 2 * n, c))
     leads[0, :n] = init[:, 0].T
     leads[0, n:2 * n] = s.follower_mean0[:, None]
     followers = np.concatenate([init[:, 1:], init[:r, rows[1:]]])
@@ -478,14 +477,12 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     node_sum = np.zeros((K + 1, 2 * n + m))     # x0 | xbar | u0 per node
     node_m2 = np.zeros((K + 1, 2 * n + m))
     gap_sum = np.zeros(K + 1)
-    phi_spread = 0.0
 
     # Stored paths, by `SimPath` field: (paths, [N,] K+1, dim).
     n_store = max(0, min(store_upto, stop) - start)
     store = None
     if n_store > 0:
-        dims = {"x0": (n,), "followers": (N, n), "xbar": (n,), "u0": (m,), "controls": (N, m), "phi": (n,),
-                "X": (3 * n,)}
+        dims = {"x0": (n,), "followers": (N, n), "xbar": (n,), "u0": (m,), "controls": (N, m), "X": (2 * n,)}
         store = {key: np.empty((n_store,) + d[:-1] + (K + 1, d[-1])) for key, d in dims.items()}
 
     inc = np.empty((B, N + 1, L))       # one block of increments, time-major
@@ -504,13 +501,10 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         drive = inc[:steps, 0, None, :c] * tab.noise_vec[:, None] + tab.X_const[k0:k0 + steps, :, None]
         for b in range(steps):
             np.add(_ordered_sum(tab.X_step[k0 + b, :, :, None] * leads[b, :, None]), drive[b], out=leads[b + 1])
-        lead = leads[:nb]      # (nb, 3n, c)
+        lead = leads[:nb]      # (nb, 2n, c)
         x0 = lead[:, :n]
-        phi = tab.offset[ks, :, None] + _dot(tab.e3P[ks], lead)
-        # What the follower step reads off the leader, as (nb, L, dim) rows that
-        # `take`, unlike `[:, lanes]`, lays out contiguously: its feedback
-        # constant and the leader part of its target.
-        u_const = -(tab.F_mean[ks, :, None] + _dot(tab.RinvBtT.T, phi)).transpose(0, 2, 1).take(lanes, axis=1)
+        # The leader part of the followers' target, as (nb, L, n) rows that
+        # `take`, unlike `[:, lanes]`, lays out contiguously.
         target = (_dot(G1, x0) + tab.eta[ks, :, None]).transpose(0, 2, 1).take(lanes, axis=1)
 
         for b in range(nb):
@@ -518,7 +512,7 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
             x3 = x.reshape(N, L, n)
             xbar = np.divide(_ordered_sum(x3), N, out=xbars[b])
             u3 = np.dot(x, tab.F_xT[k]).reshape(N, L, m)
-            np.subtract(u_const[b], u3, out=u3)
+            np.subtract(tab.u_const[k], u3, out=u3)
             u = u3.reshape(NL, m)
             z = np.add(_dot(xbar, tab.GammaT), target[b], out=zs[b])
             y = (x3 - z).reshape(NL, n)
@@ -553,9 +547,8 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         centred = stats - (node_sum[ks] / c)[:, :, None]
         node_m2[ks] = (centred * centred).sum(axis=2)
         gap_sum[ks] = np.linalg.norm(xbar - tab.mean_follower[ks, :, None], axis=1).sum(axis=1)
-        phi_spread = max(phi_spread, float(np.max(np.abs(phi - tab.offset[ks, :, None]))))
         if store is not None:
-            for key, value in (("x0", x0), ("xbar", xbar), ("u0", u0), ("phi", phi), ("X", lead)):
+            for key, value in (("x0", x0), ("xbar", xbar), ("u0", u0), ("X", lead)):
                 store[key][:, ks] = value[:, :, :n_store].transpose(2, 0, 1)
 
     Ji = (acc_x.sum(axis=1) + acc_u.sum(axis=1)).reshape(N, L)
@@ -568,7 +561,6 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         "node_sum": node_sum,
         "node_m2": node_m2,
         "gap_sum": gap_sum,
-        "phi_spread": phi_spread,
         "store": store,
     }
 
@@ -594,7 +586,8 @@ def simulate(
     row perm[j - 1] (exchangeability checks); their follower costs come back
     as `relabeled_cost_paths` and nothing else changes.  `deviations`
     additionally costs open-loop deviations along the same paths; see
-    `Deviations`.
+    `Deviations`.  It reads only the first two blocks of leader `P`; `verify`
+    and the gains loader gate the third at zero (`table_identities`).
     """
     if not 1 <= n_paths < 1 << 32:
         raise ValueError("n_paths must lie in [1, 2**32)")
@@ -660,7 +653,6 @@ def simulate(
                     for kind, v in (("mean", means), ("std", stds))}
 
     gap = total("gap_sum") / n_paths
-    phi_spread = max(p["phi_spread"] for p in partials)
 
     paths = [SimPath(index=p["start"] + i, **{key: v[i] for key, v in st.items()})
              for p in partials if (st := p["store"]) is not None for i in range(len(st["x0"]))]
@@ -687,7 +679,6 @@ def simulate(
         mean_state=GridFunction(grid, tab.mean_state),
         mean_follower=GridFunction(grid, tab.mean_follower),
         offset=GridFunction(grid, tab.offset),
-        phi_spread=phi_spread,
         node_summary=node_summary,
         paths=tuple(paths),
         deviation_slopes=None if slopes is None else np.concatenate([p["slopes"] for p in partials]),
@@ -714,7 +705,7 @@ def lln_diagnostic(
 
     Gains are re-solved for every follower count (the sources carry 1/N
     factors).  Returns ((N, gap) rows, fitted log-log slope); the gap decays
-    like N^-1/2 when the de-aggregation is wired correctly.
+    like N^-1/2 when the de-aggregation is wired correctly (NaN for one N).
     """
     rows = []
     mid = s.grid.steps // 2
@@ -724,7 +715,5 @@ def lln_diagnostic(
         lg = solve_leader_gains(sN, fg)
         er = simulate(sN, fg, lg, n_paths, seed, workers=workers, store_paths=0)
         rows.append((int(N), float(er.lln_gap.values[mid])))
-    logs = np.log([r[0] for r in rows])
-    gaps = np.log([r[1] for r in rows])
-    slope = float(np.polyfit(logs, gaps, 1)[0])
-    return rows, slope
+    logs, gaps = np.log(np.array(rows, dtype=float)).T
+    return rows, float(np.polyfit(logs, gaps, 1)[0]) if len(rows) > 1 else math.nan

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,11 +354,12 @@ def _bump(path: Path, column: int, delta: float) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("case", ["follower-sum", "leader-sum", "asymmetric-P"])
+@pytest.mark.parametrize("case", ["follower-sum", "leader-sum", "asymmetric-P", "leader-offset-block"])
 def test_contradictory_gains_tables_exit_4(case, tmp_path, capsys):
     # Tables that parse but contradict each other are refused with exit 4,
-    # by the gates `verify` applies: follower P + K = Pi, P symmetric, and
-    # the leader's P + K = M.
+    # by the gates `verify` applies: follower P + K = Pi, P symmetric, the
+    # leader's P + K = M, and leader P zero on the offset block, which the
+    # path kernel would otherwise silently ignore.
     cfg = BASELINE_CFG
     if case == "asymmetric-P":
         cfg = tmp_path / "vector.cfg"
@@ -370,6 +372,9 @@ def test_contradictory_gains_tables_exit_4(case, tmp_path, capsys):
         _bump(gains / "K.csv", 1, 0.5)
     elif case == "leader-sum":
         _bump(gains / "leaderK.csv", 1, 0.5)
+    elif case == "leader-offset-block":
+        _bump(gains / "leaderP.csv", 3, 0.5)     # leaderP_0_2; P + K still equals M
+        _bump(gains / "leaderK.csv", 3, -0.5)
     else:
         _bump(gains / "P.csv", 2, 0.5)      # P_0_1; P + K still equals Pi
         _bump(gains / "K.csv", 2, -0.5)
@@ -377,6 +382,8 @@ def test_contradictory_gains_tables_exit_4(case, tmp_path, capsys):
     assert run_cli(*sim, "--out", str(tmp_path / "bad")) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "contradict" in err
+    if case == "leader-offset-block":
+        assert "leader_offset_block" in err
 
 
 def test_simulate_zero_paths_is_usage_error(config, gains_dir, tmp_path):
@@ -494,6 +501,22 @@ def test_sweep_population_size(config, tmp_path):
     assert ("N", "slope_loglog") in metrics
     gaps = {r[1]: float(r[3]) for r in rows[1:] if r[2] == "gap"}
     assert gaps["8"] < gaps["4"]
+
+
+def test_sweep_population_size_single_value(config, tmp_path, capsys):
+    # One follower count has no log-log slope to fit: no fit is attempted, so
+    # nothing warns, and the aggregate holds the one gap row.
+    out = tmp_path / "sweepN1"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--config", str(config), "--out", str(out),
+                     "--vary", "N", "--values", "5", "--paths", "4"])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    rows = read_csv(out / "aggregate.csv")
+    assert [r[2] for r in rows[1:]] == ["gap"]
 
 
 def test_sweep_step_refinement(config, tmp_path):

@@ -254,8 +254,8 @@ CHECK_NAMES = {
     "follower_sum_identity",
     "follower_symmetry_drift",
     "leader_sum_identity",
+    "leader_offset_block",
     "offset_consistency",
-    "offset_path_spread",
     "stationarity_residual",
     "exchangeability",
     "dp_oracle_curvature",

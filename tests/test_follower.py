@@ -272,7 +272,7 @@ def test_feedback_law_arithmetic(fast_gains):
     er = simulate(s, fg, lg, 2, seed=1, store_paths=2)
     mean_term = np.einsum("kij,kj->ki", fg.K.values, er.mean_follower.values)
     for path in er.paths:
-        costate = np.einsum("kij,akj->aki", fg.P.values, path.followers) + mean_term + path.phi
+        costate = np.einsum("kij,akj->aki", fg.P.values, path.followers) + mean_term + er.offset.values
         expected = -costate @ fg.control_map.T
         assert np.max(np.abs(path.controls - expected)) <= 1e-12
 

@@ -42,11 +42,10 @@ def constant_system(n=1, *, T=1.0, steps=400, A=None, B=None, A1=None, B1=None,
         arr = np.zeros(d) if v is None else np.asarray(v, dtype=float)
         return StageTable(grid, np.tile(arr, (2 * K + 1, 1)))
 
-    e3 = np.zeros((n, d)); e3[:, 2 * n:] = np.eye(n)
     return ExtendedSystem(
         n=n, grid=grid, A=tab(A), B=blk(B), A1=blk(A1), B1=tab(B1),
         A2=blk(A2), B2=tab(B2), f_state=vec(f_state), f_costate=vec(f_costate),
-        noise=np.zeros(d), e3=e3,
+        noise=np.zeros(d),
     )
 
 
@@ -208,11 +207,13 @@ def test_sum_identity_against_independent_solve(which, team_gains, game_gains):
 
 @pytest.mark.parametrize("which", ["team", "game"])
 def test_third_block_row_annihilates(which, team_gains, game_gains):
-    # The bottom block-row of the state source vanishes, so that row of the
-    # costate gain solves a homogeneous equation from a zero terminal value.
+    # The third block row and column of the state source vanish, so that
+    # row and column of the costate gain solve a homogeneous equation from a
+    # zero terminal value; the path kernel reads neither.
     s, fg, lg = team_gains if which == "team" else game_gains
     n = s.dims.n
     assert np.max(np.abs(lg.P.values[:, 2 * n:, :])) <= 1e-8
+    assert np.max(np.abs(lg.P.values[:, :, 2 * n:])) <= 1e-8
     # The costate's noise loading P @ noise therefore has a zero third block everywhere.
     loading = lg.P.values @ assemble_extended(s, fg).noise
     assert np.max(np.abs(loading[:, 2 * n:])) <= 1e-12

@@ -257,23 +257,14 @@ def test_population_average_is_exact_mean(fast_gains):
         assert gap <= 1e-13
 
 
-def test_offset_is_deterministic_across_paths(fast_gains):
-    s, fg, lg = fast_gains
-    er = simulate(s, fg, lg, 6, seed=9, store_paths=6)
-    scale = 1.0 + np.max(np.abs(er.offset.values))
-    assert er.phi_spread <= 1e-9 * scale
-    for path in er.paths:
-        gap = np.max(np.abs(path.phi - er.offset.values))
-        assert gap <= er.phi_spread + 1e-15
-
-
 def test_leader_control_recomposes_gain_tables(fast_gains):
     s, fg, lg = fast_gains
     er = simulate(s, fg, lg, 3, seed=13, store_paths=3)
     mean = er.mean_state.values
+    two = 2 * s.dims.n      # stored paths hold the first two blocks of X; P is zero on the third
     for path in er.paths:
         costate = (
-            np.einsum("kij,kj->ki", lg.P.values, path.X)
+            np.einsum("kij,kj->ki", lg.P.values[:, :, :two], path.X)
             + np.einsum("kij,kj->ki", lg.K.values, mean)
             + lg.V.values
         )
