@@ -8,16 +8,17 @@ gains tables and `verify`'s report included, goes through one writer,
 
     0   success
     1   I/O failure (unreadable config, missing gains files, unwritable out)
-    2   validation hard-failure or malformed config
+    2   validation hard-failure or malformed config (a non-finite number too)
     3   gain equation blew up (failure time reported)
     4   gains directory is not grid-compatible with the config, a gains
         table is malformed (non-numeric or non-finite cell, missing `t`
         header, ragged row), or the tables contradict each other (follower
-        P + K against Pi, leader P + K against M, P not symmetric, or leader
-        P nonzero on the offset block, past the gates of `verify`)
+        P + K against Pi, leader P + K against M, P not symmetric, leader
+        P nonzero on the offset block, past the gates of `verify`, or phi
+        against the offset the other tables give)
     5   verification found a violated invariant
-    64  usage error (bad flags, empty value lists, zero paths, a negative
-        --store, seed or path count outside the noise-stream range)
+    64  usage error (bad flags, empty or non-finite value lists, zero paths, a
+        negative --store, seed or path count outside the noise-stream range)
 
 Manifests record the config hash, grid, seed-level inputs, package versions,
 and a content hash per output file — and deliberately nothing that is allowed
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import VerificationReport, run_verification, table_identities
+from .equilibrium import FOLLOWER_SUM_TOL, VerificationReport, run_verification, table_identities
 from .follower import FollowerGains, follower_gains, solve_follower_gains, symmetry_drift
 from .integrators import BlowUpError, GridFunction, read_grid_csv
 from .leader import LeaderGains, assemble_extended, leader_gains, solve_leader_gains
@@ -205,19 +206,22 @@ def _read_table(s: Scenario, gains_dir: Path, name: str, item_shape: tuple) -> G
 def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGains]:
     """Rebuild the gain objects from a solve output directory.
 
-    All eight tables are read and validated; phi.csv is not needed to build
-    the gains (`simulate` recomputes the offset) but is outside input too.
-    The tables must satisfy the identities `verify` gates
-    (`table_identities`): P + K = Pi with P symmetric, and the leader's
-    P + K = M with P zero on the third block, which `simulate` skips.
+    All eight tables are read and validated.  The tables must satisfy the
+    identities `verify` gates (`table_identities`): P + K = Pi with P
+    symmetric, and the leader's P + K = M with P zero on the third block,
+    which `simulate` skips.  phi.csv must hold the offset that `simulate`
+    recomputes from the others, the one `_write_gains` writes (one mean pass).
     """
     t = {name: _read_table(s, gains_dir, name, shape) for name, shape in _gain_tables(s.dims.n).items()}
     fg = follower_gains(s, t["P"], t["K"], t["Pi"], float(symmetry_drift(t["P"].values).max()))
     lg = leader_gains(s, t["leaderP"], t["leaderK"], t["leaderM"], t["leaderV"])
-    for row in table_identities(fg, lg):
-        if not row.passed:
+    rows = [(row.name, row.value, row.threshold) for row in table_identities(fg, lg)]
+    offset = deterministic_layer(s, assemble_extended(s, fg), lg)[2]
+    rows.append(("phi", np.max(np.abs(t["phi"].values - offset)), FOLLOWER_SUM_TOL * (1.0 + np.max(np.abs(offset)))))
+    for name, value, threshold in rows:
+        if not value <= threshold:
             raise GridMismatchError(f"{gains_dir}: gains tables contradict each other: "
-                                    f"{row.name} = {row.value:.3e} exceeds {row.threshold:.3e}")
+                                    f"{name} = {value:.3e} exceeds {threshold:.3e}")
     return fg, lg
 
 
@@ -399,6 +403,8 @@ def _parse_values(parser: _Parser, vary: str, raw: str) -> list:
             values = [float(x) for x in items]
     except ValueError:
         parser.error(f"sweep: could not parse --values {raw!r} as numbers")
+    if not np.all(np.isfinite(values)):
+        parser.error("sweep: --values entries must be finite")
     if len(set(values)) != len(values):
         parser.error("sweep: --values entries must be distinct")
     if vary == "N" and any(v < 1 for v in values):

@@ -88,6 +88,7 @@ class Sources:
     target: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")     # a source that overflows fails `riccati_flow` at t = T
 def sources(s: Scenario) -> Sources:
     """Game mode weighs Q by J = I - Gamma/N, one agent's marginal effect on its
     own tracking error; team mode by the social re-weightings of the

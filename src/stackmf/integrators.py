@@ -360,8 +360,12 @@ def riccati_flow(A: np.ndarray, G: np.ndarray, S: np.ndarray, grid: TimeGrid,
     every step's map is e^(-dt H): one block of its powers, less I
     (`_block_maps` of `expm_increment`), serves every block of
     `riccati_march` (which see for `factor_blocks` and the failures raised).
+    A Hamiltonian with a non-finite entry fails at t = T.
     """
-    F, K = expm_increment(-grid.dt * np.block([[A, -G], [-S, -A.T]])), grid.steps
+    H = np.block([[A, -G], [-S, -A.T]])
+    if not np.all(np.isfinite(H)):
+        raise BlowUpError(grid.horizon, math.inf, f"non-finite Riccati coefficients at t={grid.horizon:.6g}")
+    F, K = expm_increment(-grid.dt * H), grid.steps
     block = next(_block_maps(np.broadcast_to(F, (min(STEP_BLOCK, K),) + F.shape)))
     return riccati_march((block[:K - lo] for lo in range(0, K, len(block))), grid, A.shape, factor_blocks)
 

@@ -70,8 +70,8 @@ class ExtendedSystem:
     """Block coefficients of the leader-stage system; each block is n x n.
 
     A, B1, B2, f_state, f_costate vary in time through the follower gains and
-    the offsets and are stage tables, read at every RK4 stage time; B, A1, A2
-    and the noise loading are constant.
+    the offsets and are stage tables, read at every RK4 stage time; B, A1 and
+    A2 are constant.  The noise dW0 loads block 1 alone, by the leader's D.
     """
 
     n: int
@@ -84,7 +84,6 @@ class ExtendedSystem:
     B2: StageTable            # (3n, 3n) mean-costate source of the costate drift
     f_state: StageTable       # (3n,)
     f_costate: StageTable     # (3n,)
-    noise: np.ndarray         # (3n,)
 
 
 def _block(n: int, entries: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
@@ -158,9 +157,6 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
     f_costate[:, n:2 * n] = -(eta0 @ Q0.T) @ Gamma0
     f_costate[:, 2 * n:] = stage_table(grid, src.target).values - np.einsum("kij,kj->ki", Pi, f)
 
-    noise = np.zeros(3 * n)
-    noise[:n] = s.leader_dyn.D
-
     return ExtendedSystem(
         n=n,
         grid=grid,
@@ -172,7 +168,6 @@ def assemble_extended(s: Scenario, fg: FollowerGains) -> ExtendedSystem:
         B2=StageTable(grid, B2_blocks),
         f_state=StageTable(grid, f_state),
         f_costate=StageTable(grid, f_costate),
-        noise=noise,
     )
 
 

@@ -233,6 +233,8 @@ def _shape(key: str, n: int, m: int) -> tuple:
 def _scalar(value, where: str, kind=(int, float)):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ScenarioError(f"{where}: expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
     return value
 
 
@@ -446,8 +448,9 @@ def validate(s: Scenario) -> ValidationReport:
     n, N = s.dims.n, s.dims.N
     Gamma = s.follower_cost.Gamma
     J = np.eye(n) - Gamma / N
-    M = J.T @ (np.eye(n) - Gamma)
-    lo = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    with np.errstate(over="ignore", invalid="ignore"):      # huge weights: the solve reports the blow-up
+        M = J.T @ (np.eye(n) - Gamma)
+        lo = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
     checks.append(
         CheckResult(
             "coupling.population",

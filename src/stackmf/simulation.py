@@ -3,17 +3,18 @@
 The deterministic layer (the mean of the extended leader state, and the
 follower offset reconstructed from it) is integrated once per run with RK4
 (`integrators.integrate_linear`) and shared across paths.  Each path then
-marches the extended leader state and all N followers with Euler-Maruyama
+marches the leader's own state x0 and all N followers with Euler-Maruyama
 on the same grid, evaluates both feedback laws node by node, and
-accumulates the quadratic costs with the trapezoid rule.  The same march
+accumulates the quadratic costs with the trapezoid rule.  The leader's
+feedback also reads block 2 of its extended state, the follower mean: one
+deterministic table, Euler-marched once per run.  The same march
 optionally costs open-loop control deviations of one follower and of the
 leader (`Deviations`): the dynamics are linear, so a deviated path is the
 baseline path plus a deterministic shift, and each direction's pathwise
 cost slope is accumulated along the baseline paths in the same pass.  The
 followers' answer to a leader shift is `follower.follower_response`, one
 column per direction.  Stored paths (`SimPath`) hold every agent's
-trajectory and control, and the first two blocks of the leader's extended
-state X, the ones anything reads: leader `P` is zero on the third.
+trajectory and control.
 
 Paths run in chunks; without a pool they share one draw buffer.  Within a
 chunk the followers form one follower-major array, so each step is a
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .follower import FollowerGains, follower_response, solve_follower_gains, sources
-from .integrators import GridFunction, StageTable, integrate_linear, linear_stages, stage_table
+from .integrators import GridFunction, StageTable, integrate_linear, linear_stages, matvec, stage_table
 from .leader import (
     ExtendedSystem,
     LeaderGains,
@@ -149,7 +150,6 @@ class SimPath:
     xbar: np.ndarray         # (K+1, n) exact arithmetic follower mean
     u0: np.ndarray           # (K+1, m)
     controls: np.ndarray     # (N, K+1, m)
-    X: np.ndarray            # (K+1, 2n) blocks 1 and 2 of the extended leader state
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,13 @@ class _Tables:
     mean_state: np.ndarray    # (K+1, 3n)
     mean_follower: np.ndarray  # (K+1, n)
     offset: np.ndarray        # (K+1, n) follower offset
-    X_step: np.ndarray        # (K+1, 2n, 2n)  I + dt (A + B P)'
-    X_const: np.ndarray       # (K+1, 2n)      dt (B (K meanX + V) + f_state)
-    u0_P: np.ndarray          # (K+1, m, 2n)
+    x0_step: np.ndarray       # (K+1, n, n)    leader closed loop: I + dt A0' - u0_P' dt B0'
+    x0_const: np.ndarray      # (K+1, n)       u0_const dt B0' + dt f0
+    u0_P: np.ndarray          # (K+1, m, n)    u0 = u0_const - u0_P x0
     u0_const: np.ndarray      # (K+1, m)
     F_xT: np.ndarray          # (K+1, n, m)    follower feedback on the own state
     u_const: np.ndarray       # (K+1, m)       follower feedback constant
     RinvBtT: np.ndarray       # (n, m)
-    noise_vec: np.ndarray     # (2n,)
     step0: tuple              # leader (I + dt A0', dt B0', dt f0 per node, D0)
     step_f: tuple             # follower (I + dt A', dt B', dt f per node, D)
     Gamma0T: np.ndarray
@@ -250,19 +249,15 @@ def _check_grids(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> None:
 
 
 def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedSystem) -> _Tables:
-    K = s.grid.steps
-    dt = s.grid.dt
-    n = s.dims.n
+    K, dt, n = s.grid.steps, s.grid.dt, s.dims.n
     mX, KmV, offset = deterministic_layer(s, es, lg)
-    P = lg.P.values
-    two = slice(2 * n)      # the blocks of X anything reads; tables are sliced from 3n, bits kept
 
     def T(a):
         return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
-    X_drift = es.A.nodes + np.einsum("ij,kjl->kil", es.B, P)
     mean_follower = mX[:, n:2 * n]
     F_mean = np.einsum("ij,kjl,kl->ki", fg.control_map, fg.K.values, mean_follower)
+    RinvBtT = T(fg.control_map)
 
     weights = np.full(K + 1, dt)
     weights[0] = weights[K] = 0.5 * dt
@@ -272,21 +267,31 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
         eye = np.eye(dyn.A.shape[0])
         return eye + dt * T(dyn.A), dt * T(dyn.B), dt * time_sampled(dyn.f, s.grid), dyn.D
 
+    step0, step_f = step(s.leader_dyn), step(s.follower_dyn)
+    # Block 2 of X, the follower mean under the aggregate gain and the offset, is
+    # the same on every path (leader P is zero on its third block row): marched once.
+    dtGT = RinvBtT @ step_f[1]      # dt (B R^-1 B')'
+    m_step, m_const = step_f[0] - np.swapaxes(fg.Pi.values, 1, 2) @ dtGT, step_f[2] - offset @ dtGT
+    block2 = np.tile(s.follower_mean0, (K + 1, 1))
+    for k in range(K):
+        block2[k + 1] = block2[k] @ m_step[k] + m_const[k]
+    u0_P = np.einsum("ij,kjl->kil", lg.control_map, lg.P.values[:, :, :n])
+    u0_const = -matvec(lg.control_map, KmV + matvec(lg.P.values[:, :, n:2 * n], block2))
+
     return _Tables(
         weights=weights,
         mean_state=mX,
         mean_follower=mean_follower,
         offset=offset,
-        X_step=np.ascontiguousarray((np.eye(3 * n) + dt * T(X_drift))[:, two, two]),
-        X_const=dt * (KmV @ es.B.T + es.f_state.nodes)[:, two],
-        u0_P=np.ascontiguousarray(np.einsum("ij,kjl->kil", lg.control_map, P)[:, :, two]),
-        u0_const=-np.einsum("ij,kj->ki", lg.control_map, KmV),
+        x0_step=step0[0] - T(u0_P) @ step0[1],
+        x0_const=u0_const @ step0[1] + step0[2],
+        u0_P=u0_P,
+        u0_const=u0_const,
         F_xT=T(np.einsum("ij,kjl->kil", fg.control_map, fg.P.values)),
-        u_const=-(F_mean + _dot(offset, T(fg.control_map))),
-        RinvBtT=T(fg.control_map),
-        noise_vec=es.noise[two],
-        step0=step(s.leader_dyn),
-        step_f=step(s.follower_dyn),
+        u_const=-(F_mean + _dot(offset, RinvBtT)),
+        RinvBtT=RinvBtT,
+        step0=step0,
+        step_f=step_f,
         Gamma0T=T(s.leader_cost.Gamma),
         eta0=time_sampled(s.leader_cost.eta, s.grid),
         GammaT=T(s.follower_cost.Gamma),
@@ -428,8 +433,8 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     follower-major: row j L + i is follower j of lane i, so the population mean
     is a sum over the leading axis and every per-path term broadcasts along
     contiguous rows; their feedback constant is one table.  The leader never
-    sees the followers, so it is marched once per path, as (2n, c) columns of
-    X's first two blocks; lane i reads the leader of path lanes[i].
+    sees the followers, so its state x0 is marched once per path through its
+    closed-loop tables, as (n, c) columns; lane i reads the leader of path lanes[i].
     That march, everything read off it and every reduction run one time block
     at a time; each block first moves its increments from the path-major draw
     buffer into a time-major one.  A follower step only files follower 1's
@@ -455,13 +460,12 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         init[i] = nm.initial(p, s.init, N)
         nm.wiener(p, N + 1, K, s.grid.dt, substeps, out=dW[i])
 
-    # Blocks 1 and 2 of the leader's X, one (2n, c) block per node: one step is
-    # X_step[k]' X + X_const[k] + noise_vec dW0, `_dot`'s products in its order
-    # summed from one (2n, 2n, c) temporary: 1.5 to 1.7 times faster than `_dot`.
+    # The leader's state x0, one (n, c) block per node: one step is
+    # x0_step[k]' x0 + x0_const[k] + D0 dW0, `_dot`'s products in its order
+    # summed from one (n, n, c) temporary: 1.5 to 1.7 times faster than `_dot`.
     B = min(_BLOCK, K + 1)
-    leads = np.zeros((B + 1, 2 * n, c))
-    leads[0, :n] = init[:, 0].T
-    leads[0, n:2 * n] = s.follower_mean0[:, None]
+    leads = np.zeros((B + 1, n, c))
+    leads[0] = init[:, 0].T
     followers = np.concatenate([init[:, 1:], init[:r, rows[1:]]])
     x = np.ascontiguousarray(followers.transpose(1, 0, 2)).reshape(NL, n)
     A_step, dtBT, dtf, D = tab.step_f
@@ -482,7 +486,7 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
     n_store = max(0, min(store_upto, stop) - start)
     store = None
     if n_store > 0:
-        dims = {"x0": (n,), "followers": (N, n), "xbar": (n,), "u0": (m,), "controls": (N, m), "X": (2 * n,)}
+        dims = {"x0": (n,), "followers": (N, n), "xbar": (n,), "u0": (m,), "controls": (N, m)}
         store = {key: np.empty((n_store,) + d[:-1] + (K + 1, d[-1])) for key, d in dims.items()}
 
     inc = np.empty((B, N + 1, L))       # one block of increments, time-major
@@ -498,11 +502,10 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
 
         if k0:
             leads[0] = leads[B]
-        drive = inc[:steps, 0, None, :c] * tab.noise_vec[:, None] + tab.X_const[k0:k0 + steps, :, None]
+        drive = inc[:steps, 0, None, :c] * tab.step0[3][:, None] + tab.x0_const[k0:k0 + steps, :, None]
         for b in range(steps):
-            np.add(_ordered_sum(tab.X_step[k0 + b, :, :, None] * leads[b, :, None]), drive[b], out=leads[b + 1])
-        lead = leads[:nb]      # (nb, 2n, c)
-        x0 = lead[:, :n]
+            np.add(_ordered_sum(tab.x0_step[k0 + b, :, :, None] * leads[b, :, None]), drive[b], out=leads[b + 1])
+        x0 = leads[:nb]      # (nb, n, c)
         # The leader part of the followers' target, as (nb, L, n) rows that
         # `take`, unlike `[:, lanes]`, lays out contiguously.
         target = (_dot(G1, x0) + tab.eta[ks, :, None]).transpose(0, 2, 1).take(lanes, axis=1)
@@ -531,7 +534,7 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
 
         # From here on only the chunk's own paths, the first c lanes, as columns.
         xbar, z = xbars[:nb, :c].transpose(0, 2, 1), zs[:nb, :c].transpose(0, 2, 1)
-        u0 = tab.u0_const[ks, :, None] - _dot(tab.u0_P[ks], lead)
+        u0 = tab.u0_const[ks, :, None] - _dot(tab.u0_P[ks], x0)
         y0 = x0 - _dot(G0, xbar) - tab.eta0[ks, :, None]
         quad = (_dot(Q0.T, y0) * y0).sum(1) + (_dot(R0.T, u0) * u0).sum(1)
         J0 += _ordered_sum(0.5 * tab.weights[ks, None] * quad)
@@ -548,7 +551,7 @@ def _chunk(args, dW: np.ndarray | None = None) -> dict:
         node_m2[ks] = (centred * centred).sum(axis=2)
         gap_sum[ks] = np.linalg.norm(xbar - tab.mean_follower[ks, :, None], axis=1).sum(axis=1)
         if store is not None:
-            for key, value in (("x0", x0), ("xbar", xbar), ("u0", u0), ("X", lead)):
+            for key, value in (("x0", x0), ("xbar", xbar), ("u0", u0)):
                 store[key][:, ks] = value[:, :, :n_store].transpose(2, 0, 1)
 
     Ji = (acc_x.sum(axis=1) + acc_u.sum(axis=1)).reshape(N, L)

@@ -147,6 +147,18 @@ def test_solve_reports_blowup(tmp_path):
     assert "stage = follower" in report
 
 
+def test_solve_reports_overflowing_sources_as_blowup(tmp_path):
+    # A finite follower Gamma whose sources overflow to inf is a blow-up of
+    # the follower stage at t = T, reported like any other, not a traceback.
+    bad = tmp_path / "overflow.cfg"
+    bad.write_text(FAST_CFG_TEXT.replace("Gamma = 0.4", "Gamma = 1e300"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", str(bad), "--out", str(out)) == 3
+    report = (out / "solve_report.txt").read_text(encoding="utf-8")
+    assert "status = blowup" in report
+    assert "stage = follower" in report
+
+
 def test_malformed_config_exits_validation(tmp_path):
     bad = tmp_path / "nonsense.cfg"
     bad.write_text(FAST_CFG_TEXT.replace('mode = "team"', 'mode = "duel"'), encoding="utf-8")
@@ -354,12 +366,13 @@ def _bump(path: Path, column: int, delta: float) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("case", ["follower-sum", "leader-sum", "asymmetric-P", "leader-offset-block"])
+@pytest.mark.parametrize("case", ["follower-sum", "leader-sum", "asymmetric-P", "leader-offset-block", "phi"])
 def test_contradictory_gains_tables_exit_4(case, tmp_path, capsys):
     # Tables that parse but contradict each other are refused with exit 4,
     # by the gates `verify` applies: follower P + K = Pi, P symmetric, the
     # leader's P + K = M, and leader P zero on the offset block, which the
-    # path kernel would otherwise silently ignore.
+    # path kernel would otherwise silently ignore; and phi.csv must be the
+    # offset the other tables give, which `simulate` recomputes.
     cfg = BASELINE_CFG
     if case == "asymmetric-P":
         cfg = tmp_path / "vector.cfg"
@@ -375,6 +388,8 @@ def test_contradictory_gains_tables_exit_4(case, tmp_path, capsys):
     elif case == "leader-offset-block":
         _bump(gains / "leaderP.csv", 3, 0.5)     # leaderP_0_2; P + K still equals M
         _bump(gains / "leaderK.csv", 3, -0.5)
+    elif case == "phi":
+        _bump(gains / "phi.csv", 1, 0.5)
     else:
         _bump(gains / "P.csv", 2, 0.5)      # P_0_1; P + K still equals Pi
         _bump(gains / "K.csv", 2, -0.5)
@@ -384,6 +399,8 @@ def test_contradictory_gains_tables_exit_4(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "contradict" in err
     if case == "leader-offset-block":
         assert "leader_offset_block" in err
+    if case == "phi":
+        assert "phi = " in err
 
 
 def test_simulate_zero_paths_is_usage_error(config, gains_dir, tmp_path):
@@ -549,11 +566,11 @@ def test_sweep_coupling_strength(config, tmp_path):
 
 @pytest.mark.parametrize(
     "values",
-    ["", "4,4", "0,4", "1,200", "100,150", "abc"],
-    ids=["empty", "duplicate", "zero-N", "step-too-small", "non-dividing", "non-numeric"],
+    ["", "4,4", "0,4", "1,200", "100,150", "abc", "nan", "inf"],
+    ids=["empty", "duplicate", "zero-N", "step-too-small", "non-dividing", "non-numeric", "nan", "inf"],
 )
 def test_sweep_value_validation(config, tmp_path, values):
-    vary = "N" if values in ("", "4,4", "0,4", "abc") else "steps"
+    vary = {"1,200": "steps", "100,150": "steps", "nan": "Gamma", "inf": "Gamma"}.get(values, "N")
     code = run_cli(
         "sweep", "--config", str(config), "--out", str(tmp_path / "o"),
         "--vary", vary, "--values", values, "--paths", "4",

@@ -45,7 +45,6 @@ def constant_system(n=1, *, T=1.0, steps=400, A=None, B=None, A1=None, B1=None,
     return ExtendedSystem(
         n=n, grid=grid, A=tab(A), B=blk(B), A1=blk(A1), B1=tab(B1),
         A2=blk(A2), B2=tab(B2), f_state=vec(f_state), f_costate=vec(f_costate),
-        noise=np.zeros(d),
     )
 
 
@@ -74,13 +73,6 @@ def test_benchmark_costate_feedback_block(team_gains):
     assert es.B[0, 0] == pytest.approx(-0.01, abs=1e-15)
 
 
-def test_noise_loading_lives_in_leader_block(team_gains):
-    s, fg, _ = team_gains
-    es = assemble_extended(s, fg)
-    assert np.array_equal(es.noise[1:], np.zeros(2))
-    assert es.noise[0] == 1.0
-
-
 def test_zero_scenario_assembles_zero_blocks(baseline_text):
     text = baseline_text
     for old, new in (
@@ -95,7 +87,7 @@ def test_zero_scenario_assembles_zero_blocks(baseline_text):
     es = assemble_extended(s, solve_follower_gains(s))
     for name in ("A", "B1", "B2", "f_state", "f_costate"):
         assert max_abs(getattr(es, name)) == 0.0, name
-    for name in ("B", "A1", "A2", "noise"):
+    for name in ("B", "A1", "A2"):
         assert np.max(np.abs(getattr(es, name))) == 0.0, name
 
 
@@ -214,8 +206,9 @@ def test_third_block_row_annihilates(which, team_gains, game_gains):
     n = s.dims.n
     assert np.max(np.abs(lg.P.values[:, 2 * n:, :])) <= 1e-8
     assert np.max(np.abs(lg.P.values[:, :, 2 * n:])) <= 1e-8
-    # The costate's noise loading P @ noise therefore has a zero third block everywhere.
-    loading = lg.P.values @ assemble_extended(s, fg).noise
+    # The costate's noise loading P @ noise, noise the leader's D on block 1,
+    # therefore has a zero third block everywhere.
+    loading = lg.P.values @ np.pad(s.leader_dyn.D, (0, 2 * n))
     assert np.max(np.abs(loading[:, 2 * n:])) <= 1e-12
 
 

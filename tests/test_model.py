@@ -180,6 +180,12 @@ def test_constant_forcing_tiles_over_grid(team_scenario):
         (lambda t: t.replace("T = 10.0", "T = true"), "[grid] T"),
         (lambda t: t.replace("Q = 1.0", "Q = true", 1), "[cost.leader] Q"),
         (lambda t: t.replace('leader = "uniform(0, 10)"', 'leader = "uniform(true, 10)"'), "[init] leader"),
+        # TOML reads nan and inf as floats; no coefficient may be non-finite.
+        (lambda t: t.replace("D = 1.0", "D = nan", 1), "[leader] D: expected a finite"),
+        (lambda t: t.replace("A = -0.05", "A = inf"), "[follower] A: expected a finite"),
+        (lambda t: t.replace("eta = 0.05", "eta = -inf"), "[cost.follower] eta: expected a finite"),
+        (lambda t: t.replace('leader = "uniform(0, 10)"', 'leader = "gaussian(nan, 0.25)"'),
+         "[init] leader: expected a finite"),
         # TOML syntax errors carry the reader's line and column.
         (lambda t: t.replace("m = 1", "m = 1\nm = 1"), "line 8, column"),
         (lambda t: t + "\n[dims]\nn = 1\n", "twice (at line"),

@@ -258,13 +258,22 @@ def test_population_average_is_exact_mean(fast_gains):
 
 
 def test_leader_control_recomposes_gain_tables(fast_gains):
+    # u0 = -R0^-1 B0' e1 (P X + K E[X] + V) along X = (x0, m, .): block 2 of
+    # X, m, is the Euler march of the follower mean under the aggregate gain
+    # and the offset, the same on every path; P is zero on the third block.
     s, fg, lg = fast_gains
     er = simulate(s, fg, lg, 3, seed=13, store_paths=3)
     mean = er.mean_state.values
-    two = 2 * s.dims.n      # stored paths hold the first two blocks of X; P is zero on the third
+    K, dt, n = s.grid.steps, s.grid.dt, s.dims.n
+    fd = s.follower_dyn
+    G, f = fd.B @ fg.control_map, time_sampled(fd.f, s.grid)
+    m = np.empty((K + 1, n))
+    m[0] = s.follower_mean0
+    for k in range(K):
+        m[k + 1] = m[k] + dt * ((fd.A - G @ fg.Pi.values[k]) @ m[k] - G @ er.offset.values[k] + f[k])
     for path in er.paths:
         costate = (
-            np.einsum("kij,kj->ki", lg.P.values[:, :, :two], path.X)
+            np.einsum("kij,kj->ki", lg.P.values[:, :, :2 * n], np.concatenate([path.x0, m], axis=1))
             + np.einsum("kij,kj->ki", lg.K.values, mean)
             + lg.V.values
         )
@@ -518,6 +527,7 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps, perm=None):
     K, dt, n, N = s.grid.steps, s.grid.dt, s.dims.n, s.dims.N
     ld, fd, lc, fc = s.leader_dyn, s.follower_dyn, s.leader_cost, s.follower_cost
     es = assemble_extended(s, fg)
+    noise = np.pad(ld.D, (0, 2 * n))        # dW0 loads block 1 of X
     mX = solve_mean_state(s, es, lg).values
     f0, ff = time_sampled(ld.f, s.grid), time_sampled(fd.f, s.grid)
     eta0, eta = time_sampled(lc.eta, s.grid), time_sampled(fc.eta, s.grid)
@@ -561,7 +571,7 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps, perm=None):
                 us[j, k] = -fg.control_map @ (fg.P.values[k] @ x[j] + fg.K.values[k] @ mX[k, n:2 * n]
                                               + costate[2 * n:])
             if k < K:
-                X = X + dt * (es.A.nodes[k] @ X + es.B @ costate + es.f_state.nodes[k]) + dW[0, k] * es.noise
+                X = X + dt * (es.A.nodes[k] @ X + es.B @ costate + es.f_state.nodes[k]) + dW[0, k] * noise
                 for j in range(N):
                     x[j] = x[j] + dt * (fd.A @ x[j] + fd.B @ us[j, k] + ff[k]) + dW[j + 1, k] * fd.D
         xbar = xs.mean(axis=0)
