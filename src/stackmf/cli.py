@@ -54,7 +54,6 @@ from .model import (
 from .simulation import (
     NOISE_SCHEME,
     GridMismatchError,
-    deterministic_layer,
     estimate_costs,
     lln_diagnostic,
     simulate,
@@ -176,9 +175,8 @@ def _write_table(path: Path, name: str, gf: GridFunction) -> None:
 
 
 def _write_gains(out: Path, s: Scenario, fg: FollowerGains, lg: LeaderGains) -> dict[str, GridFunction]:
-    # phi.csv is the offset `simulate` builds its tables from: the same function.
-    offset = GridFunction(s.grid, deterministic_layer(s, assemble_extended(s, fg), lg)[2])
-    values = (fg.P, fg.K, fg.Pi, offset, lg.P, lg.K, lg.M, lg.V)
+    # phi.csv is the offset `simulate` builds its tables from, `lg.offset`.
+    values = (fg.P, fg.K, fg.Pi, lg.offset, lg.P, lg.K, lg.M, lg.V)
     tables = dict(zip(_gain_tables(s.dims.n), values, strict=True))
     for name, gf in tables.items():
         _write_table(out / f"{name}.csv", name, gf)
@@ -209,14 +207,15 @@ def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGain
     All eight tables are read and validated.  The tables must satisfy the
     identities `verify` gates (`table_identities`): P + K = Pi with P
     symmetric, and the leader's P + K = M with P zero on the third block,
-    which `simulate` skips.  phi.csv must hold the offset that `simulate`
-    recomputes from the others, the one `_write_gains` writes (one mean pass).
+    which `simulate` skips.  phi.csv must hold the offset that the leader
+    gains derive from the others (`LeaderGains.offset`), the one `_write_gains`
+    writes and `simulate` reads.
     """
     t = {name: _read_table(s, gains_dir, name, shape) for name, shape in _gain_tables(s.dims.n).items()}
     fg = follower_gains(s, t["P"], t["K"], t["Pi"], float(symmetry_drift(t["P"].values).max()))
-    lg = leader_gains(s, t["leaderP"], t["leaderK"], t["leaderM"], t["leaderV"])
+    lg = leader_gains(s, assemble_extended(s, fg), t["leaderP"], t["leaderK"], t["leaderM"], t["leaderV"])
     rows = [(row.name, row.value, row.threshold) for row in table_identities(fg, lg)]
-    offset = deterministic_layer(s, assemble_extended(s, fg), lg)[2]
+    offset = lg.offset.values
     rows.append(("phi", np.max(np.abs(t["phi"].values - offset)), FOLLOWER_SUM_TOL * (1.0 + np.max(np.abs(offset)))))
     for name, value, threshold in rows:
         if not value <= threshold:
@@ -308,7 +307,7 @@ def _cmd_simulate(args) -> int:
     columns = np.column_stack(
         [
             nodes,
-            ns["x0_mean"], ns["x0_std"], ns["xbar_mean"], ns["xbar_std"], er.offset.values,
+            ns["x0_mean"], ns["x0_std"], ns["xbar_mean"], ns["xbar_std"], lg.offset.values,
             ns["u0_mean"], ns["u0_std"],
             er.lln_gap.values,
         ]

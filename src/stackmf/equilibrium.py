@@ -53,9 +53,9 @@ from .follower import (
     sources,
 )
 from .integrators import StageTable, expm, sampled_stages
-from .leader import LeaderGains, assemble_extended, solve_leader_gains
+from .leader import LeaderGains, solve_leader_gains
 from .model import Mode, Scenario, TimeGrid, time_sampled
-from .simulation import Deviations, mean_state_stages, simulate
+from .simulation import Deviations, simulate
 
 __all__ = [
     "DeviationResult",
@@ -188,16 +188,18 @@ def deviation_battery(
 # ---------------------------------------------------------------------------
 
 
-def stationarity_residuals(s: Scenario, er, fg: FollowerGains) -> float:
-    """Worst pointwise optimality residual R u + B'(P x + K m + phi) over stored paths."""
+def stationarity_residuals(s: Scenario, er, fg: FollowerGains, lg: LeaderGains) -> float:
+    """Worst pointwise optimality residual R u + B'(P x + K m + phi) over the
+    stored paths of `er`, with the mean m and the offset phi of `lg`."""
     if not er.paths:
         raise ValueError("ensemble holds no stored paths; rerun with store_paths >= 1")
-    B, R = s.follower_dyn.B, s.follower_cost.R
+    B, R, n = s.follower_dyn.B, s.follower_cost.R, s.dims.n
     P, Kv = fg.P.values, fg.K.values
-    mean_term = np.einsum("kij,kj->ki", Kv, er.mean_follower.values)
+    mean_term = np.einsum("kij,kj->ki", Kv, lg.mean.nodes[:, n:2 * n])
+    offset = lg.offset.values
     worst = 0.0
     for path in er.paths:
-        p = np.einsum("kij,akj->aki", P, path.followers) + mean_term + er.offset.values
+        p = np.einsum("kij,akj->aki", P, path.followers) + mean_term + offset
         r = p @ B + path.controls @ R.T
         worst = max(worst, float(np.max(np.abs(r))))
     return worst
@@ -365,7 +367,10 @@ def run_verification(
     The reported ensemble, every deviation direction and the exchangeability
     check share one pass, which re-marches the first min(n_paths, 64) paths
     as relabeled lanes (follower rows reversed): each stream is drawn once.
+    The DP oracle and the offset check read the leader gains' mean path.
     """
+    if directions < 1:
+        raise ValueError("directions must be at least 1")
     if fg is None:
         fg = solve_follower_gains(s)
     if lg is None:
@@ -385,19 +390,17 @@ def run_verification(
         n_paths, seed, workers=workers, store_paths=min(4, n_paths), relabel=(perm, n_small),
     )
 
-    es = assemble_extended(s, fg)
-    mean0 = StageTable(s.grid, mean_state_stages(es, lg, er.mean_state).values[:, : s.dims.n])
-    dp = dp_gain_oracle(s, fg, mean_leader=mean0)
-    phi_gap = float(np.max(np.abs(dp.phi - er.offset.values)))
+    dp = dp_gain_oracle(s, fg, mean_leader=StageTable(s.grid, lg.mean.values[:, : s.dims.n]))
+    offset = lg.offset.values
     add(
         "offset_consistency",
-        phi_gap,
-        1e-9 * (1.0 + float(np.max(np.abs(er.offset.values)))),
+        float(np.max(np.abs(dp.phi - offset))),
+        1e-9 * (1.0 + float(np.max(np.abs(offset)))),
         "follower-route offset vs leader-route offset",
     )
 
     u_scale = float(np.max(np.abs(er.node_summary["u0_mean"]))) + 1.0
-    add("stationarity_residual", stationarity_residuals(s, er, fg), 1e-9 * u_scale)
+    add("stationarity_residual", stationarity_residuals(s, er, fg, lg), 1e-9 * u_scale)
 
     relabeled = er.follower_cost_paths[:n_small][:, perm - 1]
     exch_gap = float(np.max(np.abs(er.relabeled_cost_paths - relabeled)))

@@ -360,13 +360,17 @@ def riccati_flow(A: np.ndarray, G: np.ndarray, S: np.ndarray, grid: TimeGrid,
     every step's map is e^(-dt H): one block of its powers, less I
     (`_block_maps` of `expm_increment`), serves every block of
     `riccati_march` (which see for `factor_blocks` and the failures raised).
-    A Hamiltonian with a non-finite entry fails at t = T.
+    A Hamiltonian with a non-finite entry, or one whose step map overflows,
+    fails at t = T.
     """
     H = np.block([[A, -G], [-S, -A.T]])
     if not np.all(np.isfinite(H)):
         raise BlowUpError(grid.horizon, math.inf, f"non-finite Riccati coefficients at t={grid.horizon:.6g}")
-    F, K = expm_increment(-grid.dt * H), grid.steps
-    block = next(_block_maps(np.broadcast_to(F, (min(STEP_BLOCK, K),) + F.shape)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, K = expm_increment(-grid.dt * H), grid.steps
+        block = next(_block_maps(np.broadcast_to(F, (min(STEP_BLOCK, K),) + F.shape)))
+    if not np.all(np.isfinite(block)):
+        raise BlowUpError(grid.horizon, math.inf, f"Riccati step map overflows at t={grid.horizon:.6g}")
     return riccati_march((block[:K - lo] for lo in range(0, K, len(block))), grid, A.shape, factor_blocks)
 
 

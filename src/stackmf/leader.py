@@ -38,7 +38,10 @@ leader's control reads the first block of the reconstructed costate:
 
     u0 = -R0^-1 B0' e1 (P X + K E[X] + V).
 
-`leader_gains` is the one constructor of `LeaderGains`.
+`leader_gains`, the one constructor of `LeaderGains`, also solves once the
+mean path E[X]' = (A + B M) E[X] + B V + f_state that M and V give; what
+every path shares, K E[X] + V and its third block, the follower offset, is
+read off it.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ __all__ = [
     "leader_gains",
     "solve_leader_pair",
     "solve_leader_gains",
+    "solve_mean_state",
 ]
 
 
@@ -203,12 +207,31 @@ def solve_leader_V(es: ExtendedSystem, M: GridFunction) -> GridFunction:
     return GridFunction(es.grid, integrate_linear(L, c, np.zeros(3 * es.n), forward=False))
 
 
+def _mean_path(s: Scenario, es: ExtendedSystem, M: GridFunction, V: GridFunction) -> StageTable:
+    """The mean path E[X] at every stage time: forward RK4 from the declared
+    initial means, drift A + B M and forcing B V + f_state read from the
+    stage tables of M and V, and Hermite midpoints from the same equation."""
+    M_st = leader_M_stages(es, M)
+    drift = es.A.values + es.B @ M_st.values
+    forcing = leader_V_stages(es, M_st, V).values @ es.B.T + es.f_state.values
+    init = np.concatenate([s.leader_mean0, s.follower_mean0, np.zeros(es.n)])
+    nodes = integrate_linear(StageTable(es.grid, drift), StageTable(es.grid, forcing), init, forward=True)
+    return linear_stages(es.grid, drift[::2], forcing[::2], nodes)
+
+
+def solve_mean_state(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> GridFunction:
+    """Node values of the mean path that lg.M and lg.V give on `es`, solved afresh."""
+    return GridFunction(es.grid, _mean_path(s, es, lg.M, lg.V).nodes)
+
+
 @dataclass(frozen=True)
 class LeaderGains:
     """Leader-stage gain tables: Y = P X + K E[X] + V, M = P + K; built by
     `leader_gains`.  control_map = R0^-1 B0' e1, with e1 the selector of
-    block 1, turns a reconstructed costate into -u0.  health names the
-    solve's march with its FlowHealth (empty for loaded tables).
+    block 1, turns a reconstructed costate into -u0.  mean is the mean path
+    E[X] that M and V give, at every stage time.  The constructor derives
+    control_map and mean (`dataclasses.replace` of M or V does not).  health
+    names the solve's march with its FlowHealth (empty for loaded tables).
     """
 
     P: GridFunction
@@ -216,19 +239,33 @@ class LeaderGains:
     M: GridFunction
     V: GridFunction
     control_map: np.ndarray
+    mean: StageTable
     health: tuple[tuple[str, FlowHealth], ...] = ()
 
     @property
     def grid(self):
         return self.P.grid
 
+    @property
+    def costate_offset(self) -> np.ndarray:
+        """K E[X] + V per node, (steps + 1, 3n): what every path shares of Y."""
+        return np.einsum("kij,kj->ki", self.K.values, self.mean.nodes) + self.V.values
 
-def leader_gains(s: Scenario, P: GridFunction, K: GridFunction, M: GridFunction,
+    @property
+    def offset(self) -> GridFunction:
+        """The follower offset: the third block of K E[X] + V, per node."""
+        KmV = self.costate_offset
+        return GridFunction(self.grid, KmV[:, 2 * KmV.shape[1] // 3:])
+
+
+def leader_gains(s: Scenario, es: ExtendedSystem, P: GridFunction, K: GridFunction, M: GridFunction,
                  V: GridFunction, health=()) -> LeaderGains:
-    """The gain object of solved or loaded tables; derives the control map."""
+    """The gain object of solved or loaded tables on the extended system
+    `es`; derives the control map and the mean path (one mean pass)."""
     e1 = np.eye(s.dims.n, 3 * s.dims.n)
     control_map = np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T) @ e1
-    return LeaderGains(P=P, K=K, M=M, V=V, control_map=control_map, health=tuple(health))
+    return LeaderGains(P=P, K=K, M=M, V=V, control_map=control_map, mean=_mean_path(s, es, M, V),
+                       health=tuple(health))
 
 
 def solve_leader_pair(es: ExtendedSystem):
@@ -268,7 +305,7 @@ def solve_leader_pair(es: ExtendedSystem):
 def solve_leader_gains(s: Scenario, fg: FollowerGains) -> LeaderGains:
     """Solve the leader-stage equations on the scenario grid: P, K and M as
     one pair (`solve_leader_pair`), then V by its linear equation with M
-    read from M's Hermite stage table."""
+    read from M's Hermite stage table, then the mean path (`leader_gains`)."""
     es = assemble_extended(s, fg)
     P, K, M, health = solve_leader_pair(es)
-    return leader_gains(s, P, K, M, solve_leader_V(es, M), (("leader", health),))
+    return leader_gains(s, es, P, K, M, solve_leader_V(es, M), (("leader", health),))

@@ -1,8 +1,8 @@
 """Euler-Maruyama ensemble simulation of the closed-loop leader/follower system.
 
-The deterministic layer (the mean of the extended leader state, and the
-follower offset reconstructed from it) is integrated once per run with RK4
-(`integrators.integrate_linear`) and shared across paths.  Each path then
+The deterministic layer every path shares (the mean of the extended leader
+state, and the follower offset reconstructed from it) comes with the leader
+gains (`leader.LeaderGains.mean`, `LeaderGains.offset`).  Each path
 marches the leader's own state x0 and all N followers with Euler-Maruyama
 on the same grid, evaluates both feedback laws node by node, and
 accumulates the quadratic costs with the trapezoid rule.  The leader's
@@ -41,15 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .follower import FollowerGains, follower_response, solve_follower_gains, sources
-from .integrators import GridFunction, StageTable, integrate_linear, linear_stages, matvec, stage_table
-from .leader import (
-    ExtendedSystem,
-    LeaderGains,
-    assemble_extended,
-    leader_M_stages,
-    leader_V_stages,
-    solve_leader_gains,
-)
+from .integrators import GridFunction, StageTable, matvec, stage_table
+from .leader import LeaderGains, solve_leader_gains, solve_mean_state  # the last re-exported for perfbench
 from .model import InitialLaw, Mode, Scenario, require_valid, time_sampled
 
 __all__ = [
@@ -60,8 +53,6 @@ __all__ = [
     "EnsembleResult",
     "GridMismatchError",
     "solve_mean_state",
-    "mean_state_stages",
-    "deterministic_layer",
     "simulate",
     "estimate_costs",
     "lln_diagnostic",
@@ -171,9 +162,6 @@ class EnsembleResult:
     social_cost_paths: np.ndarray     # (n_paths,)
     follower_cost_paths: np.ndarray   # (n_paths, N)
     lln_gap: GridFunction             # scalar per node: E || xbar - E[x_i] ||
-    mean_state: GridFunction          # (K+1, 3n) deterministic extended mean
-    mean_follower: GridFunction       # (K+1, n) block 2 of the extended mean
-    offset: GridFunction              # (K+1, n) deterministic follower offset
     node_summary: dict
     paths: tuple
     deviation_slopes: np.ndarray | None = None     # (n_paths, directions of `Deviations`)
@@ -192,9 +180,7 @@ class _Tables:
     """
 
     weights: np.ndarray       # trapezoid weights, (K+1,)
-    mean_state: np.ndarray    # (K+1, 3n)
-    mean_follower: np.ndarray  # (K+1, n)
-    offset: np.ndarray        # (K+1, n) follower offset
+    mean_follower: np.ndarray  # (K+1, n)  block 2 of the leader's mean path
     x0_step: np.ndarray       # (K+1, n, n)    leader closed loop: I + dt A0' - u0_P' dt B0'
     x0_const: np.ndarray      # (K+1, n)       u0_const dt B0' + dt f0
     u0_P: np.ndarray          # (K+1, m, n)    u0 = u0_const - u0_P x0
@@ -212,50 +198,19 @@ class _Tables:
     Rw: np.ndarray            # (K+1, m, m)
 
 
-def _mean_coefficients(es: ExtendedSystem, lg: LeaderGains) -> tuple[StageTable, StageTable]:
-    """Drift A + B M and forcing B V + f_state of the mean equation, on the stage grid."""
-    M = leader_M_stages(es, lg.M)
-    V = leader_V_stages(es, M, lg.V).values
-    drift = StageTable(es.grid, es.A.values + es.B @ M.values)
-    return drift, StageTable(es.grid, V @ es.B.T + es.f_state.values)
-
-
-def solve_mean_state(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> GridFunction:
-    """Forward RK4 for the deterministic mean of the extended leader state."""
-    n = s.dims.n
-    init = np.zeros(3 * n)
-    init[:n] = s.leader_mean0
-    init[n:2 * n] = s.follower_mean0
-    return GridFunction(es.grid, integrate_linear(*_mean_coefficients(es, lg), init, forward=True))
-
-
-def mean_state_stages(es: ExtendedSystem, lg: LeaderGains, mean: GridFunction) -> StageTable:
-    """The mean path at every RK4 stage time: Hermite midpoints from its own equation."""
-    drift, forcing = _mean_coefficients(es, lg)
-    return linear_stages(es.grid, drift.nodes, forcing.nodes, mean.values)
-
-
-def deterministic_layer(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> tuple:
-    """What every path shares, per node: the mean extended state E[X], the mean
-    costate offset K E[X] + V, and its third block, the follower offset."""
-    mX = solve_mean_state(s, es, lg).values
-    KmV = np.einsum("kij,kj->ki", lg.K.values, mX) + lg.V.values
-    return mX, KmV, KmV[:, 2 * es.n:]
-
-
 def _check_grids(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> None:
     if fg.grid != s.grid or lg.grid != s.grid:
         raise GridMismatchError("gain tables were solved on a different grid than the scenario")
 
 
-def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedSystem) -> _Tables:
+def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> _Tables:
     K, dt, n = s.grid.steps, s.grid.dt, s.dims.n
-    mX, KmV, offset = deterministic_layer(s, es, lg)
+    KmV, offset = lg.costate_offset, lg.offset.values
 
     def T(a):
         return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
-    mean_follower = mX[:, n:2 * n]
+    mean_follower = lg.mean.nodes[:, n:2 * n]
     F_mean = np.einsum("ij,kjl,kl->ki", fg.control_map, fg.K.values, mean_follower)
     RinvBtT = T(fg.control_map)
 
@@ -280,9 +235,7 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains, es: ExtendedS
 
     return _Tables(
         weights=weights,
-        mean_state=mX,
         mean_follower=mean_follower,
-        offset=offset,
         x0_step=step0[0] - T(u0_P) @ step0[1],
         x0_const=u0_const @ step0[1] + step0[2],
         u0_P=u0_P,
@@ -598,6 +551,8 @@ def simulate(
         raise ValueError("seed must lie in [0, 2**64)")
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
+    if workers < 1 or store_paths < 0:
+        raise ValueError("workers must be at least 1 and store_paths at least 0")
     K, n, N = s.grid.steps, s.dims.n, s.dims.N
     perm, count = relabel or (range(1, N + 1), 0)
     rows = np.concatenate(([0], np.asarray(perm, dtype=int)))
@@ -610,13 +565,12 @@ def simulate(
         raise ValueError(f"deviation directions must have shape ({K + 1}, {s.dims.m})")
     require_valid(s)
     _check_grids(s, fg, lg)
-    es = assemble_extended(s, fg)
-    tab = _build_tables(s, fg, lg, es)
+    tab = _build_tables(s, fg, lg)
 
     slopes = curvature = None
     if deviations is not None:
         slopes, curvature = _slope_tables(s, tab, _deviation_shifts(s, fg, tab, deviations))
-    store_paths = max(0, min(store_paths, n_paths))
+    store_paths = min(store_paths, n_paths)
     chunk = default_chunk_size(N, K, n_paths)
     argses = [
         (tab, s, seed, start, min(start + chunk, n_paths), substeps, (rows, count), store_paths, slopes)
@@ -666,7 +620,6 @@ def simulate(
         return CostEstimate(mean, se)
 
     Jsoc_paths = _ordered_sum(Ji) / N
-    grid = s.grid
     return EnsembleResult(
         n_paths=n_paths,
         seed=seed,
@@ -678,10 +631,7 @@ def simulate(
         leader_cost_paths=J0,
         social_cost_paths=Jsoc_paths,
         follower_cost_paths=Ji.T,
-        lln_gap=GridFunction(grid, gap),
-        mean_state=GridFunction(grid, tab.mean_state),
-        mean_follower=GridFunction(grid, tab.mean_follower),
-        offset=GridFunction(grid, tab.offset),
+        lln_gap=GridFunction(s.grid, gap),
         node_summary=node_summary,
         paths=tuple(paths),
         deviation_slopes=None if slopes is None else np.concatenate([p["slopes"] for p in partials]),

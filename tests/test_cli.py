@@ -25,7 +25,7 @@ from stackmf.follower import solve_follower_gains
 from stackmf.integrators import BLOWUP_FACTOR, GridFunction, read_grid_csv
 from stackmf.leader import assemble_extended, leader_M_stages, leader_V_stages, solve_leader_gains
 from stackmf.model import load_scenario_file, scenario_to_text
-from stackmf.simulation import NOISE_SCHEME, mean_state_stages, simulate, solve_mean_state
+from stackmf.simulation import NOISE_SCHEME
 from conftest import BASELINE_CFG, FAST_CFG_TEXT, random_scenario
 
 GAIN_TABLES = ("P", "K", "Pi", "phi", "leaderP", "leaderK", "leaderM", "leaderV")
@@ -147,11 +147,13 @@ def test_solve_reports_blowup(tmp_path):
     assert "stage = follower" in report
 
 
-def test_solve_reports_overflowing_sources_as_blowup(tmp_path):
-    # A finite follower Gamma whose sources overflow to inf is a blow-up of
-    # the follower stage at t = T, reported like any other, not a traceback.
+@pytest.mark.parametrize("gamma", ["1e300", "1e20"])
+def test_solve_reports_overflowing_sources_as_blowup(gamma, tmp_path):
+    # A finite follower Gamma whose sources (1e300) or Riccati step map (1e20)
+    # overflow to inf is a blow-up of the follower stage at t = T, reported
+    # like any other, with no warning and no traceback.
     bad = tmp_path / "overflow.cfg"
-    bad.write_text(FAST_CFG_TEXT.replace("Gamma = 0.4", "Gamma = 1e300"), encoding="utf-8")
+    bad.write_text(FAST_CFG_TEXT.replace("Gamma = 0.4", f"Gamma = {gamma}"), encoding="utf-8")
     out = tmp_path / "out"
     assert run_cli("solve", "--config", str(bad), "--out", str(out)) == 3
     report = (out / "solve_report.txt").read_text(encoding="utf-8")
@@ -195,6 +197,33 @@ def test_each_command_reads_the_config_once(command, config, gains_dir, tmp_path
     assert len(opened) == 1, opened
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config_sha256"] == sha256(config)
+
+
+def test_each_command_assembles_and_runs_the_mean_pass_once(config, gains_dir, tmp_path, monkeypatch):
+    # The leader gains carry the mean path from their one constructor, so
+    # no command assembles the extended system or runs the mean pass twice.
+    modules = [m for name, m in sys.modules.items() if name.startswith("stackmf")]
+    calls = []
+    for fname in ("assemble_extended", "_mean_path"):
+        for module in modules:
+            original = getattr(module, fname, None)
+            if original is None:
+                continue
+
+            def counted(*args, _fname=fname, _original=original, **kwargs):
+                calls.append(_fname)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, fname, counted)
+    extra = {
+        "solve": [],
+        "simulate": ["--gains", str(gains_dir), "--paths", "4"],
+        "verify": ["--paths", "8", "--directions", "1"],
+    }
+    for command, args in extra.items():
+        calls.clear()
+        assert run_cli(command, "--config", str(config), "--out", str(tmp_path / command), *args) == 0
+        assert sorted(calls) == ["_mean_path", "assemble_extended"], command
 
 
 def test_missing_config_exits_io(tmp_path):
@@ -247,13 +276,12 @@ def test_simulate_artifacts_and_schema(workdir, config, gains_dir):
 
 
 def test_phi_csv_is_the_offset_simulate_uses(config, gains_dir):
-    # solve writes phi.csv and simulate builds its offset with the same
-    # function; from the CSV-loaded gains the two agree bit for bit.
+    # solve writes phi.csv from the offset of the leader gains, the one
+    # simulate reads; from the CSV-loaded gains the two agree bit for bit.
     s = load_scenario_file(str(config))
-    fg, lg = _load_gains(s, gains_dir)
-    offset = simulate(s, fg, lg, 2, seed=0, store_paths=0).offset.values
+    _, lg = _load_gains(s, gains_dir)
     phi = read_grid_csv(gains_dir / "phi.csv")[1]
-    assert phi.tobytes() == offset.tobytes()
+    assert phi.tobytes() == lg.offset.values.tobytes()
 
 
 def test_stage_tables_from_csv_gains_are_bit_identical(config, gains_dir):
@@ -266,11 +294,7 @@ def test_stage_tables_from_csv_gains_are_bit_identical(config, gains_dir):
     es, es_csv = assemble_extended(s, fg), assemble_extended(s, fg_csv)
     for name in ("A", "B1", "B2", "f_state", "f_costate"):
         assert getattr(es, name).values.tobytes() == getattr(es_csv, name).values.tobytes(), name
-    mean = solve_mean_state(s, es, lg)
-    mean_csv = solve_mean_state(s, es_csv, lg_csv)
-    assert mean.values.tobytes() == mean_csv.values.tobytes()
-    stages, stages_csv = mean_state_stages(es, lg, mean), mean_state_stages(es_csv, lg_csv, mean_csv)
-    assert stages.values.tobytes() == stages_csv.values.tobytes()
+    assert lg.mean.values.tobytes() == lg_csv.mean.values.tobytes()
     V_stages = leader_V_stages(es, leader_M_stages(es, lg.M), lg.V)
     V_stages_csv = leader_V_stages(es_csv, leader_M_stages(es_csv, lg_csv.M), lg_csv.V)
     assert V_stages.values.tobytes() == V_stages_csv.values.tobytes()

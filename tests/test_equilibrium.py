@@ -7,10 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import stackmf.equilibrium as equilibrium
 from stackmf.cli import _write_verification
 from stackmf.follower import solve_follower_gains
 from stackmf.integrators import GridFunction
-from stackmf.leader import assemble_extended
 from stackmf.model import Distribution, InitialLaw, Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
 from stackmf.equilibrium import (
@@ -142,7 +142,7 @@ def test_residuals_vanish_on_solved_paths(fast_gains):
     s, fg, lg = fast_gains
     er = simulate(s, fg, lg, 8, seed=3, store_paths=4)
     u_scale = 1.0 + float(np.max(np.abs(er.node_summary["u0_mean"])))
-    assert stationarity_residuals(s, er, fg) <= 1e-12 * u_scale
+    assert stationarity_residuals(s, er, fg, lg) <= 1e-12 * u_scale
 
 
 def test_residuals_scale_with_a_control_offset(fast_gains):
@@ -151,7 +151,7 @@ def test_residuals_scale_with_a_control_offset(fast_gains):
     s, fg, lg = fast_gains
     er = simulate(s, fg, lg, 4, seed=3, store_paths=2)
     shifted = tuple(dataclasses.replace(p, controls=p.controls + 0.1) for p in er.paths)
-    r = stationarity_residuals(s, dataclasses.replace(er, paths=shifted), fg)
+    r = stationarity_residuals(s, dataclasses.replace(er, paths=shifted), fg, lg)
     assert r == pytest.approx(0.05, abs=1e-8)
 
 
@@ -160,14 +160,14 @@ def test_residuals_detect_a_corrupted_gain(fast_gains):
     er = simulate(s, fg, lg, 4, seed=3, store_paths=2)
     bump = 0.01 * (1.0 + np.max(np.abs(fg.P.values)))
     bad = dataclasses.replace(fg, P=GridFunction(s.grid, fg.P.values + bump))
-    assert stationarity_residuals(s, er, bad) > 1e-3
+    assert stationarity_residuals(s, er, bad, lg) > 1e-3
 
 
 def test_residuals_require_stored_paths(fast_gains):
     s, fg, lg = fast_gains
     er = simulate(s, fg, lg, 4, seed=3, store_paths=0)
     with pytest.raises(ValueError):
-        stationarity_residuals(s, er, fg)
+        stationarity_residuals(s, er, fg, lg)
 
 
 def test_generic_vector_game_has_a_nonsymmetric_aggregate_gain_and_verifies():
@@ -236,12 +236,9 @@ def test_dp_oracle_shapes_and_terminal(fast_scenario):
 
 def test_dp_oracle_accepts_an_external_mean_path(fast_gains):
     from stackmf.integrators import StageTable
-    from stackmf.simulation import mean_state_stages, solve_mean_state
 
     s, fg, lg = fast_gains
-    es = assemble_extended(s, fg)
-    mean = mean_state_stages(es, lg, solve_mean_state(s, es, lg))
-    d = dp_gain_oracle(s, fg, mean_leader=StageTable(s.grid, mean.values[:, : s.dims.n]))
+    d = dp_gain_oracle(s, fg, mean_leader=StageTable(s.grid, lg.mean.values[:, : s.dims.n]))
     assert d.delta_P <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d.P)))
     assert d.delta_offset <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d.offset)))
 
@@ -320,6 +317,19 @@ def test_verification_solves_gains_when_not_supplied(fast_scenario):
     rep = run_verification(fast_scenario, n_paths=32, seed=1, directions=1)
     assert rep.passed
     assert rep.n_paths == 32 and rep.mode is Mode.TEAM
+
+
+@pytest.mark.parametrize("directions", [0, -2])
+def test_verification_rejects_too_few_directions(directions, fast_gains, monkeypatch):
+    # With no direction no deviation test runs, so a pass would rest on
+    # nothing; the count is rejected before any ensemble is drawn.
+    def no_work(*args, **kw):
+        raise AssertionError("work started before the arguments were checked")
+
+    s, fg, lg = fast_gains
+    monkeypatch.setattr(equilibrium, "_battery", no_work)
+    with pytest.raises(ValueError, match="directions"):
+        run_verification(s, fg, lg, n_paths=8, seed=0, directions=directions)
 
 
 # Deviation fields of run_verification(fast, n_paths=128, seed=0, directions=3)

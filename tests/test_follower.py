@@ -270,9 +270,9 @@ def test_feedback_law_arithmetic(fast_gains):
     s, fg, lg = fast_gains
     assert np.array_equal(fg.control_map, np.linalg.solve(s.follower_cost.R, s.follower_dyn.B.T))
     er = simulate(s, fg, lg, 2, seed=1, store_paths=2)
-    mean_term = np.einsum("kij,kj->ki", fg.K.values, er.mean_follower.values)
+    mean_term = np.einsum("kij,kj->ki", fg.K.values, lg.mean.nodes[:, s.dims.n:2 * s.dims.n])
     for path in er.paths:
-        costate = np.einsum("kij,akj->aki", fg.P.values, path.followers) + mean_term + er.offset.values
+        costate = np.einsum("kij,akj->aki", fg.P.values, path.followers) + mean_term + lg.offset.values
         expected = -costate @ fg.control_map.T
         assert np.max(np.abs(path.controls - expected)) <= 1e-12
 

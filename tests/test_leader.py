@@ -18,7 +18,7 @@ from stackmf.leader import (
     solve_leader_pair,
 )
 from stackmf.model import Mode, TimeGrid, load_scenario
-from stackmf.simulation import mean_state_stages, simulate, solve_mean_state
+from stackmf.simulation import simulate, solve_mean_state
 from conftest import (REPO, follower_offset, midpoint_flow, replace_mode, solve_both, solve_leader_K, solve_leader_M,
                       solve_leader_P)
 
@@ -251,7 +251,8 @@ def test_offset_routes_agree(config, team_gains):
         + lg.V.values
     )
     offset_leader_route = costate[:, 2 * n:]
-    lead = StageTable(s.grid, mean_state_stages(es, lg, mean).values[:, :n])
+    assert lg.mean.nodes.tobytes() == mean.values.tobytes()
+    lead = StageTable(s.grid, lg.mean.values[:, :n])
     phi = follower_offset(s, fg.Pi, lead).nodes
     gap = np.max(np.abs(offset_leader_route - phi))
     assert gap <= 1e-9 * (1.0 + np.max(np.abs(phi)))
@@ -416,7 +417,8 @@ def test_leader_feedback_arithmetic(fast_scenario):
     P_vals = np.zeros((rows, 3, 3))
     P_vals[:, 0, 0] = 1.0
     P = GridFunction(s.grid, P_vals)
-    lg = leader_gains(s, P, GridFunction(s.grid, np.zeros((rows, 3, 3))), P,
+    es = assemble_extended(s, solve_follower_gains(s))
+    lg = leader_gains(s, es, P, GridFunction(s.grid, np.zeros((rows, 3, 3))), P,
                       GridFunction(s.grid, np.zeros((rows, 3))))
     u = -lg.control_map @ (lg.P.values[1] @ np.array([2.0, 0.0, 0.0]))
     assert u.shape == (1,)

@@ -109,3 +109,47 @@ def test_only_the_cli_writes_files():
                 writes.append((fname, node.lineno, name))
     assert any(fname == "cli.py" for fname, _, _ in writes)
     assert [w for w in writes if w[0] != "cli.py"] == []
+
+
+def _module_statements(body):
+    """The statements a module runs at import, inside `if`, `try` and `with`
+    blocks too, but not the bodies of its functions and classes."""
+    for stmt in body:
+        yield stmt
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_statements(getattr(stmt, field, []))
+
+
+def _immutable(node: ast.expr, module) -> bool:
+    """A number or string literal, a tuple of such values or of classes, or
+    a compiled regular expression."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float, str))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _immutable(node.operand, module)
+    if isinstance(node, ast.Tuple):
+        return all(_immutable(e, module) or (isinstance(e, ast.Name) and isinstance(getattr(module, e.id, None), type))
+                   for e in node.elts)
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "re.compile"
+
+
+def test_no_module_level_mutable_state():
+    # Derived state lives on objects: a module binds only constants, keeps no
+    # `global` rebinding and no functools cache.
+    found = []
+    for fname, tree in _package_trees().items():
+        module = importlib.import_module("stackmf" if fname == "__init__.py" else f"stackmf.{fname[:-3]}")
+        for stmt in _module_statements(tree.body):
+            if isinstance(stmt, ast.AugAssign) or (
+                    isinstance(stmt, (ast.Assign, ast.AnnAssign)) and not _is_all(stmt)
+                    and not (stmt.value is not None and _immutable(stmt.value, module))):
+                found.append((fname, stmt.lineno, ast.unparse(stmt)[:60]))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append((fname, node.lineno, "global"))
+            for deco in getattr(node, "decorator_list", []):
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if (getattr(target, "attr", None) or getattr(target, "id", None)) in ("cache", "lru_cache"):
+                    found.append((fname, deco.lineno, ast.unparse(deco)))
+    assert found == []

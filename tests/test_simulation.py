@@ -230,6 +230,9 @@ def test_bad_permutation_rejected(fast_gains):
     (dict(relabel=([0, 1, 2, 3, 4], 2)), "permutation"),
     (dict(relabel=([5, 4, 3, 2, 1], -1)), "count"),
     (dict(relabel=([5, 4, 3, 2, 1], 5)), "count"),
+    (dict(workers=0), "workers"),
+    (dict(workers=-1), "workers"),
+    (dict(store_paths=-1), "store_paths"),
 ])
 def test_bad_arguments_rejected_before_any_work(kwargs, name, fast_gains, monkeypatch):
     # Nothing is solved or drawn before the arguments are checked.
@@ -238,7 +241,7 @@ def test_bad_arguments_rejected_before_any_work(kwargs, name, fast_gains, monkey
 
     s, fg, lg = fast_gains
     assert s.dims.N == 5
-    monkeypatch.setattr(simulation, "assemble_extended", no_work)
+    monkeypatch.setattr(simulation, "_build_tables", no_work)
     monkeypatch.setattr(simulation.NoiseModel, "generator", no_work)
     with pytest.raises(ValueError, match=name):
         simulate(s, fg, lg, 4, seed=0, **kwargs)
@@ -263,14 +266,14 @@ def test_leader_control_recomposes_gain_tables(fast_gains):
     # and the offset, the same on every path; P is zero on the third block.
     s, fg, lg = fast_gains
     er = simulate(s, fg, lg, 3, seed=13, store_paths=3)
-    mean = er.mean_state.values
+    mean, offset = lg.mean.nodes, lg.offset.values
     K, dt, n = s.grid.steps, s.grid.dt, s.dims.n
     fd = s.follower_dyn
     G, f = fd.B @ fg.control_map, time_sampled(fd.f, s.grid)
     m = np.empty((K + 1, n))
     m[0] = s.follower_mean0
     for k in range(K):
-        m[k + 1] = m[k] + dt * ((fd.A - G @ fg.Pi.values[k]) @ m[k] - G @ er.offset.values[k] + f[k])
+        m[k + 1] = m[k] + dt * ((fd.A - G @ fg.Pi.values[k]) @ m[k] - G @ offset[k] + f[k])
     for path in er.paths:
         costate = (
             np.einsum("kij,kj->ki", lg.P.values[:, :, :2 * n], np.concatenate([path.x0, m], axis=1))
@@ -504,11 +507,11 @@ def test_stacked_leader_shifts_match_one_direction_at_a_time(case, fast_gains, f
     # All leader directions share one offset solve and one mean-response solve.
     s, fg, lg = {"team": fast_gains, "game": fast_game_gains}.get(case) or solve_both(
         random_scenario(7, n=2, m=2, N=4))
-    tab = _build_tables(s, fg, lg, assemble_extended(s, fg))
+    tab = _build_tables(s, fg, lg)
     dirs = [v for _, v in direction_library(s.grid, s.dims.m, 3, seed=4)]
     stacked = _population_shift(s, fg, tab, _control_shift(np.stack(dirs, axis=1), tab.step0))
     for d, v in enumerate(dirs):
-        ref = _population_shift_reference(s, fg, tab.mean_state, v)
+        ref = _population_shift_reference(s, fg, lg.mean.nodes, v)
         assert np.max(np.abs(stacked[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref)), d
 
 
