@@ -9,7 +9,8 @@ gains tables and `verify`'s report included, goes through one writer,
     0   success
     1   I/O failure (unreadable config, missing gains files, unwritable out)
     2   validation hard-failure or malformed config (a non-finite number too)
-    3   gain equation blew up (failure time reported)
+    3   gain equation blew up, or simulated paths overflowed (failure time
+        reported)
     4   gains directory is not grid-compatible with the config, a gains
         table is malformed (non-numeric or non-finite cell, missing `t`
         header, ragged row), or the tables contradict each other (follower
@@ -207,7 +208,7 @@ def _load_gains(s: Scenario, gains_dir: Path) -> tuple[FollowerGains, LeaderGain
     All eight tables are read and validated.  The tables must satisfy the
     identities `verify` gates (`table_identities`): P + K = Pi with P
     symmetric, and the leader's P + K = M with P zero on the third block,
-    which `simulate` skips.  phi.csv must hold the offset that the leader
+    which `simulate` assumes.  phi.csv must hold the offset that the leader
     gains derive from the others (`LeaderGains.offset`), the one `_write_gains`
     writes and `simulate` reads.
     """
@@ -576,8 +577,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_GRID, f"gains rejected: {e}")
     except ScenarioError as e:
         return _fail(EXIT_VALIDATION, f"invalid scenario: {e}")
-    except BlowUpError as e:
-        return _fail(EXIT_BLOWUP, f"gain equation blew up at t={e.time:.6g}")
+    except BlowUpError as e:          # a gain equation, or simulated paths that overflow
+        return _fail(EXIT_BLOWUP, str(e))
     except OSError as e:
         return _fail(EXIT_IO, f"I/O error: {e}")
 

@@ -16,7 +16,8 @@ lines of evidence reuse none of the solver route they are checking:
   average by 1/N.  Every direction's slopes are read off the same baseline
   paths in one ensemble pass (`simulation.Deviations`).
 * **Stationarity residuals** -- along simulated paths the follower control
-  must satisfy R u + B' (P x + K m + phi) = 0 at machine precision.
+  must satisfy R u + B' (P x + K m + phi) = 0 at machine precision, gated
+  relative to the largest |B' (P x + K m + phi)| on the same paths.
 * **Dynamic-programming oracle** -- an exact one-step discretization of the
   follower's best-response problem solved by backward recursion, converging
   at O(dt) to the Riccati-based gains.  It shares no code with the
@@ -28,9 +29,9 @@ The other rows check that the pieces fit together:
   solved or loaded, satisfy follower P + K = Pi and leader P + K = M, each
   sum solved by its own equation, P's symmetry drift stays roundoff, and
   leader P is zero on X's third block, rows and columns: the offset does
-  not depend on the leader's path, and the path kernel skips that block.
+  not depend on the leader's path, as the path kernel assumes.
 * **Offset consistency** -- the follower offset the leader layer
-  reconstructs along the mean path (block 3 of K E[X] + V) equals the
+  reconstructs along the mean path (block 3 of M E[X] + V) equals the
   follower-route offset along the same leader mean.
 * **Exchangeability** -- relabeling which noise row drives which follower
   permutes the per-path follower costs, path by path; the relabeled paths
@@ -188,21 +189,18 @@ def deviation_battery(
 # ---------------------------------------------------------------------------
 
 
-def stationarity_residuals(s: Scenario, er, fg: FollowerGains, lg: LeaderGains) -> float:
+def stationarity_residuals(s: Scenario, er, fg: FollowerGains, lg: LeaderGains) -> tuple[float, float]:
     """Worst pointwise optimality residual R u + B'(P x + K m + phi) over the
-    stored paths of `er`, with the mean m and the offset phi of `lg`."""
+    stored paths of `er`, with the mean m and the offset phi of `lg`, and
+    the largest |B'(P x + K m + phi)| on the same paths, the residual's scale."""
     if not er.paths:
         raise ValueError("ensemble holds no stored paths; rerun with store_paths >= 1")
     B, R, n = s.follower_dyn.B, s.follower_cost.R, s.dims.n
     P, Kv = fg.P.values, fg.K.values
     mean_term = np.einsum("kij,kj->ki", Kv, lg.mean.nodes[:, n:2 * n])
-    offset = lg.offset.values
-    worst = 0.0
-    for path in er.paths:
-        p = np.einsum("kij,akj->aki", P, path.followers) + mean_term + offset
-        r = p @ B + path.controls @ R.T
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+    x, u = (np.stack([getattr(path, name) for path in er.paths]) for name in ("followers", "controls"))
+    Btp = (np.einsum("kij,pakj->paki", P, x) + mean_term + lg.offset.values) @ B
+    return float(np.max(np.abs(Btp + u @ R.T))), float(np.max(np.abs(Btp)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def _check(name, value, threshold, detail="") -> CheckRow:
 def table_identities(fg: FollowerGains, lg: LeaderGains) -> list[CheckRow]:
     """Check rows of the identities that gain tables, solved or loaded, must
     satisfy: follower P + K = Pi with P symmetric, leader P + K = M, and
-    leader P zero on X's third block (rows and columns), which `simulate` skips."""
+    leader P zero on X's third block (rows and columns), which `simulate` assumes."""
 
     def sum_row(name, P, K, total, tol):
         gap = np.max(np.abs(P.values + K.values - total.values))
@@ -399,8 +397,8 @@ def run_verification(
         "follower-route offset vs leader-route offset",
     )
 
-    u_scale = float(np.max(np.abs(er.node_summary["u0_mean"]))) + 1.0
-    add("stationarity_residual", stationarity_residuals(s, er, fg, lg), 1e-9 * u_scale)
+    residual, scale = stationarity_residuals(s, er, fg, lg)
+    add("stationarity_residual", residual, 1e-10 * (1.0 + scale))
 
     relabeled = er.follower_cost_paths[:n_small][:, perm - 1]
     exch_gap = float(np.max(np.abs(er.relabeled_cost_paths - relabeled)))

@@ -34,14 +34,16 @@ solved V and a loaded one get their midpoints from one rule
 (`integrators.linear_stages`).
 
 No symmetrization is applied: these solutions are not symmetric.  The
-leader's control reads the first block of the reconstructed costate:
+leader's control reads the first block of the reconstructed costate.  Only
+x0 is random in X, so with P00 the block of P on x0 and the mean costate
+E[Y] = M E[X] + V it is
 
-    u0 = -R0^-1 B0' e1 (P X + K E[X] + V).
+    u0 = -R0^-1 B0' (P00 (x0 - E[x0]) + E[Y]_0).
 
 `leader_gains`, the one constructor of `LeaderGains`, also solves once the
 mean path E[X]' = (A + B M) E[X] + B V + f_state that M and V give; what
-every path shares, K E[X] + V and its third block, the follower offset, is
-read off it.
+every path shares, E[Y] and its third block, the follower offset, is read
+off it.
 """
 
 from __future__ import annotations
@@ -227,11 +229,11 @@ def solve_mean_state(s: Scenario, es: ExtendedSystem, lg: LeaderGains) -> GridFu
 @dataclass(frozen=True)
 class LeaderGains:
     """Leader-stage gain tables: Y = P X + K E[X] + V, M = P + K; built by
-    `leader_gains`.  control_map = R0^-1 B0' e1, with e1 the selector of
-    block 1, turns a reconstructed costate into -u0.  mean is the mean path
-    E[X] that M and V give, at every stage time.  The constructor derives
-    control_map and mean (`dataclasses.replace` of M or V does not).  health
-    names the solve's march with its FlowHealth (empty for loaded tables).
+    `leader_gains`.  control_map = R0^-1 B0' turns the first block of a
+    reconstructed costate into -u0.  mean is the mean path E[X] that M and
+    V give, at every stage time.  The constructor derives control_map and
+    mean (`dataclasses.replace` of M or V does not).  health names the
+    solve's march with its FlowHealth (empty for loaded tables).
     """
 
     P: GridFunction
@@ -247,23 +249,22 @@ class LeaderGains:
         return self.P.grid
 
     @property
-    def costate_offset(self) -> np.ndarray:
-        """K E[X] + V per node, (steps + 1, 3n): what every path shares of Y."""
-        return np.einsum("kij,kj->ki", self.K.values, self.mean.nodes) + self.V.values
+    def mean_costate(self) -> np.ndarray:
+        """E[Y] = M E[X] + V per node, (steps + 1, 3n)."""
+        return np.einsum("kij,kj->ki", self.M.values, self.mean.nodes) + self.V.values
 
     @property
     def offset(self) -> GridFunction:
-        """The follower offset: the third block of K E[X] + V, per node."""
-        KmV = self.costate_offset
-        return GridFunction(self.grid, KmV[:, 2 * KmV.shape[1] // 3:])
+        """The follower offset: the third block of E[Y], per node."""
+        EY = self.mean_costate
+        return GridFunction(self.grid, EY[:, 2 * EY.shape[1] // 3:])
 
 
 def leader_gains(s: Scenario, es: ExtendedSystem, P: GridFunction, K: GridFunction, M: GridFunction,
                  V: GridFunction, health=()) -> LeaderGains:
     """The gain object of solved or loaded tables on the extended system
     `es`; derives the control map and the mean path (one mean pass)."""
-    e1 = np.eye(s.dims.n, 3 * s.dims.n)
-    control_map = np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T) @ e1
+    control_map = np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T)
     return LeaderGains(P=P, K=K, M=M, V=V, control_map=control_map, mean=_mean_path(s, es, M, V),
                        health=tuple(health))
 

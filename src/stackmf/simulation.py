@@ -1,20 +1,20 @@
 """Euler-Maruyama ensemble simulation of the closed-loop leader/follower system.
 
 The deterministic layer every path shares (the mean of the extended leader
-state, and the follower offset reconstructed from it) comes with the leader
-gains (`leader.LeaderGains.mean`, `LeaderGains.offset`).  Each path
-marches the leader's own state x0 and all N followers with Euler-Maruyama
-on the same grid, evaluates both feedback laws node by node, and
-accumulates the quadratic costs with the trapezoid rule.  The leader's
-feedback also reads block 2 of its extended state, the follower mean: one
-deterministic table, Euler-marched once per run.  The same march
-optionally costs open-loop control deviations of one follower and of the
-leader (`Deviations`): the dynamics are linear, so a deviated path is the
-baseline path plus a deterministic shift, and each direction's pathwise
-cost slope is accumulated along the baseline paths in the same pass.  The
-followers' answer to a leader shift is `follower.follower_response`, one
-column per direction.  Stored paths (`SimPath`) hold every agent's
-trajectory and control.
+state, the mean costate M E[X] + V and its third block, the follower
+offset) comes with the leader gains (`leader.LeaderGains.mean`,
+`LeaderGains.mean_costate`, `LeaderGains.offset`).  Each path marches the
+leader's own state x0 and all N followers with Euler-Maruyama on the same
+grid, evaluates both feedback laws node by node, and accumulates the
+quadratic costs with the trapezoid rule.  Of leader P the leader's feedback
+reads only P00, the block on x0.  The same march optionally costs open-loop
+control deviations of one follower and of the leader (`Deviations`): the
+dynamics are linear, so a deviated path is the baseline path plus a
+deterministic shift, and each direction's pathwise cost slope is
+accumulated along the baseline paths in the same pass.  The followers'
+answer to a leader shift is `follower.follower_response`, one column per
+direction.  Stored paths (`SimPath`) hold every agent's trajectory and
+control.
 
 Paths run in chunks; without a pool they share one draw buffer.  Within a
 chunk the followers form one follower-major array, so each step is a
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .follower import FollowerGains, follower_response, solve_follower_gains, sources
-from .integrators import GridFunction, StageTable, matvec, stage_table
+from .integrators import BlowUpError, GridFunction, StageTable, matvec, stage_table
 from .leader import LeaderGains, solve_leader_gains, solve_mean_state  # the last re-exported for perfbench
 from .model import InitialLaw, Mode, Scenario, require_valid, time_sampled
 
@@ -198,14 +198,9 @@ class _Tables:
     Rw: np.ndarray            # (K+1, m, m)
 
 
-def _check_grids(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> None:
-    if fg.grid != s.grid or lg.grid != s.grid:
-        raise GridMismatchError("gain tables were solved on a different grid than the scenario")
-
-
 def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> _Tables:
     K, dt, n = s.grid.steps, s.grid.dt, s.dims.n
-    KmV, offset = lg.costate_offset, lg.offset.values
+    offset = lg.offset.values
 
     def T(a):
         return np.ascontiguousarray(np.swapaxes(a, -1, -2))
@@ -223,15 +218,10 @@ def _build_tables(s: Scenario, fg: FollowerGains, lg: LeaderGains) -> _Tables:
         return eye + dt * T(dyn.A), dt * T(dyn.B), dt * time_sampled(dyn.f, s.grid), dyn.D
 
     step0, step_f = step(s.leader_dyn), step(s.follower_dyn)
-    # Block 2 of X, the follower mean under the aggregate gain and the offset, is
-    # the same on every path (leader P is zero on its third block row): marched once.
-    dtGT = RinvBtT @ step_f[1]      # dt (B R^-1 B')'
-    m_step, m_const = step_f[0] - np.swapaxes(fg.Pi.values, 1, 2) @ dtGT, step_f[2] - offset @ dtGT
-    block2 = np.tile(s.follower_mean0, (K + 1, 1))
-    for k in range(K):
-        block2[k + 1] = block2[k] @ m_step[k] + m_const[k]
-    u0_P = np.einsum("ij,kjl->kil", lg.control_map, lg.P.values[:, :, :n])
-    u0_const = -matvec(lg.control_map, KmV + matvec(lg.P.values[:, :, n:2 * n], block2))
+    # Only x0 is random in X: u0 = -R0^-1 B0' (P00 (x0 - E[x0]) + E[Y]_0).
+    P00 = lg.P.values[:, :n, :n]
+    u0_P = lg.control_map @ P00
+    u0_const = -matvec(lg.control_map, lg.mean_costate[:, :n] - matvec(P00, lg.mean.nodes[:, :n]))
 
     return _Tables(
         weights=weights,
@@ -377,6 +367,7 @@ def _slope_tables(s: Scenario, tab: _Tables, shifts: tuple) -> tuple:
     return tables, np.concatenate([curv_f, curvature((dy0, Q0), (lu, R0))])
 
 
+@np.errstate(over="ignore", invalid="ignore")     # `simulate` reports overflowed paths
 def _chunk(args, dW: np.ndarray | None = None) -> dict:
     """March one chunk of paths: the package's one Euler-Maruyama kernel.
 
@@ -542,8 +533,11 @@ def simulate(
     row perm[j - 1] (exchangeability checks); their follower costs come back
     as `relabeled_cost_paths` and nothing else changes.  `deviations`
     additionally costs open-loop deviations along the same paths; see
-    `Deviations`.  It reads only the first two blocks of leader `P`; `verify`
-    and the gains loader gate the third at zero (`table_identities`).
+    `Deviations`.  Of leader `P` it reads only P00, the block on x0, and it
+    takes P to be zero on X's third block, as `verify` and the gains loader
+    gate it (`table_identities`).  A non-finite cost, node statistic, gap or
+    deviation slope raises `BlowUpError`, timed at the first node with a
+    non-finite statistic, or at T.
     """
     if not 1 <= n_paths < 1 << 32:
         raise ValueError("n_paths must lie in [1, 2**32)")
@@ -564,7 +558,8 @@ def simulate(
                                       for v in deviations.follower + deviations.leader):
         raise ValueError(f"deviation directions must have shape ({K + 1}, {s.dims.m})")
     require_valid(s)
-    _check_grids(s, fg, lg)
+    if fg.grid != s.grid or lg.grid != s.grid:
+        raise GridMismatchError("gain tables were solved on a different grid than the scenario")
     tab = _build_tables(s, fg, lg)
 
     slopes = curvature = None
@@ -584,57 +579,61 @@ def simulate(
         dW = np.empty((min(chunk, n_paths), N + 1, K))      # reused by every chunk in turn
         partials = [_chunk(a, dW) for a in argses]
 
-    J0 = np.concatenate([p["J0"] for p in partials])
-    # Follower costs, (N, paths): the cost means and sums add in one order for any chunking.
-    Ji, relabeled = (np.concatenate([p[key] for p in partials], axis=1) for key in ("Ji", "relabeled"))
+    with np.errstate(over="ignore", invalid="ignore"):     # overflowed paths are reported below
+        # Per-path costs, (N + 2, paths): the leader's, the social cost, then followers
+        # 1..N; the follower cost means and sums add in one order for any chunking.
+        Ji, relabeled = (np.concatenate([p[key] for p in partials], axis=1) for key in ("Ji", "relabeled"))
+        costs = np.vstack([np.concatenate([p["J0"] for p in partials]), _ordered_sum(Ji) / N, Ji])
+        cost_mean = costs.mean(axis=1)
+        cost_se = costs.std(axis=1, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros(N + 2)
 
-    def total(key):
-        acc = partials[0][key].copy()
+        def total(key):
+            acc = partials[0][key].copy()
+            for p in partials[1:]:
+                acc += p[key]
+            return acc
+
+        # Node variances: centred chunk moments merged pairwise in chunk order
+        # (Chan, Golub & LeVeque 1979), so any worker count gives the same bits.
+        seen = partials[0]["J0"].shape[0]
+        mean, m2 = partials[0]["node_sum"] / seen, partials[0]["node_m2"].copy()
         for p in partials[1:]:
-            acc += p[key]
-        return acc
+            c = p["J0"].shape[0]
+            delta = p["node_sum"] / c - mean
+            m2 += p["node_m2"] + delta * delta * (seen * c / (seen + c))
+            mean += delta * (c / (seen + c))
+            seen += c
+        node_mean, gap = total("node_sum") / n_paths, total("gap_sum") / n_paths
+    dev_slopes = None if slopes is None else np.concatenate([p["slopes"] for p in partials])
 
-    # Node variances: centred chunk moments merged pairwise in chunk order
-    # (Chan, Golub & LeVeque 1979), so any worker count gives the same bits.
-    seen = partials[0]["J0"].shape[0]
-    mean, m2 = partials[0]["node_sum"] / seen, partials[0]["node_m2"].copy()
-    for p in partials[1:]:
-        c = p["J0"].shape[0]
-        delta = p["node_sum"] / c - mean
-        m2 += p["node_m2"] + delta * delta * (seen * c / (seen + c))
-        mean += delta * (c / (seen + c))
-        seen += c
-    means = np.split(total("node_sum") / n_paths, [n, 2 * n], axis=1)
+    node_ok = np.isfinite(np.column_stack([node_mean, m2, gap])).all(axis=1)
+    if not node_ok.all() or not all(np.isfinite(a).all() for a in (costs, cost_mean, cost_se, dev_slopes)
+                                    if a is not None):
+        t = s.grid.nodes[np.argmin(node_ok)] if not node_ok.all() else s.grid.horizon
+        raise BlowUpError(t, math.inf, f"simulated paths overflowed at t={t:.6g}: a cost, "
+                          "node statistic, gap or deviation slope is not finite")
+
+    means = np.split(node_mean, [n, 2 * n], axis=1)
     stds = np.split(np.sqrt(m2 / n_paths), [n, 2 * n], axis=1)
     node_summary = {f"{name}_{kind}": v[i] for name, i in (("x0", 0), ("xbar", 1), ("u0", 2))
                     for kind, v in (("mean", means), ("std", stds))}
-
-    gap = total("gap_sum") / n_paths
-
     paths = [SimPath(index=p["start"] + i, **{key: v[i] for key, v in st.items()})
              for p in partials if (st := p["store"]) is not None for i in range(len(st["x0"]))]
-
-    def estimate(samples: np.ndarray) -> CostEstimate:
-        mean = float(samples.mean())
-        se = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-        return CostEstimate(mean, se)
-
-    Jsoc_paths = _ordered_sum(Ji) / N
     return EnsembleResult(
         n_paths=n_paths,
         seed=seed,
         mode=s.mode,
-        leader_cost=estimate(J0),
-        social_cost=estimate(Jsoc_paths),
-        follower_costs=Ji.mean(axis=1),
-        follower_costs_se=Ji.std(axis=1, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros(N),
-        leader_cost_paths=J0,
-        social_cost_paths=Jsoc_paths,
-        follower_cost_paths=Ji.T,
+        leader_cost=CostEstimate(float(cost_mean[0]), float(cost_se[0])),
+        social_cost=CostEstimate(float(cost_mean[1]), float(cost_se[1])),
+        follower_costs=cost_mean[2:],
+        follower_costs_se=cost_se[2:],
+        leader_cost_paths=costs[0],
+        social_cost_paths=costs[1],
+        follower_cost_paths=costs[2:].T,
         lln_gap=GridFunction(s.grid, gap),
         node_summary=node_summary,
         paths=tuple(paths),
-        deviation_slopes=None if slopes is None else np.concatenate([p["slopes"] for p in partials]),
+        deviation_slopes=dev_slopes,
         deviation_curvature=curvature,
         relabeled_cost_paths=None if relabel is None else relabeled.T,
     )

@@ -161,6 +161,34 @@ def test_solve_reports_overflowing_sources_as_blowup(gamma, tmp_path):
     assert "stage = follower" in report
 
 
+# Baseline edits whose gains solve but whose simulated paths overflow: the
+# noise loads (every path reaches inf after one step) and the leader's
+# initial spread (only the costs and their standard errors do).
+OVERFLOWING_PATHS = {
+    "noise": ("D = 1.0", "D = 1e200"),
+    "spread": ('leader = "uniform(0, 10)"', 'leader = "gaussian(0, 1e300)"'),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_PATHS))
+def test_overflowing_paths_exit_blowup(case, command, tmp_path, capsys):
+    # Exit 3 naming the simulated paths, not a traceback, an inf in a cost
+    # table or a passing verdict.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(BASELINE_CFG.read_text(encoding="utf-8").replace(*OVERFLOWING_PATHS[case]), encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "simulate":
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "gains")) == 0
+        args = ("--gains", str(tmp_path / "gains"), "--paths", "4")
+    else:
+        args = ("--paths", "8", "--directions", "1")
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(cfg), "--out", str(out), *args) == 3
+    assert "simulated paths overflowed at t=" in capsys.readouterr().err
+    assert not (out / "costs.csv").exists() and not (out / "verification.csv").exists()
+
+
 def test_malformed_config_exits_validation(tmp_path):
     bad = tmp_path / "nonsense.cfg"
     bad.write_text(FAST_CFG_TEXT.replace('mode = "team"', 'mode = "duel"'), encoding="utf-8")

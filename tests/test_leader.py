@@ -420,15 +420,14 @@ def test_leader_feedback_arithmetic(fast_scenario):
     es = assemble_extended(s, solve_follower_gains(s))
     lg = leader_gains(s, es, P, GridFunction(s.grid, np.zeros((rows, 3, 3))), P,
                       GridFunction(s.grid, np.zeros((rows, 3))))
-    u = -lg.control_map @ (lg.P.values[1] @ np.array([2.0, 0.0, 0.0]))
+    u = -lg.control_map @ (lg.P.values[1] @ np.array([2.0, 0.0, 0.0]))[:1]
     assert u.shape == (1,)
     assert u[0] == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_solved_feedback_composes_gain_tables(team_gains):
-    # control_map = R0^-1 B0' e1: only the leader block of the costate
-    # reaches the leader control.
+    # control_map = R0^-1 B0', m x n: it maps the leader block of the
+    # costate, and no other, to the leader control.
     s, _, lg = team_gains
-    n = s.dims.n
-    np.testing.assert_array_equal(lg.control_map[:, :n], np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T))
-    assert not np.any(lg.control_map[:, n:])
+    assert lg.control_map.shape == (s.dims.m, s.dims.n)
+    np.testing.assert_array_equal(lg.control_map, np.linalg.solve(s.leader_cost.R, s.leader_dyn.B.T))

@@ -10,7 +10,7 @@ import scipy.stats
 import stackmf.simulation as simulation
 from stackmf.equilibrium import direction_library
 from stackmf.follower import riccati_stages, sources
-from stackmf.integrators import StageTable, stage_table
+from stackmf.integrators import GridFunction, StageTable, stage_table
 from stackmf.leader import assemble_extended
 from stackmf.model import Mode, TimeGrid, load_scenario, time_sampled
 from stackmf.simulation import (
@@ -261,27 +261,34 @@ def test_population_average_is_exact_mean(fast_gains):
 
 
 def test_leader_control_recomposes_gain_tables(fast_gains):
-    # u0 = -R0^-1 B0' e1 (P X + K E[X] + V) along X = (x0, m, .): block 2 of
-    # X, m, is the Euler march of the follower mean under the aggregate gain
-    # and the offset, the same on every path; P is zero on the third block.
+    # u0 = -R0^-1 B0' (P00 (x0 - E[x0]) + E[Y]_0) with E[Y] = M E[X] + V: only
+    # x0 is random in X, and P00 is leader P's block on it.
     s, fg, lg = fast_gains
     er = simulate(s, fg, lg, 3, seed=13, store_paths=3)
-    mean, offset = lg.mean.nodes, lg.offset.values
-    K, dt, n = s.grid.steps, s.grid.dt, s.dims.n
-    fd = s.follower_dyn
-    G, f = fd.B @ fg.control_map, time_sampled(fd.f, s.grid)
-    m = np.empty((K + 1, n))
-    m[0] = s.follower_mean0
-    for k in range(K):
-        m[k + 1] = m[k] + dt * ((fd.A - G @ fg.Pi.values[k]) @ m[k] - G @ offset[k] + f[k])
+    n = s.dims.n
+    P00, mean0 = lg.P.values[:, :n, :n], lg.mean.nodes[:, :n]
+    EY0 = (np.einsum("kij,kj->ki", lg.M.values, lg.mean.nodes) + lg.V.values)[:, :n]
     for path in er.paths:
-        costate = (
-            np.einsum("kij,kj->ki", lg.P.values[:, :, :2 * n], np.concatenate([path.x0, m], axis=1))
-            + np.einsum("kij,kj->ki", lg.K.values, mean)
-            + lg.V.values
-        )
-        expected = -costate @ lg.control_map.T
+        expected = -(np.einsum("kij,kj->ki", P00, path.x0 - mean0) + EY0) @ lg.control_map.T
         assert np.max(np.abs(path.u0 - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["fast_gains", "fast_game_gains"])
+def test_kernel_reads_no_leader_table_but_P00_M_and_V(fixture, request):
+    # The paths read leader P only on its x0 block, and leader K not at all:
+    # randomizing K and every other block of P leaves the costs and the
+    # leader's controls bit-identical.
+    s, fg, lg = request.getfixturevalue(fixture)
+    n = s.dims.n
+    rng = np.random.default_rng(5)
+    P = rng.standard_normal(lg.P.values.shape)
+    P[:, :n, :n] = lg.P.values[:, :n, :n]
+    scrambled = dataclasses.replace(lg, P=GridFunction(s.grid, P),
+                                    K=GridFunction(s.grid, rng.standard_normal(lg.K.values.shape)))
+    a, b = (simulate(s, fg, g, 6, seed=4, store_paths=6) for g in (lg, scrambled))
+    for name in ("leader_cost_paths", "follower_cost_paths", "social_cost_paths"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert all(np.array_equal(p.u0, q.u0) for p, q in zip(a.paths, b.paths))
 
 
 def test_social_cost_is_average_of_follower_costs(fast_gains):
@@ -529,9 +536,8 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps, perm=None):
     follower j reads agent row perm[j - 1] of every draw."""
     K, dt, n, N = s.grid.steps, s.grid.dt, s.dims.n, s.dims.N
     ld, fd, lc, fc = s.leader_dyn, s.follower_dyn, s.leader_cost, s.follower_cost
-    es = assemble_extended(s, fg)
-    noise = np.pad(ld.D, (0, 2 * n))        # dW0 loads block 1 of X
-    mX = solve_mean_state(s, es, lg).values
+    mX = solve_mean_state(s, assemble_extended(s, fg), lg).values
+    EY = np.einsum("kij,kj->ki", lg.M.values, mX) + lg.V.values      # the mean costate
     f0, ff = time_sampled(ld.f, s.grid), time_sampled(fd.f, s.grid)
     eta0, eta = time_sampled(lc.eta, s.grid), time_sampled(fc.eta, s.grid)
     w = np.full(K + 1, dt)
@@ -562,19 +568,17 @@ def _reference_ensemble(s, fg, lg, n_paths, seed, dev, eps, perm=None):
     for p in range(n_paths):
         init = nm.initial(p, s.init, N)[rows]
         dW = nm.wiener(p, N + 1, K, dt)[rows]
-        X = np.concatenate([init[0], s.follower_mean0, np.zeros(n)])
-        x = init[1:].copy()
+        x0, x = init[0], init[1:].copy()
         x0s, u0s = np.empty((K + 1, n)), np.empty((K + 1, s.dims.m))
         xs, us = np.empty((N, K + 1, n)), np.empty((N, K + 1, s.dims.m))
         for k in range(K + 1):
-            costate = lg.P.values[k] @ X + lg.K.values[k] @ mX[k] + lg.V.values[k]
-            x0s[k], u0s[k] = X[:n], -lg.control_map @ costate
+            x0s[k], u0s[k] = x0, -lg.control_map @ (lg.P.values[k, :n, :n] @ (x0 - mX[k, :n]) + EY[k, :n])
             for j in range(N):
                 xs[j, k] = x[j]
                 us[j, k] = -fg.control_map @ (fg.P.values[k] @ x[j] + fg.K.values[k] @ mX[k, n:2 * n]
-                                              + costate[2 * n:])
+                                              + EY[k, 2 * n:])
             if k < K:
-                X = X + dt * (es.A.nodes[k] @ X + es.B @ costate + es.f_state.nodes[k]) + dW[0, k] * noise
+                x0 = x0 + dt * (ld.A @ x0 + ld.B @ u0s[k] + f0[k]) + dW[0, k] * ld.D
                 for j in range(N):
                     x[j] = x[j] + dt * (fd.A @ x[j] + fd.B @ us[j, k] + ff[k]) + dW[j + 1, k] * fd.D
         xbar = xs.mean(axis=0)
