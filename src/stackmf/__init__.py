@@ -17,7 +17,7 @@ from .model import (
 from .integrators import BlowUpError, GridFunction, StageTable, expm
 from .follower import FollowerGains, follower_gains, solve_follower_gains
 from .leader import ExtendedSystem, LeaderGains, assemble_extended, leader_gains, solve_leader_gains
-from .simulation import Deviations, EnsembleResult, NoiseModel, estimate_costs, lln_diagnostic, simulate
+from .simulation import Deviations, EnsembleResult, NoiseModel, estimate_costs, simulate
 from .equilibrium import (
     VerificationReport,
     deviation_battery,
@@ -51,7 +51,6 @@ __all__ = [
     "EnsembleResult",
     "NoiseModel",
     "estimate_costs",
-    "lln_diagnostic",
     "simulate",
     "VerificationReport",
     "deviation_battery",

@@ -48,7 +48,7 @@ from .model import (
     Scenario,
     ScenarioError,
     TimeGrid,
-    load_scenario,
+    load_scenario_bytes,
     require_valid,
     validate,
 )
@@ -56,7 +56,6 @@ from .simulation import (
     NOISE_SCHEME,
     GridMismatchError,
     estimate_costs,
-    lln_diagnostic,
     simulate,
 )
 
@@ -91,11 +90,7 @@ def _fail(code: int, message: str) -> int:
 def _load_config(path_str: str) -> tuple[Scenario, bytes]:
     """The scenario parsed from the config's bytes, and those bytes, read once."""
     raw = Path(path_str).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ScenarioError(f"config is not UTF-8: {e}") from None
-    return load_scenario(text), raw
+    return load_scenario_bytes(raw), raw
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -423,13 +418,22 @@ def _parse_values(parser: _Parser, vary: str, raw: str) -> list:
 
 
 def _sweep_N(s: Scenario, values, args, out: Path):
-    rows, slope = lln_diagnostic(s, values, n_paths=args.paths, seed=args.seed,
-                                 workers=args.workers)
-    agg = [["N", str(v), "gap", float(g)] for v, g in rows]
+    """The mean gap between the population average and its limit at t = T/2,
+    gains re-solved per follower count (the sources carry 1/N factors), and
+    its log-log slope, near -1/2 when the de-aggregation is wired correctly."""
+    mid = s.grid.steps // 2
+    rows = []
+    for v in values:
+        sv = dataclasses.replace(s, dims=dataclasses.replace(s.dims, N=v))
+        fg = solve_follower_gains(sv)
+        lg = solve_leader_gains(sv, fg)
+        er = simulate(sv, fg, lg, n_paths=args.paths, seed=args.seed, workers=args.workers, store_paths=0)
+        rows.append((v, float(er.lln_gap.values[mid])))
+        _write_rows(out / f"run_N{v}.csv", ["N", "gap"], [_line(rows[-1])])
+    agg = [["N", str(v), "gap", g] for v, g in rows]
     if len(rows) > 1:
-        agg.append(["N", "", "slope_loglog", float(slope)])
-    for v, g in rows:
-        _write_rows(out / f"run_N{v}.csv", ["N", "gap"], [_line([v, float(g)])])
+        logs, gaps = np.log(np.array(rows, dtype=float)).T
+        agg.append(["N", "", "slope_loglog", float(np.polyfit(logs, gaps, 1)[0])])
     return agg, [out / f"run_N{v}.csv" for v, _ in rows]
 
 

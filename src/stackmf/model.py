@@ -40,6 +40,7 @@ __all__ = [
     "CheckResult",
     "ValidationReport",
     "load_scenario",
+    "load_scenario_bytes",
     "load_scenario_file",
     "scenario_to_text",
     "validate",
@@ -346,9 +347,18 @@ def load_scenario(text: str) -> Scenario:
     return Scenario(dims=dims, grid=grid, mode=mode, **parts)
 
 
+def load_scenario_bytes(raw: bytes) -> Scenario:
+    """Parse a scenario config from its bytes, which must be UTF-8."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"config is not UTF-8: {e}") from None
+    return load_scenario(text)
+
+
 def load_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    with open(path, "rb") as fh:
+        return load_scenario_bytes(fh.read())
 
 
 def _toml(value) -> str:

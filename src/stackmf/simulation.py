@@ -36,13 +36,13 @@ arithmetic mean of the follower states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import FollowerGains, follower_response, solve_follower_gains, sources
+from .follower import FollowerGains, follower_response, sources
 from .integrators import BlowUpError, GridFunction, StageTable, matvec, stage_table
-from .leader import LeaderGains, solve_leader_gains, solve_mean_state  # the last re-exported for perfbench
+from .leader import LeaderGains, solve_mean_state  # the last re-exported for perfbench
 from .model import InitialLaw, Mode, Scenario, require_valid, time_sampled
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "solve_mean_state",
     "simulate",
     "estimate_costs",
-    "lln_diagnostic",
 ]
 
 PURPOSE_INIT = 0
@@ -649,23 +648,3 @@ def estimate_costs(er: EnsembleResult) -> list[tuple[str, float, float]]:
         rows.append((f"J{i + 1}", float(er.follower_costs[i]), float(er.follower_costs_se[i])))
     return rows
 
-
-def lln_diagnostic(
-    s: Scenario, N_list, n_paths: int, seed: int, *, workers: int = 1
-) -> tuple[list[tuple[int, float]], float]:
-    """Mean gap between the population average and its limit at t = T/2.
-
-    Gains are re-solved for every follower count (the sources carry 1/N
-    factors).  Returns ((N, gap) rows, fitted log-log slope); the gap decays
-    like N^-1/2 when the de-aggregation is wired correctly (NaN for one N).
-    """
-    rows = []
-    mid = s.grid.steps // 2
-    for N in N_list:
-        sN = replace(s, dims=replace(s.dims, N=int(N)))
-        fg = solve_follower_gains(sN)
-        lg = solve_leader_gains(sN, fg)
-        er = simulate(sN, fg, lg, n_paths, seed, workers=workers, store_paths=0)
-        rows.append((int(N), float(er.lln_gap.values[mid])))
-    logs, gaps = np.log(np.array(rows, dtype=float)).T
-    return rows, float(np.polyfit(logs, gaps, 1)[0]) if len(rows) > 1 else math.nan

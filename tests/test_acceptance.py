@@ -7,6 +7,7 @@ measurement in the captured output.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import time
@@ -18,8 +19,8 @@ from stackmf.cli import main as cli_main
 from stackmf.equilibrium import FOLLOWER_SUM_TOL, deviation_battery, direction_library, dp_gain_oracle
 from stackmf.follower import solve_follower_gains
 from stackmf.leader import assemble_extended
-from stackmf.model import Mode, TimeGrid, load_scenario
-from stackmf.simulation import lln_diagnostic, simulate
+from stackmf.model import Mode, TimeGrid, load_scenario, scenario_to_text
+from stackmf.simulation import simulate
 from conftest import (FAST_CFG_TEXT, midpoint_flow, random_scenario, replace_mode, solve_both, solve_leader_M,
                       uncontrolled_leader_mean)
 
@@ -233,8 +234,16 @@ def test_accept_06_deviation_certification(team_gains):
 # ---------------------------------------------------------------------------
 
 
-def test_accept_07_population_gap_decay(team_scenario):
-    rows, slope = lln_diagnostic(team_scenario, [30, 120, 480], n_paths=128, seed=7)
+def test_accept_07_population_gap_decay(team_scenario, tmp_path):
+    cfg = tmp_path / "team.cfg"
+    cfg.write_text(scenario_to_text(team_scenario), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out), "--vary", "N",
+                     "--values", "30,120,480", "--paths", "128", "--seed", "7"]) == 0
+    with open(out / "aggregate.csv", newline="", encoding="utf-8") as fh:
+        agg = list(csv.DictReader(fh))
+    rows = [(int(r["value"]), float(r["result"])) for r in agg if r["metric"] == "gap"]
+    slope, = (float(r["result"]) for r in agg if r["metric"] == "slope_loglog")
     ok = abs(slope + 0.5) <= 0.15
     detail = ", ".join(f"N={n}: {g:.4f}" for n, g in rows)
     report(

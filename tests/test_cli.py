@@ -195,10 +195,11 @@ def test_malformed_config_exits_validation(tmp_path):
     assert run_cli("solve", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
 
 
-def test_non_utf8_config_exits_validation(tmp_path):
+def test_non_utf8_config_exits_validation(tmp_path, capsys):
     bad = tmp_path / "latin1.cfg"
     bad.write_bytes(FAST_CFG_TEXT.encode("utf-8") + "# caf\xe9\n".encode("latin-1"))
     assert run_cli("solve", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert "invalid scenario: config is not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify", "sweep"])

@@ -234,7 +234,7 @@ def test_dp_oracle_converges_first_order(fast_scenario):
     d2 = dp_gain_oracle(s2, solve_follower_gains(s2), uncontrolled_leader_mean(s2))
     assert d1.delta_P / d2.delta_P == pytest.approx(2.0, abs=0.3)
     assert d1.delta_offset / d2.delta_offset == pytest.approx(2.0, abs=0.3)
-    assert d1.delta_P <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d1.P)))
+    assert d1.delta_P <= 4.0 * s.grid.dt * (1.0 + np.max(np.abs(d1.P)))
 
 
 def test_dp_oracle_shapes_and_terminal(fast_scenario):
@@ -251,8 +251,8 @@ def test_dp_oracle_accepts_an_external_mean_path(fast_gains):
 
     s, fg, lg = fast_gains
     d = dp_gain_oracle(s, fg, mean_leader=StageTable(s.grid, lg.mean.values[:, : s.dims.n]))
-    assert d.delta_P <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d.P)))
-    assert d.delta_offset <= 200.0 * s.grid.dt * (1.0 + np.max(np.abs(d.offset)))
+    assert d.delta_P <= 4.0 * s.grid.dt * (1.0 + np.max(np.abs(d.P)))
+    assert d.delta_offset <= 4.0 * s.grid.dt * (1.0 + np.max(np.abs(d.offset)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +325,17 @@ def test_verification_flags_a_leader_K_off_its_mean_gain(fast_gains):
     assert row.value == pytest.approx(bump, rel=1e-3)
 
 
-def test_verification_solves_gains_when_not_supplied(fast_scenario):
-    rep = run_verification(fast_scenario, n_paths=32, seed=1, directions=1)
-    assert rep.passed
-    assert rep.n_paths == 32 and rep.mode is Mode.TEAM
+def test_verification_reads_the_symmetry_of_the_P_it_is_given(game_n4_gains):
+    # A skew fault in P that K absorbs keeps P + K = Pi; the symmetry row
+    # must read the P it is handed, not the drift stored with the gains.
+    s, fg, lg = game_n4_gains
+    P, K = fg.P.values.copy(), fg.K.values.copy()
+    P[:, 0, 1] += 1e-3
+    K[:, 0, 1] -= 1e-3
+    bad = dataclasses.replace(fg, P=GridFunction(s.grid, P), K=GridFunction(s.grid, K))
+    rep = run_verification(s, bad, lg, n_paths=256, seed=0, directions=3)
+    assert [c.name for c in rep.checks if not c.passed] == ["follower_symmetry_drift"]
+    assert all(d.passed for d in rep.deviations)
 
 
 @pytest.mark.parametrize("directions", [0, -2])

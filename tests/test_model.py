@@ -144,6 +144,14 @@ def test_shipped_configs_load():
         load_scenario(block)
 
 
+def test_non_utf8_config_file_raises_scenario_error(tmp_path):
+    # The same decode route as the CLI's: a malformed file is a ScenarioError.
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b'mode = "team"\n# \xff\n')
+    with pytest.raises(ScenarioError, match="config is not UTF-8"):
+        load_scenario_file(bad)
+
+
 def test_time_varying_forcing_parses(baseline_text):
     # A grid-sampled forcing: steps+1 rows, one per node.
     s0 = load_scenario(baseline_text)

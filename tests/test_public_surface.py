@@ -111,6 +111,17 @@ def test_only_the_cli_writes_files():
     assert [w for w in writes if w[0] != "cli.py"] == []
 
 
+def test_only_the_commands_solve_gains():
+    # The library checks, simulates and sweeps the gains it is handed; the
+    # commands in `cli.py` solve them, so no lower layer re-solves behind a
+    # caller's back.  Besides their definitions and the root's re-exports,
+    # no module names either solver.
+    solvers = {"solve_follower_gains", "solve_leader_gains"}
+    named = {fname for fname, tree in _package_trees().items() if _names_used(tree) & solvers}
+    assert "cli.py" in named
+    assert named - {"cli.py", "follower.py", "leader.py", "__init__.py"} == set()
+
+
 def _module_statements(body):
     """The statements a module runs at import, inside `if`, `try` and `with`
     blocks too, but not the bodies of its functions and classes."""
