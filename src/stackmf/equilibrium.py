@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .follower import (
     sources,
     symmetry_drift,
 )
-from .integrators import StageTable, expm, sampled_stages
+from .integrators import MAP_CONDITION, STEP_BLOCK, StageTable, affine_scan, expm, sampled_stages
 from .leader import LeaderGains
 from .model import Mode, Scenario, TimeGrid, time_sampled
 from .simulation import Deviations, simulate
@@ -234,13 +235,14 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable) -> D
 
     Discretizes the follower's best-response problem exactly over each step
     (transition via matrix exponentials, stage cost via the rectangle rule)
-    and solves it by backward dynamic programming.  The recursion touches
-    none of the continuous-time solver code; its value-function curvature
-    and slope converge at O(dt) to the Riccati solution fg.P and to
-    K m + phi along the equilibrium mean path, with K and Pi from `fg` and
-    phi and m the `follower_response` to `mean_leader`, the stage table of
-    E[x0].  That phi is returned too, so a caller that needs the
-    follower-route offset along the same mean solves it once.
+    and solves it by backward dynamic programming, in closed form per block
+    of steps.  The recursion touches none of the continuous-time solver
+    code; its value-function curvature and slope converge at O(dt) to the
+    Riccati solution fg.P and to K m + phi along the equilibrium mean path,
+    with K and Pi from `fg` and phi and m the `follower_response` to
+    `mean_leader`, the stage table of E[x0].  That phi is returned too, so
+    a caller that needs the follower-route offset along the same mean
+    solves it once.
     """
     grid = s.grid
     Ksteps, dt, n = grid.steps, grid.dt, s.dims.n
@@ -260,24 +262,31 @@ def dp_gain_oracle(s: Scenario, fg: FollowerGains, mean_leader: StageTable) -> D
     Ad, Bd = _exact_discretization(A, B, dt)
     # A forcing held over a step enters through the integral of e^{As} over the step.
     fd = f @ _exact_discretization(A, np.eye(n), dt)[1].T
-    Rd = dt * R
+    G = Bd @ np.linalg.solve(dt * R, Bd.T)
 
-    dtS = dt * src.S
+    # P_k = dtS + Ad' P_{k+1} (I + G P_{k+1})^-1 Ad is Y X^-1 of the linear
+    # recursion [X; Y]_k = H [X; Y]_{k+1} (Vaughan, IEEE TAC 1970), so a block
+    # of b steps is one product of H^1..H^b with its anchor [I; P] and one
+    # solve.  A block ends before ((1 + |H - I|) / (1 - |H - I|))^b, a bound
+    # on the condition of H^b, passes MAP_CONDITION, as in `_block_maps`.
+    AiG = np.linalg.solve(Ad, np.hstack([np.eye(n), G]))
+    H = np.vstack([AiG, dt * src.S @ AiG])
+    H[n:, n:] += Ad.T
+    with np.errstate(divide="ignore", invalid="ignore"):      # past |H - I| = 1 a block keeps one step
+        f_H = np.linalg.norm(H - np.eye(2 * n))
+        spread = np.arange(1, STEP_BLOCK + 1) * (np.log1p(f_H) - np.log1p(-f_H))
+    b = max(1, np.count_nonzero(spread <= math.log(MAP_CONDITION)))
+    powers = np.array(list(accumulate([H] * b, np.matmul)))
     Pdp = np.zeros((Ksteps + 1, n, n))
-    h = np.zeros((Ksteps + 1, n))
-    rhs = np.empty((Bd.shape[1], n + 1))     # the feedback gain and the offset's control share one factorization
-    for k in range(Ksteps - 1, -1, -1):
-        Pn = Pdp[k + 1]
-        hn = h[k + 1]
-        PB = Pn @ Bd
-        w = Pn @ fd[k] + hn
-        rhs[:, :n], rhs[:, n] = PB.T @ Ad, Bd.T @ w
-        gain = np.linalg.solve(Rd + Bd.T @ PB, rhs)
-        closed = Ad - Bd @ gain[:, :n]
-        Pdp[k] = dtS + Ad.T @ Pn @ closed
-        Pdp[k] = 0.5 * (Pdp[k] + Pdp[k].T)
-        h[k] = -dt * (src.S1 @ mean[k] + g[k]) + Ad.T @ (w - PB @ gain[:, n])
-
+    for k in range(Ksteps, 0, -b):
+        XY = powers[:k, :, :n] + powers[:k, :, n:] @ Pdp[k]     # onto nodes k - 1, k - 2, ...
+        node = np.linalg.solve(XY[:, :n].mT, XY[:, n:].mT)
+        Pdp[max(0, k - b):k] = 0.5 * (node + node.mT)[::-1]
+    # The slope is affine in the next node, h_k = T_k h_{k+1} + c_k, with
+    # T_k = Ad' (I + P_{k+1} G)^-1: one scan from h_K = 0, rows reversed.
+    Tt = np.linalg.solve(np.eye(n) + G @ Pdp[1:], Ad)
+    c = np.einsum("kj,kji,kil->kl", fd[:-1], Pdp[1:], Tt) - dt * (mean[:-1] @ src.S1.T + g[:-1])
+    h = affine_scan(Tt[::-1], c[::-1, None])[::-1, 0]
     delta_P = float(np.max(np.abs(Pdp - fg.P.values)))
     delta_offset = float(np.max(np.abs(h - ode_offset)))
     return DpOracleResult(P=Pdp, offset=h, phi=phi.nodes, delta_P=delta_P, delta_offset=delta_offset)

@@ -16,7 +16,8 @@ error only; the leader stage's time-varying systems compose each step's
 classical RK4 map, built from the stage tables (`rk4_increments`).  Every
 linear equation y' = L y + c marches by one routine, `integrate_linear`,
 through each step's precomputed RK4 affine map, and returns its node
-values.
+values; a recursion whose step maps are given already (the deviation
+shifts and the dynamic-programming offset) runs as one `affine_scan`.
 
 Coefficients that vary in time are read from stage tables: values at every
 node and every step midpoint, the only times an RK4 step evaluates
@@ -53,6 +54,7 @@ __all__ = [
     "matvec",
     "linear_stages",
     "integrate_linear",
+    "affine_scan",
     "rk4_increments",
     "FlowHealth",
     "riccati_march",
@@ -247,6 +249,21 @@ def integrate_linear(drift: StageTable, forcing: StageTable, start, forward: boo
         k = escaped[0]
         raise BlowUpError(grid.nodes[k if forward else K - k], norms[k])
     return out if forward else out[::-1].copy()
+
+
+def affine_scan(T: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Every state of y_{k+1} = y_k T_k + s_k from y_0 = 0: T is (K, d, d),
+    s (K, p, d); returns (K+1, p, d).  Recursive doubling (Hillis & Steele,
+    CACM 1986): after round i, entry k holds the composition of the maps
+    k - 2^i + 1 .. k, so log2 K batched products replace K steps.  The
+    inputs are not written to."""
+    T, y = np.array(T), np.concatenate([np.zeros((1,) + s.shape[1:]), s])
+    d = 1
+    while d < len(T):
+        y[d + 1:] += y[1:-d] @ T[d:]
+        T[d:] = T[:-d] @ T[d:]
+        d *= 2
+    return y
 
 
 def _block_maps(F: np.ndarray):

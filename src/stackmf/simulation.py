@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import FollowerGains, follower_response, sources
-from .integrators import BlowUpError, GridFunction, StageTable, matvec, stage_table
+from .integrators import BlowUpError, GridFunction, StageTable, affine_scan, matvec, stage_table
 from .leader import LeaderGains, solve_mean_state  # the last re-exported for perfbench
 from .model import InitialLaw, Mode, Scenario, require_valid, time_sampled
 
@@ -286,10 +286,7 @@ def _control_shift(v: np.ndarray, step: tuple) -> np.ndarray:
     """Euler-Maruyama response of a single state (step tables `step`, as in
     `_Tables`) to unit control deviations v, (K+1, D, m); returns (K+1, D, n)."""
     A_step, dtBT = step[:2]
-    chi = np.zeros((len(v), v.shape[1], A_step.shape[0]))
-    for k in range(len(v) - 1):
-        chi[k + 1] = chi[k] @ A_step + v[k] @ dtBT
-    return chi
+    return affine_scan(np.broadcast_to(A_step, (len(v) - 1,) + A_step.shape), v[:-1] @ dtBT)
 
 
 def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.ndarray) -> np.ndarray:
@@ -298,20 +295,18 @@ def _population_shift(s: Scenario, fg: FollowerGains, tab: _Tables, chi0: np.nda
 
     Offset and mean response are linear in the leader shift, so every column
     rides along one `follower_response` to the drive shift, with no forcing;
-    the shift is then marched with the same one-step scheme the paths use.
+    the shift is then marched with the same one-step scheme the paths use,
+    its feedback folded into each step's map.
     """
     # Column form: each column of the (n, D) states is one direction.
     dg = stage_table(s.grid, sources(s).W @ np.swapaxes(chi0, 1, 2))   # drive shift; chi0 is Euler-marched
     zero = np.zeros(dg.values.shape[1:])
     phi, mean = follower_response(s, fg.Pi, dg, StageTable(s.grid, np.zeros_like(dg.values)), zero)
-    dphi, dEbar = np.swapaxes(phi.nodes, 1, 2), np.swapaxes(mean, 1, 2)
-    P, Kf = fg.P.values, fg.K.values
+    dphi, dEbar = np.swapaxes(phi.nodes, 1, 2)[:-1], np.swapaxes(mean, 1, 2)[:-1]
     A_step, dtBT = tab.step_f[:2]
-    shift = np.zeros_like(chi0)
-    for k in range(s.grid.steps):
-        du = -(shift[k] @ P[k].T + dEbar[k] @ Kf[k].T + dphi[k]) @ tab.RinvBtT
-        shift[k + 1] = shift[k] @ A_step + du @ dtBT
-    return shift
+    gain = tab.RinvBtT @ dtBT       # du @ dtBT = -(feedback terms) @ gain
+    P, Kf = fg.P.values[:-1], fg.K.values[:-1]
+    return affine_scan(A_step - P.mT @ gain, -(dEbar @ Kf.mT + dphi) @ gain)
 
 
 def _deviation_shifts(s: Scenario, fg: FollowerGains, tab: _Tables, dev: Deviations) -> tuple:

@@ -1,7 +1,8 @@
 """Shared fixtures: benchmark scenario, fast test scenario, random instances,
-the chained-exponential flow representation of the leader P, and the
+the chained-exponential flow representation of the leader P, the
 closure RK4 routes: an independent discretization of every Riccati and
-linear equation the package marches by step maps.
+linear equation the package marches by step maps, and the per-step loops
+of the recursions the package evaluates in closed form or by one scan.
 
 Session-scoped fixtures cache solved gain sets so the expensive backward
 solves run once per session.  The random-scenario factory draws well-posed
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stackmf.follower import follower_response, offset_drive, solve_follower_gains
+from stackmf.equilibrium import _exact_discretization
+from stackmf.follower import follower_response, offset_drive, solve_follower_gains, sources
 from stackmf.integrators import (BLOWUP_FACTOR, BlowUpError, GridFunction, StageTable, _frob,
                                  integrate_linear, linear_stages, sampled_stages, stage_table)
 from stackmf.leader import ExtendedSystem, _dM, solve_leader_gains
@@ -32,6 +34,7 @@ from stackmf.model import (
     Scenario,
     TimeGrid,
     load_scenario,
+    time_sampled,
     validate,
 )
 
@@ -214,6 +217,81 @@ def make_random_scenario():
 def random_battery():
     """Twenty solved random instances shared by the identity/symmetry tests."""
     return [solve_both(random_scenario(1000 + i)) for i in range(20)]
+
+
+@pytest.fixture(scope="session")
+def recursion_cases(team_gains, game_gains, game_n4_gains, fast_gains, fast_game_gains):
+    """Solved cases the closed-form and scanned recursions are checked on
+    against their per-step loops: the test and benchmark configs,
+    random_scenario(0..19), and coarse or stiff grids, on which the DP
+    oracle's blocks end early (the baseline at 40 steps ends them at 18)."""
+    s = team_gains[0]
+    stiff = dataclasses.replace(s.follower_cost, Q=100.0 * s.follower_cost.Q)
+    extra = [dataclasses.replace(s, grid=TimeGrid(s.grid.horizon, 40)),
+             dataclasses.replace(s, grid=TimeGrid(s.grid.horizon, 100)),
+             dataclasses.replace(s, follower_cost=stiff),
+             dataclasses.replace(random_scenario(3), grid=TimeGrid(6.0, 20))]
+    named = [("team", team_gains), ("game", game_gains), ("game_n4", game_n4_gains), ("fast", fast_gains),
+             ("fast_game", fast_game_gains)]
+    named += [(f"random{i}", solve_both(random_scenario(i))) for i in range(20)]
+    return named + [(name, solve_both(c)) for name, c in zip(("steps40", "steps100", "stiff", "coarse"), extra)]
+
+
+def dp_recursion_reference(s: Scenario, fg, mean_leader: StageTable) -> tuple[np.ndarray, np.ndarray]:
+    """The DP oracle's backward recursion one step at a time: its curvature
+    P (steps+1, n, n) and slope (steps+1, n) along the mean path of
+    `mean_leader`, each node from the next by one feedback-gain solve."""
+    grid = s.grid
+    Ksteps, dt, n = grid.steps, grid.dt, s.dims.n
+    A, B = s.follower_dyn.A, s.follower_dyn.B
+    src = sources(s)
+    drive = offset_drive(s, mean_leader)
+    g = drive.nodes
+    mean = follower_response(s, fg.Pi, drive, sampled_stages(s.follower_dyn.f, grid), s.init.follower.mean)[1]
+    Ad, Bd = _exact_discretization(A, B, dt)
+    fd = time_sampled(s.follower_dyn.f, grid) @ _exact_discretization(A, np.eye(n), dt)[1].T
+    Rd = dt * s.follower_cost.R
+    dtS = dt * src.S
+    Pdp = np.zeros((Ksteps + 1, n, n))
+    h = np.zeros((Ksteps + 1, n))
+    rhs = np.empty((Bd.shape[1], n + 1))
+    for k in range(Ksteps - 1, -1, -1):
+        Pn = Pdp[k + 1]
+        hn = h[k + 1]
+        PB = Pn @ Bd
+        w = Pn @ fd[k] + hn
+        rhs[:, :n], rhs[:, n] = PB.T @ Ad, Bd.T @ w
+        gain = np.linalg.solve(Rd + Bd.T @ PB, rhs)
+        closed = Ad - Bd @ gain[:, :n]
+        Pdp[k] = dtS + Ad.T @ Pn @ closed
+        Pdp[k] = 0.5 * (Pdp[k] + Pdp[k].T)
+        h[k] = -dt * (src.S1 @ mean[k] + g[k]) + Ad.T @ (w - PB @ gain[:, n])
+    return Pdp, h
+
+
+def control_shift_reference(v: np.ndarray, step: tuple) -> np.ndarray:
+    """`simulation._control_shift` one Euler step at a time."""
+    A_step, dtBT = step[:2]
+    chi = np.zeros((len(v), v.shape[1], A_step.shape[0]))
+    for k in range(len(v) - 1):
+        chi[k + 1] = chi[k] @ A_step + v[k] @ dtBT
+    return chi
+
+
+def population_shift_loop(s: Scenario, fg, tab, chi0: np.ndarray) -> np.ndarray:
+    """`simulation._population_shift` with its march one Euler step at a time,
+    the feedback evaluated from the state of each step."""
+    dg = stage_table(s.grid, sources(s).W @ np.swapaxes(chi0, 1, 2))
+    zero = np.zeros(dg.values.shape[1:])
+    phi, mean = follower_response(s, fg.Pi, dg, StageTable(s.grid, np.zeros_like(dg.values)), zero)
+    dphi, dEbar = np.swapaxes(phi.nodes, 1, 2), np.swapaxes(mean, 1, 2)
+    P, Kf = fg.P.values, fg.K.values
+    A_step, dtBT = tab.step_f[:2]
+    shift = np.zeros_like(chi0)
+    for k in range(s.grid.steps):
+        du = -(shift[k] @ P[k].T + dEbar[k] @ Kf[k].T + dphi[k]) @ tab.RinvBtT
+        shift[k + 1] = shift[k] @ A_step + du @ dtBT
+    return shift
 
 
 def follower_offset(s: Scenario, Pi, mean_leader: StageTable) -> StageTable:

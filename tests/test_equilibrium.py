@@ -10,7 +10,7 @@ import pytest
 import stackmf.equilibrium as equilibrium
 from stackmf.cli import _write_verification
 from stackmf.follower import solve_follower_gains
-from stackmf.integrators import GridFunction
+from stackmf.integrators import GridFunction, StageTable
 from stackmf.model import Distribution, InitialLaw, Mode, TimeGrid, load_scenario
 from stackmf.simulation import simulate
 from stackmf.equilibrium import (
@@ -21,7 +21,7 @@ from stackmf.equilibrium import (
     run_verification,
     stationarity_residuals,
 )
-from conftest import FAST_CFG_TEXT, random_scenario, solve_both, uncontrolled_leader_mean
+from conftest import FAST_CFG_TEXT, dp_recursion_reference, random_scenario, solve_both, uncontrolled_leader_mean
 
 def one_direction(target, s, fg, lg, direction, n_paths, seed, label="d"):
     """The battery's result for a single follower or leader direction."""
@@ -247,12 +247,21 @@ def test_dp_oracle_shapes_and_terminal(fast_scenario):
 
 
 def test_dp_oracle_accepts_an_external_mean_path(fast_gains):
-    from stackmf.integrators import StageTable
-
     s, fg, lg = fast_gains
     d = dp_gain_oracle(s, fg, mean_leader=StageTable(s.grid, lg.mean.values[:, : s.dims.n]))
     assert d.delta_P <= 4.0 * s.grid.dt * (1.0 + np.max(np.abs(d.P)))
     assert d.delta_offset <= 4.0 * s.grid.dt * (1.0 + np.max(np.abs(d.offset)))
+
+
+def test_dp_oracle_matches_the_per_step_recursion(recursion_cases):
+    # The curvature in closed form per block and the slope by one scan
+    # evaluate the recursion that solves one feedback gain per step.
+    for name, (s, fg, lg) in recursion_cases:
+        mean_leader = StageTable(s.grid, lg.mean.values[:, : s.dims.n])
+        d = dp_gain_oracle(s, fg, mean_leader)
+        P, h = dp_recursion_reference(s, fg, mean_leader)
+        assert np.max(np.abs(d.P - P)) <= 1e-13 * np.max(np.abs(P)), name
+        assert np.max(np.abs(d.offset - h)) <= 1e-13 * np.max(np.abs(h)), name
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from stackmf.integrators import (
     BlowUpError,
     GridFunction,
     StageTable,
+    affine_scan,
     expm,
     expm_increment,
     integrate_linear,
@@ -373,6 +374,42 @@ def test_linear_march_fails_at_the_closure_march_node(case, forward):
     else:
         assert got.value.time == grid.nodes[501 if forward else 500]
         assert not math.isfinite(got.value.norm) and not math.isfinite(ref.value.norm)
+
+
+@pytest.mark.parametrize("radius", [0.9, 1.05])
+@pytest.mark.parametrize("K", [1, 2, 63, 64, 1000, 1001])
+def test_affine_scan_matches_a_loop(K, radius):
+    # Recursive doubling composes the maps in another order; each map is a
+    # rotation times `radius`, its spectral radius, so the states grow or
+    # decay like radius^k.  Read-only inputs pin that the scan never writes
+    # into them.
+    rng = np.random.default_rng(K)
+    for d in (1, 3):
+        Q = np.linalg.qr(rng.standard_normal((K, d, d)))[0]
+        T = radius * Q
+        for p in (1, 3):
+            s = rng.standard_normal((K, p, d))
+            T.flags.writeable = s.flags.writeable = False
+            ref = np.zeros((K + 1, p, d))
+            for k in range(K):
+                ref[k + 1] = ref[k] @ T[k] + s[k]
+            got = affine_scan(T, s)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (d, p)
+            T.flags.writeable = True
+
+
+def test_affine_scan_reads_a_broadcast_map():
+    # `simulation._control_shift` passes one step map broadcast over the
+    # steps: a read-only view.
+    A = np.array([[0.99, 0.02], [-0.01, 0.98]])
+    s = np.arange(30.0).reshape(15, 1, 2)
+    got = affine_scan(np.broadcast_to(A, (15, 2, 2)), s)
+    ref = np.zeros(2)
+    for k in range(15):
+        ref = ref @ A + s[k, 0]
+    assert np.allclose(got[-1, 0], ref, rtol=1e-14, atol=0.0)
+    assert np.array_equal(A, [[0.99, 0.02], [-0.01, 0.98]]) and np.array_equal(s, np.arange(30.0).reshape(15, 1, 2))
 
 
 # ---------------------------------------------------------------------------

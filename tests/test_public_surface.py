@@ -4,13 +4,19 @@ public one is read by the package or exported by its root."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stackmf
+from stackmf.equilibrium import dp_gain_oracle
+from stackmf.integrators import STEP_BLOCK
+from stackmf.model import TimeGrid
+from conftest import uncontrolled_leader_mean
 
 MODULES = ["stackmf"] + sorted(f"stackmf.{m.name}" for m in pkgutil.iter_modules(stackmf.__path__))
 
@@ -164,3 +170,33 @@ def test_no_module_level_mutable_state():
                 if (getattr(target, "attr", None) or getattr(target, "id", None)) in ("cache", "lru_cache"):
                     found.append((fname, deco.lineno, ast.unparse(deco)))
     assert found == []
+
+
+def test_dp_oracle_names_no_solver_route():
+    # The oracle checks the solver, so it owns its block loop: its body
+    # reads none of the solver's Riccati marches or step maps.
+    tree = _package_trees()["equilibrium.py"]
+    oracle = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "dp_gain_oracle")
+    assert _names_used(oracle) & {"riccati_march", "_block_maps", "rk4_increments", "riccati_flow"} == set()
+
+
+def test_dp_oracle_solves_once_per_block(fast_gains, team_gains, monkeypatch):
+    # The curvature is solved once per block of steps, not once per step:
+    # doubling the steps adds one np.linalg.solve per added block.  On the
+    # baseline at 40 steps the condition bound ends the blocks at 18.
+    solve = np.linalg.solve
+
+    def solves(s, steps):
+        """The shapes of the matrices the oracle solves with, on `steps` steps."""
+        s = dataclasses.replace(s, grid=TimeGrid(s.grid.horizon, steps))
+        fg, mean_leader = stackmf.solve_follower_gains(s), uncontrolled_leader_mean(s)
+        shapes = []
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "solve", lambda a, b: shapes.append(np.shape(a)) or solve(a, b))
+            dp_gain_oracle(s, fg, mean_leader)
+        return shapes
+
+    coarse, fine = (solves(fast_gains[0], steps) for steps in (500, 1000))
+    assert len(fine) - len(coarse) == -(-1000 // STEP_BLOCK) - -(-500 // STEP_BLOCK)
+    batched = [shape[0] for shape in solves(team_gains[0], 40) if len(shape) == 3]
+    assert batched == [18, 18, 4, 40]     # three blocks, then the slope's maps at every step

@@ -21,13 +21,15 @@ from stackmf.simulation import (
     NoiseModel,
     _build_tables,
     _control_shift,
+    _deviation_shifts,
     _population_shift,
     default_chunk_size,
     estimate_costs,
     simulate,
     solve_mean_state,
 )
-from conftest import FAST_CFG_TEXT, follower_offset, integrate_forward, random_scenario, solve_both, stage_at
+from conftest import (FAST_CFG_TEXT, control_shift_reference, follower_offset, integrate_forward,
+                      population_shift_loop, random_scenario, solve_both, stage_at)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +522,19 @@ def test_stacked_leader_shifts_match_one_direction_at_a_time(case, fast_gains, f
     for d, v in enumerate(dirs):
         ref = _population_shift_reference(s, fg, lg.mean.nodes, v)
         assert np.max(np.abs(stacked[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref)), d
+
+
+def test_deviation_shifts_match_per_step_loops(recursion_cases):
+    # The scanned shifts march what one Euler step at a time marches.
+    for name, (s, fg, lg) in recursion_cases:
+        tab = _build_tables(s, fg, lg)
+        dirs = tuple(v for _, v in direction_library(s.grid, s.dims.m, 3, seed=4))
+        fx, _, chi0, xi, _ = _deviation_shifts(s, fg, tab, Deviations(dirs, dirs))
+        v = np.stack(dirs, axis=1)
+        refs = [control_shift_reference(v, tab.step_f), control_shift_reference(v, tab.step0)]
+        refs.append(population_shift_loop(s, fg, tab, refs[1]))
+        for label, got, ref in zip(("follower", "leader", "population"), (fx, chi0, xi), refs):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, label)
 
 
 def _vector_game():
